@@ -3,7 +3,8 @@
 Circular and linear-filtered GFDM (plain and OQAM), FBMC-OQAM and CP-OFDM
 modems built from explicit transmit matrices, together with channel models,
 evaluation metrics (BER, Welch PSD, PAPR CCDF) and a deterministic Monte
-Carlo scenario runner.
+Carlo scenario runner.  Every OQAM waveform runs through the one
+``oqam_modulate``/``oqam_demodulate`` pair.
 """
 
 from .channel import (
@@ -21,9 +22,10 @@ from .channel import (
     make_awgn,
     make_tifs,
 )
-from .fbmc import FbmcModem, burst_length, fbmc_demodulate, fbmc_modulate, synthesis_pulse
+from .fbmc import build_fbmc_matrices, burst_length, synthesis_pulse
 from .gfdm import (
     GfdmMatrixSet,
+    OqamMatrixSet,
     ReceiverMatrix,
     add_cp,
     build_gfdm_matrix,
@@ -35,12 +37,7 @@ from .gfdm import (
     oqam_modulate,
     remove_cp,
 )
-from .linear import (
-    LinearGfdmMatrixSet,
-    build_linear_matrices,
-    linear_demodulate,
-    linear_modulate,
-)
+from .linear import build_linear_matrices
 from .mapping import constellation, qam_demap, qam_map, split_oqam
 from .metrics import (
     MetricCurve,
@@ -85,11 +82,10 @@ __all__ = [
     "ChannelRealization",
     "ConfigError",
     "EqualizationError",
-    "FbmcModem",
     "GfdmMatrixSet",
-    "LinearGfdmMatrixSet",
     "MetricCurve",
     "OfdmParams",
+    "OqamMatrixSet",
     "PrototypeFilter",
     "ReceiverMatrix",
     "ScenarioConfig",
@@ -97,6 +93,7 @@ __all__ = [
     "add_cp",
     "apply_channel",
     "ber_count",
+    "build_fbmc_matrices",
     "build_gfdm_matrix",
     "build_linear_matrices",
     "build_oqam_matrices",
@@ -107,14 +104,10 @@ __all__ = [
     "constellation",
     "default_papr_thresholds",
     "draw_tvfs",
-    "fbmc_demodulate",
-    "fbmc_modulate",
     "fd_zf_equalize",
     "freq_response",
     "gfdm_demodulate",
     "gfdm_modulate",
-    "linear_demodulate",
-    "linear_modulate",
     "linear_pad_length",
     "make_awgn",
     "make_tifs",

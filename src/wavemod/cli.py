@@ -66,7 +66,10 @@ def build_config(args) -> ScenarioConfig:
         for key, val in parse_config_file(args.config).items():
             if key not in _SC_FIELDS | _WP_FIELDS:
                 raise ConfigError(f"config file: unknown key {key!r}")
-            overrides[key] = _coerce(key, val)
+            try:
+                overrides[key] = _coerce(key, val)
+            except ValueError as exc:
+                raise ConfigError(f"{key}: cannot parse {val!r} ({exc})") from None
     wp_kwargs = {k: v for k, v in overrides.items() if k in _WP_FIELDS}
     sc_kwargs = {k: v for k, v in overrides.items() if k in _SC_FIELDS}
     config = ScenarioConfig(
@@ -117,6 +120,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         curve = run_scenario(config)
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (EqualizationError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

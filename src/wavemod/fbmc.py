@@ -1,15 +1,23 @@
-"""FBMC-OQAM transceiver built from explicit synthesis/analysis pulses.
+"""FBMC-OQAM: Linear GFDM cut to its support.
 
 Each subcarrier/time-slot pair gets two pulses: the in-phase pulse at offset
 m*K and the quadrature pulse delayed by half a symbol period.  The burst is
 the superposition of all pulses weighted by the real and imaginary symbol
-parts; the receiver correlates against the same pulses.
+parts; the receiver correlates against the same pulses.  Those pulses are
+exactly the columns of the Linear GFDM matrix pair over its first
+``burst_length`` rows, so the FBMC modem is that pair cut to its support and
+run through ``gfdm.oqam_modulate``/``oqam_demodulate``.
+
+``synthesis_pulse`` builds one pulse directly from its definition; it is the
+independent brute-force oracle that the matrix modems are tested against.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import replace
 
 import numpy as np
 
+from .gfdm import OqamMatrixSet
+from .linear import build_linear_matrices
 from .prototypes import PrototypeFilter
 
 
@@ -46,63 +54,13 @@ def synthesis_pulse(
     return pulse
 
 
-@dataclass
-class FbmcModem:
-    """Pulse bank for a finite burst of ``m_symbols`` complex OQAM symbols.
+def build_fbmc_matrices(p: PrototypeFilter, subcarriers: int, m_symbols: int) -> OqamMatrixSet:
+    """Synthesis bank of a burst of ``m_symbols`` OQAM symbols per subcarrier.
 
-    Symbol (k, m) sits at flat index m*K + k, matching the matrix modems.
+    The Linear GFDM pair with its structural-zero tail rows dropped, so
+    ``frame_len == support_len == burst_length(p, subcarriers, m_symbols)``.
+    The cut is a row-slice view: copying would briefly hold both pairs.
     """
-
-    prototype: PrototypeFilter
-    subcarriers: int
-    m_symbols: int
-    _gi: np.ndarray = field(init=False, repr=False)
-    _gq: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.subcarriers % 2 != 0:
-            raise ValueError("subcarriers must be even for OQAM")
-        length = burst_length(self.prototype, self.subcarriers, self.m_symbols)
-        n_sym = self.subcarriers * self.m_symbols
-        self._gi = np.empty((length, n_sym), dtype=complex)
-        self._gq = np.empty((length, n_sym), dtype=complex)
-        for m in range(self.m_symbols):
-            for k in range(self.subcarriers):
-                col = m * self.subcarriers + k
-                self._gi[:, col] = synthesis_pulse(
-                    k, m, "I", self.prototype, self.subcarriers, length
-                )
-                self._gq[:, col] = synthesis_pulse(
-                    k, m, "Q", self.prototype, self.subcarriers, length
-                )
-
-    @property
-    def burst_len(self) -> int:
-        return self._gi.shape[0]
-
-    @property
-    def n_symbols(self) -> int:
-        return self.subcarriers * self.m_symbols
-
-
-def fbmc_modulate(modem: FbmcModem, d) -> np.ndarray:
-    """Finite-burst OQAM synthesis: real parts on I pulses, imaginary on Q."""
-    d = np.asarray(d, dtype=complex)
-    if d.shape[0] != modem.n_symbols:
-        raise ValueError(f"expected {modem.n_symbols} symbols, got {d.shape[0]}")
-    return modem._gi @ d.real + 1j * (modem._gq @ d.imag)
-
-
-def fbmc_demodulate(modem: FbmcModem, y_eq) -> np.ndarray:
-    """Analysis bank on an equalized burst, gain-normalized per symbol."""
-    y_eq = np.asarray(y_eq, dtype=complex)
-    if y_eq.shape[0] != modem.burst_len:
-        raise ValueError(f"expected {modem.burst_len} samples, got {y_eq.shape[0]}")
-    gain_i = np.sum(np.abs(modem._gi) ** 2, axis=0)
-    gain_q = np.sum(np.abs(modem._gq) ** 2, axis=0)
-    if y_eq.ndim > 1:
-        gain_i = gain_i[:, None]
-        gain_q = gain_q[:, None]
-    re = (modem._gi.conj().T @ y_eq).real / gain_i
-    im = (modem._gq.conj().T @ y_eq).imag / gain_q
-    return re + 1j * im
+    mats = build_linear_matrices(p, subcarriers, m_symbols)
+    n = mats.support_len
+    return replace(mats, a_i=mats.a_i[:n], a_q=mats.a_q[:n])

@@ -1,9 +1,14 @@
-"""Circular GFDM matrix modem, its OQAM variant and cyclic-prefix handling.
+"""Circular GFDM matrix modem, the OQAM modem core and cyclic-prefix handling.
 
 The modem is kept at matrix level on purpose: the transmit matrix columns are
 circularly shifted, subcarrier-modulated copies of the prototype filter, and
 the receiver matrices (zero-forcing, matched filter, MMSE) are derived
 directly from the transmit matrix.
+
+``oqam_modulate``/``oqam_demodulate`` are the one OQAM modem of the library:
+they serve any :class:`OqamMatrixSet`, whether circular (built here), linear
+(``linear.build_linear_matrices``) or linear cut to its support (FBMC,
+``fbmc.build_fbmc_matrices``).
 """
 
 from dataclasses import dataclass
@@ -15,20 +20,38 @@ from .prototypes import PrototypeFilter
 
 @dataclass(frozen=True)
 class GfdmMatrixSet:
-    """Transmit matrices of a circular GFDM frame (K subcarriers, M subsymbols).
+    """Transmit matrix ``a`` of a circular GFDM frame (K subcarriers, M subsymbols)."""
 
-    ``a`` holds the plain QAM matrix; ``a_i``/``a_q`` the OQAM pair where the
-    quadrature matrix is a half-subsymbol circular shift of the in-phase one.
+    subcarriers: int
+    subsymbols: int
+    a: np.ndarray
+
+    @property
+    def frame_len(self) -> int:
+        return self.subcarriers * self.subsymbols
+
+
+@dataclass(frozen=True)
+class OqamMatrixSet:
+    """OQAM transmit matrix pair: real symbol parts ride on ``a_i``, imaginary on ``a_q``.
+
+    The matrices have ``frame_len`` rows and K*M columns, symbol (k, m) in
+    column m*K + k.  ``support_len`` is the index one past the last row that
+    can carry signal; later rows are structural zeros.
     """
 
     subcarriers: int
     subsymbols: int
-    a: np.ndarray | None = None
-    a_i: np.ndarray | None = None
-    a_q: np.ndarray | None = None
+    a_i: np.ndarray
+    a_q: np.ndarray
+    support_len: int
 
     @property
     def frame_len(self) -> int:
+        return self.a_i.shape[0]
+
+    @property
+    def n_symbols(self) -> int:
         return self.subcarriers * self.subsymbols
 
 
@@ -78,8 +101,8 @@ def build_oqam_matrices(
     subcarriers: int,
     subsymbols: int,
     subcarrier_phase: bool = True,
-) -> GfdmMatrixSet:
-    """OQAM matrix pair; the quadrature columns are rolled by K/2 samples.
+) -> OqamMatrixSet:
+    """Circular OQAM matrix pair; the quadrature columns are rolled by K/2 samples.
 
     ``subcarrier_phase`` applies the quarter-turn rotation per subcarrier that
     makes neighboring-subcarrier interference purely imaginary in the real
@@ -95,13 +118,11 @@ def build_oqam_matrices(
             np.roll(g, m * subcarriers), subcarriers, phase=subcarrier_phase
         )
     a_q = np.roll(a_i, subcarriers // 2, axis=0)
-    return GfdmMatrixSet(subcarriers=subcarriers, subsymbols=subsymbols, a_i=a_i, a_q=a_q)
+    return OqamMatrixSet(subcarriers, subsymbols, a_i, a_q, support_len=n)
 
 
 def gfdm_modulate(mats: GfdmMatrixSet, d) -> np.ndarray:
     d = np.asarray(d, dtype=complex)
-    if mats.a is None:
-        raise ValueError("matrix set was built for OQAM; use oqam_modulate")
     if d.shape[0] != mats.frame_len:
         raise ValueError(f"expected {mats.frame_len} symbols, got {d.shape[0]}")
     return mats.a @ d
@@ -120,8 +141,6 @@ def build_receiver(
     at demodulation using the stored per-symbol gain.
     """
     a = mats.a
-    if a is None:
-        raise ValueError("matrix set holds no plain transmit matrix")
     kind = kind.upper()
     if kind == "ZF":
         return ReceiverMatrix(b=np.linalg.inv(a), kind="ZF")
@@ -149,17 +168,16 @@ def gfdm_demodulate(rx: ReceiverMatrix, y) -> np.ndarray:
     return d_hat
 
 
-def oqam_modulate(mats: GfdmMatrixSet, d) -> np.ndarray:
+def oqam_modulate(mats: OqamMatrixSet, d) -> np.ndarray:
+    """Frame of ``frame_len`` samples per column of ``d`` (K*M symbols)."""
     d = np.asarray(d, dtype=complex)
-    if mats.a_i is None or mats.a_q is None:
-        raise ValueError("matrix set was not built for OQAM")
-    if d.shape[0] != mats.frame_len:
-        raise ValueError(f"expected {mats.frame_len} symbols, got {d.shape[0]}")
+    if d.shape[0] != mats.n_symbols:
+        raise ValueError(f"expected {mats.n_symbols} symbols, got {d.shape[0]}")
     return mats.a_i @ d.real + 1j * (mats.a_q @ d.imag)
 
 
-def oqam_demodulate(mats: GfdmMatrixSet, y_eq) -> np.ndarray:
-    """Matched-filter OQAM demodulation of an equalized frame."""
+def oqam_demodulate(mats: OqamMatrixSet, y_eq) -> np.ndarray:
+    """Matched-filter OQAM demodulation of an equalized frame, gain-normalized per symbol."""
     y_eq = np.asarray(y_eq, dtype=complex)
     if y_eq.shape[0] != mats.frame_len:
         raise ValueError(f"expected {mats.frame_len} samples, got {y_eq.shape[0]}")

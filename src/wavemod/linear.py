@@ -3,46 +3,16 @@
 Padding the prototype so that no column shift ever wraps turns the circular
 modem into a linear filter bank: every column has contiguous support, the
 frame edges ramp smoothly to zero, and the emitted signal coincides with the
-FBMC-OQAM burst for the same data.
+FBMC-OQAM burst for the same data.  The pair is an :class:`OqamMatrixSet`
+that ``gfdm.oqam_modulate``/``oqam_demodulate`` serve like the circular one;
+FBMC-OQAM is this pair cut to its ``support_len`` rows
+(``fbmc.build_fbmc_matrices``).
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
+from .gfdm import OqamMatrixSet
 from .prototypes import PrototypeFilter, linear_pad_length
-
-
-@dataclass(frozen=True)
-class LinearGfdmMatrixSet:
-    """Extended-frame OQAM matrix pair and derived dimensions.
-
-    The matrices have ``frame_len`` rows and K*M columns; ``support_len`` is
-    the index one past the last row that can carry signal (the remaining rows
-    are structural zeros from the padding arithmetic).
-    """
-
-    subcarriers: int
-    subsymbols: int
-    a_i: np.ndarray
-    a_q: np.ndarray
-    support_len: int
-
-    @property
-    def frame_len(self) -> int:
-        return self.a_i.shape[0]
-
-    @property
-    def n_symbols(self) -> int:
-        return self.subcarriers * self.subsymbols
-
-    @property
-    def b_i(self) -> np.ndarray:
-        return self.a_i.conj().T
-
-    @property
-    def b_q(self) -> np.ndarray:
-        return self.a_q.conj().T
 
 
 def build_linear_matrices(
@@ -50,8 +20,11 @@ def build_linear_matrices(
     subcarriers: int,
     subsymbols: int,
     subcarrier_phase: bool = True,
-) -> LinearGfdmMatrixSet:
+) -> OqamMatrixSet:
     """Build the wrap-free matrix pair over ``len(p) + pad`` output samples.
+
+    The frame has no cyclic prefix; rows at and past ``support_len`` (the
+    FBMC burst length) are zero.
 
     In-phase columns place the prototype at offset m*K; quadrature columns at
     m*K + K/2.  The subcarrier exponential runs over the absolute sample
@@ -84,33 +57,4 @@ def build_linear_matrices(
         cols = slice(m * subcarriers, (m + 1) * subcarriers)
         a_i[:, cols] = sl_i[:, None] * carriers
         a_q[:, cols] = sl_q[:, None] * carriers
-    return LinearGfdmMatrixSet(
-        subcarriers=subcarriers,
-        subsymbols=subsymbols,
-        a_i=a_i,
-        a_q=a_q,
-        support_len=max_offset + lp,
-    )
-
-
-def linear_modulate(mats: LinearGfdmMatrixSet, d) -> np.ndarray:
-    """Transmit frame of ``frame_len`` samples; no cyclic prefix is used."""
-    d = np.asarray(d, dtype=complex)
-    if d.shape[0] != mats.n_symbols:
-        raise ValueError(f"expected {mats.n_symbols} symbols, got {d.shape[0]}")
-    return mats.a_i @ d.real + 1j * (mats.a_q @ d.imag)
-
-
-def linear_demodulate(mats: LinearGfdmMatrixSet, y_eq) -> np.ndarray:
-    """Matched-filter demodulation of an equalized extended frame."""
-    y_eq = np.asarray(y_eq, dtype=complex)
-    if y_eq.shape[0] != mats.frame_len:
-        raise ValueError(f"expected {mats.frame_len} samples, got {y_eq.shape[0]}")
-    gain_i = np.sum(np.abs(mats.a_i) ** 2, axis=0)
-    gain_q = np.sum(np.abs(mats.a_q) ** 2, axis=0)
-    if y_eq.ndim > 1:
-        gain_i = gain_i[:, None]
-        gain_q = gain_q[:, None]
-    re = (mats.a_i.conj().T @ y_eq).real / gain_i
-    im = (mats.a_q.conj().T @ y_eq).imag / gain_q
-    return re + 1j * im
+    return OqamMatrixSet(subcarriers, subsymbols, a_i, a_q, support_len=max_offset + lp)

@@ -1,6 +1,6 @@
 """CP-OFDM reference modem and closed-form QAM bit error probability curves."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc
@@ -39,9 +39,7 @@ def ofdm_modulate(d, params: OfdmParams) -> np.ndarray:
     spec = np.zeros((params.n_fft,) + d.shape[1:], dtype=complex)
     spec[idx] = d
     x = np.fft.ifft(spec, axis=0, norm="ortho")
-    if params.n_cp == 0:
-        return x
-    return np.concatenate([x[-params.n_cp:], x], axis=0)
+    return add_cp(x, params.n_cp)
 
 
 def ofdm_demodulate(y, params: OfdmParams, channel_freq_response=None) -> np.ndarray:

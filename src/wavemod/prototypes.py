@@ -5,7 +5,7 @@ waveforms, the rectangular pulse used by OFDM, and the zero-padding helpers
 that turn a circular modulation matrix into a linear one.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +18,7 @@ _FREQ_COEFFS = {
     3: (1.0, 0.91143783, 0.41143783),
     4: (1.0, 0.97195983, np.sqrt(2.0) / 2.0, 0.23514695),
 }
+PHYDYAS_OVERLAPS = tuple(sorted(_FREQ_COEFFS))
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ def phydyas(subcarriers: int, overlap: int = 4) -> PrototypeFilter:
     if overlap not in _FREQ_COEFFS:
         raise ValueError(
             f"no frequency-sampling coefficients for overlap {overlap}; "
-            f"supported: {sorted(_FREQ_COEFFS)}"
+            f"supported: {PHYDYAS_OVERLAPS}"
         )
     span = overlap * subcarriers
     n = np.arange(span + 1)

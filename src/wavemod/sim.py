@@ -27,13 +27,14 @@ from .metrics import (
     welch_psd,
 )
 from .ofdm import OfdmParams, ofdm_demodulate, ofdm_modulate, theoretical_ber
-from .prototypes import phydyas, rectangular
+from .prototypes import PHYDYAS_OVERLAPS, phydyas, rectangular
 
 WAVEFORMS = ("ofdm", "gfdm", "gfdm_oqam_circular", "linear_gfdm", "fbmc")
 CHANNELS = ("awgn", "tifs", "tvfs")
 METRICS = ("ber", "psd", "papr")
 
 _CHUNK = 64
+_WELCH_SEGMENT = 2048  # samples per Welch segment; the PSD stream needs one at least
 
 
 class ConfigError(ValueError):
@@ -87,6 +88,28 @@ class ScenarioConfig:
             raise ConfigError(f"subsymbols: must be >= 1, got {wp.subsymbols}")
         if wp.receiver not in ("zf", "mf", "mmse"):
             raise ConfigError(f"receiver: {wp.receiver!r} not in ('zf', 'mf', 'mmse')")
+        if wp.prototype not in (None, "phydyas", "rect"):
+            raise ConfigError(f"prototype: {wp.prototype!r} not in (None, 'phydyas', 'rect')")
+        if wp.overlap not in PHYDYAS_OVERLAPS:
+            raise ConfigError(f"overlap: {wp.overlap} not in {PHYDYAS_OVERLAPS}")
+        if self.waveform == "ofdm":
+            n_bins, cp_max = wp.n_fft, wp.n_fft - 1
+        else:
+            _, circular, default_proto = _MATRIX_MODEMS[self.waveform]
+            n_bins = wp.subcarriers
+            cp_max = wp.subcarriers * wp.subsymbols if circular else None  # no CP
+            proto = wp.prototype or default_proto
+            if wp.subcarriers % 2 and (self.waveform != "gfdm" or proto == "phydyas"):
+                raise ConfigError(
+                    f"subcarriers: must be even for {self.waveform} with the {proto} "
+                    f"prototype, got {wp.subcarriers}"
+                )
+        if cp_max is not None and not 0 <= wp.cp_len <= cp_max:
+            raise ConfigError(f"cp_len: must be in [0, {cp_max}], got {wp.cp_len}")
+        if wp.active is not None and not (
+            len(wp.active) and 0 <= min(wp.active) and max(wp.active) < n_bins
+        ):
+            raise ConfigError(f"active: need indices in [0, {n_bins}), got {wp.active}")
 
 
 def n_threads() -> int:
@@ -114,18 +137,19 @@ def _next_pow2(n: int) -> int:
 # ---------------------------------------------------------------------------
 # Modem adapters: a uniform transmit/receive surface over the five waveforms.
 # Data enters and leaves as (n_data, batch) arrays; frames travel as
-# (samples, batch) arrays.
+# (samples, batch) arrays.  ``stride`` is the sample distance between the
+# starts of consecutive frames of a continuous stream: block frames follow
+# each other back to back, prefix-free frames overlap at the symbol rate.
 
 
 class _OfdmAdapter:
-    name = "ofdm"
-
     def __init__(self, wp: WaveformParams):
         active = None if wp.active is None else np.asarray(wp.active, dtype=int)
         self.params = OfdmParams(n_fft=wp.n_fft, n_cp=wp.cp_len, active=active)
         self.n_data = len(self.params.active_indices)
         self.frame_len = wp.n_fft + wp.cp_len
         self.support_len = self.frame_len
+        self.stride = self.frame_len
 
     def transmit(self, d):
         return ofdm_modulate(d, self.params)
@@ -135,19 +159,24 @@ class _OfdmAdapter:
         return ofdm_demodulate(y, self.params, hf)
 
 
-class _GfdmAdapter:
-    name = "gfdm"
+class _MatrixAdapter:
+    """The GFDM family over explicit transmit matrices, plain or OQAM.
 
-    def __init__(self, wp: WaveformParams):
-        proto_name = wp.prototype or "rect"
+    A circular frame (``circular=True``) carries a ``cp_len`` cyclic prefix
+    and is ZF-equalized over its K*M core.  A prefix-free frame is
+    ZF-equalized over the whole received frame, zero-padded to a power of
+    two, then cut back to ``frame_len``.
+    """
+
+    def __init__(self, wp: WaveformParams, mats, circular: bool):
         k, m = wp.subcarriers, wp.subsymbols
-        p = phydyas(k, wp.overlap) if proto_name == "phydyas" else rectangular(k)
-        self.mats = gfdm_mod.build_gfdm_matrix(p, k, m)
+        self.mats = mats
+        self.circular = circular
         self.receiver_kind = wp.receiver
-        self.cp_len = wp.cp_len
-        self.core_len = k * m
-        self.frame_len = self.core_len + wp.cp_len
-        self.support_len = self.frame_len
+        self.cp_len = wp.cp_len if circular else 0
+        self.frame_len = mats.frame_len + self.cp_len
+        self.support_len = self.frame_len if circular else mats.support_len
+        self.stride = self.frame_len if circular else k * m
         self._mask = _active_mask(wp, k, m)
         self.n_data = int(self._mask.sum())
         self._rx_cache = {}
@@ -165,80 +194,24 @@ class _GfdmAdapter:
 
     def transmit(self, d):
         full = _scatter(d, self._mask)
-        x = gfdm_mod.gfdm_modulate(self.mats, full)
-        return np.concatenate([x[-self.cp_len:], x], axis=0) if self.cp_len else x
+        if isinstance(self.mats, gfdm_mod.OqamMatrixSet):
+            x = gfdm_mod.oqam_modulate(self.mats, full)
+        else:
+            x = gfdm_mod.gfdm_modulate(self.mats, full)
+        return gfdm_mod.add_cp(x, self.cp_len) if self.cp_len else x
 
     def receive(self, y, taps, noise_var):
-        core = y[self.cp_len:self.cp_len + self.core_len]
-        y_eq = chan.fd_zf_equalize(core.T, taps, self.core_len).T
-        d_hat = gfdm_mod.gfdm_demodulate(self._receiver(noise_var), y_eq)
+        n = self.mats.frame_len
+        if self.circular:
+            core = y[self.cp_len:self.cp_len + n]
+            y_eq = chan.fd_zf_equalize(core.T, taps, n).T
+        else:
+            y_eq = chan.fd_zf_equalize(y.T, taps, _next_pow2(y.shape[0])).T[:n]
+        if isinstance(self.mats, gfdm_mod.OqamMatrixSet):
+            d_hat = gfdm_mod.oqam_demodulate(self.mats, y_eq)
+        else:
+            d_hat = gfdm_mod.gfdm_demodulate(self._receiver(noise_var), y_eq)
         return d_hat[self._mask]
-
-
-class _CircularOqamAdapter:
-    name = "gfdm_oqam_circular"
-
-    def __init__(self, wp: WaveformParams):
-        k, m = wp.subcarriers, wp.subsymbols
-        proto_name = wp.prototype or "phydyas"
-        p = phydyas(k, wp.overlap) if proto_name == "phydyas" else rectangular(k)
-        self.mats = gfdm_mod.build_oqam_matrices(p, k, m)
-        self.cp_len = wp.cp_len
-        self.core_len = k * m
-        self.frame_len = self.core_len + wp.cp_len
-        self.support_len = self.frame_len
-        self._mask = _active_mask(wp, k, m)
-        self.n_data = int(self._mask.sum())
-
-    def transmit(self, d):
-        full = _scatter(d, self._mask)
-        x = gfdm_mod.oqam_modulate(self.mats, full)
-        return np.concatenate([x[-self.cp_len:], x], axis=0) if self.cp_len else x
-
-    def receive(self, y, taps, noise_var):
-        core = y[self.cp_len:self.cp_len + self.core_len]
-        y_eq = chan.fd_zf_equalize(core.T, taps, self.core_len).T
-        return gfdm_mod.oqam_demodulate(self.mats, y_eq)[self._mask]
-
-
-class _LinearGfdmAdapter:
-    name = "linear_gfdm"
-
-    def __init__(self, wp: WaveformParams):
-        k, m = wp.subcarriers, wp.subsymbols
-        self.mats = linear_mod.build_linear_matrices(phydyas(k, wp.overlap), k, m)
-        self.frame_len = self.mats.frame_len
-        self.support_len = self.mats.support_len
-        self.cp_len = 0
-        self._mask = _active_mask(wp, k, m)
-        self.n_data = int(self._mask.sum())
-
-    def transmit(self, d):
-        return linear_mod.linear_modulate(self.mats, _scatter(d, self._mask))
-
-    def receive(self, y, taps, noise_var):
-        y_eq = chan.fd_zf_equalize(y.T, taps, _next_pow2(y.shape[0])).T
-        return linear_mod.linear_demodulate(self.mats, y_eq[: self.frame_len])[self._mask]
-
-
-class _FbmcAdapter:
-    name = "fbmc"
-
-    def __init__(self, wp: WaveformParams):
-        k, m = wp.subcarriers, wp.subsymbols
-        self.modem = fbmc_mod.FbmcModem(phydyas(k, wp.overlap), k, m)
-        self.frame_len = self.modem.burst_len
-        self.support_len = self.frame_len
-        self.cp_len = 0
-        self._mask = _active_mask(wp, k, m)
-        self.n_data = int(self._mask.sum())
-
-    def transmit(self, d):
-        return fbmc_mod.fbmc_modulate(self.modem, _scatter(d, self._mask))
-
-    def receive(self, y, taps, noise_var):
-        y_eq = chan.fd_zf_equalize(y.T, taps, _next_pow2(y.shape[0])).T
-        return fbmc_mod.fbmc_demodulate(self.modem, y_eq[: self.frame_len])[self._mask]
 
 
 def _active_mask(wp: WaveformParams, k: int, m: int) -> np.ndarray:
@@ -258,15 +231,23 @@ def _scatter(d, mask) -> np.ndarray:
     return full
 
 
+# waveform -> (matrix builder, circular frame with CP, default prototype)
+_MATRIX_MODEMS = {
+    "gfdm": (gfdm_mod.build_gfdm_matrix, True, "rect"),
+    "gfdm_oqam_circular": (gfdm_mod.build_oqam_matrices, True, "phydyas"),
+    "linear_gfdm": (linear_mod.build_linear_matrices, False, "phydyas"),
+    "fbmc": (fbmc_mod.build_fbmc_matrices, False, "phydyas"),
+}
+
+
 def build_adapter(config: ScenarioConfig):
     wp = config.waveform_params
-    return {
-        "ofdm": _OfdmAdapter,
-        "gfdm": _GfdmAdapter,
-        "gfdm_oqam_circular": _CircularOqamAdapter,
-        "linear_gfdm": _LinearGfdmAdapter,
-        "fbmc": _FbmcAdapter,
-    }[config.waveform](wp)
+    if config.waveform == "ofdm":
+        return _OfdmAdapter(wp)
+    build, circular, default_proto = _MATRIX_MODEMS[config.waveform]
+    k = wp.subcarriers
+    p = phydyas(k, wp.overlap) if (wp.prototype or default_proto) == "phydyas" else rectangular(k)
+    return _MatrixAdapter(wp, build(p, k, wp.subsymbols), circular)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +321,11 @@ def _process_ber_chunk(config, adapter, scenario_id, start, count, noise_var):
 def _parallel_rounds(process, total, chunk=_CHUNK, stop=None):
     """Run chunk jobs in fixed order, optionally threaded, until done/stopped.
 
-    ``process(start, count)`` returns a tuple of accumulables; accumulation
-    order is by chunk index, so results do not depend on the thread count.
+    ``process(start, count)`` returns a tuple of accumulables.  Results are
+    accumulated in chunk index order and ``stop`` is applied after every
+    chunk; once it fires, the later chunks of the round are dropped.  A run
+    therefore ends on the same chunk, with the same result, at any thread
+    count.
     """
     threads = n_threads()
     acc = None
@@ -358,8 +342,8 @@ def _parallel_rounds(process, total, chunk=_CHUNK, stop=None):
             for job in round_jobs:
                 res = job.result()
                 acc = res if acc is None else tuple(a + b for a, b in zip(acc, res))
-            if stop is not None and stop(acc):
-                break
+                if stop is not None and stop(acc):
+                    return acc
     return acc
 
 
@@ -451,14 +435,14 @@ def run_psd(config: ScenarioConfig) -> MetricCurve:
     adapter = build_adapter(config)
     order = wp.qam_order
     sid = _scenario_id(config)
-    if config.waveform in ("linear_gfdm", "fbmc"):
-        stride = wp.subcarriers * wp.subsymbols
-        stream = np.zeros(
-            (config.frames - 1) * stride + adapter.frame_len, dtype=complex
+    stride = adapter.stride
+    n_samples = (config.frames - 1) * stride + adapter.frame_len
+    if n_samples < _WELCH_SEGMENT:
+        raise ConfigError(
+            f"frames: {config.frames} frames give {n_samples} samples, "
+            f"the PSD needs at least {_WELCH_SEGMENT}"
         )
-    else:
-        stride = adapter.frame_len
-        stream = np.zeros(config.frames * adapter.frame_len, dtype=complex)
+    stream = np.zeros(n_samples, dtype=complex)
     start = 0
     while start < config.frames:
         count = min(_CHUNK, config.frames - start)
@@ -469,7 +453,7 @@ def run_psd(config: ScenarioConfig) -> MetricCurve:
             off = (start + j) * stride
             stream[off:off + adapter.frame_len] += x[j]
         start += count
-    curve = welch_psd(stream, meta=_meta(config))
+    curve = welch_psd(stream, seg_len=_WELCH_SEGMENT, meta=_meta(config))
     _maybe_write(curve, config)
     return curve
 

@@ -13,17 +13,15 @@ import pytest
 
 from wavemod import (
     TIFS_TAPS,
-    FbmcModem,
     apply_channel,
     build_gfdm_matrix,
     build_linear_matrices,
     build_oqam_matrices,
     build_receiver,
     circulant_matrix,
-    fbmc_modulate,
-    linear_modulate,
     make_tifs,
     ofdm_modulate,
+    oqam_modulate,
     phydyas,
     qam_map,
     rectangular,
@@ -116,11 +114,10 @@ def test_3_linear_gfdm_equals_fbmc():
     k, m = 128, 4
     p = phydyas(k, 4)
     mats = build_linear_matrices(p, k, m)
-    modem = FbmcModem(p, k, m)
     rng = np.random.default_rng(0)
     d = qam_map(rng.integers(0, 2, 4 * k * m), 16)
-    x_lin = linear_modulate(mats, d)
-    x_fbmc = fbmc_modulate(modem, d)
+    x_lin = oqam_modulate(mats, d)
+    x_fbmc = conftest.fbmc_burst(p, k, m, d)
     diff = max(
         np.abs(x_lin[: len(x_fbmc)] - x_fbmc).max(), np.abs(x_lin[len(x_fbmc):]).max()
     )

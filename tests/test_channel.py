@@ -11,9 +11,9 @@ from wavemod import (
     draw_tvfs,
     fd_zf_equalize,
     freq_response,
-    linear_modulate,
     make_awgn,
     make_tifs,
+    oqam_modulate,
     phydyas,
     qam_map,
 )
@@ -148,7 +148,7 @@ class TestFdZfEqualize:
         mats = build_linear_matrices(phydyas(128, 4), 128, 4)
         rng = np.random.default_rng(10)
         d = qam_map(rng.integers(0, 2, 2048), 16)
-        x = linear_modulate(mats, d)
+        x = oqam_modulate(mats, d)
         y = np.convolve(x, TIFS_TAPS)
         fft_len = 1 << int(np.ceil(np.log2(len(y))))
         x_hat = fd_zf_equalize(y, TIFS_TAPS, fft_len)[: len(x)]

@@ -1,16 +1,31 @@
+import conftest
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavemod import (
-    FbmcModem,
+    build_fbmc_matrices,
     build_linear_matrices,
     burst_length,
-    fbmc_demodulate,
-    fbmc_modulate,
+    oqam_demodulate,
+    oqam_modulate,
     phydyas,
     qam_map,
     synthesis_pulse,
 )
+
+
+def _pulse_bank(p, k, ms):
+    """Brute-force synthesis bank: one synthesis_pulse per column."""
+    length = burst_length(p, k, ms)
+    gi = np.empty((length, k * ms), dtype=complex)
+    gq = np.empty((length, k * ms), dtype=complex)
+    for m in range(ms):
+        for kk in range(k):
+            gi[:, m * k + kk] = synthesis_pulse(kk, m, "I", p, k, length)
+            gq[:, m * k + kk] = synthesis_pulse(kk, m, "Q", p, k, length)
+    return gi, gq
 
 
 class TestSynthesisPulse:
@@ -48,73 +63,68 @@ class TestFbmcModulate:
     def test_single_real_symbol_emits_prototype(self):
         k = 8
         p = phydyas(k, 4)
-        modem = FbmcModem(p, k, 1)
+        mats = build_fbmc_matrices(p, k, 1)
         d = np.zeros(k, dtype=complex)
         d[0] = 1.0
-        x = fbmc_modulate(modem, d)
+        x = oqam_modulate(mats, d)
         np.testing.assert_allclose(x[: p.length], p.coefficients, atol=1e-14)
 
     def test_table_profile_burst_length(self):
         p = phydyas(128, 4)
         assert burst_length(p, 128, 4) == 513 + 7 * 64 == 961
-        assert FbmcModem(p, 128, 4).burst_len == 961
+        assert build_fbmc_matrices(p, 128, 4).frame_len == 961
 
     def test_matches_brute_force_double_sum(self):
         k, ms = 8, 2
         p = phydyas(k, 4)
-        modem = FbmcModem(p, k, ms)
+        mats = build_fbmc_matrices(p, k, ms)
         rng = np.random.default_rng(0)
         d = qam_map(rng.integers(0, 2, 4 * k * ms), 16)
-        x = fbmc_modulate(modem, d)
-        brute = np.zeros(modem.burst_len, dtype=complex)
-        for m in range(ms):
-            for kk in range(k):
-                s = d[m * k + kk]
-                brute += s.real * synthesis_pulse(kk, m, "I", p, k, modem.burst_len)
-                brute += 1j * s.imag * synthesis_pulse(kk, m, "Q", p, k, modem.burst_len)
+        x = oqam_modulate(mats, d)
+        brute = conftest.fbmc_burst(p, k, ms, d)
         np.testing.assert_allclose(x, brute, atol=1e-12)
 
 
 class TestFbmcDemodulate:
     def test_noiseless_loopback(self):
-        modem = FbmcModem(phydyas(128, 4), 128, 4)
+        mats = build_fbmc_matrices(phydyas(128, 4), 128, 4)
         rng = np.random.default_rng(1)
         d = qam_map(rng.integers(0, 2, 2048), 16)
-        d_hat = fbmc_demodulate(modem, fbmc_modulate(modem, d))
+        d_hat = oqam_demodulate(mats, oqam_modulate(mats, d))
         err = np.mean(np.abs(d_hat - d) ** 2) / np.mean(np.abs(d) ** 2)
         assert 10 * np.log10(err) <= -40.0
 
     def test_single_pulse_interference_table(self):
-        modem = FbmcModem(phydyas(64, 4), 64, 4)
+        mats = build_fbmc_matrices(phydyas(64, 4), 64, 4)
         p = phydyas(64, 4)
-        y = synthesis_pulse(3, 1, "I", p, 64, modem.burst_len)
-        d_hat = fbmc_demodulate(modem, y)
+        y = synthesis_pulse(3, 1, "I", p, 64, mats.frame_len)
+        d_hat = oqam_demodulate(mats, y)
         idx = 1 * 64 + 3
         assert abs(d_hat[idx].real - 1.0) <= 1e-2
         others = np.abs(np.delete(d_hat.real, idx)).max()
         assert 20 * np.log10(max(others, 1e-300)) <= -40.0
 
     def test_zero_input(self):
-        modem = FbmcModem(phydyas(8, 4), 8, 2)
-        assert not fbmc_demodulate(modem, np.zeros(modem.burst_len)).any()
+        mats = build_fbmc_matrices(phydyas(8, 4), 8, 2)
+        assert not oqam_demodulate(mats, np.zeros(mats.frame_len)).any()
 
     def test_length_check(self):
-        modem = FbmcModem(phydyas(8, 4), 8, 2)
+        mats = build_fbmc_matrices(phydyas(8, 4), 8, 2)
         with pytest.raises(ValueError):
-            fbmc_demodulate(modem, np.zeros(5))
+            oqam_demodulate(mats, np.zeros(5))
 
 
 class TestStructuralProperties:
     def test_adjoint_identity(self):
         # <y, modulate(d)> decomposes through the unnormalized analysis
         # outputs: the analysis bank is the adjoint of the synthesis bank.
-        modem = FbmcModem(phydyas(8, 4), 8, 2)
+        mats = build_fbmc_matrices(phydyas(8, 4), 8, 2)
         rng = np.random.default_rng(2)
         d = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        y = rng.standard_normal(modem.burst_len) + 1j * rng.standard_normal(modem.burst_len)
-        lhs = np.vdot(y, fbmc_modulate(modem, d))
-        u = modem._gi.conj().T @ y
-        v = modem._gq.conj().T @ y
+        y = rng.standard_normal(mats.frame_len) + 1j * rng.standard_normal(mats.frame_len)
+        lhs = np.vdot(y, oqam_modulate(mats, d))
+        u = mats.a_i.conj().T @ y
+        v = mats.a_q.conj().T @ y
         rhs = np.sum(np.conj(u) * d.real) + 1j * np.sum(np.conj(v) * d.imag)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
@@ -134,9 +144,49 @@ class TestStructuralProperties:
     def test_pulse_bank_matches_linear_matrices(self):
         k, m = 16, 2
         p = phydyas(k, 4)
-        modem = FbmcModem(p, k, m)
+        gi, gq = _pulse_bank(p, k, m)
         mats = build_linear_matrices(p, k, m)
-        nb = modem.burst_len
-        assert np.abs(modem._gi - mats.a_i[:nb]).max() <= 1e-12
-        assert np.abs(modem._gq - mats.a_q[:nb]).max() <= 1e-12
+        nb = gi.shape[0]
+        assert np.abs(gi - mats.a_i[:nb]).max() <= 1e-12
+        assert np.abs(gq - mats.a_q[:nb]).max() <= 1e-12
         assert not mats.a_i[nb:].any()
+
+    def test_cut_is_a_view_of_the_linear_pair(self):
+        mats = build_fbmc_matrices(phydyas(16, 4), 16, 2)
+        assert mats.frame_len == mats.support_len == burst_length(phydyas(16, 4), 16, 2)
+        assert mats.a_i.base is not None and mats.a_q.base is not None
+
+
+class TestOqamCoreAgainstPulseOracle:
+    """The one OQAM modem core on the FBMC cut, against the pulse-by-pulse bank."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 16).map(lambda h: 2 * h),
+        ms=st.integers(1, 4),
+        overlap=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cut_matrices_and_modem_match_oracle(self, k, ms, overlap, seed):
+        p = phydyas(k, overlap)
+        gi, gq = _pulse_bank(p, k, ms)
+        mats = build_fbmc_matrices(p, k, ms)
+        assert mats.a_i.shape == gi.shape
+        assert np.abs(mats.a_i - gi).max() <= 1e-12
+        assert np.abs(mats.a_q - gq).max() <= 1e-12
+
+        rng = np.random.default_rng(seed)
+        d = rng.standard_normal(k * ms) + 1j * rng.standard_normal(k * ms)
+        x = oqam_modulate(mats, d)
+        assert np.abs(x - conftest.fbmc_burst(p, k, ms, d)).max() <= 1e-10
+
+        # Adjoint: Re<y, modulate(d)> = <d, demodulate(y)> in the real pairing
+        # of the I and Q decision domains, once the per-symbol gains that
+        # demodulate divides out are put back.
+        y = rng.standard_normal(mats.frame_len) + 1j * rng.standard_normal(mats.frame_len)
+        d_hat = oqam_demodulate(mats, y)
+        gain_i = np.sum(np.abs(gi) ** 2, axis=0)
+        gain_q = np.sum(np.abs(gq) ** 2, axis=0)
+        lhs = np.vdot(y, x).real
+        rhs = np.sum(d.real * gain_i * d_hat.real + d.imag * gain_q * d_hat.imag)
+        assert abs(lhs - rhs) <= 1e-10 * max(1.0, np.linalg.norm(y) * np.linalg.norm(x))

@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="ebn0_grid_db"):
             _ber_config(ebn0_grid_db=()).validate()
 
+    def test_cp_len_checked_only_where_a_cp_is_sent(self):
+        small = WaveformParams(subcarriers=16, subsymbols=2, cp_len=32)
+        _ber_config(waveform="linear_gfdm", waveform_params=small).validate()
+        _ber_config(waveform="gfdm", waveform_params=small).validate()
+        with pytest.raises(ConfigError, match="cp_len"):
+            _ber_config(waveform="gfdm", waveform_params=replace(small, cp_len=33)).validate()
+
     def test_bad_qam_order(self):
         cfg = _ber_config(waveform_params=WaveformParams(qam_order=8))
         with pytest.raises(ConfigError, match="qam_order"):
@@ -86,6 +95,17 @@ class TestRunBer:
         monkeypatch.setenv("WAVEMOD_THREADS", "3")
         e3 = run_ber(cfg).extra["errors"]
         np.testing.assert_array_equal(e1, e3)
+
+    def test_early_stop_deterministic_across_thread_counts(self, monkeypatch):
+        cfg = _ber_config(frames=2000, error_target=500)
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("WAVEMOD_THREADS", threads)
+            curve = run_ber(cfg)
+            runs.append((curve.extra["errors"], curve.extra["bits"]))
+        assert runs[0][1][0] < 2000 * 2048  # early stop fired
+        np.testing.assert_array_equal(runs[0][0], runs[1][0])
+        np.testing.assert_array_equal(runs[0][1], runs[1][1])
 
     def test_deterministic_csv_across_runs(self, tmp_path):
         out1 = tmp_path / "a.csv"
@@ -164,12 +184,41 @@ class TestCli:
         assert rc == 0
         assert capsys.readouterr().out.count("\n") == 1
 
-    def test_bad_config_file_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv,text,key",
+        [
+            (["ber", "--waveform", "ofdm"], "nonsense = 1", "nonsense"),
+            (["ber", "--waveform", "ofdm"], "frames = abc", "frames"),
+            (["ber", "--waveform", "linear_gfdm"], "subcarriers = 127", "subcarriers"),
+            (["ber", "--waveform", "gfdm"], "prototype = phydyas\nsubcarriers = 127", "subcarriers"),
+            (["ber", "--waveform", "fbmc"], "overlap = 7", "overlap"),
+            (["ber", "--waveform", "ofdm"], "active = 999", "active"),
+            (["ber", "--waveform", "gfdm"], "active = 3 128", "active"),
+            (["ber", "--waveform", "gfdm"], "prototype = bogus", "prototype"),
+            (["ber", "--waveform", "ofdm"], "cp_len = 512", "cp_len"),
+            (["psd", "--waveform", "ofdm", "--frames", "1"], "", "frames"),
+        ],
+        ids=[
+            "unknown-key",
+            "unparsable-frames",
+            "odd-subcarriers-oqam",
+            "odd-subcarriers-phydyas",
+            "unsupported-overlap",
+            "active-out-of-range-ofdm",
+            "active-out-of-range-gfdm",
+            "unknown-prototype",
+            "cp-len-too-long",
+            "psd-too-few-samples",
+        ],
+    )
+    def test_bad_config_file_exit_code(self, tmp_path, capsys, argv, text, key):
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("nonsense = 1\n")
-        rc = cli.main(["ber", "--waveform", "ofdm", "--config", str(cfg)])
+        cfg.write_text(text + "\n")
+        rc = cli.main(argv + ["--config", str(cfg)])
         assert rc == 2
-        assert "configuration error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert key in err
 
     def test_missing_waveform_exit_code(self, capsys):
         assert cli.main(["ber"]) == 2
