@@ -111,27 +111,47 @@ def circulant_matrix(taps, n: int) -> np.ndarray:
 
 
 def freq_response(taps, fft_len: int) -> np.ndarray:
+    """``fft_len``-point response of the zero-padded taps.
+
+    Taps of shape (n_taps,) give one response of shape (fft_len,); per-frame
+    taps of shape (frames, n_taps) give a (frames, fft_len) response.
+    """
     taps = np.asarray(taps, dtype=complex)
-    h = np.zeros(fft_len, dtype=complex)
-    h[: len(taps)] = taps
-    return np.fft.fft(h)
+    if taps.shape[-1] > fft_len:
+        raise ValueError(f"{taps.shape[-1]} taps do not fit a {fft_len}-point response")
+    return np.fft.fft(taps, n=fft_len, axis=-1)
+
+
+def check_zf_bins(hf, min_bin: float = 1e-12, bins=None) -> None:
+    """Raise :class:`EqualizationError` if any bin of ``hf`` is below ``min_bin``.
+
+    Bins run along the last axis; a leading axis indexes frames, each checked
+    in full.  The error names the weakest bin, as ``bins[i]`` when a bin index
+    map is given.
+    """
+    mags = np.abs(hf)
+    worst = np.unravel_index(int(np.argmin(mags)), mags.shape)
+    if mags[worst] < min_bin:
+        pos = int(worst[-1])
+        raise EqualizationError(pos if bins is None else int(bins[pos]), float(mags[worst]))
 
 
 def fd_zf_equalize(y, taps, fft_len: int, min_bin: float = 1e-12) -> np.ndarray:
     """Bin-wise zero-forcing over an ``fft_len``-point transform.
 
     The input is zero-padded to ``fft_len``, divided by the channel response
-    and transformed back; the first ``len(y)`` samples are returned.  Bins
-    with magnitude below ``min_bin`` raise :class:`EqualizationError`.
+    and transformed back; the first ``len(y)`` samples are returned.  Taps of
+    shape (n_taps,) equalize every row of ``y`` alike; per-frame taps of
+    shape (frames, n_taps) equalize row j of a (frames, n) ``y`` by row j.
+    Bins with magnitude below ``min_bin`` raise :class:`EqualizationError`.
     """
     y = np.asarray(y, dtype=complex)
     if fft_len < y.shape[-1]:
         raise ValueError(f"fft_len {fft_len} shorter than frame {y.shape[-1]}")
     hf = freq_response(taps, fft_len)
-    mags = np.abs(hf)
-    worst = int(np.argmin(mags))
-    if mags[worst] < min_bin:
-        raise EqualizationError(worst, float(mags[worst]))
+    if hf.ndim > 1 and (y.ndim != 2 or hf.shape[0] != y.shape[0]):
+        raise ValueError(f"{hf.shape[0]} per-frame tap sets for frames of shape {y.shape}")
+    check_zf_bins(hf, min_bin)
     yf = np.fft.fft(y, n=fft_len, axis=-1)
     out = np.fft.ifft(yf / hf, axis=-1)
     return out[..., : y.shape[-1]]

@@ -12,6 +12,7 @@ they serve any :class:`OqamMatrixSet`, whether circular (built here), linear
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +54,11 @@ class OqamMatrixSet:
     @property
     def n_symbols(self) -> int:
         return self.subcarriers * self.subsymbols
+
+    @cached_property
+    def gains(self) -> tuple[np.ndarray, np.ndarray]:
+        """Column energies ``|a_i|^2``, ``|a_q|^2``: the matched filter's per-symbol gains."""
+        return np.sum(np.abs(self.a_i) ** 2, axis=0), np.sum(np.abs(self.a_q) ** 2, axis=0)
 
 
 @dataclass(frozen=True)
@@ -177,17 +183,21 @@ def oqam_modulate(mats: OqamMatrixSet, d) -> np.ndarray:
 
 
 def oqam_demodulate(mats: OqamMatrixSet, y_eq) -> np.ndarray:
-    """Matched-filter OQAM demodulation of an equalized frame, gain-normalized per symbol."""
+    """Matched-filter OQAM demodulation of an equalized frame, gain-normalized per symbol.
+
+    ``A^H y = conj(A^T conj(y))``: the transposed views of the matrices carry
+    the matched filter, so no conjugate copy of them is made.
+    """
     y_eq = np.asarray(y_eq, dtype=complex)
     if y_eq.shape[0] != mats.frame_len:
         raise ValueError(f"expected {mats.frame_len} samples, got {y_eq.shape[0]}")
-    gain_i = np.sum(np.abs(mats.a_i) ** 2, axis=0)
-    gain_q = np.sum(np.abs(mats.a_q) ** 2, axis=0)
+    gain_i, gain_q = mats.gains
     if y_eq.ndim > 1:
         gain_i = gain_i[:, None]
         gain_q = gain_q[:, None]
-    re = (mats.a_i.conj().T @ y_eq).real / gain_i
-    im = (mats.a_q.conj().T @ y_eq).imag / gain_q
+    y_conj = y_eq.conj()
+    re = (mats.a_i.T @ y_conj).real / gain_i
+    im = -(mats.a_q.T @ y_conj).imag / gain_q
     return re + 1j * im
 
 

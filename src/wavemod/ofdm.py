@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .channel import EqualizationError
+from .channel import check_zf_bins
 from .gfdm import add_cp
 
 
@@ -43,7 +43,11 @@ def ofdm_modulate(d, params: OfdmParams) -> np.ndarray:
 
 
 def ofdm_demodulate(y, params: OfdmParams, channel_freq_response=None) -> np.ndarray:
-    """Remove CP, transform, and zero-force per bin with the known channel."""
+    """Remove CP, transform, and zero-force per bin with the known channel.
+
+    The response is one (n_fft,) vector for every frame, or an
+    (n_fft, frames) array with one column per column of ``y``.
+    """
     y = np.asarray(y, dtype=complex)
     if y.shape[0] < params.n_cp + params.n_fft:
         raise ValueError(
@@ -57,13 +61,11 @@ def ofdm_demodulate(y, params: OfdmParams, channel_freq_response=None) -> np.nda
     hf = np.asarray(channel_freq_response, dtype=complex)
     if hf.shape[0] != params.n_fft:
         raise ValueError("channel response must have one entry per FFT bin")
-    mags = np.abs(hf[idx])
-    worst = int(np.argmin(mags))
-    if mags[worst] < 1e-12:
-        raise EqualizationError(int(idx[worst]), float(mags[worst]))
-    if spec.ndim > 1:
-        return spec[idx] / hf[idx][:, None]
-    return spec[idx] / hf[idx]
+    hf = hf[idx]
+    check_zf_bins(hf.T, bins=idx)
+    if spec.ndim > hf.ndim:
+        hf = hf[:, None]
+    return spec[idx] / hf
 
 
 def _gray_qam_q_terms(order: int) -> list[tuple[float, int]]:

@@ -2,8 +2,10 @@
 
 Every frame draws its bits, fading taps and noise from an RNG stream keyed by
 (master seed, scenario id, frame index), so results are bit-identical across
-runs and worker counts.  Frames are processed in fixed-size chunks; heavy
-linear algebra is batched per chunk.
+runs and worker counts.  Frames are processed in fixed-size chunks.  For every
+channel, each BER chunk runs the channel, the equalizer, the demodulator, the
+demapper and the error count once; on TVFS the per-frame taps travel as one
+(frames, n_taps) array.
 """
 
 import os
@@ -113,10 +115,12 @@ class ScenarioConfig:
 
 
 def n_threads() -> int:
+    """Worker threads from ``WAVEMOD_THREADS``, clamped to [1, os.cpu_count()]."""
     try:
-        return max(1, int(os.environ.get("WAVEMOD_THREADS", "1")))
+        requested = int(os.environ.get("WAVEMOD_THREADS", "1"))
     except ValueError:
         return 1
+    return max(1, min(requested, os.cpu_count() or 1))
 
 
 def _scenario_id(config: ScenarioConfig, point_index: int = 0) -> int:
@@ -137,9 +141,11 @@ def _next_pow2(n: int) -> int:
 # ---------------------------------------------------------------------------
 # Modem adapters: a uniform transmit/receive surface over the five waveforms.
 # Data enters and leaves as (n_data, batch) arrays; frames travel as
-# (samples, batch) arrays.  ``stride`` is the sample distance between the
-# starts of consecutive frames of a continuous stream: block frames follow
-# each other back to back, prefix-free frames overlap at the symbol rate.
+# (samples, batch) arrays.  ``receive`` takes the channel taps as one
+# (n_taps,) vector for the whole batch or as (batch, n_taps) per-frame taps.
+# ``stride`` is the sample distance between the starts of consecutive frames
+# of a continuous stream: block frames follow each other back to back,
+# prefix-free frames overlap at the symbol rate.
 
 
 class _OfdmAdapter:
@@ -156,7 +162,7 @@ class _OfdmAdapter:
 
     def receive(self, y, taps, noise_var):
         hf = chan.freq_response(taps, self.params.n_fft)
-        return ofdm_demodulate(y, self.params, hf)
+        return ofdm_demodulate(y, self.params, hf.T)
 
 
 class _MatrixAdapter:
@@ -255,20 +261,25 @@ def build_adapter(config: ScenarioConfig):
 
 
 def _draw_chunk(config: ScenarioConfig, adapter, scenario_id, start, count, noise_len):
-    """Per-frame draws for frames [start, start+count): bits, taps, noise."""
+    """Per-frame draws for frames [start, start+count): bits, taps, noise.
+
+    The taps are a (count, n_taps) array on TVFS and None otherwise.
+    """
     order = config.waveform_params.qam_order
     bits_per_frame = adapter.n_data * int(np.log2(order))
     bits = np.empty((count, bits_per_frame), dtype=np.int64)
-    taps_list = []
+    taps = None
+    if config.channel == "tvfs":
+        taps = np.empty((count, len(chan.TVFS_GAINS)), dtype=complex)
     noise = np.empty((count, noise_len), dtype=complex) if noise_len else None
     for j in range(count):
         rng = frame_rng(config.seed, scenario_id, start + j)
         bits[j] = rng.integers(0, 2, bits_per_frame)
-        if config.channel == "tvfs":
-            taps_list.append(chan.draw_tvfs(rng, corrected=config.tvfs_corrected).taps)
+        if taps is not None:
+            taps[j] = chan.draw_tvfs(rng, corrected=config.tvfs_corrected).taps
         if noise_len:
             noise[j] = chan.complex_awgn(rng, noise_len, 1.0)
-    return bits, taps_list, noise
+    return bits, taps, noise
 
 
 def _channel_taps(config: ScenarioConfig) -> np.ndarray | None:
@@ -280,8 +291,11 @@ def _channel_taps(config: ScenarioConfig) -> np.ndarray | None:
 
 
 def _convolve_rows(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Row-wise linear convolution via FFT; output has the full length."""
-    out_len = x.shape[1] + len(taps) - 1
+    """Row-wise linear convolution via FFT; output has the full length.
+
+    ``taps`` is one (n_taps,) vector for every row or (rows, n_taps).
+    """
+    out_len = x.shape[1] + taps.shape[-1] - 1
     fft_len = _next_pow2(out_len)
     hf = chan.freq_response(taps, fft_len)
     y = np.fft.ifft(np.fft.fft(x, fft_len, axis=1) * hf, axis=1)
@@ -290,31 +304,19 @@ def _convolve_rows(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
 
 def _process_ber_chunk(config, adapter, scenario_id, start, count, noise_var):
     order = config.waveform_params.qam_order
-    taps_fixed = _channel_taps(config)
     tail = {"awgn": 0, "tifs": len(chan.TIFS_TAPS) - 1, "tvfs": len(chan.TVFS_GAINS) - 1}[
         config.channel
     ]
     noise_len = adapter.frame_len + tail
-    bits, taps_list, noise = _draw_chunk(
-        config, adapter, scenario_id, start, count, noise_len
-    )
+    bits, taps, noise = _draw_chunk(config, adapter, scenario_id, start, count, noise_len)
+    if taps is None:
+        taps = _channel_taps(config)
     d = qam_map(bits.ravel(), order).reshape(count, adapter.n_data)
     x = adapter.transmit(d.T)  # (frame_len, count)
-    if taps_fixed is not None:
-        y = _convolve_rows(x.T, taps_fixed)
-        groups = [(taps_fixed, np.arange(count))]
-    else:
-        y = np.empty((count, noise_len), dtype=complex)
-        groups = [(taps_list[j], np.array([j])) for j in range(count)]
-        for j in range(count):
-            y[j] = _convolve_rows(x.T[j:j + 1], taps_list[j])[0, :noise_len]
-    y = y[:, :noise_len] + np.sqrt(noise_var) * noise
-    errors = 0
-    for taps, rows in groups:
-        d_hat = adapter.receive(y[rows].T, taps, noise_var)
-        rx_bits = qam_demap(d_hat.T.ravel(), order)
-        e, _, _ = ber_count(bits[rows].ravel(), rx_bits)
-        errors += e
+    y = _convolve_rows(x.T, taps) + np.sqrt(noise_var) * noise
+    d_hat = adapter.receive(y.T, taps, noise_var)
+    rx_bits = qam_demap(d_hat.T.ravel(), order)
+    errors, _, _ = ber_count(bits.ravel(), rx_bits)
     return errors, bits.size
 
 

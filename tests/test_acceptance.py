@@ -16,7 +16,6 @@ from wavemod import (
     apply_channel,
     build_gfdm_matrix,
     build_linear_matrices,
-    build_oqam_matrices,
     build_receiver,
     circulant_matrix,
     make_tifs,
@@ -25,7 +24,6 @@ from wavemod import (
     phydyas,
     qam_map,
     rectangular,
-    theoretical_ber,
 )
 from wavemod import channel as chan
 from wavemod.mapping import qam_demap
@@ -232,12 +230,14 @@ def _paired_cross_waveform_ber(channel: str, ebn0_db: float, n_bits: int, seed: 
     while start < frames:
         count = min(chunk, frames - start)
         bits = np.empty((count, bpf), dtype=np.int64)
-        taps_list = []
+        taps = TIFS_TAPS.astype(complex)
+        if channel == "tvfs":
+            taps = np.empty((count, len(chan.TVFS_GAINS)), dtype=complex)
         for j in range(count):
             rng = frame_rng(seed, sid_common, start + j)
             bits[j] = rng.integers(0, 2, bpf)
             if channel == "tvfs":
-                taps_list.append(chan.draw_tvfs(rng).taps)
+                taps[j] = chan.draw_tvfs(rng).taps
         d = qam_map(bits.ravel(), 16).reshape(count, 512)
         for w in wfs:
             a = adapters[w]
@@ -247,19 +247,10 @@ def _paired_cross_waveform_ber(channel: str, ebn0_db: float, n_bits: int, seed: 
             for j in range(count):
                 noise[j] = chan.complex_awgn(frame_rng(seed, sid_w, start + j), nlen, 1.0)
             x = a.transmit(d.T)
-            if channel == "tifs":
-                taps = TIFS_TAPS.astype(complex)
-                y = _convolve_rows(x.T, taps)[:, :nlen] + np.sqrt(noise_var) * noise
-                d_hat = a.receive(y.T, taps, noise_var)
-                rx = qam_demap(d_hat.T.ravel(), 16)
-                errors[w] += int(np.count_nonzero(rx != bits.ravel()))
-            else:
-                for j in range(count):
-                    y = _convolve_rows(x.T[j : j + 1], taps_list[j])[0, :nlen]
-                    y = y + np.sqrt(noise_var) * noise[j]
-                    d_hat = a.receive(y.reshape(-1, 1), taps_list[j], noise_var)
-                    rx = qam_demap(d_hat.ravel(), 16)
-                    errors[w] += int(np.count_nonzero(rx != bits[j]))
+            y = _convolve_rows(x.T, taps)[:, :nlen] + np.sqrt(noise_var) * noise
+            d_hat = a.receive(y.T, taps, noise_var)
+            rx = qam_demap(d_hat.T.ravel(), 16)
+            errors[w] += int(np.count_nonzero(rx != bits.ravel()))
         start += count
     return {w: errors[w] / (frames * bpf) for w in wfs}, frames * bpf
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavemod import (
     EqualizationError,
@@ -161,3 +163,49 @@ class TestFdZfEqualize:
             fd_zf_equalize(y, [1.0, -1.0], 16)  # response has a null at DC
         assert ei.value.bin_index == 0
         assert "bin 0" in str(ei.value)
+
+
+def _dominant_first_taps(rng, frames, n_taps):
+    """Per-frame taps whose first tap outweighs the rest, so no bin nears zero."""
+    taps = rng.uniform(-0.5, 0.5, (frames, n_taps)) + 1j * rng.uniform(-0.5, 0.5, (frames, n_taps))
+    taps[:, 0] = n_taps
+    return taps
+
+
+class TestPerFrameTaps:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        frames=st.integers(1, 8),
+        n_taps=st.integers(1, 8),
+        n=st.integers(1, 40),
+        pad=st.integers(0, 24),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batched_calls_match_per_frame_calls(self, frames, n_taps, n, pad, seed):
+        rng = np.random.default_rng(seed)
+        taps = _dominant_first_taps(rng, frames, n_taps)
+        y = rng.standard_normal((frames, n)) + 1j * rng.standard_normal((frames, n))
+        fft_len = max(n, n_taps) + pad
+        hf = freq_response(taps, fft_len)
+        assert hf.shape == (frames, fft_len)
+        for j in range(frames):
+            np.testing.assert_allclose(hf[j], freq_response(taps[j], fft_len), rtol=0, atol=1e-12)
+        batched = fd_zf_equalize(y, taps, fft_len)
+        looped = np.array([fd_zf_equalize(y[j], taps[j], fft_len) for j in range(frames)])
+        np.testing.assert_allclose(batched, looped, rtol=0, atol=1e-12)
+
+    def test_null_in_one_frame_names_its_bin(self):
+        # 1 + z^-1 has a null at half the sampling rate: bin 8 of 16.
+        taps = np.array([[1.0, 0.5], [1.0, 1.0], [1.0, 0.25]])
+        with pytest.raises(EqualizationError) as ei:
+            fd_zf_equalize(np.ones((3, 16), dtype=complex), taps, 16)
+        assert ei.value.bin_index == 8
+        assert "bin 8" in str(ei.value)
+
+    def test_rejects_tap_sets_per_frame_mismatch(self):
+        with pytest.raises(ValueError):
+            fd_zf_equalize(np.ones((3, 16), dtype=complex), np.ones((2, 2)), 16)
+
+    def test_rejects_more_taps_than_bins(self):
+        with pytest.raises(ValueError):
+            freq_response(np.ones(9), 8)

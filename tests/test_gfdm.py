@@ -221,6 +221,12 @@ class TestOqamModem:
         mats = build_oqam_matrices(phydyas(8, 2), 8, 2)
         assert not oqam_demodulate(mats, np.zeros(16, dtype=complex)).any()
 
+    def test_gains_computed_once_per_matrix_set(self):
+        mats = build_oqam_matrices(phydyas(8, 2), 8, 2)
+        assert mats.gains is mats.gains
+        np.testing.assert_array_equal(mats.gains[0], np.sum(np.abs(mats.a_i) ** 2, axis=0))
+        np.testing.assert_array_equal(mats.gains[1], np.sum(np.abs(mats.a_q) ** 2, axis=0))
+
     def test_single_symbol_interference(self):
         mats = build_oqam_matrices(phydyas(128, 4), 128, 4)
         d = np.zeros(512, dtype=complex)

@@ -93,6 +93,26 @@ class TestOfdmDemodulate:
             ofdm_demodulate(np.zeros(18, dtype=complex), params, hf)
         assert ei.value.bin_index == 5
 
+    def test_per_frame_response_matches_per_frame_calls(self):
+        params = OfdmParams(n_fft=16, n_cp=2, active=np.arange(2, 14))
+        rng = np.random.default_rng(6)
+        y = rng.standard_normal((18, 3)) + 1j * rng.standard_normal((18, 3))
+        hf = 2.0 + rng.standard_normal((16, 3)) * 0.1 + 0j
+        batched = ofdm_demodulate(y, params, hf)
+        for j in range(3):
+            np.testing.assert_allclose(
+                batched[:, j], ofdm_demodulate(y[:, j], params, hf[:, j]), rtol=0, atol=1e-12
+            )
+
+    def test_null_in_one_frame_names_its_bin(self):
+        params = OfdmParams(n_fft=16, n_cp=2, active=np.arange(2, 14))
+        hf = np.ones((16, 3), dtype=complex)
+        hf[0, 1] = 0.0  # inactive bin: ignored
+        hf[7, 2] = 0.0
+        with pytest.raises(EqualizationError) as ei:
+            ofdm_demodulate(np.zeros((18, 3), dtype=complex), params, hf)
+        assert ei.value.bin_index == 7
+
 
 class TestTheoreticalBer:
     def test_limits(self):

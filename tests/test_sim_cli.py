@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -6,10 +7,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavemod import cli
-from wavemod.channel import EqualizationError
+from wavemod.channel import TVFS_GAINS, EqualizationError
+from wavemod.mapping import qam_map
 from wavemod.sim import (
+    CHANNELS,
+    WAVEFORMS,
     ConfigError,
     ScenarioConfig,
     WaveformParams,
@@ -20,6 +26,9 @@ from wavemod.sim import (
     run_papr,
     run_psd,
     run_scenario,
+    _channel_taps,
+    _convolve_rows,
+    _draw_chunk,
 )
 
 
@@ -89,6 +98,7 @@ class TestRunBer:
         assert curve.extra["bits"][0] < 10_000 * build_adapter(cfg).n_data * 4
 
     def test_deterministic_across_thread_counts(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # keep 3 threads on any machine
         cfg = _ber_config(waveform="gfdm", channel="tvfs", frames=30)
         monkeypatch.setenv("WAVEMOD_THREADS", "1")
         e1 = run_ber(cfg).extra["errors"]
@@ -97,6 +107,7 @@ class TestRunBer:
         np.testing.assert_array_equal(e1, e3)
 
     def test_early_stop_deterministic_across_thread_counts(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # keep 2 threads on any machine
         cfg = _ber_config(frames=2000, error_target=500)
         runs = []
         for threads in ("1", "2"):
@@ -118,6 +129,50 @@ class TestRunBer:
         curve = run_ber(_ber_config(channel="tvfs", frames=10))
         awgn = run_ber(_ber_config(frames=10))
         assert curve.extra["theory"][0] > awgn.extra["theory"][0]
+
+
+_SMALL = WaveformParams(subcarriers=16, subsymbols=2, cp_len=4, n_fft=32)
+
+
+@functools.cache
+def _small_adapter(waveform):
+    return build_adapter(ScenarioConfig(waveform=waveform, waveform_params=_SMALL))
+
+
+class TestBatchedReceive:
+    """One channel and one receive call per chunk equal one call per frame."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        waveform=st.sampled_from(WAVEFORMS),
+        channel=st.sampled_from(CHANNELS),
+        count=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_chunk_matches_per_frame_calls(self, waveform, channel, count, seed):
+        cfg = ScenarioConfig(waveform=waveform, channel=channel, seed=seed, waveform_params=_SMALL)
+        adapter = _small_adapter(waveform)
+        noise_var = 0.05
+        fixed = _channel_taps(cfg)
+        n_taps = len(TVFS_GAINS) if fixed is None else len(fixed)
+        bits, taps, noise = _draw_chunk(cfg, adapter, 0, 0, count, adapter.frame_len + n_taps - 1)
+        if taps is None:
+            taps = np.tile(fixed, (count, 1))
+        d = qam_map(bits.ravel(), 16).reshape(count, adapter.n_data)
+        x = adapter.transmit(d.T)
+        clean = _convolve_rows(x.T, taps)
+        for j in range(count):
+            np.testing.assert_allclose(
+                clean[j], _convolve_rows(x.T[j : j + 1], taps[j])[0], rtol=0, atol=1e-10
+            )
+        y = clean + np.sqrt(noise_var) * noise
+        batched = adapter.receive(y.T, taps, noise_var)
+        per_frame = np.column_stack(
+            [adapter.receive(y[j][:, None], taps[j], noise_var)[:, 0] for j in range(count)]
+        )
+        # A deep TVFS fade scales the ZF output up; the tolerance scales with it.
+        scale = max(1.0, np.abs(per_frame).max())
+        np.testing.assert_allclose(batched, per_frame, rtol=0, atol=1e-10 * scale)
 
 
 class TestRunPsd:
@@ -260,9 +315,22 @@ class TestCli:
     def test_threads_env_var(self, monkeypatch):
         from wavemod.sim import n_threads
 
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setenv("WAVEMOD_THREADS", "7")
         assert n_threads() == 7
         monkeypatch.setenv("WAVEMOD_THREADS", "junk")
+        assert n_threads() == 1
+        monkeypatch.setenv("WAVEMOD_THREADS", "0")
+        assert n_threads() == 1
+
+    def test_threads_clamped_to_cpu_count(self, monkeypatch):
+        # n_threads() only computes the count; no pool is started here.
+        from wavemod.sim import n_threads
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setenv("WAVEMOD_THREADS", str(10**6))
+        assert n_threads() == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # count unknown
         assert n_threads() == 1
 
 
