@@ -11,16 +11,12 @@ from .channel import (
     TIFS_TAPS,
     TVFS_GAINS,
     TVFS_GAINS_CORRECTED,
-    ChannelRealization,
     EqualizationError,
-    apply_channel,
     circulant_matrix,
     complex_awgn,
     draw_tvfs,
     fd_zf_equalize,
     freq_response,
-    make_awgn,
-    make_tifs,
 )
 from .fbmc import build_fbmc_matrices, burst_length, synthesis_pulse
 from .gfdm import (
@@ -38,7 +34,7 @@ from .gfdm import (
     remove_cp,
 )
 from .linear import build_linear_matrices
-from .mapping import constellation, qam_demap, qam_map, split_oqam
+from .mapping import constellation, qam_demap, qam_map
 from .metrics import (
     MetricCurve,
     ber_count,
@@ -79,7 +75,6 @@ __all__ = [
     "TVFS_GAINS",
     "TVFS_GAINS_CORRECTED",
     "WAVEFORMS",
-    "ChannelRealization",
     "ConfigError",
     "EqualizationError",
     "GfdmMatrixSet",
@@ -91,7 +86,6 @@ __all__ = [
     "ScenarioConfig",
     "WaveformParams",
     "add_cp",
-    "apply_channel",
     "ber_count",
     "build_fbmc_matrices",
     "build_gfdm_matrix",
@@ -109,8 +103,6 @@ __all__ = [
     "gfdm_demodulate",
     "gfdm_modulate",
     "linear_pad_length",
-    "make_awgn",
-    "make_tifs",
     "ofdm_demodulate",
     "ofdm_modulate",
     "oob_ratio",
@@ -128,7 +120,6 @@ __all__ = [
     "run_papr",
     "run_psd",
     "run_scenario",
-    "split_oqam",
     "synthesis_pulse",
     "theoretical_ber",
     "welch_psd",

@@ -1,17 +1,18 @@
-"""Channel models, noise injection and frequency-domain ZF equalization.
+"""Channel profiles, noise injection and frequency-domain ZF equalization.
 
 Three profiles are provided: ideal AWGN (single unit tap), a fixed 8-tap
 time-invariant frequency-selective response, and a per-frame-drawn 4-tap
-block-fading response.  Frames protected by a cyclic prefix use circular
-convolution semantics; the prefix-free waveforms use linear convolution and
-full-frame frequency-domain zero forcing.
+block-fading response.  The channel itself is always a linear convolution
+(``sim._convolve_rows``); a cyclic prefix covering its n_taps - 1 samples of
+memory makes it act circularly on the frame core, which is what the
+circulant matrix model of the CP waveforms assumes.  The prefix-free
+waveforms are equalized by full-frame frequency-domain zero forcing.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 TIFS_TAPS = np.array([1.0, 0.0, 0.0, 0.0, 0.4, 0.0, 0.0, 0.2])
+MIN_ZF_BIN = 1e-12  # smallest response magnitude zero forcing divides by
 
 # Per-tap gains of the block-fading profile, taken verbatim from the source
 # configuration: the middle taps are vanishingly small, leaving an almost
@@ -32,69 +33,17 @@ class EqualizationError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    taps: np.ndarray
-    mode: str  # "linear_convolution" | "circular_convolution"
-    label: str  # "AWGN" | "TIFS" | "TVFS"
-
-
-def make_awgn(mode: str = "circular_convolution") -> ChannelRealization:
-    return ChannelRealization(taps=np.array([1.0 + 0j]), mode=mode, label="AWGN")
-
-
-def make_tifs(mode: str = "circular_convolution") -> ChannelRealization:
-    return ChannelRealization(taps=TIFS_TAPS.astype(complex), mode=mode, label="TIFS")
-
-
-def draw_tvfs(
-    rng: np.random.Generator,
-    mode: str = "circular_convolution",
-    corrected: bool = False,
-) -> ChannelRealization:
+def draw_tvfs(rng: np.random.Generator, corrected: bool = False) -> np.ndarray:
     """Draw one block-fading realization: gain_n times standard complex Gaussian."""
     gains = TVFS_GAINS_CORRECTED if corrected else TVFS_GAINS
     r = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / np.sqrt(2.0)
-    return ChannelRealization(taps=gains * r, mode=mode, label="TVFS")
+    return gains * r
 
 
 def complex_awgn(rng: np.random.Generator, shape, noise_var: float) -> np.ndarray:
     """I.i.d. circular complex Gaussian noise with total per-sample variance."""
     sigma = np.sqrt(noise_var / 2.0)
     return sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-
-def apply_channel(
-    x,
-    ch: ChannelRealization,
-    rng: np.random.Generator | None = None,
-    noise_var: float = 0.0,
-) -> np.ndarray:
-    """Convolve with the channel taps and add white Gaussian noise.
-
-    Linear mode lengthens the frame by ``len(taps) - 1`` samples; circular
-    mode keeps the frame length (the cyclic-prefix-equivalent view).
-    """
-    x = np.asarray(x, dtype=complex)
-    if len(ch.taps) == 0:
-        raise ValueError("channel has no taps")
-    if noise_var < 0:
-        raise ValueError("noise_var must be >= 0")
-    if ch.mode == "linear_convolution":
-        y = np.convolve(x, ch.taps)
-    elif ch.mode == "circular_convolution":
-        if len(ch.taps) > len(x):
-            raise ValueError("more taps than samples in circular mode")
-        h = np.zeros(len(x), dtype=complex)
-        h[: len(ch.taps)] = ch.taps
-        y = np.fft.ifft(np.fft.fft(x) * np.fft.fft(h))
-    else:
-        raise ValueError(f"unknown channel mode {ch.mode!r}")
-    if noise_var > 0:
-        if rng is None:
-            raise ValueError("noise injection requires an rng")
-        y = y + complex_awgn(rng, y.shape, noise_var)
-    return y
 
 
 def circulant_matrix(taps, n: int) -> np.ndarray:
@@ -122,8 +71,8 @@ def freq_response(taps, fft_len: int) -> np.ndarray:
     return np.fft.fft(taps, n=fft_len, axis=-1)
 
 
-def check_zf_bins(hf, min_bin: float = 1e-12, bins=None) -> None:
-    """Raise :class:`EqualizationError` if any bin of ``hf`` is below ``min_bin``.
+def check_zf_bins(hf, bins=None) -> None:
+    """Raise :class:`EqualizationError` if any bin of ``hf`` is below ``MIN_ZF_BIN``.
 
     Bins run along the last axis; a leading axis indexes frames, each checked
     in full.  The error names the weakest bin, as ``bins[i]`` when a bin index
@@ -131,19 +80,19 @@ def check_zf_bins(hf, min_bin: float = 1e-12, bins=None) -> None:
     """
     mags = np.abs(hf)
     worst = np.unravel_index(int(np.argmin(mags)), mags.shape)
-    if mags[worst] < min_bin:
+    if mags[worst] < MIN_ZF_BIN:
         pos = int(worst[-1])
         raise EqualizationError(pos if bins is None else int(bins[pos]), float(mags[worst]))
 
 
-def fd_zf_equalize(y, taps, fft_len: int, min_bin: float = 1e-12) -> np.ndarray:
+def fd_zf_equalize(y, taps, fft_len: int) -> np.ndarray:
     """Bin-wise zero-forcing over an ``fft_len``-point transform.
 
     The input is zero-padded to ``fft_len``, divided by the channel response
     and transformed back; the first ``len(y)`` samples are returned.  Taps of
     shape (n_taps,) equalize every row of ``y`` alike; per-frame taps of
     shape (frames, n_taps) equalize row j of a (frames, n) ``y`` by row j.
-    Bins with magnitude below ``min_bin`` raise :class:`EqualizationError`.
+    Bins with magnitude below ``MIN_ZF_BIN`` raise :class:`EqualizationError`.
     """
     y = np.asarray(y, dtype=complex)
     if fft_len < y.shape[-1]:
@@ -151,7 +100,7 @@ def fd_zf_equalize(y, taps, fft_len: int, min_bin: float = 1e-12) -> np.ndarray:
     hf = freq_response(taps, fft_len)
     if hf.ndim > 1 and (y.ndim != 2 or hf.shape[0] != y.shape[0]):
         raise ValueError(f"{hf.shape[0]} per-frame tap sets for frames of shape {y.shape}")
-    check_zf_bins(hf, min_bin)
+    check_zf_bins(hf)
     yf = np.fft.fft(y, n=fft_len, axis=-1)
     out = np.fft.ifft(yf / hf, axis=-1)
     return out[..., : y.shape[-1]]

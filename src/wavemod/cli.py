@@ -56,7 +56,10 @@ def _coerce(key: str, val: str):
     if key == "error_target":
         return None if val.lower() in ("none", "off") else int(val)
     if key == "tvfs_corrected":
-        return val.lower() in ("1", "true", "yes")
+        flag = val.lower()
+        if flag not in ("1", "true", "yes", "0", "false", "no"):
+            raise ValueError("expected 1/true/yes or 0/false/no")
+        return flag in ("1", "true", "yes")
     return val
 
 

@@ -79,7 +79,12 @@ def _wrap_prototype(p: PrototypeFilter, n: int) -> np.ndarray:
 
 
 def _column_block(g: np.ndarray, subcarriers: int, phase: bool) -> np.ndarray:
-    """Columns for one subsymbol shift: g modulated to every subcarrier."""
+    """Columns for one subsymbol shift: g modulated to every subcarrier.
+
+    ``phase`` adds the OQAM quarter-turn rotation per subcarrier, which makes
+    neighboring-subcarrier interference purely imaginary in the real decision
+    domain; without it the offset mapping loses its orthogonality.
+    """
     n = np.arange(len(g))
     k = np.arange(subcarriers)
     cols = g[:, None] * np.exp(2j * np.pi * np.outer(n, k) / subcarriers)
@@ -102,18 +107,8 @@ def build_gfdm_matrix(p: PrototypeFilter, subcarriers: int, subsymbols: int) -> 
     return GfdmMatrixSet(subcarriers=subcarriers, subsymbols=subsymbols, a=a)
 
 
-def build_oqam_matrices(
-    p: PrototypeFilter,
-    subcarriers: int,
-    subsymbols: int,
-    subcarrier_phase: bool = True,
-) -> OqamMatrixSet:
-    """Circular OQAM matrix pair; the quadrature columns are rolled by K/2 samples.
-
-    ``subcarrier_phase`` applies the quarter-turn rotation per subcarrier that
-    makes neighboring-subcarrier interference purely imaginary in the real
-    decision domain; without it the offset mapping loses its orthogonality.
-    """
+def build_oqam_matrices(p: PrototypeFilter, subcarriers: int, subsymbols: int) -> OqamMatrixSet:
+    """Circular OQAM matrix pair; the quadrature columns are rolled by K/2 samples."""
     if subcarriers % 2 != 0:
         raise ValueError(f"subcarriers must be even for OQAM, got {subcarriers}")
     n = subcarriers * subsymbols
@@ -121,7 +116,7 @@ def build_oqam_matrices(
     a_i = np.empty((n, n), dtype=complex)
     for m in range(subsymbols):
         a_i[:, m * subcarriers:(m + 1) * subcarriers] = _column_block(
-            np.roll(g, m * subcarriers), subcarriers, phase=subcarrier_phase
+            np.roll(g, m * subcarriers), subcarriers, phase=True
         )
     a_q = np.roll(a_i, subcarriers // 2, axis=0)
     return OqamMatrixSet(subcarriers, subsymbols, a_i, a_q, support_len=n)
@@ -134,16 +129,11 @@ def gfdm_modulate(mats: GfdmMatrixSet, d) -> np.ndarray:
     return mats.a @ d
 
 
-def build_receiver(
-    mats: GfdmMatrixSet,
-    kind: str,
-    noise_var: float = 0.0,
-    h_matrix: np.ndarray | None = None,
-) -> ReceiverMatrix:
+def build_receiver(mats: GfdmMatrixSet, kind: str, noise_var: float = 0.0) -> ReceiverMatrix:
     """ZF, MF or MMSE receiver matrix for the plain GFDM modem.
 
-    ZF and MF act on an equalized frame.  The MMSE matrix folds the channel
-    in and acts on the raw received frame; its multiplicative bias is removed
+    All three act on a ZF-equalized frame.  The MMSE matrix weighs the
+    transmit matrix against ``noise_var``; its multiplicative bias is removed
     at demodulation using the stored per-symbol gain.
     """
     a = mats.a
@@ -156,10 +146,8 @@ def build_receiver(
         if noise_var is None or noise_var < 0:
             raise ValueError("MMSE requires noise_var >= 0")
         n = mats.frame_len
-        h = np.eye(n, dtype=complex) if h_matrix is None else np.asarray(h_matrix)
-        ha = h @ a
-        b = np.linalg.solve(noise_var * np.eye(n, dtype=complex) + ha.conj().T @ ha, ha.conj().T)
-        bias = np.diag(b @ ha).copy()
+        b = np.linalg.solve(noise_var * np.eye(n, dtype=complex) + a.conj().T @ a, a.conj().T)
+        bias = np.diag(b @ a).copy()
         return ReceiverMatrix(b=b, kind="MMSE", bias=bias)
     raise ValueError(f"unknown receiver kind {kind!r}")
 

@@ -15,12 +15,7 @@ from .gfdm import OqamMatrixSet
 from .prototypes import PrototypeFilter, linear_pad_length
 
 
-def build_linear_matrices(
-    p: PrototypeFilter,
-    subcarriers: int,
-    subsymbols: int,
-    subcarrier_phase: bool = True,
-) -> OqamMatrixSet:
+def build_linear_matrices(p: PrototypeFilter, subcarriers: int, subsymbols: int) -> OqamMatrixSet:
     """Build the wrap-free matrix pair over ``len(p) + pad`` output samples.
 
     The frame has no cyclic prefix; rows at and past ``support_len`` (the
@@ -30,6 +25,9 @@ def build_linear_matrices(
     m*K + K/2.  The subcarrier exponential runs over the absolute sample
     index, matching the FBMC synthesis pulses, so the quadrature columns
     equal the shifted in-phase columns only up to a per-subcarrier sign.
+    Every subcarrier also carries the OQAM quarter-turn rotation, which keeps
+    neighboring-subcarrier interference purely imaginary in the real decision
+    domain.
     """
     if subcarriers % 2 != 0:
         raise ValueError(f"subcarriers must be even, got {subcarriers}")
@@ -46,8 +44,7 @@ def build_linear_matrices(
     a_i = np.zeros((n_ext, n_sym), dtype=complex)
     a_q = np.zeros((n_ext, n_sym), dtype=complex)
     carriers = np.exp(2j * np.pi * np.outer(n, np.arange(subcarriers)) / subcarriers)
-    if subcarrier_phase:
-        carriers = carriers * np.exp(1j * np.pi * np.arange(subcarriers) / 2)[None, :]
+    carriers = carriers * np.exp(1j * np.pi * np.arange(subcarriers) / 2)[None, :]
     for m in range(subsymbols):
         sl_i = np.zeros(n_ext)
         sl_i[m * subcarriers:m * subcarriers + lp] = p.coefficients

@@ -1,4 +1,4 @@
-"""Gray-mapped square QAM constellations and the real/imaginary OQAM split."""
+"""Gray-mapped square QAM constellations."""
 
 import numpy as np
 
@@ -49,13 +49,22 @@ def qam_map(bits, order: int) -> np.ndarray:
 
 
 def _demap_axis(values: np.ndarray, order: int) -> np.ndarray:
-    """Nearest level per sample; ties go to the smaller Gray label."""
-    amps, labels, _ = _axis_levels(order)
-    dist = np.abs(values[:, None] - amps[None, :])
-    dmin = dist.min(axis=1, keepdims=True)
-    tol = 1e-12 * (1.0 + np.abs(values[:, None]))
-    candidate = np.where(dist <= dmin + tol, labels[None, :], np.iinfo(np.int64).max)
-    return candidate.min(axis=1)
+    """Nearest level per sample; ties go to the smaller Gray label.
+
+    On the uniform grid the nearest level is one of the two levels that
+    bracket the amplitude, whose index follows in closed form.  The nearer
+    one wins; within 1e-12*(1+|v|) of their midpoint the smaller label does.
+    """
+    amps, labels, scale = _axis_levels(order)
+    lo = np.floor((amps[0] - values) / (2.0 * scale))
+    lo = np.clip(lo, 0, len(amps) - 2).astype(np.int64)
+    d_lo = np.abs(values - amps[lo])
+    d_hi = np.abs(values - amps[lo + 1])
+    tol = 1e-12 * (1.0 + np.abs(values))
+    lo_near = d_lo <= d_hi + tol
+    hi_near = d_hi <= d_lo + tol
+    take_lo = lo_near & (~hi_near | (labels[lo] < labels[lo + 1]))
+    return np.where(take_lo, labels[lo], labels[lo + 1])
 
 
 def qam_demap(symbols, order: int) -> np.ndarray:
@@ -76,9 +85,3 @@ def constellation(order: int) -> np.ndarray:
     n = 1 << (2 * nb)
     all_bits = ((np.arange(n)[:, None] >> np.arange(2 * nb - 1, -1, -1)) & 1).ravel()
     return qam_map(all_bits, order)
-
-
-def split_oqam(d) -> tuple[np.ndarray, np.ndarray]:
-    """Exact real/imaginary split; ``re + 1j*im`` reproduces the input."""
-    d = np.asarray(d, dtype=complex)
-    return d.real.copy(), d.imag.copy()

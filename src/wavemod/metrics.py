@@ -48,35 +48,20 @@ def ber_count(tx_bits, rx_bits) -> tuple[int, int, float]:
     return errors, total, errors / total if total else 0.0
 
 
-def welch_psd(
-    frames,
-    seg_len: int = 2048,
-    overlap_frac: float = 0.5,
-    window: str = "hann",
-    meta: dict | None = None,
-) -> MetricCurve:
-    """Averaged windowed periodogram, two-sided, plateau-normalized to 0 dB.
+def welch_psd(stream, seg_len: int = 2048, meta: dict | None = None) -> MetricCurve:
+    """Averaged Hann-windowed periodogram of one sample stream, half-overlapped.
 
-    ``frames`` may be a single sample stream or a sequence of frames that are
-    concatenated back to back before estimation.
+    Two-sided and plateau-normalized to 0 dB.
     """
-    if not 0 <= overlap_frac < 1:
-        raise ValueError("overlap_frac must be in [0, 1)")
-    if isinstance(frames, np.ndarray) and frames.ndim == 1:
-        stream = frames
-    else:
-        parts = [np.asarray(f) for f in frames]
-        if not parts:
-            raise ValueError("no input frames")
-        stream = np.concatenate(parts)
+    stream = np.asarray(stream)
     if len(stream) < seg_len:
         raise ValueError(f"need at least {seg_len} samples, got {len(stream)}")
     freqs, pxx = sps.welch(
         stream,
         fs=1.0,
-        window=window,
+        window="hann",
         nperseg=seg_len,
-        noverlap=int(seg_len * overlap_frac),
+        noverlap=seg_len // 2,
         return_onesided=False,
         detrend=False,
         scaling="density",

@@ -107,7 +107,7 @@ def theoretical_ber(ebn0_db, order: int = 16, channel: str = "awgn"):
         c = mult ** 2 * base  # Q(sqrt(c)) argument squared
         if channel == "awgn":
             pb = pb + weight * _qfunc(np.sqrt(c))
-        elif channel in ("rayleigh", "rayleighflat"):
+        elif channel == "rayleigh":
             half = c / 2.0
             pb = pb + weight * 0.5 * (1.0 - np.sqrt(half / (1.0 + half)))
         else:

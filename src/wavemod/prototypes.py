@@ -68,19 +68,15 @@ def rectangular(subcarriers: int) -> PrototypeFilter:
     return PrototypeFilter(coefficients=p, overlap=1, subcarriers=subcarriers)
 
 
-def linear_pad_length(subcarriers: int, subsymbols: int, i_only: bool = False) -> int:
+def linear_pad_length(subcarriers: int, subsymbols: int) -> int:
     """Number of zeros appended to the prototype for wrap-free column shifts.
 
-    The default accounts for the extra half-subcarrier shift of the
-    quadrature matrix; ``i_only`` returns the shorter pad that suffices when
-    only integer-subsymbol shifts occur.
+    The pad covers the extra half-subcarrier shift of the quadrature matrix.
     """
     if subcarriers % 2 != 0:
         raise ValueError(f"subcarriers must be even, got {subcarriers}")
     if subsymbols < 1:
         raise ValueError(f"subsymbols must be >= 1, got {subsymbols}")
-    if i_only:
-        return subcarriers * (subsymbols - 1) + 1
     return subcarriers * subsymbols - subcarriers // 2 + 1
 
 

@@ -2,10 +2,14 @@
 
 Every frame draws its bits, fading taps and noise from an RNG stream keyed by
 (master seed, scenario id, frame index), so results are bit-identical across
-runs and worker counts.  Frames are processed in fixed-size chunks.  For every
-channel, each BER chunk runs the channel, the equalizer, the demodulator, the
-demapper and the error count once; on TVFS the per-frame taps travel as one
-(frames, n_taps) array.
+runs and worker counts.  Frames are processed in fixed-size chunks: one
+helper draws, maps and transmits a chunk for every instrument, and each BER
+chunk then runs the channel, the equalizer, the demodulator, the demapper and
+the error count once (``ber_errors``); on TVFS the per-frame taps travel as
+one (frames, n_taps) array.  The channel is one linear convolution,
+``_convolve_rows``, for every waveform; a CP waveform sees it as circular
+on its frame core when the cyclic prefix covers the channel's memory of
+n_taps - 1 samples.
 """
 
 import os
@@ -260,34 +264,44 @@ def build_adapter(config: ScenarioConfig):
 # Frame pipeline
 
 
-def _draw_chunk(config: ScenarioConfig, adapter, scenario_id, start, count, noise_len):
+def _draw_chunk(config: ScenarioConfig, adapter, scenario_id, start, count, with_noise):
     """Per-frame draws for frames [start, start+count): bits, taps, noise.
 
-    The taps are a (count, n_taps) array on TVFS and None otherwise.
+    This is the one place that knows the channels: the taps are one (n_taps,)
+    vector on AWGN and TIFS and (count, n_taps) per-frame fades on TVFS.  The
+    unit-variance noise covers the whole received frame, ``frame_len +
+    n_taps - 1`` samples; without ``with_noise`` it is None.
     """
     order = config.waveform_params.qam_order
     bits_per_frame = adapter.n_data * int(np.log2(order))
     bits = np.empty((count, bits_per_frame), dtype=np.int64)
-    taps = None
-    if config.channel == "tvfs":
+    tvfs = config.channel == "tvfs"
+    if tvfs:
         taps = np.empty((count, len(chan.TVFS_GAINS)), dtype=complex)
-    noise = np.empty((count, noise_len), dtype=complex) if noise_len else None
+    elif config.channel == "tifs":
+        taps = chan.TIFS_TAPS.astype(complex)
+    else:
+        taps = np.array([1.0 + 0j])
+    noise_len = adapter.frame_len + taps.shape[-1] - 1
+    noise = np.empty((count, noise_len), dtype=complex) if with_noise else None
     for j in range(count):
         rng = frame_rng(config.seed, scenario_id, start + j)
         bits[j] = rng.integers(0, 2, bits_per_frame)
-        if taps is not None:
-            taps[j] = chan.draw_tvfs(rng, corrected=config.tvfs_corrected).taps
-        if noise_len:
+        if tvfs:
+            taps[j] = chan.draw_tvfs(rng, corrected=config.tvfs_corrected)
+        if with_noise:
             noise[j] = chan.complex_awgn(rng, noise_len, 1.0)
     return bits, taps, noise
 
 
-def _channel_taps(config: ScenarioConfig) -> np.ndarray | None:
-    if config.channel == "awgn":
-        return np.array([1.0 + 0j])
-    if config.channel == "tifs":
-        return chan.TIFS_TAPS.astype(complex)
-    return None  # tvfs: per frame
+def _transmit_chunk(config: ScenarioConfig, adapter, scenario_id, start, count, with_noise=False):
+    """Draw, map and transmit frames [start, start+count).
+
+    Returns the (frame_len, count) frames, then the draws of :func:`_draw_chunk`.
+    """
+    bits, taps, noise = _draw_chunk(config, adapter, scenario_id, start, count, with_noise)
+    d = qam_map(bits.ravel(), config.waveform_params.qam_order).reshape(count, adapter.n_data)
+    return adapter.transmit(d.T), bits, taps, noise
 
 
 def _convolve_rows(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -302,22 +316,24 @@ def _convolve_rows(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return y[:, :out_len]
 
 
-def _process_ber_chunk(config, adapter, scenario_id, start, count, noise_var):
-    order = config.waveform_params.qam_order
-    tail = {"awgn": 0, "tifs": len(chan.TIFS_TAPS) - 1, "tvfs": len(chan.TVFS_GAINS) - 1}[
-        config.channel
-    ]
-    noise_len = adapter.frame_len + tail
-    bits, taps, noise = _draw_chunk(config, adapter, scenario_id, start, count, noise_len)
-    if taps is None:
-        taps = _channel_taps(config)
-    d = qam_map(bits.ravel(), order).reshape(count, adapter.n_data)
-    x = adapter.transmit(d.T)  # (frame_len, count)
+def ber_errors(adapter, order: int, bits, x, taps, noise, noise_var: float) -> tuple[int, int]:
+    """Bit errors and bits of transmitted frames sent through the channel.
+
+    ``x`` holds the (frame_len, count) frames carrying ``bits``; ``taps`` and
+    the unit-variance ``noise`` are shaped as :func:`_draw_chunk` draws them.
+    The frames are convolved, noised, received, demapped and counted once
+    for the whole chunk.
+    """
     y = _convolve_rows(x.T, taps) + np.sqrt(noise_var) * noise
     d_hat = adapter.receive(y.T, taps, noise_var)
     rx_bits = qam_demap(d_hat.T.ravel(), order)
     errors, _, _ = ber_count(bits.ravel(), rx_bits)
     return errors, bits.size
+
+
+def _process_ber_chunk(config, adapter, scenario_id, start, count, noise_var):
+    x, bits, taps, noise = _transmit_chunk(config, adapter, scenario_id, start, count, True)
+    return ber_errors(adapter, config.waveform_params.qam_order, bits, x, taps, noise, noise_var)
 
 
 def _parallel_rounds(process, total, chunk=_CHUNK, stop=None):
@@ -435,7 +451,6 @@ def run_psd(config: ScenarioConfig) -> MetricCurve:
         config = replace(config, waveform_params=replace(wp, active=psd_default_active(k)))
         wp = config.waveform_params
     adapter = build_adapter(config)
-    order = wp.qam_order
     sid = _scenario_id(config)
     stride = adapter.stride
     n_samples = (config.frames - 1) * stride + adapter.frame_len
@@ -448,12 +463,10 @@ def run_psd(config: ScenarioConfig) -> MetricCurve:
     start = 0
     while start < config.frames:
         count = min(_CHUNK, config.frames - start)
-        bits, _, _ = _draw_chunk(config, adapter, sid, start, count, 0)
-        d = qam_map(bits.ravel(), order).reshape(count, adapter.n_data)
-        x = adapter.transmit(d.T).T  # (count, frame_len)
+        x, *_ = _transmit_chunk(config, adapter, sid, start, count)
         for j in range(count):
             off = (start + j) * stride
-            stream[off:off + adapter.frame_len] += x[j]
+            stream[off:off + adapter.frame_len] += x[:, j]
         start += count
     curve = welch_psd(stream, seg_len=_WELCH_SEGMENT, meta=_meta(config))
     _maybe_write(curve, config)
@@ -470,14 +483,11 @@ def run_papr(config: ScenarioConfig) -> MetricCurve:
     if config.metric != "papr":
         raise ConfigError(f"metric: expected 'papr', got {config.metric!r}")
     adapter = build_adapter(config)
-    order = config.waveform_params.qam_order
     sid = _scenario_id(config)
 
     def process(start, count):
-        bits, _, _ = _draw_chunk(config, adapter, sid, start, count, 0)
-        d = qam_map(bits.ravel(), order).reshape(count, adapter.n_data)
-        x = adapter.transmit(d.T).T
-        return (list(papr_batch(x[:, : adapter.support_len])),)
+        x, *_ = _transmit_chunk(config, adapter, sid, start, count)
+        return (list(papr_batch(x.T[:, : adapter.support_len])),)
 
     (paprs,) = _parallel_rounds(process, config.frames, chunk=4 * _CHUNK)
     curve = papr_ccdf(np.array(paprs), default_papr_thresholds(), meta=_meta(config))

@@ -13,12 +13,10 @@ import pytest
 
 from wavemod import (
     TIFS_TAPS,
-    apply_channel,
     build_gfdm_matrix,
     build_linear_matrices,
     build_receiver,
     circulant_matrix,
-    make_tifs,
     ofdm_modulate,
     oqam_modulate,
     phydyas,
@@ -31,6 +29,7 @@ from wavemod.ofdm import OfdmParams
 from wavemod.sim import (
     ScenarioConfig,
     WaveformParams,
+    ber_errors,
     build_adapter,
     frame_rng,
     psd_band_edge,
@@ -170,11 +169,11 @@ def test_5_matrix_identities():
     g1 = build_gfdm_matrix(rectangular(n), n, 1)
     x_ofdm = ofdm_modulate(d, OfdmParams(n_fft=n, n_cp=0))
     checks["ofdm_gfdm"] = np.abs(x_ofdm - g1.a @ d).max() <= 1e-12
+    # The pipeline's linear channel behind the default cyclic prefix acts on
+    # the frame core as the circulant channel matrix does.
     x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    ch = make_tifs()
-    checks["circulant"] = (
-        np.abs(circulant_matrix(ch.taps, 64) @ x - apply_channel(x, ch)).max() <= 1e-12
-    )
+    y = conftest.cp_channel(x, TIFS_TAPS, WaveformParams().cp_len)
+    checks["circulant"] = np.abs(circulant_matrix(TIFS_TAPS, 64) @ x - y).max() <= 1e-12
     ok = all(checks.values())
     _report(5, "matrix identities", ok, ", ".join(f"{k}={v}" for k, v in checks.items()))
 
@@ -223,7 +222,6 @@ def _paired_cross_waveform_ber(channel: str, ebn0_db: float, n_bits: int, seed: 
     bpf = 2048
     frames = int(np.ceil(n_bits / bpf))
     noise_var = 1.0 / (4.0 * 10.0 ** (ebn0_db / 10.0))
-    tail = {"tifs": len(TIFS_TAPS) - 1, "tvfs": len(chan.TVFS_GAINS) - 1}[channel]
     errors = {w: 0 for w in wfs}
     sid_common = zlib.crc32(f"cross|{channel}|{ebn0_db}".encode())
     start, chunk = 0, 64
@@ -237,20 +235,16 @@ def _paired_cross_waveform_ber(channel: str, ebn0_db: float, n_bits: int, seed: 
             rng = frame_rng(seed, sid_common, start + j)
             bits[j] = rng.integers(0, 2, bpf)
             if channel == "tvfs":
-                taps[j] = chan.draw_tvfs(rng).taps
+                taps[j] = chan.draw_tvfs(rng)
         d = qam_map(bits.ravel(), 16).reshape(count, 512)
         for w in wfs:
             a = adapters[w]
-            nlen = a.frame_len + tail
+            nlen = a.frame_len + taps.shape[-1] - 1
             sid_w = zlib.crc32(f"cross|{w}|{channel}|{ebn0_db}".encode())
             noise = np.empty((count, nlen), dtype=complex)
             for j in range(count):
                 noise[j] = chan.complex_awgn(frame_rng(seed, sid_w, start + j), nlen, 1.0)
-            x = a.transmit(d.T)
-            y = _convolve_rows(x.T, taps)[:, :nlen] + np.sqrt(noise_var) * noise
-            d_hat = a.receive(y.T, taps, noise_var)
-            rx = qam_demap(d_hat.T.ravel(), 16)
-            errors[w] += int(np.count_nonzero(rx != bits.ravel()))
+            errors[w] += ber_errors(a, 16, bits, a.transmit(d.T), taps, noise, noise_var)[0]
         start += count
     return {w: errors[w] / (frames * bpf) for w in wfs}, frames * bpf
 

@@ -1,49 +1,54 @@
 import numpy as np
 import pytest
+from conftest import cp_channel
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavemod import (
     EqualizationError,
     TIFS_TAPS,
-    apply_channel,
     build_linear_matrices,
     circulant_matrix,
     complex_awgn,
     draw_tvfs,
     fd_zf_equalize,
     freq_response,
-    make_awgn,
-    make_tifs,
     oqam_modulate,
     phydyas,
     qam_map,
 )
+from wavemod.sim import ScenarioConfig, WaveformParams, _convolve_rows, _draw_chunk, build_adapter
+
+
+def _chunk_taps(channel):
+    """The taps the BER pipeline draws for a chunk of three frames."""
+    cfg = ScenarioConfig(waveform="ofdm", channel=channel, waveform_params=WaveformParams(n_fft=32, cp_len=4))
+    return _draw_chunk(cfg, build_adapter(cfg), 0, 0, 3, False)[1]
 
 
 class TestProfiles:
     def test_tifs_taps(self):
-        ch = make_tifs()
-        np.testing.assert_array_equal(ch.taps.real, [1, 0, 0, 0, 0.4, 0, 0, 0.2])
-        assert len(ch.taps) == 8
+        taps = _chunk_taps("tifs")
+        np.testing.assert_array_equal(taps.real, [1, 0, 0, 0, 0.4, 0, 0, 0.2])
+        assert len(taps) == 8
 
     def test_tifs_dc_response(self):
         assert abs(freq_response(TIFS_TAPS, 64)[0] - 1.6) <= 1e-12
 
     def test_awgn_single_unit_tap(self):
-        np.testing.assert_array_equal(make_awgn().taps, [1.0 + 0j])
+        np.testing.assert_array_equal(_chunk_taps("awgn"), [1.0 + 0j])
 
     def test_tvfs_second_tap_always_zero(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            assert draw_tvfs(rng).taps[1] == 0.0
+            assert draw_tvfs(rng)[1] == 0.0
 
     def test_tvfs_first_tap_power(self):
         rng = np.random.default_rng(1)
         n = 100_000
         powers = np.empty(n)
         for i in range(n):
-            powers[i] = np.abs(draw_tvfs(rng).taps[0]) ** 2
+            powers[i] = np.abs(draw_tvfs(rng)[0]) ** 2
         # |tap0|^2 is 0.5 * Exp(1): mean 0.5, std 0.5
         assert abs(powers.mean() - 0.5) <= 3 * 0.5 / np.sqrt(n)
 
@@ -52,7 +57,7 @@ class TestProfiles:
         # response ripple inside any one of 128 subcarriers stays tiny.
         rng = np.random.default_rng(2)
         for _ in range(20):
-            hf = np.abs(freq_response(draw_tvfs(rng).taps, 512))
+            hf = np.abs(freq_response(draw_tvfs(rng), 512))
             per_sub = hf.reshape(128, 4)
             ripple_db = 20 * np.log10(per_sub.max(axis=1) / per_sub.min(axis=1))
             assert ripple_db.max() <= 0.1
@@ -60,43 +65,42 @@ class TestProfiles:
     def test_tvfs_block_fading_independence(self):
         rng = np.random.default_rng(3)
         n = 10_000
-        t0 = np.array([draw_tvfs(rng).taps[0] for _ in range(n)])
+        t0 = np.array([draw_tvfs(rng)[0] for _ in range(n)])
         corr = np.abs(np.mean(t0[:-1] * np.conj(t0[1:]))) / np.mean(np.abs(t0) ** 2)
         assert corr <= 3.0 / np.sqrt(n - 1)
 
 
 class TestApplyChannel:
+    """The channel as the pipeline applies it: ``_convolve_rows`` plus ``complex_awgn``."""
+
     def test_identity(self):
         x = np.arange(8.0) + 0j
-        np.testing.assert_array_equal(apply_channel(x, make_awgn()), x)
+        np.testing.assert_array_equal(_convolve_rows(x[None, :], _chunk_taps("awgn"))[0], x)
 
     def test_circular_matches_circulant_matrix(self):
+        # Behind a cyclic prefix the linear channel acts on the core circularly.
         rng = np.random.default_rng(4)
         x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        ch = make_tifs()
         np.testing.assert_allclose(
-            apply_channel(x, ch), circulant_matrix(ch.taps, 32) @ x, atol=1e-12
+            cp_channel(x, TIFS_TAPS, 7), circulant_matrix(TIFS_TAPS, 32) @ x, atol=1e-12
         )
 
     def test_linear_mode_lengthens_frame(self):
-        x = np.ones(32, dtype=complex)
-        y = apply_channel(x, make_tifs(mode="linear_convolution"))
-        assert len(y) == 32 + 7
+        x = np.ones((1, 32), dtype=complex)
+        y = _convolve_rows(x, TIFS_TAPS.astype(complex))
+        assert y.shape == (1, 32 + 7)
 
     def test_noise_variance(self):
         rng = np.random.default_rng(5)
-        x = np.zeros(1_000_000, dtype=complex)
-        y = apply_channel(x, make_awgn(), rng=rng, noise_var=0.25)
+        x = np.zeros((1, 1_000_000), dtype=complex)
+        clean = _convolve_rows(x, _chunk_taps("awgn"))
+        y = clean + complex_awgn(rng, clean.shape, 0.25)
         assert abs(np.mean(np.abs(y) ** 2) - 0.25) / 0.25 <= 0.01
-
-    def test_noise_requires_rng(self):
-        with pytest.raises(ValueError):
-            apply_channel(np.ones(4), make_awgn(), noise_var=0.1)
 
     def test_convolution_theorem(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        y = apply_channel(x, make_tifs())
+        y = cp_channel(x, TIFS_TAPS, 7)
         lhs = np.fft.fft(y)
         rhs = np.fft.fft(x) * freq_response(TIFS_TAPS, 64)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
@@ -141,7 +145,7 @@ class TestFdZfEqualize:
     def test_tifs_circular_exact_inversion(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-        y = apply_channel(x, make_tifs())
+        y = cp_channel(x, TIFS_TAPS, 7)
         np.testing.assert_allclose(fd_zf_equalize(y, TIFS_TAPS, 128), x, atol=1e-9)
 
     def test_tifs_linear_mode_low_residual(self):

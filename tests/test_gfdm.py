@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from conftest import cp_channel
 
 from wavemod import (
+    TIFS_TAPS,
     add_cp,
-    apply_channel,
     build_gfdm_matrix,
     build_oqam_matrices,
     build_receiver,
@@ -11,7 +12,6 @@ from wavemod import (
     complex_awgn,
     gfdm_demodulate,
     gfdm_modulate,
-    make_tifs,
     oqam_demodulate,
     oqam_modulate,
     phydyas,
@@ -258,10 +258,9 @@ class TestCyclicPrefix:
 
 class TestChannelConsistency:
     def test_circulant_matches_circular_convolution(self):
-        # The circulant channel matrix acting on a frame must agree with
-        # the convolution-based channel model.
+        # The circulant channel matrix acting on a frame must agree with the
+        # pipeline's linear channel behind a cyclic prefix.
         rng = np.random.default_rng(6)
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        ch = make_tifs()
-        h = circulant_matrix(ch.taps, 64)
-        np.testing.assert_allclose(h @ x, apply_channel(x, ch), atol=1e-12)
+        h = circulant_matrix(TIFS_TAPS, 64)
+        np.testing.assert_allclose(h @ x, cp_channel(x, TIFS_TAPS, 16), atol=1e-12)

@@ -60,9 +60,6 @@ class TestLinearPadLength:
     def test_default_profile(self):
         assert linear_pad_length(128, 4) == 449
 
-    def test_i_only_variant(self):
-        assert linear_pad_length(128, 4, i_only=True) == 385
-
     def test_smallest(self):
         assert linear_pad_length(2, 1) == 2
 

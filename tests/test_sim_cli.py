@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavemod import cli
-from wavemod.channel import TVFS_GAINS, EqualizationError
-from wavemod.mapping import qam_map
+from wavemod.channel import EqualizationError
 from wavemod.sim import (
     CHANNELS,
     WAVEFORMS,
@@ -26,9 +25,8 @@ from wavemod.sim import (
     run_papr,
     run_psd,
     run_scenario,
-    _channel_taps,
     _convolve_rows,
-    _draw_chunk,
+    _transmit_chunk,
 )
 
 
@@ -153,22 +151,17 @@ class TestBatchedReceive:
         cfg = ScenarioConfig(waveform=waveform, channel=channel, seed=seed, waveform_params=_SMALL)
         adapter = _small_adapter(waveform)
         noise_var = 0.05
-        fixed = _channel_taps(cfg)
-        n_taps = len(TVFS_GAINS) if fixed is None else len(fixed)
-        bits, taps, noise = _draw_chunk(cfg, adapter, 0, 0, count, adapter.frame_len + n_taps - 1)
-        if taps is None:
-            taps = np.tile(fixed, (count, 1))
-        d = qam_map(bits.ravel(), 16).reshape(count, adapter.n_data)
-        x = adapter.transmit(d.T)
+        x, _, taps, noise = _transmit_chunk(cfg, adapter, 0, 0, count, True)
+        frame_taps = taps if taps.ndim == 2 else [taps] * count
         clean = _convolve_rows(x.T, taps)
         for j in range(count):
             np.testing.assert_allclose(
-                clean[j], _convolve_rows(x.T[j : j + 1], taps[j])[0], rtol=0, atol=1e-10
+                clean[j], _convolve_rows(x.T[j : j + 1], frame_taps[j])[0], rtol=0, atol=1e-10
             )
         y = clean + np.sqrt(noise_var) * noise
         batched = adapter.receive(y.T, taps, noise_var)
         per_frame = np.column_stack(
-            [adapter.receive(y[j][:, None], taps[j], noise_var)[:, 0] for j in range(count)]
+            [adapter.receive(y[j][:, None], frame_taps[j], noise_var)[:, 0] for j in range(count)]
         )
         # A deep TVFS fade scales the ZF output up; the tolerance scales with it.
         scale = max(1.0, np.abs(per_frame).max())
@@ -252,6 +245,7 @@ class TestCli:
             (["ber", "--waveform", "gfdm"], "prototype = bogus", "prototype"),
             (["ber", "--waveform", "ofdm"], "cp_len = 512", "cp_len"),
             (["psd", "--waveform", "ofdm", "--frames", "1"], "", "frames"),
+            (["ber", "--waveform", "ofdm"], "channel = tvfs\ntvfs_corrected = maybe", "tvfs_corrected"),
         ],
         ids=[
             "unknown-key",
@@ -264,6 +258,7 @@ class TestCli:
             "unknown-prototype",
             "cp-len-too-long",
             "psd-too-few-samples",
+            "tvfs-corrected-not-boolean",
         ],
     )
     def test_bad_config_file_exit_code(self, tmp_path, capsys, argv, text, key):
@@ -274,6 +269,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert "configuration error" in err
         assert key in err
+
+    def test_tvfs_corrected_flags(self):
+        for val in ("1", "true", "YES"):
+            assert cli._coerce("tvfs_corrected", val) is True
+        for val in ("0", "False", "no"):
+            assert cli._coerce("tvfs_corrected", val) is False
 
     def test_missing_waveform_exit_code(self, capsys):
         assert cli.main(["ber"]) == 2
