@@ -9,6 +9,10 @@
 # extended matrices have contiguous support and the frame edges decay
 # smoothly — that is the Linear GFDM configuration, and its output is
 # sample-identical to an FBMC-OQAM burst.
+#
+# The library never stores A: a matrix set describes it by the prototype's
+# polyphase rows, and the modem applies it with FFTs.  The matrices shown
+# here are built by modulating one unit symbol per column.
 
 import numpy as np
 
@@ -18,42 +22,61 @@ from wavemod import (
     build_linear_matrices,
     build_oqam_matrices,
     burst_length,
+    gfdm_modulate,
     oqam_demodulate,
     oqam_modulate,
     phydyas,
     qam_map,
-    synthesis_pulse,
 )
 
 K, M = 128, 4
 p = phydyas(K, 4)
 
+
+def oqam_pair(mats):
+    """(A_i, A_q): the frames of a unit real and a unit imaginary symbol, per column."""
+    eye = np.eye(mats.n_symbols)
+    return oqam_modulate(mats, eye), -1j * oqam_modulate(mats, 1j * eye)
+
+
 # %%
 # Circular OQAM matrices: N x N, hard wrap at the frame edges.
 
 circ = build_oqam_matrices(p, K, M)
-print("circular A_i shape:", circ.a_i.shape)
+circ_i, circ_q = oqam_pair(circ)
+print("circular A_i shape:", circ_i.shape)
 print("A_q is A_i rolled by K/2 samples:",
-      np.allclose(circ.a_q, np.roll(circ.a_i, K // 2, axis=0)))
-first_row_power = np.sum(np.abs(circ.a_i[0]) ** 2)
+      np.allclose(circ_q, np.roll(circ_i, K // 2, axis=0)))
+first_row_power = np.sum(np.abs(circ_i[0]) ** 2)
 print(f"power in first row (wrapped tails): {first_row_power:.3f}")
 
 # %%
 # Linear matrices: taller (962 x 512 for the default profile), no wrap.
 
 lin = build_linear_matrices(p, K, M)
-print("\nlinear A_i shape:", lin.a_i.shape)
+lin_i, _ = oqam_pair(lin)
+print("\nlinear A_i shape:", lin_i.shape)
 print("signal support ends at sample:", lin.support_len)
-edge_power = np.sum(np.abs(lin.a_i[0]) ** 2) + np.sum(np.abs(lin.a_i[-1]) ** 2)
+edge_power = np.sum(np.abs(lin_i[0]) ** 2) + np.sum(np.abs(lin_i[-1]) ** 2)
 print(f"power in first+last rows: {edge_power:.2e}  (smooth edges)")
 
 # %%
 # The headline equivalence: modulating the same data through the linear
 # matrices gives the FBMC-OQAM burst, built here from its definition as the
-# double sum of shifted, modulated synthesis pulses.
+# double sum of shifted, modulated synthesis pulses: the prototype delayed
+# by m*K (plus K/2 for the quadrature pulse), modulated over the absolute
+# sample index and rotated by the OQAM quarter turn j^k.
 
 rng = np.random.default_rng(0)
 d = qam_map(rng.integers(0, 2, 4 * K * M), 16)
+
+
+def synthesis_pulse(k, m, part, length):
+    offset = m * K + (K // 2 if part == "Q" else 0)
+    pulse = np.zeros(length, dtype=complex)
+    pulse[offset:offset + p.length] = p.coefficients
+    return pulse * np.exp(2j * np.pi * k * np.arange(length) / K) * 1j**k
+
 
 x_lin = oqam_modulate(lin, d)
 nb = burst_length(p, K, M)
@@ -61,8 +84,8 @@ x_fbmc = np.zeros(nb, dtype=complex)
 for m in range(M):
     for k in range(K):
         s = d[m * K + k]
-        x_fbmc += s.real * synthesis_pulse(k, m, "I", p, K, nb)
-        x_fbmc += 1j * s.imag * synthesis_pulse(k, m, "Q", p, K, nb)
+        x_fbmc += s.real * synthesis_pulse(k, m, "I", nb)
+        x_fbmc += 1j * s.imag * synthesis_pulse(k, m, "Q", nb)
 print("\nmax |linear - fbmc|:", np.abs(x_lin[:nb] - x_fbmc).max())
 print("linear tail past the burst is zero:", not x_lin[nb:].any())
 
@@ -71,7 +94,7 @@ print("linear tail past the burst is zero:", not x_lin[nb:].any())
 # (oqam_modulate / oqam_demodulate), frames of burst_length samples.
 
 fbmc = build_fbmc_matrices(p, K, M)
-print("\nFBMC A_i shape:", fbmc.a_i.shape)
+print("\nFBMC A_i shape:", oqam_pair(fbmc)[0].shape)
 d_hat = oqam_demodulate(fbmc, oqam_modulate(fbmc, d))
 err_db = 10 * np.log10(np.mean(np.abs(d_hat - d) ** 2) / np.mean(np.abs(d) ** 2))
 print(f"noiseless FBMC loopback error: {err_db:.0f} dB")
@@ -90,7 +113,7 @@ print(f"  linear:   |x[0]| = {abs(x_lin[0]) / np.abs(x_lin).max():.2e}")
 
 from wavemod import rectangular
 
-rect_case = build_gfdm_matrix(rectangular(4), 4, 1)
+rect_case = gfdm_modulate(build_gfdm_matrix(rectangular(4), 4, 1), np.eye(4))
 idft = np.exp(2j * np.pi * np.outer(np.arange(4), np.arange(4)) / 4) / 2.0
 print("\nGFDM(rect, M=1) equals the unitary IDFT:",
-      np.allclose(rect_case.a, idft))
+      np.allclose(rect_case, idft))

@@ -1,10 +1,11 @@
 """Multicarrier waveform modem library.
 
 Circular and linear-filtered GFDM (plain and OQAM), FBMC-OQAM and CP-OFDM
-modems built from explicit transmit matrices, together with channel models,
-evaluation metrics (BER, Welch PSD, PAPR CCDF) and a deterministic Monte
-Carlo scenario runner.  Every OQAM waveform runs through the one
-``oqam_modulate``/``oqam_demodulate`` pair.
+modems, together with channel models, evaluation metrics (BER, Welch PSD,
+PAPR CCDF) and a deterministic Monte Carlo scenario runner.  The four
+GFDM-family waveforms run through one FFT filter bank (``gfdm``), described
+by small matrix sets instead of dense matrices; every OQAM waveform runs
+through the one ``oqam_modulate``/``oqam_demodulate`` pair.
 """
 
 from .channel import (
@@ -12,13 +13,12 @@ from .channel import (
     TVFS_GAINS,
     TVFS_GAINS_CORRECTED,
     EqualizationError,
-    circulant_matrix,
     complex_awgn,
     draw_tvfs,
     fd_zf_equalize,
     freq_response,
 )
-from .fbmc import build_fbmc_matrices, burst_length, synthesis_pulse
+from .fbmc import build_fbmc_matrices, burst_length
 from .gfdm import (
     GfdmMatrixSet,
     OqamMatrixSet,
@@ -93,7 +93,6 @@ __all__ = [
     "build_oqam_matrices",
     "build_receiver",
     "burst_length",
-    "circulant_matrix",
     "complex_awgn",
     "constellation",
     "default_papr_thresholds",
@@ -120,7 +119,6 @@ __all__ = [
     "run_papr",
     "run_psd",
     "run_scenario",
-    "synthesis_pulse",
     "theoretical_ber",
     "welch_psd",
     "zero_pad",

@@ -6,7 +6,9 @@ block-fading response.  The channel itself is always a linear convolution
 (``sim._convolve_rows``); a cyclic prefix covering its n_taps - 1 samples of
 memory makes it act circularly on the frame core, which is what the
 circulant matrix model of the CP waveforms assumes.  The prefix-free
-waveforms are equalized by full-frame frequency-domain zero forcing.
+waveforms are equalized by full-frame frequency-domain zero forcing.  A
+one-tap (flat) channel is a plain scaling in both the convolution and the
+equalizer, so neither transforms it.
 """
 
 import numpy as np
@@ -46,19 +48,6 @@ def complex_awgn(rng: np.random.Generator, shape, noise_var: float) -> np.ndarra
     return sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def circulant_matrix(taps, n: int) -> np.ndarray:
-    """N x N circulant matrix whose first column is the zero-padded taps."""
-    taps = np.asarray(taps, dtype=complex)
-    if len(taps) > n:
-        raise ValueError(f"{len(taps)} taps do not fit a {n}x{n} circulant")
-    first = np.zeros(n, dtype=complex)
-    first[: len(taps)] = taps
-    h = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        h[:, j] = np.roll(first, j)
-    return h
-
-
 def freq_response(taps, fft_len: int) -> np.ndarray:
     """``fft_len``-point response of the zero-padded taps.
 
@@ -92,15 +81,19 @@ def fd_zf_equalize(y, taps, fft_len: int) -> np.ndarray:
     and transformed back; the first ``len(y)`` samples are returned.  Taps of
     shape (n_taps,) equalize every row of ``y`` alike; per-frame taps of
     shape (frames, n_taps) equalize row j of a (frames, n) ``y`` by row j.
-    Bins with magnitude below ``MIN_ZF_BIN`` raise :class:`EqualizationError`.
+    One tap is a flat response and divides ``y`` directly.  Bins with
+    magnitude below ``MIN_ZF_BIN`` raise :class:`EqualizationError`.
     """
     y = np.asarray(y, dtype=complex)
     if fft_len < y.shape[-1]:
         raise ValueError(f"fft_len {fft_len} shorter than frame {y.shape[-1]}")
-    hf = freq_response(taps, fft_len)
+    taps = np.asarray(taps, dtype=complex)
+    hf = taps if taps.shape[-1] == 1 else freq_response(taps, fft_len)
     if hf.ndim > 1 and (y.ndim != 2 or hf.shape[0] != y.shape[0]):
         raise ValueError(f"{hf.shape[0]} per-frame tap sets for frames of shape {y.shape}")
     check_zf_bins(hf)
+    if hf.shape[-1] == 1:
+        return y / hf
     yf = np.fft.fft(y, n=fft_len, axis=-1)
     out = np.fft.ifft(yf / hf, axis=-1)
     return out[..., : y.shape[-1]]

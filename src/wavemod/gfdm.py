@@ -1,14 +1,30 @@
-"""Circular GFDM matrix modem, the OQAM modem core and cyclic-prefix handling.
+"""The GFDM-family modem core: one FFT filter bank for four waveforms, and the cyclic prefix.
 
-The modem is kept at matrix level on purpose: the transmit matrix columns are
-circularly shifted, subcarrier-modulated copies of the prototype filter, and
-the receiver matrices (zero-forcing, matched filter, MMSE) are derived
-directly from the transmit matrix.
+Write a frame sample as n = r + qK (residue r, block q) and let
+D_m = K * IFFT_K(d_{., m} * phase) bring subsymbol m's subcarriers to the
+time domain.  Every transmitter of the family is then, for each residue r,
+a convolution over the subsymbol index with the prototype's polyphase rows
+P[s, r] = g[r + sK]:
 
-``oqam_modulate``/``oqam_demodulate`` are the one OQAM modem of the library:
-they serve any :class:`OqamMatrixSet`, whether circular (built here), linear
-(``linear.build_linear_matrices``) or linear cut to its support (FBMC,
-``fbmc.build_fbmc_matrices``).
+    x[r + qK] = sum_m P[q - m, r] * D_m[r].
+
+For Linear GFDM and FBMC-OQAM it is linear over the prototype's overlap + 1
+taps: the PPN/IFFT filter bank of Siohan, Siclet and Lacaille (IEEE TSP
+2002).  For circular GFDM and GFDM-OQAM the prototype wraps into the
+K*M-sample frame and it is circular over M: the Zak-domain view of Matthe,
+Mendes and Fettweis ("GFDM in a Gabor transform setting", IEEE Comm.
+Letters 2014).
+
+Plain GFDM runs in the Zak domain: the transmitter multiplies by
+Z = FFT_M(P) per (bin, residue), and the ZF, MF and MMSE receivers are
+per-bin weights.  The OQAM modems, whose quadrature branch is the same bank
+on a prototype delayed by K/2, apply the convolution as one small real
+matrix per residue (:func:`synthesis_band`) and its transpose as the
+matched filter; the band wraps in a circular frame and has room for the
+tail in a linear one, so one path serves all three.
+
+A matrix set is a small frozen description of a transmit matrix; the dense
+matrices it describes serve only as test oracles.
 """
 
 from dataclasses import dataclass
@@ -16,16 +32,26 @@ from functools import cached_property
 
 import numpy as np
 
+from .channel import MIN_ZF_BIN
 from .prototypes import PrototypeFilter
+
+# OQAM quarter-turn rotation j^k of subcarrier k, exact for every k.
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+_FRAME_BLOCK = 64  # frames per transform pass
 
 
 @dataclass(frozen=True)
 class GfdmMatrixSet:
-    """Transmit matrix ``a`` of a circular GFDM frame (K subcarriers, M subsymbols)."""
+    """Plain circular GFDM of K subcarriers and M subsymbols, symbol (k, m) at d[m*K + k].
+
+    ``zak`` is the (M, K) Zak transform of the prototype wrapped to K*M
+    samples: for each residue, the eigenvalues of the circular filter over
+    the subsymbols.
+    """
 
     subcarriers: int
     subsymbols: int
-    a: np.ndarray
+    zak: np.ndarray
 
     @property
     def frame_len(self) -> int:
@@ -34,132 +60,193 @@ class GfdmMatrixSet:
 
 @dataclass(frozen=True)
 class OqamMatrixSet:
-    """OQAM transmit matrix pair: real symbol parts ride on ``a_i``, imaginary on ``a_q``.
+    """OQAM transmit pair: real symbol parts ride on the I branch, imaginary on Q.
 
-    The matrices have ``frame_len`` rows and K*M columns, symbol (k, m) in
-    column m*K + k.  ``support_len`` is the index one past the last row that
-    can carry signal; later rows are structural zeros.
+    ``band`` holds the (K, blocks, 2M) per-residue synthesis matrices: column
+    (b, m) of residue r carries branch b's polyphase taps from block m on
+    (see :func:`synthesis_band`).  ``phase`` is the (2, K) per-subcarrier
+    rotation of each branch's real data, the Q branch's including its factor
+    j.  ``support_len`` is the index one past the last sample that can carry
+    signal; later samples of the ``frame_len``-sample frame are structural
+    zeros.
     """
 
     subcarriers: int
     subsymbols: int
-    a_i: np.ndarray
-    a_q: np.ndarray
+    band: np.ndarray
+    phase: np.ndarray
     support_len: int
-
-    @property
-    def frame_len(self) -> int:
-        return self.a_i.shape[0]
+    frame_len: int
 
     @property
     def n_symbols(self) -> int:
         return self.subcarriers * self.subsymbols
 
     @cached_property
-    def gains(self) -> tuple[np.ndarray, np.ndarray]:
-        """Column energies ``|a_i|^2``, ``|a_q|^2``: the matched filter's per-symbol gains."""
-        return np.sum(np.abs(self.a_i) ** 2, axis=0), np.sum(np.abs(self.a_q) ** 2, axis=0)
+    def gains(self) -> tuple[float, float]:
+        """Energy of every I and Q pulse: the matched filter's per-symbol gains."""
+        m = self.subsymbols
+        return float(np.sum(self.band[:, :, 0] ** 2)), float(np.sum(self.band[:, :, m] ** 2))
 
 
 @dataclass(frozen=True)
 class ReceiverMatrix:
-    b: np.ndarray
-    kind: str
-    bias: np.ndarray | None = None  # per-symbol gain, MMSE only
+    """Plain-GFDM receiver as (M, K) weights on the Zak transform of the frame."""
+
+    weights: np.ndarray
 
 
-def _wrap_prototype(p: PrototypeFilter, n: int) -> np.ndarray:
-    """Fold the prototype into length ``n`` by additive wrapping modulo n."""
-    g = np.zeros(n)
-    coeffs = p.coefficients
-    for start in range(0, len(coeffs), n):
-        chunk = coeffs[start:start + n]
-        g[: len(chunk)] += chunk
-    return g
+def polyphase(coeffs: np.ndarray, subcarriers: int, taps: int) -> np.ndarray:
+    """Rows P[s, r] = g[r + s*K] of ``coeffs`` folded into ``taps * K`` samples.
 
-
-def _column_block(g: np.ndarray, subcarriers: int, phase: bool) -> np.ndarray:
-    """Columns for one subsymbol shift: g modulated to every subcarrier.
-
-    ``phase`` adds the OQAM quarter-turn rotation per subcarrier, which makes
-    neighboring-subcarrier interference purely imaginary in the real decision
-    domain; without it the offset mapping loses its orthogonality.
+    Shorter coefficients are zero-filled; longer ones wrap additively, as a
+    circular frame of that length sees them.
     """
-    n = np.arange(len(g))
+    g = np.zeros(taps * subcarriers)
+    for start in range(0, len(coeffs), len(g)):
+        chunk = coeffs[start:start + len(g)]
+        g[: len(chunk)] += chunk
+    return g.reshape(taps, subcarriers)
+
+
+def oqam_phase(subcarriers: int, q_sign: bool) -> np.ndarray:
+    """(2, K) rotations j^k of the I data and j * j^k of the Q data; ``q_sign`` adds (-1)^k on Q."""
     k = np.arange(subcarriers)
-    cols = g[:, None] * np.exp(2j * np.pi * np.outer(n, k) / subcarriers)
-    if phase:
-        cols = cols * np.exp(1j * np.pi * k / 2)[None, :]
-    return cols
+    phase = _QUARTER_TURNS[k % 4]
+    sign = (-1.0) ** k if q_sign else 1.0
+    return np.stack([phase, 1j * sign * phase])
+
+
+def synthesis_band(rows: np.ndarray, subsymbols: int, blocks: int) -> np.ndarray:
+    """(K, blocks, B*M) per-residue synthesis matrices of B branches' polyphase rows.
+
+    Column (b, m) of residue r holds ``rows[b, :, r]`` from block m on,
+    wrapping modulo ``blocks``: a circular frame has exactly M blocks, and a
+    linear one has room for the taps' tail, so nothing wraps.
+    """
+    branches, taps, k = rows.shape
+    band = np.zeros((k, blocks, branches, subsymbols))
+    for s in range(taps):
+        for m in range(subsymbols):
+            band[:, (m + s) % blocks, :, m] = rows[:, s].T
+    return band.reshape(k, blocks, branches * subsymbols)
 
 
 def build_gfdm_matrix(p: PrototypeFilter, subcarriers: int, subsymbols: int) -> GfdmMatrixSet:
-    """Dense N x N transmit matrix, N = K*M, column order k fastest then m."""
-    n = subcarriers * subsymbols
-    if n == 0:
+    """Plain circular GFDM of N = K*M samples, column order k fastest then m."""
+    if subcarriers * subsymbols == 0:
         raise ValueError("subcarriers * subsymbols must be positive")
-    g = _wrap_prototype(p, n)
-    a = np.empty((n, n), dtype=complex)
-    for m in range(subsymbols):
-        a[:, m * subcarriers:(m + 1) * subcarriers] = _column_block(
-            np.roll(g, m * subcarriers), subcarriers, phase=False
-        )
-    return GfdmMatrixSet(subcarriers=subcarriers, subsymbols=subsymbols, a=a)
+    zak = np.fft.fft(polyphase(p.coefficients, subcarriers, subsymbols), axis=0)
+    return GfdmMatrixSet(subcarriers, subsymbols, zak)
 
 
 def build_oqam_matrices(p: PrototypeFilter, subcarriers: int, subsymbols: int) -> OqamMatrixSet:
-    """Circular OQAM matrix pair; the quadrature columns are rolled by K/2 samples."""
+    """Circular OQAM pair; the quadrature pulses are the in-phase ones rolled by K/2 samples."""
     if subcarriers % 2 != 0:
         raise ValueError(f"subcarriers must be even for OQAM, got {subcarriers}")
     n = subcarriers * subsymbols
-    g = _wrap_prototype(p, n)
-    a_i = np.empty((n, n), dtype=complex)
-    for m in range(subsymbols):
-        a_i[:, m * subcarriers:(m + 1) * subcarriers] = _column_block(
-            np.roll(g, m * subcarriers), subcarriers, phase=True
-        )
-    a_q = np.roll(a_i, subcarriers // 2, axis=0)
-    return OqamMatrixSet(subcarriers, subsymbols, a_i, a_q, support_len=n)
+    g = polyphase(p.coefficients, subcarriers, subsymbols).ravel()
+    rows = np.stack([g, np.roll(g, subcarriers // 2)]).reshape(2, subsymbols, subcarriers)
+    band = synthesis_band(rows, subsymbols, subsymbols)
+    # The rolled pulse keeps the carrier phase of the unrolled one: (-1)^k on Q.
+    return OqamMatrixSet(subcarriers, subsymbols, band, oqam_phase(subcarriers, True), n, n)
+
+
+def _framewise(a: np.ndarray, n_out: int, apply) -> np.ndarray:
+    """Run ``apply`` over (n,) or (n, frames) ``a`` in blocks of frames.
+
+    ``apply`` maps a (frames, n) block to (frames, n_out).  Blocks of
+    ``_FRAME_BLOCK`` frames keep every temporary near a megabyte whatever the
+    chunk size; the result is stored frames-first and returned as a
+    transposed (n_out, frames) view, or (n_out,) for one frame.
+    """
+    rows = a.reshape(a.shape[0], -1).T
+    out = np.empty((len(rows), n_out), dtype=complex)
+    for start in range(0, len(rows), _FRAME_BLOCK):
+        out[start:start + _FRAME_BLOCK] = apply(rows[start:start + _FRAME_BLOCK])
+    return out.T if a.ndim > 1 else out[0]
+
+
+def _blocks(rows: np.ndarray, blocks: int, subcarriers: int) -> np.ndarray:
+    """(frames, n) samples -> (frames, blocks, K), zero-filled past the n samples."""
+    out = np.zeros((len(rows), blocks * subcarriers), dtype=complex)
+    out[:, : rows.shape[1]] = rows
+    return out.reshape(len(rows), blocks, subcarriers)
+
+
+def _circular(weights: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Circular filter over the subsymbol axis (-2), given per-bin weights."""
+    return np.fft.ifft(weights * np.fft.fft(blocks, axis=-2), axis=-2)
 
 
 def gfdm_modulate(mats: GfdmMatrixSet, d) -> np.ndarray:
+    """Frame of K*M samples per column of ``d`` (K*M symbols)."""
     d = np.asarray(d, dtype=complex)
     if d.shape[0] != mats.frame_len:
         raise ValueError(f"expected {mats.frame_len} symbols, got {d.shape[0]}")
-    return mats.a @ d
+    k, m = mats.subcarriers, mats.subsymbols
+
+    def synthesize(sym):
+        spread = np.fft.ifft(sym.reshape(len(sym), m, k), axis=-1, norm="forward")
+        return _circular(mats.zak, spread).reshape(len(sym), -1)
+
+    return _framewise(d, mats.frame_len, synthesize)
 
 
 def build_receiver(mats: GfdmMatrixSet, kind: str, noise_var: float = 0.0) -> ReceiverMatrix:
-    """ZF, MF or MMSE receiver matrix for the plain GFDM modem.
+    """ZF, MF or MMSE receiver for the plain GFDM modem, as Zak-domain weights.
 
-    All three act on a ZF-equalized frame.  The MMSE matrix weighs the
-    transmit matrix against ``noise_var``; its multiplicative bias is removed
-    at demodulation using the stored per-symbol gain.
+    All three act on a ZF-equalized frame.  For the transmit matrix A with
+    Zak transform Z, ZF is A^-1 (weights 1/(K Z)), MF is A^H (conj Z) and
+    MMSE is (noise_var I + A^H A)^-1 A^H (conj Z / (noise_var + K |Z|^2)).
+    The MMSE estimate's multiplicative bias is the same for every symbol,
+    mean(K |Z|^2 / (noise_var + K |Z|^2)), and is divided out here.  ZF
+    raises ``np.linalg.LinAlgError`` when a Zak bin falls below
+    ``MIN_ZF_BIN`` relative to the largest: the matrix is then singular.
     """
-    a = mats.a
+    z, k = mats.zak, mats.subcarriers
     kind = kind.upper()
     if kind == "ZF":
-        return ReceiverMatrix(b=np.linalg.inv(a), kind="ZF")
+        mags = np.abs(z)
+        worst = np.unravel_index(int(np.argmin(mags)), mags.shape)
+        if mags[worst] < MIN_ZF_BIN * mags.max():
+            raise np.linalg.LinAlgError(
+                f"singular GFDM matrix: Zak bin (subsymbol bin {worst[0]}, residue "
+                f"{worst[1]}) is {mags[worst] / mags.max():.1e} of the largest"
+            )
+        return ReceiverMatrix(1.0 / (k * z))
     if kind == "MF":
-        return ReceiverMatrix(b=a.conj().T, kind="MF")
+        return ReceiverMatrix(z.conj())
     if kind == "MMSE":
         if noise_var is None or noise_var < 0:
             raise ValueError("MMSE requires noise_var >= 0")
-        n = mats.frame_len
-        b = np.linalg.solve(noise_var * np.eye(n, dtype=complex) + a.conj().T @ a, a.conj().T)
-        bias = np.diag(b @ a).copy()
-        return ReceiverMatrix(b=b, kind="MMSE", bias=bias)
+        power = k * np.abs(z) ** 2
+        bias = np.mean(power / (noise_var + power))
+        return ReceiverMatrix(z.conj() / ((noise_var + power) * bias))
     raise ValueError(f"unknown receiver kind {kind!r}")
 
 
 def gfdm_demodulate(rx: ReceiverMatrix, y) -> np.ndarray:
     y = np.asarray(y, dtype=complex)
-    if y.shape[0] != rx.b.shape[1]:
-        raise ValueError(f"expected {rx.b.shape[1]} samples, got {y.shape[0]}")
-    d_hat = rx.b @ y
-    if rx.kind == "MMSE":
-        d_hat = d_hat / rx.bias
-    return d_hat
+    m, k = rx.weights.shape
+    if y.shape[0] != m * k:
+        raise ValueError(f"expected {m * k} samples, got {y.shape[0]}")
+
+    def analyze(rows):
+        blocks = _circular(rx.weights, rows.reshape(len(rows), m, k))
+        return np.fft.fft(blocks, axis=-1).reshape(len(rows), -1)
+
+    return _framewise(y, m * k, analyze)
+
+
+def _per_residue(band: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Apply real (K, rows, cols) per-residue matrices to (frames, cols, K) blocks.
+
+    Returns (frames, rows, K).  The complex blocks enter the real product as
+    interleaved (re, im) pairs, so it runs as one batched real GEMM.
+    """
+    cols = np.ascontiguousarray(blocks.transpose(2, 1, 0))
+    return (band @ cols.view(np.float64)).view(complex).transpose(2, 1, 0)
 
 
 def oqam_modulate(mats: OqamMatrixSet, d) -> np.ndarray:
@@ -167,26 +254,44 @@ def oqam_modulate(mats: OqamMatrixSet, d) -> np.ndarray:
     d = np.asarray(d, dtype=complex)
     if d.shape[0] != mats.n_symbols:
         raise ValueError(f"expected {mats.n_symbols} symbols, got {d.shape[0]}")
-    return mats.a_i @ d.real + 1j * (mats.a_q @ d.imag)
+    k, m = mats.subcarriers, mats.subsymbols
+    phase = np.tile(mats.phase, m)
+
+    def synthesize(sym):
+        parts = np.empty((len(sym), 2, k * m), dtype=complex)
+        np.multiply(sym.real, phase[0], out=parts[:, 0])
+        np.multiply(sym.imag, phase[1], out=parts[:, 1])
+        spread = parts.reshape(len(sym), 2 * m, k)
+        np.fft.ifft(spread, axis=-1, norm="forward", out=spread)
+        return _per_residue(mats.band, spread).reshape(len(sym), -1)[:, :mats.frame_len]
+
+    return _framewise(d, mats.frame_len, synthesize)
 
 
 def oqam_demodulate(mats: OqamMatrixSet, y_eq) -> np.ndarray:
     """Matched-filter OQAM demodulation of an equalized frame, gain-normalized per symbol.
 
-    ``A^H y = conj(A^T conj(y))``: the transposed views of the matrices carry
-    the matched filter, so no conjugate copy of them is made.
+    The adjoint of :func:`oqam_modulate`: the transposed band correlates the
+    frame with every pulse, an FFT returns to the subcarriers, and each
+    branch keeps the real part of its de-rotated output.
     """
     y_eq = np.asarray(y_eq, dtype=complex)
     if y_eq.shape[0] != mats.frame_len:
         raise ValueError(f"expected {mats.frame_len} samples, got {y_eq.shape[0]}")
+    k, m = mats.subcarriers, mats.subsymbols
+    derotate = mats.phase.conj()[:, None, :]
     gain_i, gain_q = mats.gains
-    if y_eq.ndim > 1:
-        gain_i = gain_i[:, None]
-        gain_q = gain_q[:, None]
-    y_conj = y_eq.conj()
-    re = (mats.a_i.T @ y_conj).real / gain_i
-    im = -(mats.a_q.T @ y_conj).imag / gain_q
-    return re + 1j * im
+
+    def analyze(rows):
+        corr = _per_residue(mats.band.transpose(0, 2, 1), _blocks(rows, mats.band.shape[1], k))
+        spec = np.fft.fft(corr.reshape(len(rows), 2, m, k), axis=-1)
+        spec *= derotate
+        d_hat = np.empty((len(rows), m * k), dtype=complex)
+        np.divide(spec[:, 0].real.reshape(len(rows), -1), gain_i, out=d_hat.real)
+        np.divide(spec[:, 1].real.reshape(len(rows), -1), gain_q, out=d_hat.imag)
+        return d_hat
+
+    return _framewise(y_eq, mats.n_symbols, analyze)
 
 
 def add_cp(x, n_cp: int) -> np.ndarray:

@@ -9,7 +9,10 @@ the error count once (``ber_errors``); on TVFS the per-frame taps travel as
 one (frames, n_taps) array.  The channel is one linear convolution,
 ``_convolve_rows``, for every waveform; a CP waveform sees it as circular
 on its frame core when the cyclic prefix covers the channel's memory of
-n_taps - 1 samples.
+n_taps - 1 samples, which ``ScenarioConfig.validate`` requires.  The four
+GFDM-family waveforms share one adapter over the FFT modem core of
+``gfdm``; the waveform table picks each one's matrix-set builder and frame
+kind (circular with a cyclic prefix, or prefix-free).
 """
 
 import os
@@ -41,6 +44,8 @@ METRICS = ("ber", "psd", "papr")
 
 _CHUNK = 64
 _WELCH_SEGMENT = 2048  # samples per Welch segment; the PSD stream needs one at least
+# Samples of channel memory (n_taps - 1) that a cyclic prefix must cover.
+_CHANNEL_MEMORY = {"awgn": 0, "tifs": len(chan.TIFS_TAPS) - 1, "tvfs": len(chan.TVFS_GAINS) - 1}
 
 
 class ConfigError(ValueError):
@@ -94,6 +99,11 @@ class ScenarioConfig:
             raise ConfigError(f"subsymbols: must be >= 1, got {wp.subsymbols}")
         if wp.receiver not in ("zf", "mf", "mmse"):
             raise ConfigError(f"receiver: {wp.receiver!r} not in ('zf', 'mf', 'mmse')")
+        if self.waveform == "gfdm" and wp.receiver == "mmse" and self.channel != "awgn":
+            raise ConfigError(
+                f"receiver: mmse weighs white noise of the AWGN variance, but after zero "
+                f"forcing on {self.channel} the noise is colored; use zf or mf"
+            )
         if wp.prototype not in (None, "phydyas", "rect"):
             raise ConfigError(f"prototype: {wp.prototype!r} not in (None, 'phydyas', 'rect')")
         if wp.overlap not in PHYDYAS_OVERLAPS:
@@ -110,8 +120,12 @@ class ScenarioConfig:
                     f"subcarriers: must be even for {self.waveform} with the {proto} "
                     f"prototype, got {wp.subcarriers}"
                 )
-        if cp_max is not None and not 0 <= wp.cp_len <= cp_max:
-            raise ConfigError(f"cp_len: must be in [0, {cp_max}], got {wp.cp_len}")
+        cp_min = _CHANNEL_MEMORY[self.channel]
+        if cp_max is not None and not cp_min <= wp.cp_len <= cp_max:
+            raise ConfigError(
+                f"cp_len: must be in [{cp_min}, {cp_max}] (the {self.channel} channel has "
+                f"{cp_min} samples of memory), got {wp.cp_len}"
+            )
         if wp.active is not None and not (
             len(wp.active) and 0 <= min(wp.active) and max(wp.active) < n_bins
         ):
@@ -170,7 +184,7 @@ class _OfdmAdapter:
 
 
 class _MatrixAdapter:
-    """The GFDM family over explicit transmit matrices, plain or OQAM.
+    """The GFDM family over one matrix set, plain or OQAM.
 
     A circular frame (``circular=True``) carries a ``cp_len`` cyclic prefix
     and is ZF-equalized over its K*M core.  A prefix-free frame is
@@ -197,9 +211,15 @@ class _MatrixAdapter:
         else:
             key = ("mmse", round(float(noise_var), 15))
         if key not in self._rx_cache:
-            self._rx_cache[key] = gfdm_mod.build_receiver(
-                self.mats, self.receiver_kind, noise_var=noise_var
-            )
+            try:
+                self._rx_cache[key] = gfdm_mod.build_receiver(
+                    self.mats, self.receiver_kind, noise_var=noise_var
+                )
+            except np.linalg.LinAlgError as exc:
+                raise ConfigError(
+                    f"subsymbols/prototype: {exc}; zero forcing cannot invert it, so choose "
+                    f"other subsymbols or prototype, or the mf or mmse receiver"
+                ) from None
         return self._rx_cache[key]
 
     def transmit(self, d):
@@ -307,8 +327,11 @@ def _transmit_chunk(config: ScenarioConfig, adapter, scenario_id, start, count, 
 def _convolve_rows(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Row-wise linear convolution via FFT; output has the full length.
 
-    ``taps`` is one (n_taps,) vector for every row or (rows, n_taps).
+    ``taps`` is one (n_taps,) vector for every row or (rows, n_taps).  One
+    tap scales the rows instead.
     """
+    if taps.shape[-1] == 1:
+        return x * taps
     out_len = x.shape[1] + taps.shape[-1] - 1
     fft_len = _next_pow2(out_len)
     hf = chan.freq_response(taps, fft_len)

@@ -1,21 +1,19 @@
 import numpy as np
 
-from wavemod import add_cp, burst_length, synthesis_pulse
+from wavemod import add_cp, oqam_modulate
 from wavemod.sim import _convolve_rows
 
 acceptance_verdicts: list[str] = []
 
 
-def fbmc_burst(p, k, ms, d):
-    """FBMC-OQAM burst from its definition: the double sum of synthesis pulses."""
-    nb = burst_length(p, k, ms)
-    x = np.zeros(nb, dtype=complex)
-    for m in range(ms):
-        for kk in range(k):
-            s = d[m * k + kk]
-            x += s.real * synthesis_pulse(kk, m, "I", p, k, nb)
-            x += 1j * s.imag * synthesis_pulse(kk, m, "Q", p, k, nb)
-    return x
+def oqam_columns(mats):
+    """The core's OQAM pair (A_i, A_q) as dense matrices, one unit symbol per column.
+
+    A unit real symbol emits its A_i column and a unit imaginary one j times
+    its A_q column.
+    """
+    eye = np.eye(mats.n_symbols)
+    return oqam_modulate(mats, eye), -1j * oqam_modulate(mats, 1j * eye)
 
 
 def cp_channel(x, taps, n_cp):

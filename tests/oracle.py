@@ -1,0 +1,160 @@
+"""Dense-matrix oracles for the FFT modem core.
+
+Each builder constructs, column by column from its definition, the transmit
+or receive matrix that a ``wavemod`` matrix set describes; the tests compare
+the core's outputs against products with these matrices.  They are slow and
+large (N x N and bigger) on purpose: nothing here shares code with the core.
+"""
+
+import numpy as np
+
+
+def _wrap_prototype(p, n: int) -> np.ndarray:
+    """Fold the prototype into length ``n`` by additive wrapping modulo n."""
+    g = np.zeros(n)
+    coeffs = p.coefficients
+    for start in range(0, len(coeffs), n):
+        chunk = coeffs[start:start + n]
+        g[: len(chunk)] += chunk
+    return g
+
+
+def _column_block(g: np.ndarray, subcarriers: int, phase: bool) -> np.ndarray:
+    """Columns for one subsymbol shift: g modulated to every subcarrier.
+
+    ``phase`` adds the OQAM quarter-turn rotation per subcarrier.
+    """
+    n = np.arange(len(g))
+    k = np.arange(subcarriers)
+    cols = g[:, None] * np.exp(2j * np.pi * np.outer(n, k) / subcarriers)
+    if phase:
+        cols = cols * np.exp(1j * np.pi * k / 2)[None, :]
+    return cols
+
+
+def build_gfdm_matrix(p, subcarriers: int, subsymbols: int) -> np.ndarray:
+    """Dense N x N plain GFDM transmit matrix, N = K*M, column order k fastest then m."""
+    n = subcarriers * subsymbols
+    g = _wrap_prototype(p, n)
+    a = np.empty((n, n), dtype=complex)
+    for m in range(subsymbols):
+        a[:, m * subcarriers:(m + 1) * subcarriers] = _column_block(
+            np.roll(g, m * subcarriers), subcarriers, phase=False
+        )
+    return a
+
+
+def build_oqam_matrices(p, subcarriers: int, subsymbols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense circular OQAM pair (A_i, A_q); the quadrature rows are rolled by K/2."""
+    n = subcarriers * subsymbols
+    g = _wrap_prototype(p, n)
+    a_i = np.empty((n, n), dtype=complex)
+    for m in range(subsymbols):
+        a_i[:, m * subcarriers:(m + 1) * subcarriers] = _column_block(
+            np.roll(g, m * subcarriers), subcarriers, phase=True
+        )
+    return a_i, np.roll(a_i, subcarriers // 2, axis=0)
+
+
+def build_linear_matrices(p, subcarriers: int, subsymbols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense wrap-free OQAM pair over ``len(p) + pad`` rows.
+
+    In-phase columns place the prototype at offset m*K, quadrature columns
+    at m*K + K/2, both modulated over the absolute sample index.  The FBMC
+    pair is the first ``burst_length`` rows.
+    """
+    lp = p.length
+    n_ext = lp + subcarriers * subsymbols - subcarriers // 2 + 1
+    n = np.arange(n_ext)
+    n_sym = subcarriers * subsymbols
+    a_i = np.zeros((n_ext, n_sym), dtype=complex)
+    a_q = np.zeros((n_ext, n_sym), dtype=complex)
+    carriers = np.exp(2j * np.pi * np.outer(n, np.arange(subcarriers)) / subcarriers)
+    carriers = carriers * np.exp(1j * np.pi * np.arange(subcarriers) / 2)[None, :]
+    for m in range(subsymbols):
+        for a, off in ((a_i, m * subcarriers), (a_q, m * subcarriers + subcarriers // 2)):
+            pulse = np.zeros(n_ext)
+            pulse[off:off + lp] = p.coefficients
+            a[:, m * subcarriers:(m + 1) * subcarriers] = pulse[:, None] * carriers
+    return a_i, a_q
+
+
+def build_receiver(a: np.ndarray, kind: str, noise_var: float = 0.0) -> np.ndarray:
+    """Dense ZF, MF or MMSE receiver matrix for the transmit matrix ``a``.
+
+    The MMSE rows are divided by their multiplicative bias diag(B A), so
+    every receiver maps a noiseless frame to an unbiased estimate.
+    """
+    kind = kind.upper()
+    if kind == "ZF":
+        return np.linalg.inv(a)
+    if kind == "MF":
+        return a.conj().T
+    if kind == "MMSE":
+        n = a.shape[1]
+        b = np.linalg.solve(noise_var * np.eye(n, dtype=complex) + a.conj().T @ a, a.conj().T)
+        return b / np.diag(b @ a)[:, None]
+    raise ValueError(f"unknown receiver kind {kind!r}")
+
+
+def circulant_matrix(taps, n: int) -> np.ndarray:
+    """N x N circulant matrix whose first column is the zero-padded taps."""
+    taps = np.asarray(taps, dtype=complex)
+    if len(taps) > n:
+        raise ValueError(f"{len(taps)} taps do not fit a {n}x{n} circulant")
+    first = np.zeros(n, dtype=complex)
+    first[: len(taps)] = taps
+    h = np.empty((n, n), dtype=complex)
+    for j in range(n):
+        h[:, j] = np.roll(first, j)
+    return h
+
+
+def synthesis_pulse(k: int, m: int, part: str, p, subcarriers: int, length: int | None = None):
+    """Shifted, subcarrier-modulated, quarter-turn-rotated FBMC prototype pulse.
+
+    ``part`` selects the in-phase ("I") or quadrature ("Q") pulse; the latter
+    is the prototype delayed by an extra K/2 samples.  The modulating
+    exponential runs over the absolute sample index.
+    """
+    if not 0 <= k < subcarriers:
+        raise ValueError(f"subcarrier index {k} out of range [0, {subcarriers})")
+    if part not in ("I", "Q"):
+        raise ValueError(f"part must be 'I' or 'Q', got {part!r}")
+    offset = m * subcarriers + (subcarriers // 2 if part == "Q" else 0)
+    if length is None:
+        length = offset + p.length
+    pulse = np.zeros(length, dtype=complex)
+    stop = min(length, offset + p.length)
+    pulse[offset:stop] = p.coefficients[: stop - offset]
+    n = np.arange(length)
+    pulse *= np.exp(2j * np.pi * k * n / subcarriers) * np.exp(1j * np.pi * k / 2)
+    return pulse
+
+
+def burst_length(p, subcarriers: int, m_symbols: int) -> int:
+    return p.length + (2 * m_symbols - 1) * subcarriers // 2
+
+
+def pulse_bank(p, k: int, ms: int) -> tuple[np.ndarray, np.ndarray]:
+    """FBMC synthesis bank (G_i, G_q): one ``synthesis_pulse`` per column."""
+    length = burst_length(p, k, ms)
+    gi = np.empty((length, k * ms), dtype=complex)
+    gq = np.empty((length, k * ms), dtype=complex)
+    for m in range(ms):
+        for kk in range(k):
+            gi[:, m * k + kk] = synthesis_pulse(kk, m, "I", p, k, length)
+            gq[:, m * k + kk] = synthesis_pulse(kk, m, "Q", p, k, length)
+    return gi, gq
+
+
+def fbmc_burst(p, k: int, ms: int, d) -> np.ndarray:
+    """FBMC-OQAM burst from its definition: the double sum of synthesis pulses."""
+    nb = burst_length(p, k, ms)
+    x = np.zeros(nb, dtype=complex)
+    for m in range(ms):
+        for kk in range(k):
+            s = d[m * k + kk]
+            x += s.real * synthesis_pulse(kk, m, "I", p, k, nb)
+            x += 1j * s.imag * synthesis_pulse(kk, m, "Q", p, k, nb)
+    return x

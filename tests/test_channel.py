@@ -3,12 +3,12 @@ import pytest
 from conftest import cp_channel
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import circulant_matrix
 
 from wavemod import (
     EqualizationError,
     TIFS_TAPS,
     build_linear_matrices,
-    circulant_matrix,
     complex_awgn,
     draw_tvfs,
     fd_zf_equalize,
@@ -167,6 +167,37 @@ class TestFdZfEqualize:
             fd_zf_equalize(y, [1.0, -1.0], 16)  # response has a null at DC
         assert ei.value.bin_index == 0
         assert "bin 0" in str(ei.value)
+
+    def test_zero_flat_tap_raises(self):
+        with pytest.raises(EqualizationError, match="bin 0"):
+            fd_zf_equalize(np.ones((2, 16), dtype=complex), np.array([[1.0], [0.0]]), 16)
+
+
+class TestFlatChannel:
+    """One tap scales the frames; with a zero tap appended the same channel takes the FFT path."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        frames=st.integers(1, 8),
+        n=st.integers(1, 40),
+        pad=st.integers(0, 24),
+        per_frame=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_tap_matches_fft_path(self, frames, n, pad, per_frame, seed):
+        rng = np.random.default_rng(seed)
+        taps = rng.uniform(0.5, 2.0, (frames, 1)) * np.exp(2j * np.pi * rng.uniform(size=(frames, 1)))
+        if not per_frame:
+            taps = taps[0]
+        fft_taps = np.concatenate([taps, np.zeros_like(taps)], axis=-1)
+        x = rng.standard_normal((frames, n)) + 1j * rng.standard_normal((frames, n))
+        flat, fft = _convolve_rows(x, taps), _convolve_rows(x, fft_taps)
+        np.testing.assert_allclose(flat, fft[:, :n], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fft[:, n], 0.0, rtol=0, atol=1e-12)
+        fft_len = max(n, 2) + pad
+        np.testing.assert_allclose(
+            fd_zf_equalize(x, taps, fft_len), fd_zf_equalize(x, fft_taps, fft_len), rtol=0, atol=1e-12
+        )
 
 
 def _dominant_first_taps(rng, frames, n_taps):

@@ -1,8 +1,10 @@
-import conftest
 import numpy as np
+import oracle
 import pytest
+from conftest import oqam_columns
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import pulse_bank, synthesis_pulse
 
 from wavemod import (
     build_fbmc_matrices,
@@ -12,20 +14,7 @@ from wavemod import (
     oqam_modulate,
     phydyas,
     qam_map,
-    synthesis_pulse,
 )
-
-
-def _pulse_bank(p, k, ms):
-    """Brute-force synthesis bank: one synthesis_pulse per column."""
-    length = burst_length(p, k, ms)
-    gi = np.empty((length, k * ms), dtype=complex)
-    gq = np.empty((length, k * ms), dtype=complex)
-    for m in range(ms):
-        for kk in range(k):
-            gi[:, m * k + kk] = synthesis_pulse(kk, m, "I", p, k, length)
-            gq[:, m * k + kk] = synthesis_pulse(kk, m, "Q", p, k, length)
-    return gi, gq
 
 
 class TestSynthesisPulse:
@@ -81,7 +70,7 @@ class TestFbmcModulate:
         rng = np.random.default_rng(0)
         d = qam_map(rng.integers(0, 2, 4 * k * ms), 16)
         x = oqam_modulate(mats, d)
-        brute = conftest.fbmc_burst(p, k, ms, d)
+        brute = oracle.fbmc_burst(p, k, ms, d)
         np.testing.assert_allclose(x, brute, atol=1e-12)
 
 
@@ -123,8 +112,9 @@ class TestStructuralProperties:
         d = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         y = rng.standard_normal(mats.frame_len) + 1j * rng.standard_normal(mats.frame_len)
         lhs = np.vdot(y, oqam_modulate(mats, d))
-        u = mats.a_i.conj().T @ y
-        v = mats.a_q.conj().T @ y
+        gi, gq = pulse_bank(phydyas(8, 4), 8, 2)
+        u = gi.conj().T @ y
+        v = gq.conj().T @ y
         rhs = np.sum(np.conj(u) * d.real) + 1j * np.sum(np.conj(v) * d.imag)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
@@ -144,21 +134,33 @@ class TestStructuralProperties:
     def test_pulse_bank_matches_linear_matrices(self):
         k, m = 16, 2
         p = phydyas(k, 4)
-        gi, gq = _pulse_bank(p, k, m)
-        mats = build_linear_matrices(p, k, m)
+        gi, gq = pulse_bank(p, k, m)
+        a_i, a_q = oqam_columns(build_linear_matrices(p, k, m))
         nb = gi.shape[0]
-        assert np.abs(gi - mats.a_i[:nb]).max() <= 1e-12
-        assert np.abs(gq - mats.a_q[:nb]).max() <= 1e-12
-        assert not mats.a_i[nb:].any()
+        assert np.abs(gi - a_i[:nb]).max() <= 1e-12
+        assert np.abs(gq - a_q[:nb]).max() <= 1e-12
+        assert not a_i[nb:].any()
+        # ... and the dense oracle pair has the same columns.
+        dense_i, dense_q = oracle.build_linear_matrices(p, k, m)
+        assert np.abs(gi - dense_i[:nb]).max() <= 1e-12
+        assert np.abs(gq - dense_q[:nb]).max() <= 1e-12
 
     def test_cut_is_a_view_of_the_linear_pair(self):
-        mats = build_fbmc_matrices(phydyas(16, 4), 16, 2)
-        assert mats.frame_len == mats.support_len == burst_length(phydyas(16, 4), 16, 2)
-        assert mats.a_i.base is not None and mats.a_q.base is not None
+        # The FBMC set is the linear one with its frame cut to the support:
+        # same rows, and a burst that is the linear frame's first samples.
+        p = phydyas(16, 4)
+        mats = build_fbmc_matrices(p, 16, 2)
+        lin = build_linear_matrices(p, 16, 2)
+        assert mats.frame_len == mats.support_len == lin.support_len == burst_length(p, 16, 2)
+        np.testing.assert_array_equal(mats.band, lin.band)
+        d = np.random.default_rng(3).standard_normal(32) * (1 + 1j)
+        np.testing.assert_array_equal(
+            oqam_modulate(mats, d), oqam_modulate(lin, d)[: mats.frame_len]
+        )
 
 
 class TestOqamCoreAgainstPulseOracle:
-    """The one OQAM modem core on the FBMC cut, against the pulse-by-pulse bank."""
+    """The FFT modem core on the FBMC cut, against the pulse-by-pulse bank."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -169,16 +171,17 @@ class TestOqamCoreAgainstPulseOracle:
     )
     def test_cut_matrices_and_modem_match_oracle(self, k, ms, overlap, seed):
         p = phydyas(k, overlap)
-        gi, gq = _pulse_bank(p, k, ms)
+        gi, gq = pulse_bank(p, k, ms)
         mats = build_fbmc_matrices(p, k, ms)
-        assert mats.a_i.shape == gi.shape
-        assert np.abs(mats.a_i - gi).max() <= 1e-12
-        assert np.abs(mats.a_q - gq).max() <= 1e-12
+        a_i, a_q = oqam_columns(mats)
+        assert a_i.shape == gi.shape
+        assert np.abs(a_i - gi).max() <= 1e-12
+        assert np.abs(a_q - gq).max() <= 1e-12
 
         rng = np.random.default_rng(seed)
         d = rng.standard_normal(k * ms) + 1j * rng.standard_normal(k * ms)
         x = oqam_modulate(mats, d)
-        assert np.abs(x - conftest.fbmc_burst(p, k, ms, d)).max() <= 1e-10
+        assert np.abs(x - oracle.fbmc_burst(p, k, ms, d)).max() <= 1e-10
 
         # Adjoint: Re<y, modulate(d)> = <d, demodulate(y)> in the real pairing
         # of the I and Q decision domains, once the per-symbol gains that

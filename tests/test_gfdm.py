@@ -1,6 +1,7 @@
 import numpy as np
+import oracle
 import pytest
-from conftest import cp_channel
+from conftest import cp_channel, oqam_columns
 
 from wavemod import (
     TIFS_TAPS,
@@ -8,7 +9,6 @@ from wavemod import (
     build_gfdm_matrix,
     build_oqam_matrices,
     build_receiver,
-    circulant_matrix,
     complex_awgn,
     gfdm_demodulate,
     gfdm_modulate,
@@ -26,25 +26,35 @@ def _random_symbols(rng, n):
     return qam_map(rng.integers(0, 2, 4 * n), 16)
 
 
+def _matrix(mats):
+    """The core's plain GFDM transmit matrix: the frames of the unit symbols."""
+    return gfdm_modulate(mats, np.eye(mats.frame_len))
+
+
+def _receiver_matrix(rx):
+    """The core's receiver as a matrix: its estimates for the unit sample frames."""
+    return gfdm_demodulate(rx, np.eye(rx.weights.size))
+
+
 class TestBuildGfdmMatrix:
     def test_scalar_case(self):
         mats = build_gfdm_matrix(rectangular(1), 1, 1)
-        np.testing.assert_allclose(mats.a, [[1.0]])
+        np.testing.assert_allclose(_matrix(mats), [[1.0]])
 
     def test_rect_single_subsymbol_is_idft(self):
-        mats = build_gfdm_matrix(rectangular(4), 4, 1)
+        a = _matrix(build_gfdm_matrix(rectangular(4), 4, 1))
         n = np.arange(4)
         idft = np.exp(2j * np.pi * np.outer(n, n) / 4) / 2.0
-        np.testing.assert_allclose(mats.a, idft, atol=1e-12)
-        np.testing.assert_allclose(mats.a.conj().T @ mats.a, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(a, idft, atol=1e-12)
+        np.testing.assert_allclose(a.conj().T @ a, np.eye(4), atol=1e-12)
 
     def test_table_profile_shape(self):
         mats = build_gfdm_matrix(phydyas(128, 4), 128, 4)
-        assert mats.a.shape == (512, 512)
+        assert mats.zak.shape == (4, 128)
+        assert _matrix(mats).shape == (512, 512)
 
     def test_equal_column_energy(self):
-        mats = build_gfdm_matrix(phydyas(16, 4), 16, 4)
-        energy = np.sum(np.abs(mats.a) ** 2, axis=0)
+        energy = np.sum(np.abs(_matrix(build_gfdm_matrix(phydyas(16, 4), 16, 4))) ** 2, axis=0)
         np.testing.assert_allclose(energy, energy[0], rtol=1e-10)
 
     def test_column_structure(self):
@@ -52,7 +62,7 @@ class TestBuildGfdmMatrix:
         # modulated to subcarrier k.
         k, m = 8, 2
         p = rectangular(k)
-        mats = build_gfdm_matrix(p, k, m)
+        a = _matrix(build_gfdm_matrix(p, k, m))
         n_tot = k * m
         g = np.zeros(n_tot)
         g[:k] = p.coefficients
@@ -60,7 +70,7 @@ class TestBuildGfdmMatrix:
         for mm in range(m):
             for kk in range(k):
                 want = np.roll(g, mm * k) * np.exp(2j * np.pi * kk * n / k)
-                np.testing.assert_allclose(mats.a[:, mm * k + kk], want, atol=1e-12)
+                np.testing.assert_allclose(a[:, mm * k + kk], want, atol=1e-12)
 
 
 class TestGfdmModulate:
@@ -68,7 +78,8 @@ class TestGfdmModulate:
         mats = build_gfdm_matrix(rectangular(8), 8, 2)
         d = np.zeros(16, dtype=complex)
         d[0] = 1.0
-        np.testing.assert_allclose(gfdm_modulate(mats, d), mats.a[:, 0])
+        want = oracle.build_gfdm_matrix(rectangular(8), 8, 2)[:, 0]
+        np.testing.assert_allclose(gfdm_modulate(mats, d), want, rtol=0, atol=1e-15)
 
     def test_zero_input(self):
         mats = build_gfdm_matrix(rectangular(8), 8, 2)
@@ -106,21 +117,23 @@ class TestGfdmModulate:
 
 class TestReceivers:
     def test_zf_inverse(self):
+        # The core's ZF applied to the columns of the dense oracle matrix.
         mats = build_gfdm_matrix(rectangular(8), 8, 2)
         rx = build_receiver(mats, "zf")
-        err = np.abs(rx.b @ mats.a - np.eye(16))
+        err = np.abs(gfdm_demodulate(rx, oracle.build_gfdm_matrix(rectangular(8), 8, 2)) - np.eye(16))
         assert err.max() <= 1e-9
 
     def test_mf_is_hermitian_transpose(self):
         mats = build_gfdm_matrix(rectangular(8), 8, 2)
         rx = build_receiver(mats, "mf")
-        np.testing.assert_array_equal(rx.b, mats.a.conj().T)
+        a = oracle.build_gfdm_matrix(rectangular(8), 8, 2)
+        np.testing.assert_allclose(_receiver_matrix(rx), a.conj().T, rtol=0, atol=1e-12)
 
     def test_mmse_low_noise_limit(self):
         mats = build_gfdm_matrix(rectangular(8), 8, 2)
         zf = build_receiver(mats, "zf")
         mmse = build_receiver(mats, "mmse", noise_var=1e-12)
-        assert np.abs(mmse.b - zf.b).max() <= 1e-6
+        assert np.abs(_receiver_matrix(mmse) - _receiver_matrix(zf)).max() <= 1e-6
 
     def test_mf_on_orthogonal_matrix(self):
         mats = build_gfdm_matrix(rectangular(8), 8, 1)
@@ -138,7 +151,8 @@ class TestReceivers:
         np.testing.assert_allclose(gfdm_demodulate(rx, gfdm_modulate(mats, d)), d, atol=1e-9)
 
     def test_mmse_beats_zf_in_noise(self):
-        k, m = 8, 2
+        # M = 3: at even M this prototype's matrix is singular and has no ZF.
+        k, m = 8, 3
         mats = build_gfdm_matrix(phydyas(k, 2), k, m)
         noise_var = 10.0 ** (-10.0 / 10.0)  # Es/N0 = 10 dB, Es = 1
         zf = build_receiver(mats, "zf")
@@ -152,6 +166,15 @@ class TestReceivers:
             mse_mmse += np.mean(np.abs(gfdm_demodulate(mmse, y) - d) ** 2)
         assert mse_mmse <= mse_zf
 
+    def test_zf_rejects_singular_matrix(self):
+        # PHYDYAS at even M zeroes a Zak bin; MF and MMSE need no inverse.
+        mats = build_gfdm_matrix(phydyas(8, 2), 8, 2)
+        assert np.linalg.cond(oracle.build_gfdm_matrix(phydyas(8, 2), 8, 2)) > 1e12
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            build_receiver(mats, "zf")
+        build_receiver(mats, "mf")
+        build_receiver(mats, "mmse", noise_var=0.1)
+
     def test_rejects_unknown_kind(self):
         mats = build_gfdm_matrix(rectangular(4), 4, 1)
         with pytest.raises(ValueError):
@@ -160,19 +183,21 @@ class TestReceivers:
 
 class TestOqamMatrices:
     def test_quadrature_is_rolled_inphase(self):
-        mats = build_oqam_matrices(phydyas(16, 4), 16, 4)
-        np.testing.assert_allclose(mats.a_q[:, 0], np.roll(mats.a_i[:, 0], 8))
+        a_i, a_q = oqam_columns(build_oqam_matrices(phydyas(16, 4), 16, 4))
+        np.testing.assert_allclose(a_q[:, 0], np.roll(a_i[:, 0], 8))
 
     def test_table_profile_shapes(self):
         mats = build_oqam_matrices(phydyas(128, 4), 128, 4)
-        assert mats.a_i.shape == (512, 512)
-        assert mats.a_q.shape == (512, 512)
-        np.testing.assert_allclose(mats.a_q, np.roll(mats.a_i, 64, axis=0))
+        assert mats.frame_len == mats.support_len == 512
+        a_i, a_q = oqam_columns(mats)
+        assert a_i.shape == (512, 512)
+        assert a_q.shape == (512, 512)
+        np.testing.assert_allclose(a_q, np.roll(a_i, 64, axis=0), rtol=0, atol=1e-12)
 
     def test_two_subcarrier_swap(self):
         p = PrototypeFilter(coefficients=np.array([1.0, 0.0]), overlap=1, subcarriers=2)
-        mats = build_oqam_matrices(p, 2, 1)
-        np.testing.assert_allclose(mats.a_q, mats.a_i[::-1], atol=1e-12)
+        a_i, a_q = oqam_columns(build_oqam_matrices(p, 2, 1))
+        np.testing.assert_allclose(a_q, a_i[::-1], atol=1e-12)
 
     def test_rejects_odd_subcarriers(self):
         with pytest.raises(ValueError):
@@ -182,31 +207,39 @@ class TestOqamMatrices:
         # Real-domain interference must be far below the useful diagonal:
         # off-diagonal real parts of A_i^H A_i and imaginary parts of
         # A_q^H A_i stay under 1% of the diagonal.
-        mats = build_oqam_matrices(phydyas(16, 4), 16, 4)
-        g1 = np.real(mats.a_i.conj().T @ mats.a_i)
-        g2 = np.imag(mats.a_q.conj().T @ mats.a_i)
+        a_i, a_q = oqam_columns(build_oqam_matrices(phydyas(16, 4), 16, 4))
+        g1 = np.real(a_i.conj().T @ a_i)
+        g2 = np.imag(a_q.conj().T @ a_i)
         diag = np.diag(g1).copy()
         np.fill_diagonal(g1, 0.0)
         assert np.abs(g1).max() <= 1e-2 * diag.max()
         assert np.abs(g2).max() <= 1e-2 * diag.max()
 
 
+def _dense_oqam():
+    """The oracle's dense circular pair for PHYDYAS(8, 2), K=8, M=2."""
+    return oracle.build_oqam_matrices(phydyas(8, 2), 8, 2)
+
+
 class TestOqamModem:
     def test_real_data_uses_inphase_matrix(self):
         mats = build_oqam_matrices(phydyas(8, 2), 8, 2)
         d = np.arange(16.0)
-        np.testing.assert_allclose(oqam_modulate(mats, d), mats.a_i @ d)
+        np.testing.assert_allclose(oqam_modulate(mats, d), _dense_oqam()[0] @ d, rtol=0, atol=1e-12)
 
     def test_imaginary_data_uses_quadrature_matrix(self):
         mats = build_oqam_matrices(phydyas(8, 2), 8, 2)
         d = 1j * np.arange(16.0)
-        np.testing.assert_allclose(oqam_modulate(mats, d), 1j * (mats.a_q @ d.imag))
+        np.testing.assert_allclose(
+            oqam_modulate(mats, d), 1j * (_dense_oqam()[1] @ d.imag), rtol=0, atol=1e-12
+        )
 
     def test_matches_brute_force(self):
         mats = build_oqam_matrices(phydyas(8, 2), 8, 2)
         rng = np.random.default_rng(2)
         d = _random_symbols(rng, 16)
-        want = mats.a_i @ d.real + 1j * (mats.a_q @ d.imag)
+        a_i, a_q = _dense_oqam()
+        want = a_i @ d.real + 1j * (a_q @ d.imag)
         np.testing.assert_allclose(oqam_modulate(mats, d), want, atol=1e-12)
 
     def test_noiseless_loopback(self):
@@ -222,10 +255,12 @@ class TestOqamModem:
         assert not oqam_demodulate(mats, np.zeros(16, dtype=complex)).any()
 
     def test_gains_computed_once_per_matrix_set(self):
+        # Every pulse has the prototype's energy: one gain per branch.
         mats = build_oqam_matrices(phydyas(8, 2), 8, 2)
         assert mats.gains is mats.gains
-        np.testing.assert_array_equal(mats.gains[0], np.sum(np.abs(mats.a_i) ** 2, axis=0))
-        np.testing.assert_array_equal(mats.gains[1], np.sum(np.abs(mats.a_q) ** 2, axis=0))
+        a_i, a_q = _dense_oqam()
+        np.testing.assert_allclose(mats.gains[0], np.sum(np.abs(a_i) ** 2, axis=0), rtol=1e-12)
+        np.testing.assert_allclose(mats.gains[1], np.sum(np.abs(a_q) ** 2, axis=0), rtol=1e-12)
 
     def test_single_symbol_interference(self):
         mats = build_oqam_matrices(phydyas(128, 4), 128, 4)
@@ -262,5 +297,5 @@ class TestChannelConsistency:
         # pipeline's linear channel behind a cyclic prefix.
         rng = np.random.default_rng(6)
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        h = circulant_matrix(TIFS_TAPS, 64)
+        h = oracle.circulant_matrix(TIFS_TAPS, 64)
         np.testing.assert_allclose(h @ x, cp_channel(x, TIFS_TAPS, 16), atol=1e-12)

@@ -2,6 +2,7 @@ import functools
 import os
 import subprocess
 import sys
+import tracemalloc
 
 from dataclasses import replace
 
@@ -128,6 +129,28 @@ class TestRunBer:
         awgn = run_ber(_ber_config(frames=10))
         assert curve.extra["theory"][0] > awgn.extra["theory"][0]
 
+    def test_gfdm_mmse_matches_theory(self):
+        cfg = _ber_config(
+            waveform="gfdm", ebn0_grid_db=(4.0, 8.0), frames=100,
+            waveform_params=WaveformParams(receiver="mmse"),
+        )
+        curve = run_ber(cfg)
+        for ber, p, bits in zip(curve.values, curve.extra["theory"], curve.extra["bits"]):
+            assert abs(ber - p) <= 5 * np.sqrt(p * (1 - p) / bits)
+
+
+@pytest.mark.parametrize("waveform", ["gfdm", "gfdm_oqam_circular", "linear_gfdm", "fbmc"])
+def test_large_build_holds_no_dense_matrix(waveform):
+    # K=256, M=8: a dense matrix pair of this size takes about 200 MB.
+    cfg = ScenarioConfig(waveform=waveform, waveform_params=WaveformParams(subcarriers=256, subsymbols=8))
+    tracemalloc.start()
+    try:
+        build_adapter(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20
+
 
 _SMALL = WaveformParams(subcarriers=16, subsymbols=2, cp_len=4, n_fft=32)
 
@@ -246,6 +269,11 @@ class TestCli:
             (["ber", "--waveform", "ofdm"], "cp_len = 512", "cp_len"),
             (["psd", "--waveform", "ofdm", "--frames", "1"], "", "frames"),
             (["ber", "--waveform", "ofdm"], "channel = tvfs\ntvfs_corrected = maybe", "tvfs_corrected"),
+            (["ber", "--waveform", "gfdm", "--frames", "2"], "prototype = phydyas", "subsymbols"),
+            (["ber", "--waveform", "gfdm"], "channel = tifs\nreceiver = mmse", "receiver"),
+            (["ber", "--waveform", "gfdm"], "channel = tifs\ncp_len = 6", "cp_len"),
+            (["ber", "--waveform", "ofdm"], "channel = tvfs\ncp_len = 2", "cp_len"),
+            (["ber", "--waveform", "gfdm_oqam_circular"], "channel = tifs\ncp_len = 0", "cp_len"),
         ],
         ids=[
             "unknown-key",
@@ -259,6 +287,11 @@ class TestCli:
             "cp-len-too-long",
             "psd-too-few-samples",
             "tvfs-corrected-not-boolean",
+            "zf-on-singular-gfdm",
+            "mmse-on-colored-noise",
+            "cp-len-below-tifs-memory",
+            "cp-len-below-tvfs-memory",
+            "no-cp-on-tifs-oqam",
         ],
     )
     def test_bad_config_file_exit_code(self, tmp_path, capsys, argv, text, key):
