@@ -2,10 +2,11 @@
 
 Circular and linear-filtered GFDM (plain and OQAM), FBMC-OQAM and CP-OFDM
 modems, together with channel models, evaluation metrics (BER, Welch PSD,
-PAPR CCDF) and a deterministic Monte Carlo scenario runner.  The four
-GFDM-family waveforms run through one FFT filter bank (``gfdm``), described
-by small matrix sets instead of dense matrices; every OQAM waveform runs
-through the one ``oqam_modulate``/``oqam_demodulate`` pair.
+PAPR CCDF, closed-form QAM BER) and a deterministic Monte Carlo scenario
+runner.  All five waveforms run through one FFT filter bank (``gfdm``),
+described by small matrix sets instead of dense matrices: CP-OFDM is plain
+GFDM with one subsymbol and the rectangular pulse, and every OQAM waveform
+runs through the one ``oqam_modulate``/``oqam_demodulate`` pair.
 """
 
 from .channel import (
@@ -43,9 +44,9 @@ from .metrics import (
     papr,
     papr_batch,
     papr_ccdf,
+    theoretical_ber,
     welch_psd,
 )
-from .ofdm import OfdmParams, ofdm_demodulate, ofdm_modulate, theoretical_ber
 from .prototypes import (
     PrototypeFilter,
     linear_pad_length,
@@ -79,7 +80,6 @@ __all__ = [
     "EqualizationError",
     "GfdmMatrixSet",
     "MetricCurve",
-    "OfdmParams",
     "OqamMatrixSet",
     "PrototypeFilter",
     "ReceiverMatrix",
@@ -102,8 +102,6 @@ __all__ = [
     "gfdm_demodulate",
     "gfdm_modulate",
     "linear_pad_length",
-    "ofdm_demodulate",
-    "ofdm_modulate",
     "oob_ratio",
     "oqam_demodulate",
     "oqam_modulate",

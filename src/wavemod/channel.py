@@ -60,18 +60,16 @@ def freq_response(taps, fft_len: int) -> np.ndarray:
     return np.fft.fft(taps, n=fft_len, axis=-1)
 
 
-def check_zf_bins(hf, bins=None) -> None:
+def check_zf_bins(hf) -> None:
     """Raise :class:`EqualizationError` if any bin of ``hf`` is below ``MIN_ZF_BIN``.
 
     Bins run along the last axis; a leading axis indexes frames, each checked
-    in full.  The error names the weakest bin, as ``bins[i]`` when a bin index
-    map is given.
+    in full.  The error names the weakest bin.
     """
     mags = np.abs(hf)
     worst = np.unravel_index(int(np.argmin(mags)), mags.shape)
     if mags[worst] < MIN_ZF_BIN:
-        pos = int(worst[-1])
-        raise EqualizationError(pos if bins is None else int(bins[pos]), float(mags[worst]))
+        raise EqualizationError(int(worst[-1]), float(mags[worst]))
 
 
 def fd_zf_equalize(y, taps, fft_len: int) -> np.ndarray:

@@ -8,6 +8,7 @@ failure.
 import argparse
 import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -90,6 +91,9 @@ def build_config(args) -> ScenarioConfig:
     if config.waveform is None:
         raise ConfigError("waveform: required (flag --waveform or config file)")
     config.validate()
+    for key, path in (("output_path", config.output_path), ("emit-plot-data", args.emit_plot_data)):
+        if path and not Path(path).absolute().parent.is_dir():
+            raise ConfigError(f"{key}: the directory of {path!r} does not exist")
     return config
 
 

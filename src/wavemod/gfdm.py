@@ -1,4 +1,4 @@
-"""The GFDM-family modem core: one FFT filter bank for four waveforms, and the cyclic prefix.
+"""The modem core: one FFT filter bank for all five waveforms, and the cyclic prefix.
 
 Write a frame sample as n = r + qK (residue r, block q) and let
 D_m = K * IFFT_K(d_{., m} * phase) bring subsymbol m's subcarriers to the
@@ -17,7 +17,10 @@ Letters 2014).
 
 Plain GFDM runs in the Zak domain: the transmitter multiplies by
 Z = FFT_M(P) per (bin, residue), and the ZF, MF and MMSE receivers are
-per-bin weights.  The OQAM modems, whose quadrature branch is the same bank
+per-bin weights.  CP-OFDM is plain GFDM with M = 1 and the rectangular
+pulse (Michailow et al., IEEE Trans. Commun. 2014): Z is then the constant
+1/sqrt(K), the transmitter a unitary K-point IDFT, and the three receivers
+the same weights.  The OQAM modems, whose quadrature branch is the same bank
 on a prototype delayed by K/2, apply the convolution as one small real
 matrix per residue (:func:`synthesis_band`) and its transpose as the
 matched filter; the band wraps in a circular frame and has room for the
@@ -175,7 +178,12 @@ def _blocks(rows: np.ndarray, blocks: int, subcarriers: int) -> np.ndarray:
 
 
 def _circular(weights: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Circular filter over the subsymbol axis (-2), given per-bin weights."""
+    """Circular filter over the subsymbol axis (-2), given per-bin weights.
+
+    Over a single subsymbol the filter is a plain scaling.
+    """
+    if blocks.shape[-2] == 1:
+        return weights * blocks
     return np.fft.ifft(weights * np.fft.fft(blocks, axis=-2), axis=-2)
 
 

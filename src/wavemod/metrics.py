@@ -1,9 +1,11 @@
-"""Evaluation instruments: bit error counting, Welch PSD, PAPR and its CCDF."""
+"""Evaluation instruments: bit error counting, Welch PSD, PAPR and its CCDF, and the
+closed-form QAM bit error probability curves."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import signal as sps
+from scipy.special import erfc
 
 
 @dataclass
@@ -117,3 +119,54 @@ def oob_ratio(psd: MetricCurve, band_edge: float, offset: float) -> float:
     vals = psd.values
     plateau = np.median(vals[vals >= vals.max() - 3.0])
     return float(plateau - psd.interpolate(target))
+
+
+def _qfunc(x):
+    return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
+
+
+def _gray_qam_q_terms(order: int) -> list[tuple[float, int]]:
+    """(weight, odd multiple) pairs of the exact Gray-QAM bit error expansion.
+
+    The per-axis expansion follows the closed form for square constellations
+    with reflected-Gray labeling; summing the weighted Q-function terms over
+    both axes and all bit positions gives the exact average bit error rate.
+    """
+    sqrt_m = int(round(np.sqrt(order)))
+    if sqrt_m * sqrt_m != order or order < 4:
+        raise ValueError(f"order must be an even power of two >= 4, got {order}")
+    nb = int(np.log2(sqrt_m))
+    terms: dict[int, float] = {}
+    for k in range(1, nb + 1):
+        upper = int((1 - 2.0 ** (-k)) * sqrt_m) - 1
+        for i in range(0, upper + 1):
+            shift = i * 2 ** (k - 1)
+            sign = (-1) ** (shift // sqrt_m)
+            weight = 2 ** (k - 1) - (2 * shift + sqrt_m) // (2 * sqrt_m)
+            coeff = sign * weight * 2.0 / sqrt_m
+            terms[2 * i + 1] = terms.get(2 * i + 1, 0.0) + coeff
+    return [(c / nb, mult) for mult, c in sorted(terms.items())]
+
+
+def theoretical_ber(ebn0_db, order: int = 16, channel: str = "awgn"):
+    """Closed-form Gray-QAM bit error probability per bit-energy SNR in dB.
+
+    ``channel`` selects pure AWGN or a flat Rayleigh fade applied per frame,
+    in which case each Q-function term is averaged over the exponential SNR
+    distribution in closed form.
+    """
+    ebn0 = 10.0 ** (np.asarray(ebn0_db, dtype=float) / 10.0)
+    gamma_s = np.log2(order) * ebn0
+    base = 3.0 * gamma_s / (order - 1.0)
+    channel = channel.lower()
+    pb = np.zeros_like(ebn0)
+    for weight, mult in _gray_qam_q_terms(order):
+        c = mult ** 2 * base  # Q(sqrt(c)) argument squared
+        if channel == "awgn":
+            pb = pb + weight * _qfunc(np.sqrt(c))
+        elif channel == "rayleigh":
+            half = c / 2.0
+            pb = pb + weight * 0.5 * (1.0 - np.sqrt(half / (1.0 + half)))
+        else:
+            raise ValueError(f"unknown channel {channel!r}")
+    return pb

@@ -9,10 +9,11 @@ the error count once (``ber_errors``); on TVFS the per-frame taps travel as
 one (frames, n_taps) array.  The channel is one linear convolution,
 ``_convolve_rows``, for every waveform; a CP waveform sees it as circular
 on its frame core when the cyclic prefix covers the channel's memory of
-n_taps - 1 samples, which ``ScenarioConfig.validate`` requires.  The four
-GFDM-family waveforms share one adapter over the FFT modem core of
-``gfdm``; the waveform table picks each one's matrix-set builder and frame
-kind (circular with a cyclic prefix, or prefix-free).
+n_taps - 1 samples, which ``ScenarioConfig.validate`` requires.  All five
+waveforms share one adapter over the FFT modem core of ``gfdm``: CP-OFDM is
+plain GFDM with K = ``n_fft``, M = 1 and the rectangular pulse.  The
+waveform table picks each one's matrix-set builder and frame kind (circular
+with a cyclic prefix, or prefix-free).
 """
 
 import os
@@ -33,9 +34,9 @@ from .metrics import (
     default_papr_thresholds,
     papr_batch,
     papr_ccdf,
+    theoretical_ber,
     welch_psd,
 )
-from .ofdm import OfdmParams, ofdm_demodulate, ofdm_modulate, theoretical_ber
 from .prototypes import PHYDYAS_OVERLAPS, phydyas, rectangular
 
 WAVEFORMS = ("ofdm", "gfdm", "gfdm_oqam_circular", "linear_gfdm", "fbmc")
@@ -90,6 +91,8 @@ class ScenarioConfig:
             raise ConfigError(f"frames: must be >= 1, got {self.frames}")
         if self.metric == "ber" and len(self.ebn0_grid_db) == 0:
             raise ConfigError("ebn0_grid_db: must be nonempty for BER runs")
+        if self.metric == "ber" and np.any(np.diff(self.ebn0_grid_db) <= 0):
+            raise ConfigError(f"ebn0_grid_db: must be strictly increasing, got {self.ebn0_grid_db}")
         wp = self.waveform_params
         if wp.qam_order not in (4, 16, 64):
             raise ConfigError(f"qam_order: {wp.qam_order} not in (4, 16, 64)")
@@ -108,28 +111,34 @@ class ScenarioConfig:
             raise ConfigError(f"prototype: {wp.prototype!r} not in (None, 'phydyas', 'rect')")
         if wp.overlap not in PHYDYAS_OVERLAPS:
             raise ConfigError(f"overlap: {wp.overlap} not in {PHYDYAS_OVERLAPS}")
-        if self.waveform == "ofdm":
-            n_bins, cp_max = wp.n_fft, wp.n_fft - 1
-        else:
-            _, circular, default_proto = _MATRIX_MODEMS[self.waveform]
-            n_bins = wp.subcarriers
-            cp_max = wp.subcarriers * wp.subsymbols if circular else None  # no CP
-            proto = wp.prototype or default_proto
-            if wp.subcarriers % 2 and (self.waveform != "gfdm" or proto == "phydyas"):
-                raise ConfigError(
-                    f"subcarriers: must be even for {self.waveform} with the {proto} "
-                    f"prototype, got {wp.subcarriers}"
-                )
-        cp_min = _CHANNEL_MEMORY[self.channel]
-        if cp_max is not None and not cp_min <= wp.cp_len <= cp_max:
+        build, circular, default_proto = _MATRIX_MODEMS[self.waveform]
+        proto = wp.prototype or default_proto
+        k, m = _grid(self)
+        if self.waveform == "ofdm" and proto != "rect":
+            raise ConfigError(f"prototype: ofdm is plain GFDM with the rect pulse, got {proto!r}")
+        if k % 2 and (build is not gfdm_mod.build_gfdm_matrix or proto == "phydyas"):
             raise ConfigError(
-                f"cp_len: must be in [{cp_min}, {cp_max}] (the {self.channel} channel has "
-                f"{cp_min} samples of memory), got {wp.cp_len}"
+                f"subcarriers: must be even for {self.waveform} with the {proto} "
+                f"prototype, got {k}"
+            )
+        cp_min = _CHANNEL_MEMORY[self.channel]
+        if circular and not cp_min <= wp.cp_len <= k * m - 1:
+            raise ConfigError(
+                f"cp_len: must be in [{cp_min}, {k * m - 1}] (the {self.channel} channel has "
+                f"{cp_min} samples of memory, the frame {k * m} samples), got {wp.cp_len}"
             )
         if wp.active is not None and not (
-            len(wp.active) and 0 <= min(wp.active) and max(wp.active) < n_bins
+            len(wp.active) and 0 <= min(wp.active) and max(wp.active) < k
         ):
-            raise ConfigError(f"active: need indices in [0, {n_bins}), got {wp.active}")
+            raise ConfigError(f"active: need indices in [0, {k}), got {wp.active}")
+        if wp.active is not None and len(set(wp.active)) < len(wp.active):
+            raise ConfigError(f"active: duplicate indices in {wp.active}")
+
+
+def _grid(config: ScenarioConfig) -> tuple[int, int]:
+    """(K, M) of the waveform's frame: (n_fft, 1) for OFDM, else (subcarriers, subsymbols)."""
+    wp = config.waveform_params
+    return (wp.n_fft, 1) if config.waveform == "ofdm" else (wp.subcarriers, wp.subsymbols)
 
 
 def n_threads() -> int:
@@ -157,7 +166,7 @@ def _next_pow2(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Modem adapters: a uniform transmit/receive surface over the five waveforms.
+# The modem adapter: one transmit/receive surface over the five waveforms.
 # Data enters and leaves as (n_data, batch) arrays; frames travel as
 # (samples, batch) arrays.  ``receive`` takes the channel taps as one
 # (n_taps,) vector for the whole batch or as (batch, n_taps) per-frame taps.
@@ -166,25 +175,8 @@ def _next_pow2(n: int) -> int:
 # prefix-free frames overlap at the symbol rate.
 
 
-class _OfdmAdapter:
-    def __init__(self, wp: WaveformParams):
-        active = None if wp.active is None else np.asarray(wp.active, dtype=int)
-        self.params = OfdmParams(n_fft=wp.n_fft, n_cp=wp.cp_len, active=active)
-        self.n_data = len(self.params.active_indices)
-        self.frame_len = wp.n_fft + wp.cp_len
-        self.support_len = self.frame_len
-        self.stride = self.frame_len
-
-    def transmit(self, d):
-        return ofdm_modulate(d, self.params)
-
-    def receive(self, y, taps, noise_var):
-        hf = chan.freq_response(taps, self.params.n_fft)
-        return ofdm_demodulate(y, self.params, hf.T)
-
-
 class _MatrixAdapter:
-    """The GFDM family over one matrix set, plain or OQAM.
+    """One waveform over one matrix set, plain GFDM (OFDM at M = 1) or OQAM.
 
     A circular frame (``circular=True``) carries a ``cp_len`` cyclic prefix
     and is ZF-equalized over its K*M core.  A prefix-free frame is
@@ -193,7 +185,7 @@ class _MatrixAdapter:
     """
 
     def __init__(self, wp: WaveformParams, mats, circular: bool):
-        k, m = wp.subcarriers, wp.subsymbols
+        k, m = mats.subcarriers, mats.subsymbols
         self.mats = mats
         self.circular = circular
         self.receiver_kind = wp.receiver
@@ -263,6 +255,7 @@ def _scatter(d, mask) -> np.ndarray:
 
 # waveform -> (matrix builder, circular frame with CP, default prototype)
 _MATRIX_MODEMS = {
+    "ofdm": (gfdm_mod.build_gfdm_matrix, True, "rect"),
     "gfdm": (gfdm_mod.build_gfdm_matrix, True, "rect"),
     "gfdm_oqam_circular": (gfdm_mod.build_oqam_matrices, True, "phydyas"),
     "linear_gfdm": (linear_mod.build_linear_matrices, False, "phydyas"),
@@ -272,12 +265,10 @@ _MATRIX_MODEMS = {
 
 def build_adapter(config: ScenarioConfig):
     wp = config.waveform_params
-    if config.waveform == "ofdm":
-        return _OfdmAdapter(wp)
     build, circular, default_proto = _MATRIX_MODEMS[config.waveform]
-    k = wp.subcarriers
+    k, m = _grid(config)
     p = phydyas(k, wp.overlap) if (wp.prototype or default_proto) == "phydyas" else rectangular(k)
-    return _MatrixAdapter(wp, build(p, k, wp.subsymbols), circular)
+    return _MatrixAdapter(wp, build(p, k, m), circular)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +441,7 @@ def psd_default_active(subcarriers: int) -> tuple:
 def psd_band_edge(config: ScenarioConfig) -> float:
     """Upper band edge (cycles/sample) of the default centered allocation."""
     wp = config.waveform_params
-    k = wp.n_fft if config.waveform == "ofdm" else wp.subcarriers
+    k = _grid(config)[0]
     active = wp.active if wp.active is not None else psd_default_active(k)
     freqs = (np.asarray(active) % k) / k
     freqs = np.where(freqs >= 0.5, freqs - 1.0, freqs)
@@ -470,9 +461,8 @@ def run_psd(config: ScenarioConfig) -> MetricCurve:
         raise ConfigError(f"metric: expected 'psd', got {config.metric!r}")
     wp = config.waveform_params
     if wp.active is None:
-        k = wp.n_fft if config.waveform == "ofdm" else wp.subcarriers
-        config = replace(config, waveform_params=replace(wp, active=psd_default_active(k)))
-        wp = config.waveform_params
+        active = psd_default_active(_grid(config)[0])
+        config = replace(config, waveform_params=replace(wp, active=active))
     adapter = build_adapter(config)
     sid = _scenario_id(config)
     stride = adapter.stride
@@ -519,16 +509,16 @@ def run_papr(config: ScenarioConfig) -> MetricCurve:
 
 
 def _meta(config: ScenarioConfig) -> dict:
-    wp = config.waveform_params
+    k, m = _grid(config)
     return {
         "waveform": config.waveform,
         "channel": config.channel,
         "metric": config.metric,
         "seed": config.seed,
         "frames": config.frames,
-        "qam_order": wp.qam_order,
-        "subcarriers": wp.subcarriers,
-        "subsymbols": wp.subsymbols,
+        "qam_order": config.waveform_params.qam_order,
+        "subcarriers": k,
+        "subsymbols": m,
     }
 
 

@@ -158,3 +158,16 @@ def fbmc_burst(p, k: int, ms: int, d) -> np.ndarray:
             x += s.real * synthesis_pulse(kk, m, "I", p, k, nb)
             x += 1j * s.imag * synthesis_pulse(kk, m, "Q", p, k, nb)
     return x
+
+
+def ofdm_modulate(d, n_fft: int, n_cp: int, active=None) -> np.ndarray:
+    """CP-OFDM frames from the definition: symbol i on bin ``active[i]``, unitary IDFT, CP.
+
+    ``d`` holds one frame per column (or one frame); ``active`` defaults to every bin.
+    """
+    d = np.asarray(d, dtype=complex)
+    bins = np.arange(n_fft) if active is None else np.asarray(active)
+    spec = np.zeros((n_fft,) + d.shape[1:], dtype=complex)
+    spec[bins] = d
+    x = np.fft.ifft(spec, axis=0, norm="ortho")
+    return np.concatenate([x[n_fft - n_cp:], x])

@@ -1,11 +1,13 @@
-"""Guards on the package surface: the public names and the benchmark's stage table."""
+"""Guards on the package surface: the public names, the benchmark's stage table and dead imports."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
 import wavemod
 
-_TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_TRACING = _ROOT / "perfbench" / "tracing.py"
 
 
 def _load_tracing():
@@ -27,3 +29,29 @@ def test_every_traced_stage_resolves():
     with tracing.Tracer() as tracer:
         pass
     assert tracer.absent == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names ``path`` imports and never reads; names in ``__all__`` count as read."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    modules = sorted((_ROOT / "src" / "wavemod").glob("*.py")) + sorted((_ROOT / "tests").glob("*.py"))
+    assert modules
+    assert [entry for path in modules for entry in _unused_imports(path)] == []

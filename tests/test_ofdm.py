@@ -1,72 +1,89 @@
+"""CP-OFDM as the pipeline runs it: plain GFDM with K = n_fft, M = 1 and the rect pulse."""
+
 import numpy as np
+import oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavemod import (
+    CHANNELS,
     EqualizationError,
-    OfdmParams,
     TIFS_TAPS,
     build_gfdm_matrix,
-    freq_response,
     gfdm_modulate,
-    ofdm_demodulate,
-    ofdm_modulate,
     qam_demap,
     qam_map,
     rectangular,
     theoretical_ber,
 )
-from wavemod.sim import _convolve_rows
+from wavemod.sim import (
+    ScenarioConfig,
+    WaveformParams,
+    _convolve_rows,
+    _draw_chunk,
+    build_adapter,
+    run_ber,
+)
+
+
+def _config(n_fft, cp_len, active=None, channel="awgn", receiver="zf"):
+    wp = WaveformParams(n_fft=n_fft, cp_len=cp_len, active=active, receiver=receiver)
+    cfg = ScenarioConfig(waveform="ofdm", channel=channel, waveform_params=wp)
+    cfg.validate()
+    return cfg
+
+
+def _ofdm(n_fft, cp_len, active=None, channel="awgn", receiver="zf"):
+    return build_adapter(_config(n_fft, cp_len, active, channel, receiver))
+
+
+def _null_taps(n_fft, k):
+    """Two taps whose n_fft-point response vanishes at bin k."""
+    return np.array([1.0, -np.exp(2j * np.pi * k / n_fft)])
 
 
 class TestOfdmModulate:
     def test_dc_impulse_gives_constant(self):
-        params = OfdmParams(n_fft=16, n_cp=4)
         d = np.zeros(16, dtype=complex)
         d[0] = 1.0
-        x = ofdm_modulate(d, params)
+        x = _ofdm(16, 4).transmit(d[:, None])[:, 0]
         assert len(x) == 20
         np.testing.assert_allclose(x, x[0], atol=1e-14)
 
     def test_equals_gfdm_special_case(self):
         n = 64
-        params = OfdmParams(n_fft=n, n_cp=0)
         mats = build_gfdm_matrix(rectangular(n), n, 1)
         rng = np.random.default_rng(0)
         d = qam_map(rng.integers(0, 2, 4 * n), 16)
-        np.testing.assert_allclose(
-            ofdm_modulate(d, params), gfdm_modulate(mats, d), atol=1e-12
-        )
+        np.testing.assert_allclose(oracle.ofdm_modulate(d, n, 0), gfdm_modulate(mats, d), atol=1e-12)
 
     def test_parseval(self):
-        params = OfdmParams(n_fft=64, n_cp=8)
         rng = np.random.default_rng(1)
         d = qam_map(rng.integers(0, 2, 256), 16)
-        x = ofdm_modulate(d, params)
+        x = _ofdm(64, 8).transmit(d[:, None])[:, 0]
         core = x[8:]
         assert abs(np.sum(np.abs(core) ** 2) - np.sum(np.abs(d) ** 2)) <= 1e-10
 
 
 class TestOfdmDemodulate:
     def test_flat_noiseless_roundtrip(self):
-        params = OfdmParams(n_fft=64, n_cp=8)
+        adapter = _ofdm(64, 8)
         rng = np.random.default_rng(2)
-        d = qam_map(rng.integers(0, 2, 256), 16)
-        y = ofdm_modulate(d, params)
-        d_hat = ofdm_demodulate(y, params, np.ones(64, dtype=complex))
+        d = qam_map(rng.integers(0, 2, 256), 16)[:, None]
+        d_hat = adapter.receive(adapter.transmit(d), np.array([1.0 + 0j]), 0.0)
         np.testing.assert_allclose(d_hat, d, atol=1e-10)
 
     def test_tifs_noiseless_roundtrip(self):
-        params = OfdmParams(n_fft=64, n_cp=16)
+        adapter = _ofdm(64, 16, channel="tifs")
         taps = TIFS_TAPS.astype(complex)
         rng = np.random.default_rng(3)
-        d = qam_map(rng.integers(0, 2, 256), 16)
-        y = _convolve_rows(ofdm_modulate(d, params)[None, :], taps)[0]
-        hf = freq_response(taps, 64)
-        d_hat = ofdm_demodulate(y[: 16 + 64], params, hf)
-        np.testing.assert_allclose(d_hat, d, atol=1e-8)
+        d = qam_map(rng.integers(0, 2, 256), 16)[:, None]
+        y = _convolve_rows(adapter.transmit(d).T, taps).T
+        np.testing.assert_allclose(adapter.receive(y, taps, 0.0), d, atol=1e-8)
 
     def test_ber_matches_theory_at_8db(self):
-        params = OfdmParams(n_fft=512, n_cp=32)
+        adapter = _ofdm(512, 32)
         ebn0 = 8.0
         noise_var = 1.0 / (4.0 * 10.0 ** (ebn0 / 10.0))
         rng = np.random.default_rng(4)
@@ -74,11 +91,11 @@ class TestOfdmDemodulate:
         for _ in range(200):
             bits = rng.integers(0, 2, 2048)
             d = qam_map(bits, 16)
-            x = ofdm_modulate(d, params)
+            x = adapter.transmit(d[:, None])[:, 0]
             w = np.sqrt(noise_var / 2) * (
                 rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x))
             )
-            d_hat = ofdm_demodulate(x + w, params, np.ones(512, dtype=complex))
+            d_hat = adapter.receive((x + w)[:, None], np.array([1.0 + 0j]), noise_var)[:, 0]
             errors += np.count_nonzero(qam_demap(d_hat, 16) != bits)
             total += len(bits)
         p = theoretical_ber(ebn0, 16)
@@ -86,32 +103,81 @@ class TestOfdmDemodulate:
         assert abs(errors / total - p) <= 3 * sigma
 
     def test_zero_channel_bin_raises(self):
-        params = OfdmParams(n_fft=16, n_cp=2)
-        hf = np.ones(16, dtype=complex)
-        hf[5] = 0.0
         with pytest.raises(EqualizationError) as ei:
-            ofdm_demodulate(np.zeros(18, dtype=complex), params, hf)
+            _ofdm(16, 2).receive(np.zeros((18, 1), dtype=complex), _null_taps(16, 5), 0.0)
         assert ei.value.bin_index == 5
 
     def test_per_frame_response_matches_per_frame_calls(self):
-        params = OfdmParams(n_fft=16, n_cp=2, active=np.arange(2, 14))
+        adapter = _ofdm(16, 2, active=tuple(range(2, 14)))
         rng = np.random.default_rng(6)
         y = rng.standard_normal((18, 3)) + 1j * rng.standard_normal((18, 3))
-        hf = 2.0 + rng.standard_normal((16, 3)) * 0.1 + 0j
-        batched = ofdm_demodulate(y, params, hf)
+        taps = np.column_stack([2.0 + 0.1 * rng.standard_normal(3), 0.1 * rng.standard_normal(3)]) + 0j
+        batched = adapter.receive(y, taps, 0.0)
         for j in range(3):
             np.testing.assert_allclose(
-                batched[:, j], ofdm_demodulate(y[:, j], params, hf[:, j]), rtol=0, atol=1e-12
+                batched[:, j], adapter.receive(y[:, j:j + 1], taps[j], 0.0)[:, 0], rtol=0, atol=1e-12
             )
 
     def test_null_in_one_frame_names_its_bin(self):
-        params = OfdmParams(n_fft=16, n_cp=2, active=np.arange(2, 14))
-        hf = np.ones((16, 3), dtype=complex)
-        hf[0, 1] = 0.0  # inactive bin: ignored
-        hf[7, 2] = 0.0
+        # Zero forcing runs over every bin of the frame, as for all the CP
+        # waveforms, so a null on an inactive bin raises too.
+        adapter = _ofdm(16, 2, active=tuple(range(2, 14)))
+        taps = np.array([[1.0, 0.0], [1.0, 0.0], _null_taps(16, 7)])
         with pytest.raises(EqualizationError) as ei:
-            ofdm_demodulate(np.zeros((18, 3), dtype=complex), params, hf)
+            adapter.receive(np.zeros((18, 3), dtype=complex), taps, 0.0)
         assert ei.value.bin_index == 7
+
+
+class TestOfdmAdapter:
+    """The pipeline's OFDM against the oracle, and its receiver-independence."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_fft=st.integers(2, 64),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_transmit_matches_oracle(self, n_fft, data, seed):
+        cp_len = data.draw(st.integers(0, n_fft - 1))
+        active = data.draw(
+            st.none() | st.lists(st.integers(0, n_fft - 1), min_size=1, unique=True).map(tuple)
+        )
+        adapter = _ofdm(n_fft, cp_len, active)
+        rng = np.random.default_rng(seed)
+        d = rng.standard_normal((adapter.n_data, 3)) + 1j * rng.standard_normal((adapter.n_data, 3))
+        # The core places the active symbols in ascending bin order.
+        bins = None if active is None else sorted(active)
+        np.testing.assert_allclose(
+            adapter.transmit(d), oracle.ofdm_modulate(d, n_fft, cp_len, bins), rtol=0, atol=1e-12
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        channel=st.sampled_from(CHANNELS),
+        n_fft=st.integers(8, 64),
+        noise_var=st.floats(1e-3, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_receive_does_not_depend_on_receiver(self, channel, n_fft, noise_var, seed):
+        # At M = 1 with the rect pulse, ZF, MF and MMSE are the same weights.
+        cfg = _config(n_fft, 7, channel=channel)
+        _, taps, noise = _draw_chunk(cfg, build_adapter(cfg), seed, 0, 3, True)
+        out = {r: _ofdm(n_fft, 7, channel=channel, receiver=r).receive(noise.T, taps, noise_var)
+               for r in ("zf", "mf", "mmse")}
+        scale = max(1.0, np.abs(out["zf"]).max())
+        for r in ("mf", "mmse"):
+            np.testing.assert_allclose(out[r], out["zf"], rtol=0, atol=1e-12 * scale)
+
+    def test_ber_does_not_depend_on_receiver(self):
+        counts = []
+        for receiver in ("zf", "mf", "mmse"):
+            cfg = ScenarioConfig(
+                waveform="ofdm", channel="tifs", ebn0_grid_db=(4.0, 8.0), frames=20,
+                error_target=None, waveform_params=WaveformParams(receiver=receiver),
+            )
+            counts.append(run_ber(cfg).extra["errors"])
+        np.testing.assert_array_equal(counts[0], counts[1])
+        np.testing.assert_array_equal(counts[0], counts[2])
 
 
 class TestTheoreticalBer:

@@ -64,9 +64,9 @@ class TestConfigValidation:
     def test_cp_len_checked_only_where_a_cp_is_sent(self):
         small = WaveformParams(subcarriers=16, subsymbols=2, cp_len=32)
         _ber_config(waveform="linear_gfdm", waveform_params=small).validate()
-        _ber_config(waveform="gfdm", waveform_params=small).validate()
+        _ber_config(waveform="gfdm", waveform_params=replace(small, cp_len=31)).validate()
         with pytest.raises(ConfigError, match="cp_len"):
-            _ber_config(waveform="gfdm", waveform_params=replace(small, cp_len=33)).validate()
+            _ber_config(waveform="gfdm", waveform_params=small).validate()
 
     def test_bad_qam_order(self):
         cfg = _ber_config(waveform_params=WaveformParams(qam_order=8))
@@ -244,6 +244,7 @@ class TestCli:
         assert rc == 0
         lines = out.read_text().splitlines()
         assert lines[0].startswith("# kind=BER")
+        assert "subcarriers=512 subsymbols=1" in lines[0]  # OFDM's grid: n_fft x 1
         assert "abscissa,value" in lines[1]
         assert "8.0," in lines[2]
         assert "8\t" in capsys.readouterr().out
@@ -274,6 +275,12 @@ class TestCli:
             (["ber", "--waveform", "gfdm"], "channel = tifs\ncp_len = 6", "cp_len"),
             (["ber", "--waveform", "ofdm"], "channel = tvfs\ncp_len = 2", "cp_len"),
             (["ber", "--waveform", "gfdm_oqam_circular"], "channel = tifs\ncp_len = 0", "cp_len"),
+            (["ber", "--waveform", "ofdm"], "ebn0_grid_db = 8 4", "ebn0_grid_db"),
+            (["ber", "--waveform", "gfdm"], "subcarriers = 7\nsubsymbols = 1\nchannel = tifs\ncp_len = 7", "cp_len"),
+            (["ber", "--waveform", "ofdm"], "active = 3 3", "active"),
+            (["ber", "--waveform", "ofdm"], "prototype = phydyas", "prototype"),
+            (["ber", "--waveform", "ofdm", "--frames", "2", "--out", "/nonexistent/x.csv"], "", "/nonexistent/x.csv"),
+            (["papr", "--waveform", "ofdm", "--frames", "2", "--emit-plot-data", "/nonexistent/x.dat"], "", "/nonexistent/x.dat"),
         ],
         ids=[
             "unknown-key",
@@ -292,6 +299,12 @@ class TestCli:
             "cp-len-below-tifs-memory",
             "cp-len-below-tvfs-memory",
             "no-cp-on-tifs-oqam",
+            "ebn0-grid-not-increasing",
+            "cp-len-fills-short-frame",
+            "duplicate-active",
+            "phydyas-on-ofdm",
+            "out-dir-missing",
+            "plot-data-dir-missing",
         ],
     )
     def test_bad_config_file_exit_code(self, tmp_path, capsys, argv, text, key):
