@@ -94,6 +94,8 @@ def build_config(args) -> ScenarioConfig:
     for key, path in (("output_path", config.output_path), ("emit-plot-data", args.emit_plot_data)):
         if path and not Path(path).absolute().parent.is_dir():
             raise ConfigError(f"{key}: the directory of {path!r} does not exist")
+        if path and Path(path).is_dir():
+            raise ConfigError(f"{key}: {path!r} is a directory, not a file")
     return config
 
 

@@ -96,8 +96,6 @@ class ScenarioConfig:
         wp = self.waveform_params
         if wp.qam_order not in (4, 16, 64):
             raise ConfigError(f"qam_order: {wp.qam_order} not in (4, 16, 64)")
-        if wp.subcarriers < 2:
-            raise ConfigError(f"subcarriers: must be >= 2, got {wp.subcarriers}")
         if wp.subsymbols < 1:
             raise ConfigError(f"subsymbols: must be >= 1, got {wp.subsymbols}")
         if wp.receiver not in ("zf", "mf", "mmse"):
@@ -114,11 +112,14 @@ class ScenarioConfig:
         build, circular, default_proto = _MATRIX_MODEMS[self.waveform]
         proto = wp.prototype or default_proto
         k, m = _grid(self)
+        size_key = "n_fft" if self.waveform == "ofdm" else "subcarriers"
+        if k < 2:
+            raise ConfigError(f"{size_key}: must be >= 2, got {k}")
         if self.waveform == "ofdm" and proto != "rect":
             raise ConfigError(f"prototype: ofdm is plain GFDM with the rect pulse, got {proto!r}")
         if k % 2 and (build is not gfdm_mod.build_gfdm_matrix or proto == "phydyas"):
             raise ConfigError(
-                f"subcarriers: must be even for {self.waveform} with the {proto} "
+                f"{size_key}: must be even for {self.waveform} with the {proto} "
                 f"prototype, got {k}"
             )
         cp_min = _CHANNEL_MEMORY[self.channel]
@@ -237,14 +238,8 @@ class _MatrixAdapter:
 
 
 def _active_mask(wp: WaveformParams, k: int, m: int) -> np.ndarray:
-    mask = np.zeros(k * m, dtype=bool)
-    if wp.active is None:
-        mask[:] = True
-    else:
-        active = np.asarray(wp.active, dtype=int)
-        for mm in range(m):
-            mask[mm * k + active] = True
-    return mask
+    bins = np.ones(k, dtype=bool) if wp.active is None else np.isin(np.arange(k), wp.active)
+    return np.tile(bins, m)  # the same subcarriers in every subsymbol
 
 
 def _scatter(d, mask) -> np.ndarray:

@@ -171,3 +171,21 @@ def ofdm_modulate(d, n_fft: int, n_cp: int, active=None) -> np.ndarray:
     spec[bins] = d
     x = np.fft.ifft(spec, axis=0, norm="ortho")
     return np.concatenate([x[n_fft - n_cp:], x])
+
+
+def welch_loop(x, seg_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two-sided Welch density estimate, one segment at a time, from the definitions.
+
+    Periodic Hann window w[n] = sin^2(pi n / N); segments start every N - N//2
+    samples and only whole segments count; each periodogram is |DFT(w x)|^2 /
+    sum(w^2), and the estimate is their mean.  Returns (frequencies, PSD), both
+    in DFT bin order (not shifted).
+    """
+    x = np.asarray(x)
+    n = np.arange(seg_len)
+    w = np.sin(np.pi * n / seg_len) ** 2
+    starts = range(0, len(x) - seg_len + 1, seg_len - seg_len // 2)
+    total = np.zeros(seg_len)
+    for s in starts:
+        total += np.abs(np.fft.fft(w * x[s:s + seg_len])) ** 2 / np.sum(w ** 2)
+    return (n - seg_len * (n >= (seg_len + 1) // 2)) / seg_len, total / len(starts)

@@ -1,7 +1,11 @@
-"""Guards on the package surface: the public names, the benchmark's stage table and dead imports."""
+"""Guards on the package surface: the public names, the benchmark's stage table, dead imports
+and the import footprint."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import wavemod
@@ -29,6 +33,20 @@ def test_every_traced_stage_resolves():
     with tracing.Tracer() as tracer:
         pass
     assert tracer.absent == []
+
+
+def test_import_loads_no_scipy():
+    # scipy's import alone took over a second of every run's set-up; keep it out.
+    paths = [str(_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    probe = (
+        "import sys, wavemod, wavemod.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from oracle import ofdm_modulate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracle import ofdm_modulate, welch_loop
 
 from wavemod import (
     MetricCurve,
@@ -82,6 +84,30 @@ class TestWelchPsd:
     def test_rejects_short_input(self):
         with pytest.raises(ValueError):
             welch_psd(np.ones(16), seg_len=2048)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        half=st.integers(4, 1024),
+        n_seg=st.integers(1, 600),
+        tail=st.floats(0.0, 1.0, exclude_max=True),
+        complex_stream=st.booleans(),
+    )
+    def test_matches_segment_loop(self, seed, half, n_seg, tail, complex_stream):
+        # Even seg_len in 8..2048, up to 600 segments (so past the 256-segment
+        # batch) and a partial trailing segment the estimate must drop.
+        seg_len = 2 * half
+        length = (n_seg + 1) * half + int(tail * half)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(length)
+        if complex_stream:
+            x = x + 1j * rng.standard_normal(length)
+        curve = welch_psd(x, seg_len=seg_len)
+        freqs, pxx = welch_loop(x, seg_len)
+        ref = np.fft.fftshift(pxx)
+        ref = ref / np.median(ref[ref >= ref.max() / 2.0])
+        np.testing.assert_allclose(curve.abscissa, np.fft.fftshift(freqs), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(10.0 ** (curve.values / 10.0), ref, rtol=1e-12, atol=0)
 
 
 class TestPapr:

@@ -212,6 +212,18 @@ class TestTheoreticalBer:
             theoretical_ber(grid, 16, channel="rayleigh") > theoretical_ber(grid, 16)
         )
 
+    def test_qpsk_at_zero_db(self):
+        # QPSK at Eb/N0 = 1: Q(sqrt(2)) = erfc(1) / 2.
+        assert abs(theoretical_ber(0.0, 4) - 0.07864960352514258) <= 1e-15
+
+    def test_scalar_in_scalar_out(self):
+        assert np.ndim(theoretical_ber(6.0, 16)) == 0
+        grid = np.arange(12.0).reshape(3, 4)
+        for channel in ("awgn", "rayleigh"):
+            pb = theoretical_ber(grid, 16, channel=channel)
+            assert isinstance(pb, np.ndarray) and pb.shape == grid.shape
+            assert pb[1, 2] == theoretical_ber(6.0, 16, channel=channel)
+
     def test_rejects_unsupported(self):
         with pytest.raises(ValueError):
             theoretical_ber(10.0, 32)

@@ -281,6 +281,7 @@ class TestCli:
             (["ber", "--waveform", "ofdm"], "prototype = phydyas", "prototype"),
             (["ber", "--waveform", "ofdm", "--frames", "2", "--out", "/nonexistent/x.csv"], "", "/nonexistent/x.csv"),
             (["papr", "--waveform", "ofdm", "--frames", "2", "--emit-plot-data", "/nonexistent/x.dat"], "", "/nonexistent/x.dat"),
+            (["ber", "--waveform", "ofdm"], "n_fft = 1\ncp_len = 0", "n_fft"),
         ],
         ids=[
             "unknown-key",
@@ -305,6 +306,7 @@ class TestCli:
             "phydyas-on-ofdm",
             "out-dir-missing",
             "plot-data-dir-missing",
+            "n-fft-below-two-ofdm",
         ],
     )
     def test_bad_config_file_exit_code(self, tmp_path, capsys, argv, text, key):
@@ -315,6 +317,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert "configuration error" in err
         assert key in err
+
+    @pytest.mark.parametrize("flag", ["--out", "output_path", "--emit-plot-data"])
+    def test_output_path_is_a_directory(self, tmp_path, monkeypatch, capsys, flag):
+        # Checked before the run: a directory would only fail at the final write.
+        monkeypatch.setattr(cli, "run_scenario", lambda config: pytest.fail("run started"))
+        cfg = tmp_path / "cfg.txt"
+        argv = ["ber", "--waveform", "ofdm", "--frames", "2", "--config", str(cfg)]
+        if flag.startswith("--"):
+            cfg.write_text("\n")
+            argv += [flag, str(tmp_path)]
+        else:
+            cfg.write_text(f"{flag} = {tmp_path}\n")
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "is a directory" in err and str(tmp_path) in err
+
+    def test_ofdm_ignores_subcarriers(self, tmp_path, capsys):
+        # OFDM's grid is n_fft x 1, so its size check looks at n_fft only.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("subcarriers = 1\n")
+        argv = ["ber", "--waveform", "ofdm", "--ebn0", "8", "--frames", "2", "--config", str(cfg)]
+        assert cli.main(argv) == 0
 
     def test_tvfs_corrected_flags(self):
         for val in ("1", "true", "YES"):
