@@ -35,11 +35,13 @@ class EqualizationError(RuntimeError):
         )
 
 
-def draw_tvfs(rng: np.random.Generator, corrected: bool = False) -> np.ndarray:
-    """Draw one block-fading realization: gain_n times standard complex Gaussian."""
+def draw_tvfs(rng: np.random.Generator, frames: int, corrected: bool = False) -> np.ndarray:
+    """Draw ``frames`` block-fading realizations as (frames, 4) taps.
+
+    Tap n of each frame is gain_n times a standard complex Gaussian.
+    """
     gains = TVFS_GAINS_CORRECTED if corrected else TVFS_GAINS
-    r = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / np.sqrt(2.0)
-    return gains * r
+    return gains * complex_awgn(rng, (frames, len(gains)), 1.0)
 
 
 def complex_awgn(rng: np.random.Generator, shape, noise_var: float) -> np.ndarray:

@@ -1,19 +1,21 @@
 """Scenario runner: BER, PSD and PAPR experiments over the five waveforms.
 
-Every frame draws its bits, fading taps and noise from an RNG stream keyed by
-(master seed, scenario id, frame index), so results are bit-identical across
-runs and worker counts.  Frames are processed in fixed-size chunks: one
-helper draws, maps and transmits a chunk for every instrument, and each BER
-chunk then runs the channel, the equalizer, the demodulator, the demapper and
-the error count once (``ber_errors``); on TVFS the per-frame taps travel as
-one (frames, n_taps) array.  The channel is one linear convolution,
-``_convolve_rows``, for every waveform; a CP waveform sees it as circular
-on its frame core when the cyclic prefix covers the channel's memory of
-n_taps - 1 samples, which ``ScenarioConfig.validate`` requires.  All five
-waveforms share one adapter over the FFT modem core of ``gfdm``: CP-OFDM is
-plain GFDM with K = ``n_fft``, M = 1 and the rectangular pulse.  The
-waveform table picks each one's matrix-set builder and frame kind (circular
-with a cyclic prefix, or prefix-free).
+Frames run in chunks of 64 (256 for PAPR) whatever the thread count, and
+each chunk draws its bits, TVFS fades and noise from one generator keyed by
+(seed, metric, channel, Eb/N0 point, first frame), so results are
+bit-identical across runs and worker counts.  The waveform is not in the
+key: waveforms with equal data sizes see common random numbers, and Linear
+GFDM and FBMC emit the same samples.  One helper draws, maps and transmits
+a chunk for every instrument; each BER chunk then runs the channel,
+equalizer, demodulator, demapper and error count once (``ber_errors``),
+with TVFS taps as one (frames, n_taps) array.  The channel is one linear
+convolution, ``_convolve_rows``, for every waveform; a CP waveform sees it
+as circular on its frame core when the cyclic prefix covers the channel's
+memory of n_taps - 1 samples, which ``ScenarioConfig.validate`` requires.
+All five waveforms share one adapter over the FFT modem core of ``gfdm``:
+CP-OFDM is plain GFDM with K = ``n_fft``, M = 1 and the rectangular pulse.
+The waveform table picks each one's matrix-set builder and frame kind
+(circular with a cyclic prefix, or prefix-free).
 """
 
 import os
@@ -44,6 +46,7 @@ CHANNELS = ("awgn", "tifs", "tvfs")
 METRICS = ("ber", "psd", "papr")
 
 _CHUNK = 64
+RNG_SCHEME = "chunk-v2"  # tags outputs; bump when the draw order or keying changes
 _WELCH_SEGMENT = 2048  # samples per Welch segment; the PSD stream needs one at least
 # Samples of channel memory (n_taps - 1) that a cyclic prefix must cover.
 _CHANNEL_MEMORY = {"awgn": 0, "tifs": len(chan.TIFS_TAPS) - 1, "tvfs": len(chan.TVFS_GAINS) - 1}
@@ -152,14 +155,8 @@ def n_threads() -> int:
 
 
 def _scenario_id(config: ScenarioConfig, point_index: int = 0) -> int:
-    tag = f"{config.metric}|{config.waveform}|{config.channel}|{point_index}"
-    return zlib.crc32(tag.encode())
-
-
-def frame_rng(seed: int, scenario_id: int, frame_index: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=[seed & 0xFFFFFFFFFFFFFFFF, scenario_id, frame_index])
-    )
+    """RNG key of one Eb/N0 point, the same for every waveform (common random numbers)."""
+    return zlib.crc32(f"{config.metric}|{config.channel}|{point_index}".encode())
 
 
 def _next_pow2(n: int) -> int:
@@ -271,32 +268,29 @@ def build_adapter(config: ScenarioConfig):
 
 
 def _draw_chunk(config: ScenarioConfig, adapter, scenario_id, start, count, with_noise):
-    """Per-frame draws for frames [start, start+count): bits, taps, noise.
+    """Draws for frames [start, start+count): bits, taps, noise.
 
-    This is the one place that knows the channels: the taps are one (n_taps,)
+    One generator, keyed by (seed, ``scenario_id``, ``start``), draws the
+    (count, bits_per_frame) bits, then the TVFS fades, then the noise.  This
+    is the one place that knows the channels: the taps are one (n_taps,)
     vector on AWGN and TIFS and (count, n_taps) per-frame fades on TVFS.  The
     unit-variance noise covers the whole received frame, ``frame_len +
     n_taps - 1`` samples; without ``with_noise`` it is None.
     """
-    order = config.waveform_params.qam_order
-    bits_per_frame = adapter.n_data * int(np.log2(order))
-    bits = np.empty((count, bits_per_frame), dtype=np.int64)
-    tvfs = config.channel == "tvfs"
-    if tvfs:
-        taps = np.empty((count, len(chan.TVFS_GAINS)), dtype=complex)
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=[config.seed & 0xFFFF_FFFF_FFFF_FFFF, scenario_id, start])
+    )
+    n_bits = count * adapter.n_data * int(np.log2(config.waveform_params.qam_order))
+    packed = np.frombuffer(rng.bytes(-(-n_bits // 8)), np.uint8)
+    bits = np.unpackbits(packed, count=n_bits).reshape(count, -1)
+    if config.channel == "tvfs":
+        taps = chan.draw_tvfs(rng, count, corrected=config.tvfs_corrected)
     elif config.channel == "tifs":
         taps = chan.TIFS_TAPS.astype(complex)
     else:
         taps = np.array([1.0 + 0j])
     noise_len = adapter.frame_len + taps.shape[-1] - 1
-    noise = np.empty((count, noise_len), dtype=complex) if with_noise else None
-    for j in range(count):
-        rng = frame_rng(config.seed, scenario_id, start + j)
-        bits[j] = rng.integers(0, 2, bits_per_frame)
-        if tvfs:
-            taps[j] = chan.draw_tvfs(rng, corrected=config.tvfs_corrected)
-        if with_noise:
-            noise[j] = chan.complex_awgn(rng, noise_len, 1.0)
+    noise = chan.complex_awgn(rng, (count, noise_len), 1.0) if with_noise else None
     return bits, taps, noise
 
 
@@ -429,7 +423,7 @@ def _theory_reference(config: ScenarioConfig, grid: np.ndarray) -> np.ndarray:
 
 def psd_default_active(subcarriers: int) -> tuple:
     """Centered allocation leaving guard bands for out-of-band measurements."""
-    half = int(round(subcarriers * 7 / 32))
+    half = max(1, round(subcarriers * 7 / 32))  # at K = 2, 7K/32 rounds to no bins
     return tuple(np.arange(-half, half) % subcarriers)
 
 
@@ -514,6 +508,7 @@ def _meta(config: ScenarioConfig) -> dict:
         "qam_order": config.waveform_params.qam_order,
         "subcarriers": k,
         "subsymbols": m,
+        "rng": RNG_SCHEME,
     }
 
 

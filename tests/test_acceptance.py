@@ -5,8 +5,6 @@ emits a single PASS/FAIL line on the real stdout so the verdicts survive
 pytest's output capture.
 """
 
-import zlib
-
 import conftest
 import numpy as np
 import oracle
@@ -24,14 +22,11 @@ from wavemod import (
     qam_map,
     rectangular,
 )
-from wavemod import channel as chan
 from wavemod.mapping import qam_demap
 from wavemod.sim import (
     ScenarioConfig,
     WaveformParams,
-    ber_errors,
     build_adapter,
-    frame_rng,
     psd_band_edge,
     run_ber,
     run_papr,
@@ -72,13 +67,8 @@ def test_1_papr_ccdf_reproduction():
             z = abs(got - p) / sigma
             worst = max(worst, z)
             ok &= z <= 3.0
-    # FBMC and Linear GFDM CCDFs agree everywhere within joint binomial 3-sigma
-    for thr, pf, pl in zip(
-        curves["fbmc"].abscissa, curves["fbmc"].values, curves["linear_gfdm"].values
-    ):
-        pbar = max((pf + pl) / 2, 1e-12)
-        sigma = np.sqrt(2 * pbar * (1 - pbar) / frames)
-        ok &= abs(pf - pl) <= max(3 * sigma, 1e-12)
+    # Fed the same data, FBMC and Linear GFDM emit the same samples: equal CCDFs.
+    ok &= np.array_equal(curves["fbmc"].values, curves["linear_gfdm"].values)
     _report(1, "PAPR CCDF reproduction", ok, f"worst reference deviation {worst:.2f} sigma")
 
 
@@ -144,7 +134,7 @@ def test_4_spectral_containment():
     margin_ofdm = curves["ofdm"].interpolate(ofdm_edge + 8 * sub) - curves[
         "fbmc"
     ].interpolate(edge + 8 * sub)
-    ok = max(diffs) <= 1.0 and margin_cir >= 20.0 and margin_ofdm >= 20.0
+    ok = max(diffs) <= 1e-9 and margin_cir >= 20.0 and margin_ofdm >= 20.0
     _report(
         4,
         "spectral containment",
@@ -218,52 +208,41 @@ def test_6_noiseless_loopback():
     _report(6, "noiseless loopback", ok, "; ".join(details))
 
 
-def _paired_cross_waveform_ber(channel: str, ebn0_db: float, n_bits: int, seed: int = 0):
-    """BER for the three benchmark waveforms with shared bits and fades.
+_CROSS_FRAMES = 489  # 489 * 2048 bits > 1e6 bits
 
-    Common random numbers remove the fade-draw variance from the pairwise
-    comparison, leaving only the independent per-waveform noise."""
-    wfs = ("ofdm", "fbmc", "linear_gfdm")
-    adapters = {w: build_adapter(ScenarioConfig(waveform=w, metric="ber")) for w in wfs}
-    bpf = 2048
-    frames = int(np.ceil(n_bits / bpf))
-    noise_var = 1.0 / (4.0 * 10.0 ** (ebn0_db / 10.0))
-    errors = {w: 0 for w in wfs}
-    sid_common = zlib.crc32(f"cross|{channel}|{ebn0_db}".encode())
-    start, chunk = 0, 64
-    while start < frames:
-        count = min(chunk, frames - start)
-        bits = np.empty((count, bpf), dtype=np.int64)
-        taps = TIFS_TAPS.astype(complex)
-        if channel == "tvfs":
-            taps = np.empty((count, len(chan.TVFS_GAINS)), dtype=complex)
-        for j in range(count):
-            rng = frame_rng(seed, sid_common, start + j)
-            bits[j] = rng.integers(0, 2, bpf)
-            if channel == "tvfs":
-                taps[j] = chan.draw_tvfs(rng)
-        d = qam_map(bits.ravel(), 16).reshape(count, 512)
-        for w in wfs:
-            a = adapters[w]
-            nlen = a.frame_len + taps.shape[-1] - 1
-            sid_w = zlib.crc32(f"cross|{w}|{channel}|{ebn0_db}".encode())
-            noise = np.empty((count, nlen), dtype=complex)
-            for j in range(count):
-                noise[j] = chan.complex_awgn(frame_rng(seed, sid_w, start + j), nlen, 1.0)
-            errors[w] += ber_errors(a, 16, bits, a.transmit(d.T), taps, noise, noise_var)[0]
-        start += count
-    return {w: errors[w] / (frames * bpf) for w in wfs}, frames * bpf
+
+def _paired_cross_waveform_ber(channel: str, ebn0_db: float) -> np.ndarray:
+    """BER at one point of the three benchmark waveforms.
+
+    The runs share bits and fades (common random numbers), which removes the
+    fade-draw variance from the pairwise comparison."""
+    return np.array(
+        [
+            run_ber(
+                ScenarioConfig(
+                    waveform=wf,
+                    channel=channel,
+                    metric="ber",
+                    ebn0_grid_db=(ebn0_db,),
+                    frames=_CROSS_FRAMES,
+                    error_target=None,
+                )
+            ).values[0]
+            for wf in ("ofdm", "fbmc", "linear_gfdm")
+        ]
+    )
 
 
 @pytest.mark.parametrize("channel,points", [("tifs", (4.0, 8.0)), ("tvfs", (8.0, 12.0))])
 def test_7_cross_waveform_ber_equality(channel, points):
     ok = True
     details = []
+    n_bits = _CROSS_FRAMES * 2048
     for ebn0 in points:
-        bers, n_bits = _paired_cross_waveform_ber(channel, ebn0, 1_000_000)
-        pbar = np.mean(list(bers.values()))
+        bers = _paired_cross_waveform_ber(channel, ebn0)
+        pbar = bers.mean()
         joint = 3.0 * np.sqrt(2.0 * pbar * (1.0 - pbar) / n_bits)
-        max_diff = max(abs(a - b) for a in bers.values() for b in bers.values())
+        max_diff = bers.max() - bers.min()
         ok &= max_diff <= joint
         details.append(f"{ebn0} dB: max diff {max_diff:.1e} vs 3sigma {joint:.1e}")
     _report(7, f"cross-waveform BER equality ({channel})", ok, "; ".join(details))
