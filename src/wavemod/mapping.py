@@ -1,4 +1,14 @@
-"""Gray-mapped square QAM constellations."""
+"""Gray-mapped square QAM constellations, mapped and demapped through small tables.
+
+Each axis has L = 2**nb levels.  Level index i carries Gray label i ^ (i >> 1)
+and amplitude (L - 1 - 2*i) * scale, and a symbol's label is its in-phase
+label followed by its quadrature label, MSB first.  Both directions work
+through per-order tables built on first use and kept read-only: the (order,)
+points and the (order, log2 order) bits, both indexed by label, and the
+per-axis Gray labels indexed by level.
+"""
+
+import functools
 
 import numpy as np
 
@@ -27,34 +37,96 @@ def _axis_levels(order: int) -> tuple[np.ndarray, np.ndarray, float]:
     return amps, labels, scale
 
 
+class _Tables:
+    """Read-only tables of one order; :func:`_tables` builds each order once."""
+
+    def __init__(self, order: int):
+        nb = _bits_per_axis(order)
+        amps, labels, scale = _axis_levels(order)
+        amp_by_label = np.empty_like(amps)
+        amp_by_label[labels] = amps
+        label = np.arange(order)
+        q_mask = (1 << nb) - 1
+        # (order,) complex points and (order, 2*nb) uint8 bits, MSB first, by label
+        self.points = amp_by_label[label >> nb] + 1j * amp_by_label[label & q_mask]
+        self.bits = ((label[:, None] >> np.arange(2 * nb - 1, -1, -1)) & 1).astype(np.uint8)
+        self.labels = labels.astype(np.uint8)  # (L,) per-axis Gray label, by level
+        self.scale = float(scale)
+        # A tie lies within 1e-12*(1+|v|) in distance of a midpoint, where
+        # |v| <= amps[0]; a distance difference is 4*scale per level unit.
+        # Demapping re-decides samples within twice that band.
+        self.tie_band = 2.0 * 1e-12 * (1.0 + amps[0]) / (4.0 * scale)
+        for table in (self.points, self.bits, self.labels):
+            table.setflags(write=False)
+
+
+_tables = functools.cache(_Tables)
+
+
+def _binary_bits(bits) -> np.ndarray:
+    """``bits`` flattened to uint8; ValueError naming the first value not 0 or 1."""
+    b = np.asarray(bits).ravel()
+    if b.dtype == np.bool_:
+        return b.view(np.uint8)
+    if b.dtype == np.uint8:
+        bad = b > 1 if b.size and b.max() > 1 else None
+    else:
+        ok = (b == 0) | (b == 1)
+        bad = None if ok.all() else ~ok
+    if bad is not None:
+        i = int(np.flatnonzero(bad)[0])
+        raise ValueError(f"bits must be 0 or 1, got {b[i].item()!r} at index {i}")
+    return b.astype(np.uint8, copy=False)
+
+
 def qam_map(bits, order: int) -> np.ndarray:
     """Map a bit sequence to Gray-labeled unit-average-energy QAM symbols.
 
     Each symbol consumes log2(order) bits: the first half selects the
-    in-phase level, the second half the quadrature level, MSB first.
+    in-phase level, the second half the quadrature level, MSB first.  The
+    bits of each symbol fold MSB-first into a uint8 label, which indexes the
+    point table.  Raises ValueError on an unsupported order, a bit count not
+    divisible by log2(order), or any bit that is not 0 or 1.
     """
-    bits = np.asarray(bits, dtype=np.int64).ravel()
-    nb = _bits_per_axis(order)
-    bps = 2 * nb
-    if len(bits) % bps != 0:
-        raise ValueError(f"bit count {len(bits)} not divisible by {bps}")
-    amps, labels, _ = _axis_levels(order)
-    amp_by_label = np.empty_like(amps)
-    amp_by_label[labels] = amps
-    b = bits.reshape(-1, bps)
-    weights = 1 << np.arange(nb - 1, -1, -1)
-    i_label = b[:, :nb] @ weights
-    q_label = b[:, nb:] @ weights
-    return amp_by_label[i_label] + 1j * amp_by_label[q_label]
+    tables = _tables(order)
+    bps = tables.bits.shape[1]
+    b = _binary_bits(bits)
+    if len(b) % bps != 0:
+        raise ValueError(f"bit count {len(b)} not divisible by {bps}")
+    b = b.reshape(-1, bps)
+    label = b[:, 0].copy()
+    for j in range(1, bps):
+        label <<= 1
+        label |= b[:, j]
+    return np.take(tables.points, label)
 
 
 def _demap_axis(values: np.ndarray, order: int) -> np.ndarray:
-    """Nearest level per sample; ties go to the smaller Gray label.
+    """Gray label of the nearest level per sample; ties go to the smaller label.
 
-    On the uniform grid the nearest level is one of the two levels that
-    bracket the amplitude, whose index follows in closed form.  The nearer
-    one wins; within 1e-12*(1+|v|) of their midpoint the smaller label does.
+    In level units t = (L - 1 - v/scale) / 2, level i sits at t = i, so the
+    nearest level is rint(t) clipped to [0, L - 1].  Within 1e-12*(1+|v|) in
+    distance of a midpoint, that is tol / (4*scale) in t, the smaller Gray
+    label wins.  ``rint`` rounds halves to even, so samples within twice that
+    band of a half-integer t are decided again by the distance rule: the two
+    levels that bracket the amplitude, their distances and the tolerance.
     """
+    tables = _tables(order)
+    top = len(tables.labels) - 1
+    t = values * (-0.5 / tables.scale)
+    t += 0.5 * top
+    level = np.rint(t)
+    near_tie = np.abs(t - level) >= 0.5 - tables.tie_band
+    np.clip(level, 0, top, out=level)
+    labels = np.take(tables.labels, level.astype(np.intp))
+    if near_tie.any():
+        i = np.flatnonzero(near_tie)
+        labels[i] = _nearest_label(values[i], order)
+    return labels
+
+
+def _nearest_label(values: np.ndarray, order: int) -> np.ndarray:
+    """The distance rule between the two levels that bracket each amplitude."""
     amps, labels, scale = _axis_levels(order)
     lo = np.floor((amps[0] - values) / (2.0 * scale))
     lo = np.clip(lo, 0, len(amps) - 2).astype(np.int64)
@@ -68,20 +140,19 @@ def _demap_axis(values: np.ndarray, order: int) -> np.ndarray:
 
 
 def qam_demap(symbols, order: int) -> np.ndarray:
-    """Hard-decision demapping; exact inverse of :func:`qam_map` on grid points."""
+    """Hard-decision demapping to uint8 bits; exact inverse of :func:`qam_map` on grid points.
+
+    The two axis labels combine into the symbol label (in-phase << nb) |
+    quadrature, whose row of the bit table holds the symbol's bits.
+    """
+    tables = _tables(order)
     symbols = np.asarray(symbols, dtype=complex).ravel()
-    nb = _bits_per_axis(order)
-    i_label = _demap_axis(symbols.real, order)
-    q_label = _demap_axis(symbols.imag, order)
-    shifts = np.arange(nb - 1, -1, -1)
-    i_bits = (i_label[:, None] >> shifts) & 1
-    q_bits = (q_label[:, None] >> shifts) & 1
-    return np.concatenate([i_bits, q_bits], axis=1).ravel()
+    label = _demap_axis(symbols.real, order)
+    label <<= tables.bits.shape[1] // 2
+    label |= _demap_axis(symbols.imag, order)
+    return np.take(tables.bits, label, axis=0).ravel()
 
 
 def constellation(order: int) -> np.ndarray:
-    """All constellation points, indexed by their bit label as an integer."""
-    nb = _bits_per_axis(order)
-    n = 1 << (2 * nb)
-    all_bits = ((np.arange(n)[:, None] >> np.arange(2 * nb - 1, -1, -1)) & 1).ravel()
-    return qam_map(all_bits, order)
+    """All constellation points, indexed by their bit label as an integer (a fresh copy)."""
+    return _tables(order).points.copy()

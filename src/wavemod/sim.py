@@ -191,8 +191,9 @@ class _MatrixAdapter:
         self.frame_len = mats.frame_len + self.cp_len
         self.support_len = self.frame_len if circular else mats.support_len
         self.stride = self.frame_len if circular else k * m
-        self._mask = _active_mask(wp, k, m)
-        self.n_data = int(self._mask.sum())
+        # None under the full allocation: data fill every bin, no scatter or gather.
+        self._mask = None if wp.active is None else _active_mask(wp.active, k, m)
+        self.n_data = k * m if self._mask is None else int(self._mask.sum())
         self._rx_cache = {}
 
     def _receiver(self, noise_var):
@@ -213,7 +214,7 @@ class _MatrixAdapter:
         return self._rx_cache[key]
 
     def transmit(self, d):
-        full = _scatter(d, self._mask)
+        full = d if self._mask is None else _scatter(d, self._mask)
         if isinstance(self.mats, gfdm_mod.OqamMatrixSet):
             x = gfdm_mod.oqam_modulate(self.mats, full)
         else:
@@ -231,12 +232,11 @@ class _MatrixAdapter:
             d_hat = gfdm_mod.oqam_demodulate(self.mats, y_eq)
         else:
             d_hat = gfdm_mod.gfdm_demodulate(self._receiver(noise_var), y_eq)
-        return d_hat[self._mask]
+        return d_hat if self._mask is None else d_hat[self._mask]
 
 
-def _active_mask(wp: WaveformParams, k: int, m: int) -> np.ndarray:
-    bins = np.ones(k, dtype=bool) if wp.active is None else np.isin(np.arange(k), wp.active)
-    return np.tile(bins, m)  # the same subcarriers in every subsymbol
+def _active_mask(active, k: int, m: int) -> np.ndarray:
+    return np.tile(np.isin(np.arange(k), active), m)  # the same subcarriers in every subsymbol
 
 
 def _scatter(d, mask) -> np.ndarray:

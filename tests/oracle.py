@@ -1,9 +1,11 @@
-"""Dense-matrix oracles for the FFT modem core.
+"""Dense-matrix oracles for the FFT modem core, and the arithmetic QAM mapper.
 
 Each builder constructs, column by column from its definition, the transmit
 or receive matrix that a ``wavemod`` matrix set describes; the tests compare
 the core's outputs against products with these matrices.  They are slow and
 large (N x N and bigger) on purpose: nothing here shares code with the core.
+``qam_map``, ``demap_axis`` and ``qam_demap`` compute Gray labels with integer
+arithmetic, bracketing and distance comparisons instead of the package's tables.
 """
 
 import numpy as np
@@ -189,3 +191,52 @@ def welch_loop(x, seg_len: int) -> tuple[np.ndarray, np.ndarray]:
     for s in starts:
         total += np.abs(np.fft.fft(w * x[s:s + seg_len])) ** 2 / np.sum(w ** 2)
     return (n - seg_len * (n >= (seg_len + 1) // 2)) / seg_len, total / len(starts)
+
+
+def _qam_axis_levels(order: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Per-axis amplitudes (L - 1 - 2*i) * scale and Gray labels i ^ (i >> 1) of level i."""
+    nlev = 1 << (int(np.log2(order)) // 2)
+    idx = np.arange(nlev)
+    scale = np.sqrt(3.0 / (2.0 * (nlev ** 2 - 1)))
+    return (nlev - 1 - 2 * idx) * scale, idx ^ (idx >> 1), scale
+
+
+def qam_map(bits, order: int) -> np.ndarray:
+    """Gray QAM by label arithmetic: the first half of each symbol's bits is the
+    in-phase label, the second half the quadrature label, MSB first."""
+    bits = np.asarray(bits, dtype=np.int64).ravel()
+    nb = int(np.log2(order)) // 2
+    amps, labels, _ = _qam_axis_levels(order)
+    amp_by_label = np.empty_like(amps)
+    amp_by_label[labels] = amps
+    b = bits.reshape(-1, 2 * nb)
+    weights = 1 << np.arange(nb - 1, -1, -1)
+    return amp_by_label[b[:, :nb] @ weights] + 1j * amp_by_label[b[:, nb:] @ weights]
+
+
+def demap_axis(values: np.ndarray, order: int) -> np.ndarray:
+    """Nearest level's Gray label per sample; ties go to the smaller label.
+
+    The two levels that bracket the amplitude follow in closed form; the nearer
+    one wins, and within 1e-12*(1+|v|) of their midpoint the smaller label does.
+    """
+    amps, labels, scale = _qam_axis_levels(order)
+    lo = np.floor((amps[0] - values) / (2.0 * scale))
+    lo = np.clip(lo, 0, len(amps) - 2).astype(np.int64)
+    d_lo = np.abs(values - amps[lo])
+    d_hi = np.abs(values - amps[lo + 1])
+    tol = 1e-12 * (1.0 + np.abs(values))
+    lo_near = d_lo <= d_hi + tol
+    hi_near = d_hi <= d_lo + tol
+    take_lo = lo_near & (~hi_near | (labels[lo] < labels[lo + 1]))
+    return np.where(take_lo, labels[lo], labels[lo + 1])
+
+
+def qam_demap(symbols, order: int) -> np.ndarray:
+    """Hard decisions per axis by :func:`demap_axis`, label bits shifted out MSB first."""
+    symbols = np.asarray(symbols, dtype=complex).ravel()
+    nb = int(np.log2(order)) // 2
+    shifts = np.arange(nb - 1, -1, -1)
+    i_bits = (demap_axis(symbols.real, order)[:, None] >> shifts) & 1
+    q_bits = (demap_axis(symbols.imag, order)[:, None] >> shifts) & 1
+    return np.concatenate([i_bits, q_bits], axis=1).ravel()

@@ -1,4 +1,5 @@
 import numpy as np
+import oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +39,34 @@ class TestQamMap:
             qam_map([0, 1, 0], 16)
         with pytest.raises(ValueError):
             qam_map([0, 1, 0], 8)
+
+    @pytest.mark.parametrize(
+        "bits, order, bad",
+        [
+            ([0, 2, 0, 0], 16, "2"),
+            ([0, 1.7, 0, 0], 16, "1.7"),
+            ([2, 0], 4, "2"),
+            (np.array([0, 1, 0, 0, 1, 3], dtype=np.uint8), 64, "3"),
+            ([0, -1], 4, "-1"),
+        ],
+    )
+    def test_rejects_non_binary_bits(self, bits, order, bad):
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            qam_map(bits, order)
+
+    def test_bool_and_uint8_bits_map_like_ints(self):
+        bits = np.random.default_rng(3).integers(0, 2, 64)
+        want = qam_map(bits, 16)
+        np.testing.assert_array_equal(qam_map(bits.astype(bool), 16), want)
+        np.testing.assert_array_equal(qam_map(bits.astype(np.uint8), 16), want)
+
+    def test_constellation_writes_do_not_reach_the_mapper(self):
+        bits = np.random.default_rng(4).integers(0, 2, 64)
+        want = qam_map(bits, 16)
+        pts = constellation(16)
+        pts[:] = 0
+        np.testing.assert_array_equal(qam_map(bits, 16), want)
+        assert np.all(constellation(16) != 0)
 
 
 class TestQamDemap:
@@ -88,10 +117,36 @@ class TestQamDemap:
         order=st.sampled_from([4, 16, 64]),
         amplitudes=st.lists(st.floats(-1e6, 1e6), max_size=20),
         midpoints=st.lists(st.tuples(st.integers(0, 6), st.integers(-30, 30)), max_size=20),
+        seed=st.integers(0, 2**32 - 1),
     )
-    def test_axis_matches_brute_force(self, order, amplitudes, midpoints):
+    def test_axis_matches_brute_force(self, order, amplitudes, midpoints, seed):
         amps, _, _ = _axis_levels(order)
         mids = (amps[:-1] + amps[1:]) / 2.0
         near_ties = [mids[i % len(mids)] + k * 1e-13 for i, k in midpoints]
         values = np.array(amplitudes + near_ties + list(mids), dtype=float)
         np.testing.assert_array_equal(_demap_axis(values, order), _demap_axis_oracle(values, order))
+        # The same values against the arithmetic demapper the tables replaced.
+        np.testing.assert_array_equal(_demap_axis(values, order), oracle.demap_axis(values, order))
+        y = values + 1j * np.random.default_rng(seed).permutation(values)
+        np.testing.assert_array_equal(qam_demap(y, order), oracle.qam_demap(y, order))
+
+
+# The table-driven mapper against the arithmetic one it replaced (tests/oracle.py).
+class TestAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(order=st.sampled_from([4, 16, 64]), bits=st.lists(st.integers(0, 1), max_size=600))
+    def test_map_random_bits(self, order, bits):
+        bits = bits[: len(bits) - len(bits) % int(np.log2(order))]
+        np.testing.assert_array_equal(qam_map(bits, order), oracle.qam_map(bits, order))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        order=st.sampled_from([4, 16, 64]),
+        seed=st.integers(0, 2**32 - 1),
+        sigma=st.floats(0.0, 2.0),
+    )
+    def test_demap_noisy_symbols(self, order, seed, sigma):
+        rng = np.random.default_rng(seed)
+        d = oracle.qam_map(rng.integers(0, 2, 300 * int(np.log2(order))), order)
+        y = d + sigma * (rng.standard_normal(d.size) + 1j * rng.standard_normal(d.size))
+        np.testing.assert_array_equal(qam_demap(y, order), oracle.qam_demap(y, order))
