@@ -46,8 +46,11 @@ def draw_tvfs(rng: np.random.Generator, frames: int, corrected: bool = False) ->
 
 def complex_awgn(rng: np.random.Generator, shape, noise_var: float) -> np.ndarray:
     """I.i.d. circular complex Gaussian noise with total per-sample variance."""
-    sigma = np.sqrt(noise_var / 2.0)
-    return sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    noise = np.empty(shape, dtype=complex)
+    noise.real = rng.standard_normal(shape)
+    noise.imag = rng.standard_normal(shape)
+    noise *= np.sqrt(noise_var / 2.0)
+    return noise
 
 
 def freq_response(taps, fft_len: int) -> np.ndarray:
@@ -95,5 +98,5 @@ def fd_zf_equalize(y, taps, fft_len: int) -> np.ndarray:
     if hf.shape[-1] == 1:
         return y / hf
     yf = np.fft.fft(y, n=fft_len, axis=-1)
-    out = np.fft.ifft(yf / hf, axis=-1)
-    return out[..., : y.shape[-1]]
+    yf /= hf
+    return np.fft.ifft(yf, axis=-1, out=yf)[..., : y.shape[-1]]

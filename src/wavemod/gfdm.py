@@ -30,6 +30,8 @@ A matrix set is a small frozen description of a transmit matrix; the dense
 matrices it describes serve only as test oracles.
 """
 
+import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,7 +42,34 @@ from .prototypes import PrototypeFilter
 
 # OQAM quarter-turn rotation j^k of subcarrier k, exact for every k.
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
-_FRAME_BLOCK = 64  # frames per transform pass
+_BLOCK_SYMBOLS = 1 << 15  # symbols per transform pass: 64 frames at K*M = 512
+
+
+class _Scratch(threading.local):
+    """Complex work arrays reused from call to call, one set per thread.
+
+    :meth:`get` returns a view of a flat buffer that grows to the largest
+    request and is then kept, so a repeated call touches no fresh pages.
+    The next call on the same thread overwrites it: no function returns one.
+    Nothing read from a buffer outlives the call that wrote it.
+    """
+
+    def __init__(self):
+        self._flat = {}
+
+    def get(self, name: str, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size, dtype=complex)
+        return flat[:size].reshape(shape)
+
+
+# The modem core's work arrays: per thread, because chunks of a run may be
+# modulated on several threads at once; process-wide, so that each run
+# reuses the pages of the last.  Blocks of ``_BLOCK_SYMBOLS`` keep each near
+# a megabyte.
+_scratch = _Scratch()
 
 
 @dataclass(frozen=True)
@@ -158,23 +187,26 @@ def build_oqam_matrices(p: PrototypeFilter, subcarriers: int, subsymbols: int) -
 def _framewise(a: np.ndarray, n_out: int, apply) -> np.ndarray:
     """Run ``apply`` over (n,) or (n, frames) ``a`` in blocks of frames.
 
-    ``apply`` maps a (frames, n) block to (frames, n_out).  Blocks of
-    ``_FRAME_BLOCK`` frames keep every temporary near a megabyte whatever the
-    chunk size; the result is stored frames-first and returned as a
-    transposed (n_out, frames) view, or (n_out,) for one frame.
+    ``apply(block, dest)`` writes the (frames, n_out) output of a (frames, n)
+    block into ``dest``.  A block is as many frames as carry
+    ``_BLOCK_SYMBOLS`` data symbols (the smaller of n and n_out per frame),
+    which keeps every temporary and work array near a megabyte whatever the
+    chunk and frame sizes; the result is a fresh frames-first array,
+    returned as a transposed (n_out, frames) view, or (n_out,) for one frame.
     """
     rows = a.reshape(a.shape[0], -1).T
     out = np.empty((len(rows), n_out), dtype=complex)
-    for start in range(0, len(rows), _FRAME_BLOCK):
-        out[start:start + _FRAME_BLOCK] = apply(rows[start:start + _FRAME_BLOCK])
+    block = max(1, _BLOCK_SYMBOLS // min(a.shape[0], n_out))
+    for start in range(0, len(rows), block):
+        apply(rows[start:start + block], out[start:start + block])
     return out.T if a.ndim > 1 else out[0]
 
 
-def _blocks(rows: np.ndarray, blocks: int, subcarriers: int) -> np.ndarray:
-    """(frames, n) samples -> (frames, blocks, K), zero-filled past the n samples."""
-    out = np.zeros((len(rows), blocks * subcarriers), dtype=complex)
-    out[:, : rows.shape[1]] = rows
-    return out.reshape(len(rows), blocks, subcarriers)
+def _split_blocks(rows: np.ndarray, subcarriers: int) -> tuple[np.ndarray, np.ndarray]:
+    """(frames, n) samples as views: (frames, n // K, K) whole blocks and the (frames, n % K) rest."""
+    whole = rows.shape[1] // subcarriers * subcarriers
+    head = np.reshape(rows[:, :whole], (len(rows), -1, subcarriers), copy=False)
+    return head, rows[:, whole:]
 
 
 def _circular(weights: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -194,9 +226,9 @@ def gfdm_modulate(mats: GfdmMatrixSet, d) -> np.ndarray:
         raise ValueError(f"expected {mats.frame_len} symbols, got {d.shape[0]}")
     k, m = mats.subcarriers, mats.subsymbols
 
-    def synthesize(sym):
+    def synthesize(sym, dest):
         spread = np.fft.ifft(sym.reshape(len(sym), m, k), axis=-1, norm="forward")
-        return _circular(mats.zak, spread).reshape(len(sym), -1)
+        dest[:] = _circular(mats.zak, spread).reshape(len(sym), -1)
 
     return _framewise(d, mats.frame_len, synthesize)
 
@@ -240,21 +272,33 @@ def gfdm_demodulate(rx: ReceiverMatrix, y) -> np.ndarray:
     if y.shape[0] != m * k:
         raise ValueError(f"expected {m * k} samples, got {y.shape[0]}")
 
-    def analyze(rows):
+    def analyze(rows, dest):
         blocks = _circular(rx.weights, rows.reshape(len(rows), m, k))
-        return np.fft.fft(blocks, axis=-1).reshape(len(rows), -1)
+        dest[:] = np.fft.fft(blocks, axis=-1).reshape(len(rows), -1)
 
     return _framewise(y, m * k, analyze)
 
 
-def _per_residue(band: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Apply real (K, rows, cols) per-residue matrices to (frames, cols, K) blocks.
+def _per_residue(band: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Apply real (K, out, cols) per-residue matrices to (frames, n) samples.
 
-    Returns (frames, rows, K).  The complex blocks enter the real product as
-    interleaved (re, im) pairs, so it runs as one batched real GEMM.
+    Sample r + qK of a frame is entry q of residue r's input, zero past the
+    n samples.  Returns (frames, out, K), a view of the "gemm_out" work array,
+    which ``rows`` may also view: they are copied out first.  The complex
+    samples enter the real product residue-major as interleaved (re, im)
+    pairs, so it runs as one batched real GEMM.
     """
-    cols = np.ascontiguousarray(blocks.transpose(2, 1, 0))
-    return (band @ cols.view(np.float64)).view(complex).transpose(2, 1, 0)
+    k, n_out, n_cols = band.shape
+    cols = _scratch.get("gemm_in", (k, n_cols, len(rows)))
+    head, tail = _split_blocks(rows, k)
+    whole = head.shape[1]
+    np.copyto(cols[:, :whole], head.transpose(2, 1, 0))
+    cols[:, whole:] = 0
+    if tail.size:
+        cols[: tail.shape[1], whole] = tail.T
+    prod = _scratch.get("gemm_out", (k, n_out, len(rows)))
+    np.matmul(band, cols.view(np.float64), out=prod.view(np.float64))
+    return prod.transpose(2, 1, 0)
 
 
 def oqam_modulate(mats: OqamMatrixSet, d) -> np.ndarray:
@@ -265,13 +309,19 @@ def oqam_modulate(mats: OqamMatrixSet, d) -> np.ndarray:
     k, m = mats.subcarriers, mats.subsymbols
     phase = np.tile(mats.phase, m)
 
-    def synthesize(sym):
-        parts = np.empty((len(sym), 2, k * m), dtype=complex)
+    def synthesize(sym, dest):
+        # The product's output buffer: the parts are copied out before it is written.
+        parts = _scratch.get("gemm_out", (len(sym), 2, k * m))
         np.multiply(sym.real, phase[0], out=parts[:, 0])
         np.multiply(sym.imag, phase[1], out=parts[:, 1])
         spread = parts.reshape(len(sym), 2 * m, k)
         np.fft.ifft(spread, axis=-1, norm="forward", out=spread)
-        return _per_residue(mats.band, spread).reshape(len(sym), -1)[:, :mats.frame_len]
+        blocks = _per_residue(mats.band, parts.reshape(len(sym), -1))
+        # Each sample is written once, straight from the residue-major product.
+        head, tail = _split_blocks(dest, k)
+        head[:] = blocks[:, : head.shape[1]]
+        if tail.size:
+            tail[:] = blocks[:, head.shape[1], : tail.shape[1]]
 
     return _framewise(d, mats.frame_len, synthesize)
 
@@ -290,14 +340,12 @@ def oqam_demodulate(mats: OqamMatrixSet, y_eq) -> np.ndarray:
     derotate = mats.phase.conj()[:, None, :]
     gain_i, gain_q = mats.gains
 
-    def analyze(rows):
-        corr = _per_residue(mats.band.transpose(0, 2, 1), _blocks(rows, mats.band.shape[1], k))
+    def analyze(rows, dest):
+        corr = _per_residue(mats.band.transpose(0, 2, 1), rows)
         spec = np.fft.fft(corr.reshape(len(rows), 2, m, k), axis=-1)
         spec *= derotate
-        d_hat = np.empty((len(rows), m * k), dtype=complex)
-        np.divide(spec[:, 0].real.reshape(len(rows), -1), gain_i, out=d_hat.real)
-        np.divide(spec[:, 1].real.reshape(len(rows), -1), gain_q, out=d_hat.imag)
-        return d_hat
+        np.divide(spec[:, 0].real.reshape(len(rows), -1), gain_i, out=dest.real)
+        np.divide(spec[:, 1].real.reshape(len(rows), -1), gain_q, out=dest.imag)
 
     return _framewise(y_eq, mats.n_symbols, analyze)
 

@@ -6,7 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_WELCH_BATCH = 256  # segments per FFT batch: about 8 MB of temporaries at 2,048 samples
+# Segments per in-place FFT batch: a 4 MB buffer at 2,048 samples.  Once glibc
+# has freed one that large it keeps twice that much freed memory for reuse, so
+# a PSD run's chunk temporaries need no fresh pages from the next run on.
+_WELCH_BATCH = 128
 
 
 @dataclass
@@ -51,27 +54,70 @@ def ber_count(tx_bits, rx_bits) -> tuple[int, int, float]:
     return errors, total, errors / total if total else 0.0
 
 
+class WelchAccumulator:
+    """Welch's estimate built up segment by segment: one running sum of periodograms.
+
+    :meth:`add` takes whole (n, ``seg_len``) segments in stream order.  They are
+    windowed into a reused batch of ``_WELCH_BATCH`` rows, transformed in place
+    when it fills, and their power added to the sum; :meth:`curve` normalizes
+    once.  Segments start every ``step`` samples.
+    """
+
+    def __init__(self, seg_len: int):
+        self.seg_len = seg_len
+        self.step = seg_len - seg_len // 2
+        self.window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(seg_len) / seg_len)
+        self.n_segments = 0
+        self._pxx = np.zeros(seg_len)
+        self._batch = np.empty((_WELCH_BATCH, seg_len), dtype=complex)
+        self._filled = 0
+
+    def add(self, segments) -> None:
+        done = 0
+        while done < len(segments):
+            take = min(len(segments) - done, _WELCH_BATCH - self._filled)
+            rows = self._batch[self._filled:self._filled + take]
+            np.multiply(segments[done:done + take], self.window, out=rows)
+            self._filled += take
+            done += take
+            if self._filled == _WELCH_BATCH:
+                self._flush()
+        self.n_segments += len(segments)
+
+    def _flush(self) -> None:
+        batch = self._batch[:self._filled]
+        np.fft.fft(batch, axis=-1, out=batch)
+        power = batch.view(np.float64)
+        np.square(power, out=power)
+        sums = power.sum(axis=0)  # (re^2, im^2) pairs per bin
+        self._pxx += sums[0::2] + sums[1::2]
+        self._filled = 0
+
+    def curve(self, meta: dict | None = None) -> MetricCurve:
+        """Two-sided density 1/(n_seg * sum(w^2)) times the sum, plateau-normalized to 0 dB."""
+        if self.n_segments == 0:
+            raise ValueError("no Welch segments")
+        self._flush()
+        pxx = np.fft.fftshift(self._pxx / (self.n_segments * np.sum(self.window ** 2)))
+        freqs = np.fft.fftshift(np.fft.fftfreq(self.seg_len))
+        plateau = np.median(pxx[pxx >= pxx.max() / 2.0])
+        vals_db = 10.0 * np.log10(np.maximum(pxx / plateau, 1e-300))
+        return MetricCurve(freqs, vals_db, kind="PSD_dB", meta=dict(meta or {}))
+
+
 def welch_psd(stream, seg_len: int = 2048, meta: dict | None = None) -> MetricCurve:
     """Welch's estimate: the mean periodogram of half-overlapped periodic-Hann segments.
 
     No detrending, density scaling 1/(n_seg * sum(w^2)), samples past the last whole
-    segment dropped; two-sided and plateau-normalized to 0 dB.
+    segment dropped; two-sided and plateau-normalized to 0 dB.  The whole stream
+    goes through one :class:`WelchAccumulator`.
     """
     stream = np.asarray(stream)
     if len(stream) < seg_len:
         raise ValueError(f"need at least {seg_len} samples, got {len(stream)}")
-    step = seg_len - seg_len // 2
-    segs = np.lib.stride_tricks.sliding_window_view(stream, seg_len)[::step]
-    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(seg_len) / seg_len)
-    pxx = np.zeros(seg_len)
-    for start in range(0, len(segs), _WELCH_BATCH):
-        spec = np.fft.fft(segs[start:start + _WELCH_BATCH] * win, axis=-1)
-        pxx += (spec.real ** 2 + spec.imag ** 2).sum(axis=0)
-    pxx = np.fft.fftshift(pxx / (len(segs) * np.sum(win ** 2)))
-    freqs = np.fft.fftshift(np.fft.fftfreq(seg_len))
-    plateau = np.median(pxx[pxx >= pxx.max() / 2.0])
-    vals_db = 10.0 * np.log10(np.maximum(pxx / plateau, 1e-300))
-    return MetricCurve(freqs, vals_db, kind="PSD_dB", meta=dict(meta or {}))
+    welch = WelchAccumulator(seg_len)
+    welch.add(np.lib.stride_tricks.sliding_window_view(stream, seg_len)[::welch.step])
+    return welch.curve(meta)
 
 
 def papr(frame) -> float:
@@ -86,7 +132,8 @@ def papr(frame) -> float:
 
 def papr_batch(frames: np.ndarray) -> np.ndarray:
     """Per-row PAPR in dB for a (n_frames, n_samples) array."""
-    power = np.abs(frames) ** 2
+    power = np.abs(frames)
+    np.square(power, out=power)
     mean = power.mean(axis=-1)
     if np.any(mean == 0.0):
         raise ValueError("PAPR undefined for an all-zero frame")

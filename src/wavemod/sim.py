@@ -6,9 +6,10 @@ each chunk draws its bits, TVFS fades and noise from one generator keyed by
 bit-identical across runs and worker counts.  The waveform is not in the
 key: waveforms with equal data sizes see common random numbers, and Linear
 GFDM and FBMC emit the same samples.  One helper draws, maps and transmits
-a chunk for every instrument; each BER chunk then runs the channel,
-equalizer, demodulator, demapper and error count once (``ber_errors``),
-with TVFS taps as one (frames, n_taps) array.  The channel is one linear
+a BER or PSD chunk; PAPR transmits its chunks 64 frames at a time.  Each
+BER chunk then runs the channel, equalizer, demodulator, demapper and error
+count once (``ber_errors``), with TVFS taps as one (frames, n_taps) array.
+A PSD run streams Welch's estimate chunk by chunk (``run_psd``).  The channel is one linear
 convolution, ``_convolve_rows``, for every waveform; a CP waveform sees it
 as circular on its frame core when the cyclic prefix covers the channel's
 memory of n_taps - 1 samples, which ``ScenarioConfig.validate`` requires.
@@ -24,6 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import channel as chan
 from . import fbmc as fbmc_mod
@@ -32,12 +34,12 @@ from . import linear as linear_mod
 from .mapping import qam_map, qam_demap
 from .metrics import (
     MetricCurve,
+    WelchAccumulator,
     ber_count,
     default_papr_thresholds,
     papr_batch,
     papr_ccdf,
     theoretical_ber,
-    welch_psd,
 )
 from .prototypes import PHYDYAS_OVERLAPS, phydyas, rectangular
 
@@ -314,9 +316,9 @@ def _convolve_rows(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
         return x * taps
     out_len = x.shape[1] + taps.shape[-1] - 1
     fft_len = _next_pow2(out_len)
-    hf = chan.freq_response(taps, fft_len)
-    y = np.fft.ifft(np.fft.fft(x, fft_len, axis=1) * hf, axis=1)
-    return y[:, :out_len]
+    y = np.fft.fft(x, fft_len, axis=1)
+    y *= chan.freq_response(taps, fft_len)
+    return np.fft.ifft(y, axis=1, out=y)[:, :out_len]
 
 
 def ber_errors(adapter, order: int, bits, x, taps, noise, noise_var: float) -> tuple[int, int]:
@@ -443,7 +445,10 @@ def run_psd(config: ScenarioConfig) -> MetricCurve:
     Prefix-free waveforms are overlap-added at the data-symbol stride;
     block waveforms are concatenated back to back.  When no explicit
     allocation is given, a centered sub-band is used so that out-of-band
-    behavior is observable.
+    behavior is observable.  The stream is never held whole: each chunk is
+    overlap-added into a window of at most a segment plus a chunk of
+    frames, and every Welch segment that no later frame can reach goes into
+    the running periodogram sum, so memory does not grow with the frames.
     """
     config.validate()
     if config.metric != "psd":
@@ -454,25 +459,54 @@ def run_psd(config: ScenarioConfig) -> MetricCurve:
         config = replace(config, waveform_params=replace(wp, active=active))
     adapter = build_adapter(config)
     sid = _scenario_id(config)
-    stride = adapter.stride
-    n_samples = (config.frames - 1) * stride + adapter.frame_len
+    stride, frame_len = adapter.stride, adapter.frame_len
+    n_samples = (config.frames - 1) * stride + frame_len
     if n_samples < _WELCH_SEGMENT:
         raise ConfigError(
             f"frames: {config.frames} frames give {n_samples} samples, "
             f"the PSD needs at least {_WELCH_SEGMENT}"
         )
-    stream = np.zeros(n_samples, dtype=complex)
-    start = 0
-    while start < config.frames:
+    welch = WelchAccumulator(_WELCH_SEGMENT)
+    # window[i] is stream sample base + i, base being the start of the first
+    # segment not yet fed, and its first ``held`` samples are written.  A chunk's
+    # first frame starts within a segment of base: the window holds a segment
+    # and a chunk of frames.
+    window = np.empty(_WELCH_SEGMENT + (_CHUNK - 1) * stride + frame_len, dtype=complex)
+    base = held = 0
+    for start in range(0, config.frames, _CHUNK):
         count = min(_CHUNK, config.frames - start)
         x, *_ = _transmit_chunk(config, adapter, sid, start, count)
-        for j in range(count):
-            off = (start + j) * stride
-            stream[off:off + adapter.frame_len] += x[:, j]
-        start += count
-    curve = welch_psd(stream, seg_len=_WELCH_SEGMENT, meta=_meta(config))
+        first = start * stride - base
+        end = first + (count - 1) * stride + frame_len
+        window[held:end] = 0
+        _overlap_add(window[first:end], x.T, stride)
+        held = end
+        # Samples before the next frame's start are final; after the last frame, all are.
+        final = n_samples - base if start + count == config.frames else first + count * stride
+        if final >= _WELCH_SEGMENT:
+            segments = sliding_window_view(window[:final], _WELCH_SEGMENT)[::welch.step]
+            welch.add(segments)
+            fed = len(segments) * welch.step
+            window[:held - fed] = window[fed:held]
+            base += fed
+            held -= fed
+    curve = welch.curve(meta=_meta(config))
     _maybe_write(curve, config)
     return curve
+
+
+def _overlap_add(out: np.ndarray, frames: np.ndarray, stride: int) -> None:
+    """Add (count, frame_len) ``frames`` into ``out`` at ``stride`` spacing.
+
+    One strided add per ``stride``-long piece of the frames, the last piece
+    first: each sample of ``out`` then gains its terms in frame order, as a
+    loop over the frames would add them, so the sums are the same bits.
+    """
+    count, frame_len = frames.shape
+    for lo in reversed(range(0, frame_len, stride)):
+        width = min(stride, frame_len - lo)
+        piece = sliding_window_view(out[lo:], width, writeable=True)[::stride][:count]
+        piece += frames[:, lo:lo + width]
 
 
 def run_papr(config: ScenarioConfig) -> MetricCurve:
@@ -488,11 +522,15 @@ def run_papr(config: ScenarioConfig) -> MetricCurve:
     sid = _scenario_id(config)
 
     def process(start, count):
-        x, *_ = _transmit_chunk(config, adapter, sid, start, count)
-        return (list(papr_batch(x.T[:, : adapter.support_len])),)
+        bits, *_ = _draw_chunk(config, adapter, sid, start, count, False)
+        d = qam_map(bits.ravel(), config.waveform_params.qam_order).reshape(count, adapter.n_data)
+        # 64 frames at a time: glibc keeps their megabyte for reuse from run to
+        # run, but returns a whole chunk's 4 MB, which each run faults in again.
+        frames = (adapter.transmit(d[i:i + _CHUNK].T).T for i in range(0, count, _CHUNK))
+        return ([papr_batch(x[:, : adapter.support_len]) for x in frames],)
 
     (paprs,) = _parallel_rounds(process, config.frames, chunk=4 * _CHUNK)
-    curve = papr_ccdf(np.array(paprs), default_papr_thresholds(), meta=_meta(config))
+    curve = papr_ccdf(np.concatenate(paprs), default_papr_thresholds(), meta=_meta(config))
     _maybe_write(curve, config)
     return curve
 

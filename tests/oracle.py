@@ -6,9 +6,14 @@ the core's outputs against products with these matrices.  They are slow and
 large (N x N and bigger) on purpose: nothing here shares code with the core.
 ``qam_map``, ``demap_axis`` and ``qam_demap`` compute Gray labels with integer
 arithmetic, bracketing and distance comparisons instead of the package's tables.
+``psd_oneshot`` holds a PSD run's whole stream at once, frame by frame.
 """
 
+from dataclasses import replace
+
 import numpy as np
+
+from wavemod import sim, welch_psd
 
 
 def _wrap_prototype(p, n: int) -> np.ndarray:
@@ -191,6 +196,30 @@ def welch_loop(x, seg_len: int) -> tuple[np.ndarray, np.ndarray]:
     for s in starts:
         total += np.abs(np.fft.fft(w * x[s:s + seg_len])) ** 2 / np.sum(w ** 2)
     return (n - seg_len * (n >= (seg_len + 1) // 2)) / seg_len, total / len(starts)
+
+
+def psd_oneshot(config):
+    """``run_psd``'s estimate from its whole stream, materialized before any estimating.
+
+    The frames of every chunk are drawn and transmitted as ``run_psd`` draws
+    them, added one frame at a time into one zeroed stream, and the stream
+    goes to ``welch_psd`` in a single call.
+    """
+    wp = config.waveform_params
+    if wp.active is None:
+        active = sim.psd_default_active(sim._grid(config)[0])
+        config = replace(config, waveform_params=replace(wp, active=active))
+    adapter = sim.build_adapter(config)
+    sid = sim._scenario_id(config)
+    stride, frame_len = adapter.stride, adapter.frame_len
+    stream = np.zeros((config.frames - 1) * stride + frame_len, dtype=complex)
+    for start in range(0, config.frames, sim._CHUNK):
+        count = min(sim._CHUNK, config.frames - start)
+        x = sim._transmit_chunk(config, adapter, sid, start, count)[0]
+        for j in range(count):
+            off = (start + j) * stride
+            stream[off:off + frame_len] += x[:, j]
+    return welch_psd(stream, seg_len=sim._WELCH_SEGMENT)
 
 
 def _qam_axis_levels(order: int) -> tuple[np.ndarray, np.ndarray, float]:

@@ -94,7 +94,7 @@ class TestWelchPsd:
         complex_stream=st.booleans(),
     )
     def test_matches_segment_loop(self, seed, half, n_seg, tail, complex_stream):
-        # Even seg_len in 8..2048, up to 600 segments (so past the 256-segment
+        # Even seg_len in 8..2048, up to 600 segments (so past the 128-segment
         # batch) and a partial trailing segment the estimate must drop.
         seg_len = 2 * half
         length = (n_seg + 1) * half + int(tail * half)

@@ -7,12 +7,14 @@ import tracemalloc
 from dataclasses import replace
 
 import numpy as np
+import oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavemod import cli
 from wavemod.channel import EqualizationError
+from wavemod.gfdm import oqam_demodulate, oqam_modulate
 from wavemod.sim import (
     CHANNELS,
     WAVEFORMS,
@@ -26,6 +28,7 @@ from wavemod.sim import (
     run_papr,
     run_psd,
     run_scenario,
+    _WELCH_SEGMENT,
     _convolve_rows,
     _draw_chunk,
     _scenario_id,
@@ -222,7 +225,66 @@ class TestCommonRandomNumbers:
         np.testing.assert_array_equal(lin.values, fb.values)
 
 
+def _fewest_psd_frames(waveform, wp):
+    """The fewest frames whose stream fills one Welch segment."""
+    adapter = build_adapter(ScenarioConfig(waveform=waveform, metric="psd", waveform_params=wp))
+    return max(1, -(-(_WELCH_SEGMENT - adapter.frame_len) // adapter.stride) + 1)
+
+
 class TestRunPsd:
+    @pytest.mark.parametrize("frames", [None, 63, 64, 65, 129])
+    @pytest.mark.parametrize("grid", [(128, 4), (42, 3), (6, 5)])
+    @pytest.mark.parametrize("waveform", WAVEFORMS)
+    @settings(max_examples=4, deadline=None)
+    @given(
+        active=st.one_of(st.none(), st.lists(st.integers(0, 511), min_size=1, max_size=40)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_streamed_estimate_matches_oneshot(self, waveform, grid, frames, active, seed):
+        # Chunk edges at 63-65 and 129 frames of 64; None is the fewest frames
+        # that fill one segment.  At K=42, M=3 a chunk of prefix-free frames
+        # ends 128 samples short of a segment end that its last frame's tail
+        # reaches; the default strides of 512 and 544 end chunks on segment edges.
+        k, m = grid
+        n_fft = 512 if k == 128 else k * m
+        bins = n_fft if waveform == "ofdm" else k
+        wp = WaveformParams(
+            subcarriers=k, subsymbols=m, n_fft=n_fft, cp_len=32 if k == 128 else 7,
+            active=None if active is None else tuple(sorted({a % bins for a in active})),
+        )
+        if frames is None:
+            frames = _fewest_psd_frames(waveform, wp)
+        cfg = ScenarioConfig(waveform=waveform, metric="psd", frames=frames, seed=seed, waveform_params=wp)
+        if (frames - 1) * build_adapter(cfg).stride + build_adapter(cfg).frame_len < _WELCH_SEGMENT:
+            with pytest.raises(ConfigError, match="frames"):
+                run_psd(cfg)
+            return
+        got, want = run_psd(cfg), oracle.psd_oneshot(cfg)
+        np.testing.assert_array_equal(got.abscissa, want.abscissa)
+        np.testing.assert_allclose(10.0 ** (got.values / 10.0), 10.0 ** (want.values / 10.0), rtol=1e-12, atol=0)
+
+    def test_fewest_frames_fill_one_segment(self):
+        for waveform in WAVEFORMS:
+            frames = _fewest_psd_frames(waveform, WaveformParams())
+            run_psd(ScenarioConfig(waveform=waveform, metric="psd", frames=frames))
+            if frames > 1:
+                with pytest.raises(ConfigError, match="frames"):
+                    run_psd(ScenarioConfig(waveform=waveform, metric="psd", frames=frames - 1))
+
+    def test_memory_does_not_grow_with_frames(self):
+        # Welch's sum is streamed: no array scales with the stream length.
+        def peak(frames):
+            tracemalloc.start()
+            try:
+                run_psd(ScenarioConfig(waveform="fbmc", metric="psd", frames=frames))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_psd(ScenarioConfig(waveform="fbmc", metric="psd", frames=10))  # work arrays exist
+        small, large = peak(1000), peak(8000)
+        assert large <= 1.25 * small, (small, large)
+
     def test_default_active_allocation(self):
         active = psd_default_active(128)
         assert len(active) == 56
@@ -264,6 +326,52 @@ class TestRunPapr:
         adapter = build_adapter(cfg)
         assert adapter.support_len == 961
         assert adapter.frame_len == 962
+
+
+class TestReusedBuffers:
+    """The modem's per-thread work arrays never show in a result."""
+
+    @pytest.mark.parametrize("threads", ["2", "4"])
+    def test_thread_counts_give_the_same_bits(self, monkeypatch, threads):
+        # Four threads on two cores, switching every 10 us, interleave chunks
+        # inside the modem; each thread has work arrays of its own.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        configs = [
+            ScenarioConfig(waveform="linear_gfdm", metric="papr", frames=1100),
+            _ber_config(waveform="fbmc", channel="tvfs", ebn0_grid_db=(6.0, 10.0), frames=300),
+            _ber_config(waveform="gfdm_oqam_circular", channel="tifs", frames=300),
+        ]
+        runs = {}
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            for n in ("1", threads):
+                monkeypatch.setenv("WAVEMOD_THREADS", n)
+                runs[n] = [run_scenario(c) for c in configs]
+        finally:
+            sys.setswitchinterval(interval)
+        for one, many in zip(runs["1"], runs[threads]):
+            np.testing.assert_array_equal(one.values, many.values)
+            assert one.extra.keys() == many.extra.keys()
+            for key in one.extra:
+                np.testing.assert_array_equal(one.extra[key], many.extra[key])
+
+    def test_back_to_back_calls_do_not_alias(self):
+        rng = np.random.default_rng(5)
+        adapter = build_adapter(ScenarioConfig(waveform="linear_gfdm"))
+        mats = adapter.mats
+        d1, d2 = (rng.standard_normal((512, 70)) + 1j * rng.standard_normal((512, 70)) for _ in range(2))
+        calls = [
+            lambda d: oqam_modulate(mats, d),
+            lambda d: oqam_demodulate(mats, oqam_modulate(mats, d)),
+            adapter.transmit,
+        ]
+        for call in calls:
+            first = call(d1)
+            kept = first.copy()
+            second = call(d2)
+            np.testing.assert_array_equal(first, kept)
+            assert not np.shares_memory(first, second)
 
 
 class TestCli:
