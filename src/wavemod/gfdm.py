@@ -42,7 +42,7 @@ from .prototypes import PrototypeFilter
 
 # OQAM quarter-turn rotation j^k of subcarrier k, exact for every k.
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
-_BLOCK_SYMBOLS = 1 << 15  # symbols per transform pass: 64 frames at K*M = 512
+_FRAME_BLOCK = 64  # frames per transform pass
 
 
 class _Scratch(threading.local):
@@ -67,8 +67,8 @@ class _Scratch(threading.local):
 
 # The modem core's work arrays: per thread, because chunks of a run may be
 # modulated on several threads at once; process-wide, so that each run
-# reuses the pages of the last.  Blocks of ``_BLOCK_SYMBOLS`` keep each near
-# a megabyte.
+# reuses the pages of the last.  Blocks of ``_FRAME_BLOCK`` frames keep each
+# near a megabyte at K*M = 512.
 _scratch = _Scratch()
 
 
@@ -188,17 +188,15 @@ def _framewise(a: np.ndarray, n_out: int, apply) -> np.ndarray:
     """Run ``apply`` over (n,) or (n, frames) ``a`` in blocks of frames.
 
     ``apply(block, dest)`` writes the (frames, n_out) output of a (frames, n)
-    block into ``dest``.  A block is as many frames as carry
-    ``_BLOCK_SYMBOLS`` data symbols (the smaller of n and n_out per frame),
-    which keeps every temporary and work array near a megabyte whatever the
-    chunk and frame sizes; the result is a fresh frames-first array,
-    returned as a transposed (n_out, frames) view, or (n_out,) for one frame.
+    block into ``dest``.  Blocks of ``_FRAME_BLOCK`` frames keep every
+    temporary and work array near a megabyte whatever the chunk size; the
+    result is a fresh frames-first array, returned as a transposed
+    (n_out, frames) view, or (n_out,) for one frame.
     """
     rows = a.reshape(a.shape[0], -1).T
     out = np.empty((len(rows), n_out), dtype=complex)
-    block = max(1, _BLOCK_SYMBOLS // min(a.shape[0], n_out))
-    for start in range(0, len(rows), block):
-        apply(rows[start:start + block], out[start:start + block])
+    for start in range(0, len(rows), _FRAME_BLOCK):
+        apply(rows[start:start + _FRAME_BLOCK], out[start:start + _FRAME_BLOCK])
     return out.T if a.ndim > 1 else out[0]
 
 

@@ -58,29 +58,32 @@ class WelchAccumulator:
     """Welch's estimate built up segment by segment: one running sum of periodograms.
 
     :meth:`add` takes whole (n, ``seg_len``) segments in stream order.  They are
-    windowed into a reused batch of ``_WELCH_BATCH`` rows, transformed in place
-    when it fills, and their power added to the sum; :meth:`curve` normalizes
-    once.  Segments start every ``step`` samples.
+    windowed into a reused batch, transformed in place whenever it fills, and
+    their power added to the sum; :meth:`curve` normalizes once.  Segments
+    start every ``step`` samples.  The batch holds ``_WELCH_BATCH`` rows, or
+    fewer when the ``n_samples``-sample stream has fewer segments, so a short
+    stream takes no more memory than its segments.
     """
 
-    def __init__(self, seg_len: int):
+    def __init__(self, seg_len: int, n_samples: int):
         self.seg_len = seg_len
         self.step = seg_len - seg_len // 2
         self.window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(seg_len) / seg_len)
         self.n_segments = 0
         self._pxx = np.zeros(seg_len)
-        self._batch = np.empty((_WELCH_BATCH, seg_len), dtype=complex)
+        rows = min(_WELCH_BATCH, max(1, (n_samples - seg_len) // self.step + 1))
+        self._batch = np.empty((rows, seg_len), dtype=complex)
         self._filled = 0
 
     def add(self, segments) -> None:
         done = 0
         while done < len(segments):
-            take = min(len(segments) - done, _WELCH_BATCH - self._filled)
+            take = min(len(segments) - done, len(self._batch) - self._filled)
             rows = self._batch[self._filled:self._filled + take]
             np.multiply(segments[done:done + take], self.window, out=rows)
             self._filled += take
             done += take
-            if self._filled == _WELCH_BATCH:
+            if self._filled == len(self._batch):
                 self._flush()
         self.n_segments += len(segments)
 
@@ -115,7 +118,7 @@ def welch_psd(stream, seg_len: int = 2048, meta: dict | None = None) -> MetricCu
     stream = np.asarray(stream)
     if len(stream) < seg_len:
         raise ValueError(f"need at least {seg_len} samples, got {len(stream)}")
-    welch = WelchAccumulator(seg_len)
+    welch = WelchAccumulator(seg_len, len(stream))
     welch.add(np.lib.stride_tricks.sliding_window_view(stream, seg_len)[::welch.step])
     return welch.curve(meta)
 

@@ -6,10 +6,10 @@ each chunk draws its bits, TVFS fades and noise from one generator keyed by
 bit-identical across runs and worker counts.  The waveform is not in the
 key: waveforms with equal data sizes see common random numbers, and Linear
 GFDM and FBMC emit the same samples.  One helper draws, maps and transmits
-a BER or PSD chunk; PAPR transmits its chunks 64 frames at a time.  Each
-BER chunk then runs the channel, equalizer, demodulator, demapper and error
-count once (``ber_errors``), with TVFS taps as one (frames, n_taps) array.
-A PSD run streams Welch's estimate chunk by chunk (``run_psd``).  The channel is one linear
+a chunk for every instrument; each BER chunk then runs the channel,
+equalizer, demodulator, demapper and error count once (``ber_errors``),
+with TVFS taps as one (frames, n_taps) array, and a PSD run streams
+Welch's estimate chunk by chunk (``run_psd``).  The channel is one linear
 convolution, ``_convolve_rows``, for every waveform; a CP waveform sees it
 as circular on its frame core when the cyclic prefix covers the channel's
 memory of n_taps - 1 samples, which ``ScenarioConfig.validate`` requires.
@@ -466,7 +466,7 @@ def run_psd(config: ScenarioConfig) -> MetricCurve:
             f"frames: {config.frames} frames give {n_samples} samples, "
             f"the PSD needs at least {_WELCH_SEGMENT}"
         )
-    welch = WelchAccumulator(_WELCH_SEGMENT)
+    welch = WelchAccumulator(_WELCH_SEGMENT, n_samples)
     # window[i] is stream sample base + i, base being the start of the first
     # segment not yet fed, and its first ``held`` samples are written.  A chunk's
     # first frame starts within a segment of base: the window holds a segment
@@ -522,12 +522,8 @@ def run_papr(config: ScenarioConfig) -> MetricCurve:
     sid = _scenario_id(config)
 
     def process(start, count):
-        bits, *_ = _draw_chunk(config, adapter, sid, start, count, False)
-        d = qam_map(bits.ravel(), config.waveform_params.qam_order).reshape(count, adapter.n_data)
-        # 64 frames at a time: glibc keeps their megabyte for reuse from run to
-        # run, but returns a whole chunk's 4 MB, which each run faults in again.
-        frames = (adapter.transmit(d[i:i + _CHUNK].T).T for i in range(0, count, _CHUNK))
-        return ([papr_batch(x[:, : adapter.support_len]) for x in frames],)
+        x, *_ = _transmit_chunk(config, adapter, sid, start, count)
+        return ([papr_batch(x.T[:, : adapter.support_len])],)
 
     (paprs,) = _parallel_rounds(process, config.frames, chunk=4 * _CHUNK)
     curve = papr_ccdf(np.concatenate(paprs), default_papr_thresholds(), meta=_meta(config))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,6 +86,17 @@ class TestWelchPsd:
     def test_rejects_short_input(self):
         with pytest.raises(ValueError):
             welch_psd(np.ones(16), seg_len=2048)
+
+    def test_short_stream_takes_memory_for_its_segments_only(self):
+        # One 2,048-sample segment: a 32 KB batch, not a full 128-segment (4 MB) one.
+        x = np.random.default_rng(3).standard_normal(2048) + 0j
+        tracemalloc.start()
+        try:
+            welch_psd(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256 * 2**10
 
     @settings(max_examples=40, deadline=None)
     @given(
