@@ -24,7 +24,6 @@ from .gfdm import (
     GfdmMatrixSet,
     OqamMatrixSet,
     ReceiverMatrix,
-    add_cp,
     build_gfdm_matrix,
     build_oqam_matrices,
     build_receiver,
@@ -32,7 +31,6 @@ from .gfdm import (
     gfdm_modulate,
     oqam_demodulate,
     oqam_modulate,
-    remove_cp,
 )
 from .linear import build_linear_matrices
 from .mapping import constellation, qam_demap, qam_map
@@ -85,7 +83,6 @@ __all__ = [
     "ReceiverMatrix",
     "ScenarioConfig",
     "WaveformParams",
-    "add_cp",
     "ber_count",
     "build_fbmc_matrices",
     "build_gfdm_matrix",
@@ -112,7 +109,6 @@ __all__ = [
     "qam_demap",
     "qam_map",
     "rectangular",
-    "remove_cp",
     "run_ber",
     "run_papr",
     "run_psd",

@@ -1,0 +1,77 @@
+"""Work areas: the arrays a chunk job writes, kept for the life of the process.
+
+A work area holds named flat buffers, each grown to the largest request and
+then kept, so a chunk after the first touches no fresh pages.  Areas sit on
+one process-wide free list.  :func:`borrowed` lends the calling thread an
+area for one chunk job and hands it back after, so the process keeps one
+area per job that ever ran at the same time, each sized to the largest chunk
+seen, whatever threads ran them.  :func:`area` is the area lent to the
+calling thread; outside a job it is a fresh one, so a call made there gets
+fresh arrays and keeps nothing.
+
+Two modules take buffers from an area, each under names prefixed with its
+own module name, so neither can overwrite the other's:
+
+- ``sim`` owns a chunk's stages, from the noise draw to the demapped bits,
+  and hands its buffers to the library through ``out=`` arguments.  Each
+  holds one stage's output until a later stage has read it; the demodulator
+  writes its estimates over the sent symbols, which the frames have
+  replaced by then.
+- ``gfdm`` keeps the modem's GEMM operands and OQAM spectra, which live
+  only within one call; the OQAM modulator's phase-rotated parts sit in the
+  GEMM output until the GEMM input has copied them.
+
+The other modules keep no arrays: their per-chunk helpers work through
+their input :data:`BLOCK` elements at a time.
+"""
+
+import math
+import threading
+from contextlib import contextmanager
+
+import numpy as np
+
+# Elements per pass of the helpers that keep no arrays: their temporaries
+# stay under 128 KB, a size the allocator reuses from its heap instead of
+# mapping fresh pages for each call.
+BLOCK = 8192
+
+_free = []  # areas not lent to a job; list.pop and append are atomic
+_lent = threading.local()
+
+
+class WorkArea:
+    """Named buffers; :meth:`get` views one as an array, overwriting what it held."""
+
+    def __init__(self):
+        self._flat = {}
+
+    def get(self, name: str, shape, dtype=complex) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        shape = (shape,) if isinstance(shape, int) else tuple(shape)
+        nbytes = math.prod(shape) * dtype.itemsize
+        flat = self._flat.get(name)
+        if flat is None or flat.size < nbytes:
+            flat = self._flat[name] = np.empty(nbytes, dtype=np.uint8)
+        return flat[:nbytes].view(dtype).reshape(shape)
+
+
+def area() -> WorkArea:
+    """The area lent to the calling thread's chunk job; a fresh one outside any job."""
+    held = getattr(_lent, "area", None)
+    return WorkArea() if held is None else held
+
+
+@contextmanager
+def borrowed():
+    """Lend the calling thread an area from the free list until the block ends."""
+    try:
+        held = _free.pop()
+    except IndexError:
+        held = WorkArea()
+    _lent.area = held
+    try:
+        yield held
+    finally:
+        _lent.area = None
+        _free.append(held)

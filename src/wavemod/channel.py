@@ -13,6 +13,8 @@ equalizer, so neither transforms it.
 
 import numpy as np
 
+from ._work import BLOCK
+
 TIFS_TAPS = np.array([1.0, 0.0, 0.0, 0.0, 0.4, 0.0, 0.0, 0.2])
 MIN_ZF_BIN = 1e-12  # smallest response magnitude zero forcing divides by
 
@@ -47,14 +49,23 @@ def draw_tvfs(rng: np.random.Generator, frames: int, corrected: bool = False) ->
 def complex_awgn(rng: np.random.Generator, shape, noise_var: float) -> np.ndarray:
     """I.i.d. circular complex Gaussian noise with total per-sample variance."""
     noise = np.empty(shape, dtype=complex)
-    noise.real = rng.standard_normal(shape)
-    noise.imag = rng.standard_normal(shape)
-    noise *= np.sqrt(noise_var / 2.0)
+    noise.real, noise.imag = awgn_parts(rng, np.empty((2, *noise.shape)), noise_var)
     return noise
 
 
-def freq_response(taps, fft_len: int) -> np.ndarray:
-    """``fft_len``-point response of the zero-padded taps.
+def awgn_parts(rng: np.random.Generator, out: np.ndarray, noise_var: float = 1.0) -> np.ndarray:
+    """Fill (2, ...) float ``out`` with complex noise's real parts, then its imaginary parts.
+
+    One draw fills both, real parts first, in the order two draws of the
+    noise's shape would; each part has variance ``noise_var`` / 2.
+    """
+    rng.standard_normal(out=out)
+    out *= np.sqrt(noise_var / 2.0)
+    return out
+
+
+def freq_response(taps, fft_len: int, out=None) -> np.ndarray:
+    """``fft_len``-point response of the zero-padded taps, written into ``out`` if given.
 
     Taps of shape (n_taps,) give one response of shape (fft_len,); per-frame
     taps of shape (frames, n_taps) give a (frames, fft_len) response.
@@ -62,41 +73,53 @@ def freq_response(taps, fft_len: int) -> np.ndarray:
     taps = np.asarray(taps, dtype=complex)
     if taps.shape[-1] > fft_len:
         raise ValueError(f"{taps.shape[-1]} taps do not fit a {fft_len}-point response")
-    return np.fft.fft(taps, n=fft_len, axis=-1)
+    return np.fft.fft(taps, n=fft_len, axis=-1, out=out)
 
 
 def check_zf_bins(hf) -> None:
     """Raise :class:`EqualizationError` if any bin of ``hf`` is below ``MIN_ZF_BIN``.
 
     Bins run along the last axis; a leading axis indexes frames, each checked
-    in full.  The error names the weakest bin.
+    in full, a few at a time in order.  The error names the weakest bin of
+    the first few that hold one.
     """
-    mags = np.abs(hf)
-    worst = np.unravel_index(int(np.argmin(mags)), mags.shape)
-    if mags[worst] < MIN_ZF_BIN:
-        raise EqualizationError(int(worst[-1]), float(mags[worst]))
+    rows = np.reshape(hf, (-1, np.shape(hf)[-1]))
+    step = max(1, BLOCK // rows.shape[1])
+    for lo in range(0, len(rows), step):
+        mags = np.abs(rows[lo:lo + step])
+        worst = np.unravel_index(int(np.argmin(mags)), mags.shape)
+        if mags[worst] < MIN_ZF_BIN:
+            raise EqualizationError(int(worst[-1]), float(mags[worst]))
 
 
-def fd_zf_equalize(y, taps, fft_len: int) -> np.ndarray:
+def fd_zf_equalize(y, taps, fft_len: int, hf=None, out=None) -> np.ndarray:
     """Bin-wise zero-forcing over an ``fft_len``-point transform.
 
     The input is zero-padded to ``fft_len``, divided by the channel response
     and transformed back; the first ``len(y)`` samples are returned.  Taps of
     shape (n_taps,) equalize every row of ``y`` alike; per-frame taps of
     shape (frames, n_taps) equalize row j of a (frames, n) ``y`` by row j.
+    ``hf``, if given, is the taps' ``fft_len``-point :func:`freq_response`.
+    ``out``, if given, is an array of ``y``'s shape but ``fft_len`` wide: the
+    transform runs in it and the result is a view of its leading columns.
     One tap is a flat response and divides ``y`` directly.  Bins with
     magnitude below ``MIN_ZF_BIN`` raise :class:`EqualizationError`.
     """
     y = np.asarray(y, dtype=complex)
-    if fft_len < y.shape[-1]:
-        raise ValueError(f"fft_len {fft_len} shorter than frame {y.shape[-1]}")
-    taps = np.asarray(taps, dtype=complex)
-    hf = taps if taps.shape[-1] == 1 else freq_response(taps, fft_len)
+    n = y.shape[-1]
+    if fft_len < n:
+        raise ValueError(f"fft_len {fft_len} shorter than frame {n}")
+    if hf is None:
+        taps = np.asarray(taps, dtype=complex)
+        hf = taps if taps.shape[-1] == 1 else freq_response(taps, fft_len)
     if hf.ndim > 1 and (y.ndim != 2 or hf.shape[0] != y.shape[0]):
         raise ValueError(f"{hf.shape[0]} per-frame tap sets for frames of shape {y.shape}")
     check_zf_bins(hf)
+    if out is None:
+        out = np.empty(y.shape[:-1] + (fft_len,), dtype=complex)
     if hf.shape[-1] == 1:
-        return y / hf
-    yf = np.fft.fft(y, n=fft_len, axis=-1)
-    yf /= hf
-    return np.fft.ifft(yf, axis=-1, out=yf)[..., : y.shape[-1]]
+        return np.divide(y, hf, out=out[..., :n])
+    np.fft.fft(y, n=fft_len, axis=-1, out=out)
+    out /= hf
+    np.fft.ifft(out, axis=-1, out=out)
+    return out[..., :n]

@@ -1,4 +1,4 @@
-"""The modem core: one FFT filter bank for all five waveforms, and the cyclic prefix.
+"""The modem core: one FFT filter bank for all five waveforms.
 
 Write a frame sample as n = r + qK (residue r, block q) and let
 D_m = K * IFFT_K(d_{., m} * phase) bring subsymbol m's subcarriers to the
@@ -30,46 +30,18 @@ A matrix set is a small frozen description of a transmit matrix; the dense
 matrices it describes serve only as test oracles.
 """
 
-import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from . import _work
 from .channel import MIN_ZF_BIN
 from .prototypes import PrototypeFilter
 
 # OQAM quarter-turn rotation j^k of subcarrier k, exact for every k.
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 _FRAME_BLOCK = 64  # frames per transform pass
-
-
-class _Scratch(threading.local):
-    """Complex work arrays reused from call to call, one set per thread.
-
-    :meth:`get` returns a view of a flat buffer that grows to the largest
-    request and is then kept, so a repeated call touches no fresh pages.
-    The next call on the same thread overwrites it: no function returns one.
-    Nothing read from a buffer outlives the call that wrote it.
-    """
-
-    def __init__(self):
-        self._flat = {}
-
-    def get(self, name: str, shape: tuple) -> np.ndarray:
-        size = math.prod(shape)
-        flat = self._flat.get(name)
-        if flat is None or flat.size < size:
-            flat = self._flat[name] = np.empty(size, dtype=complex)
-        return flat[:size].reshape(shape)
-
-
-# The modem core's work arrays: per thread, because chunks of a run may be
-# modulated on several threads at once; process-wide, so that each run
-# reuses the pages of the last.  Blocks of ``_FRAME_BLOCK`` frames keep each
-# near a megabyte at K*M = 512.
-_scratch = _Scratch()
 
 
 @dataclass(frozen=True)
@@ -184,20 +156,25 @@ def build_oqam_matrices(p: PrototypeFilter, subcarriers: int, subsymbols: int) -
     return OqamMatrixSet(subcarriers, subsymbols, band, oqam_phase(subcarriers, True), n, n)
 
 
-def _framewise(a: np.ndarray, n_out: int, apply) -> np.ndarray:
+def _framewise(a: np.ndarray, n_out: int, apply, out=None) -> np.ndarray:
     """Run ``apply`` over (n,) or (n, frames) ``a`` in blocks of frames.
 
     ``apply(block, dest)`` writes the (frames, n_out) output of a (frames, n)
     block into ``dest``.  Blocks of ``_FRAME_BLOCK`` frames keep every
-    temporary and work array near a megabyte whatever the chunk size; the
-    result is a fresh frames-first array, returned as a transposed
-    (n_out, frames) view, or (n_out,) for one frame.
+    temporary and work array near a megabyte whatever the chunk size.  The
+    result goes to ``out``, shaped (n_out,) or (n_out, frames) as ``a`` is;
+    by default it is a fresh frames-first array, returned as a transposed
+    view.  A frames-first caller passes its (frames, n) rows transposed.
     """
     rows = a.reshape(a.shape[0], -1).T
-    out = np.empty((len(rows), n_out), dtype=complex)
+    if out is None:
+        dest = np.empty((len(rows), n_out), dtype=complex)
+        out = dest.T if a.ndim > 1 else dest[0]
+    else:
+        dest = np.reshape(out, (n_out, -1), copy=False).T
     for start in range(0, len(rows), _FRAME_BLOCK):
-        apply(rows[start:start + _FRAME_BLOCK], out[start:start + _FRAME_BLOCK])
-    return out.T if a.ndim > 1 else out[0]
+        apply(rows[start:start + _FRAME_BLOCK], dest[start:start + _FRAME_BLOCK])
+    return out
 
 
 def _split_blocks(rows: np.ndarray, subcarriers: int) -> tuple[np.ndarray, np.ndarray]:
@@ -207,28 +184,33 @@ def _split_blocks(rows: np.ndarray, subcarriers: int) -> tuple[np.ndarray, np.nd
     return head, rows[:, whole:]
 
 
-def _circular(weights: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Circular filter over the subsymbol axis (-2), given per-bin weights.
+def _circular(weights: np.ndarray, blocks: np.ndarray, out: np.ndarray) -> None:
+    """Circular filter over the subsymbol axis (-2), given per-bin weights, into ``out``.
 
-    Over a single subsymbol the filter is a plain scaling.
+    ``out`` may be ``blocks``.  Over a single subsymbol the filter is a plain
+    scaling.
     """
     if blocks.shape[-2] == 1:
-        return weights * blocks
-    return np.fft.ifft(weights * np.fft.fft(blocks, axis=-2), axis=-2)
+        np.multiply(blocks, weights, out=out)
+        return
+    np.fft.fft(blocks, axis=-2, out=out)
+    out *= weights
+    np.fft.ifft(out, axis=-2, out=out)
 
 
-def gfdm_modulate(mats: GfdmMatrixSet, d) -> np.ndarray:
-    """Frame of K*M samples per column of ``d`` (K*M symbols)."""
+def gfdm_modulate(mats: GfdmMatrixSet, d, out=None) -> np.ndarray:
+    """Frame of K*M samples per column of ``d`` (K*M symbols), written into ``out`` if given."""
     d = np.asarray(d, dtype=complex)
     if d.shape[0] != mats.frame_len:
         raise ValueError(f"expected {mats.frame_len} symbols, got {d.shape[0]}")
     k, m = mats.subcarriers, mats.subsymbols
 
     def synthesize(sym, dest):
-        spread = np.fft.ifft(sym.reshape(len(sym), m, k), axis=-1, norm="forward")
-        dest[:] = _circular(mats.zak, spread).reshape(len(sym), -1)
+        spread = np.reshape(dest, (len(sym), m, k), copy=False)
+        np.fft.ifft(sym.reshape(len(sym), m, k), axis=-1, norm="forward", out=spread)
+        _circular(mats.zak, spread, spread)
 
-    return _framewise(d, mats.frame_len, synthesize)
+    return _framewise(d, mats.frame_len, synthesize, out)
 
 
 def build_receiver(mats: GfdmMatrixSet, kind: str, noise_var: float = 0.0) -> ReceiverMatrix:
@@ -264,72 +246,75 @@ def build_receiver(mats: GfdmMatrixSet, kind: str, noise_var: float = 0.0) -> Re
     raise ValueError(f"unknown receiver kind {kind!r}")
 
 
-def gfdm_demodulate(rx: ReceiverMatrix, y) -> np.ndarray:
+def gfdm_demodulate(rx: ReceiverMatrix, y, out=None) -> np.ndarray:
     y = np.asarray(y, dtype=complex)
     m, k = rx.weights.shape
     if y.shape[0] != m * k:
         raise ValueError(f"expected {m * k} samples, got {y.shape[0]}")
 
     def analyze(rows, dest):
-        blocks = _circular(rx.weights, rows.reshape(len(rows), m, k))
-        dest[:] = np.fft.fft(blocks, axis=-1).reshape(len(rows), -1)
+        blocks = np.reshape(dest, (len(rows), m, k), copy=False)
+        _circular(rx.weights, rows.reshape(len(rows), m, k), blocks)
+        np.fft.fft(blocks, axis=-1, out=blocks)
 
-    return _framewise(y, m * k, analyze)
+    return _framewise(y, m * k, analyze, out)
 
 
-def _per_residue(band: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _per_residue(band: np.ndarray, rows: np.ndarray, work) -> np.ndarray:
     """Apply real (K, out, cols) per-residue matrices to (frames, n) samples.
 
     Sample r + qK of a frame is entry q of residue r's input, zero past the
-    n samples.  Returns (frames, out, K), a view of the "gemm_out" work array,
-    which ``rows`` may also view: they are copied out first.  The complex
-    samples enter the real product residue-major as interleaved (re, im)
-    pairs, so it runs as one batched real GEMM.
+    n samples.  Returns (frames, out, K), a view of the "gfdm.gemm_out" array of
+    the work area ``work``, which ``rows`` may also view: they are copied out
+    first.  The complex samples enter the real product residue-major as
+    interleaved (re, im) pairs, so it runs as one batched real GEMM.
     """
     k, n_out, n_cols = band.shape
-    cols = _scratch.get("gemm_in", (k, n_cols, len(rows)))
+    cols = work.get("gfdm.gemm_in", (k, n_cols, len(rows)))
     head, tail = _split_blocks(rows, k)
     whole = head.shape[1]
     np.copyto(cols[:, :whole], head.transpose(2, 1, 0))
     cols[:, whole:] = 0
     if tail.size:
         cols[: tail.shape[1], whole] = tail.T
-    prod = _scratch.get("gemm_out", (k, n_out, len(rows)))
+    prod = work.get("gfdm.gemm_out", (k, n_out, len(rows)))
     np.matmul(band, cols.view(np.float64), out=prod.view(np.float64))
     return prod.transpose(2, 1, 0)
 
 
-def oqam_modulate(mats: OqamMatrixSet, d) -> np.ndarray:
-    """Frame of ``frame_len`` samples per column of ``d`` (K*M symbols)."""
+def oqam_modulate(mats: OqamMatrixSet, d, out=None) -> np.ndarray:
+    """Frame of ``frame_len`` samples per column of ``d`` (K*M symbols), into ``out`` if given."""
     d = np.asarray(d, dtype=complex)
     if d.shape[0] != mats.n_symbols:
         raise ValueError(f"expected {mats.n_symbols} symbols, got {d.shape[0]}")
     k, m = mats.subcarriers, mats.subsymbols
     phase = np.tile(mats.phase, m)
+    work = _work.area()
 
     def synthesize(sym, dest):
         # The product's output buffer: the parts are copied out before it is written.
-        parts = _scratch.get("gemm_out", (len(sym), 2, k * m))
+        parts = work.get("gfdm.gemm_out", (len(sym), 2, k * m))
         np.multiply(sym.real, phase[0], out=parts[:, 0])
         np.multiply(sym.imag, phase[1], out=parts[:, 1])
         spread = parts.reshape(len(sym), 2 * m, k)
         np.fft.ifft(spread, axis=-1, norm="forward", out=spread)
-        blocks = _per_residue(mats.band, parts.reshape(len(sym), -1))
+        blocks = _per_residue(mats.band, parts.reshape(len(sym), -1), work)
         # Each sample is written once, straight from the residue-major product.
         head, tail = _split_blocks(dest, k)
         head[:] = blocks[:, : head.shape[1]]
         if tail.size:
             tail[:] = blocks[:, head.shape[1], : tail.shape[1]]
 
-    return _framewise(d, mats.frame_len, synthesize)
+    return _framewise(d, mats.frame_len, synthesize, out)
 
 
-def oqam_demodulate(mats: OqamMatrixSet, y_eq) -> np.ndarray:
+def oqam_demodulate(mats: OqamMatrixSet, y_eq, out=None) -> np.ndarray:
     """Matched-filter OQAM demodulation of an equalized frame, gain-normalized per symbol.
 
     The adjoint of :func:`oqam_modulate`: the transposed band correlates the
     frame with every pulse, an FFT returns to the subcarriers, and each
-    branch keeps the real part of its de-rotated output.
+    branch keeps the real part of its de-rotated output.  The symbols go to
+    ``out`` if given.
     """
     y_eq = np.asarray(y_eq, dtype=complex)
     if y_eq.shape[0] != mats.frame_len:
@@ -337,28 +322,14 @@ def oqam_demodulate(mats: OqamMatrixSet, y_eq) -> np.ndarray:
     k, m = mats.subcarriers, mats.subsymbols
     derotate = mats.phase.conj()[:, None, :]
     gain_i, gain_q = mats.gains
+    work = _work.area()
 
     def analyze(rows, dest):
-        corr = _per_residue(mats.band.transpose(0, 2, 1), rows)
-        spec = np.fft.fft(corr.reshape(len(rows), 2, m, k), axis=-1)
+        corr = _per_residue(mats.band.transpose(0, 2, 1), rows, work)
+        spec = work.get("gfdm.oqam_spectra", (len(rows), 2, m, k))
+        np.fft.fft(corr.reshape(len(rows), 2, m, k), axis=-1, out=spec)
         spec *= derotate
         np.divide(spec[:, 0].real.reshape(len(rows), -1), gain_i, out=dest.real)
         np.divide(spec[:, 1].real.reshape(len(rows), -1), gain_q, out=dest.imag)
 
-    return _framewise(y_eq, mats.n_symbols, analyze)
-
-
-def add_cp(x, n_cp: int) -> np.ndarray:
-    x = np.asarray(x)
-    if not 0 <= n_cp <= len(x):
-        raise ValueError(f"n_cp must be in [0, {len(x)}], got {n_cp}")
-    if n_cp == 0:
-        return x.copy()
-    return np.concatenate([x[-n_cp:], x])
-
-
-def remove_cp(x_cp, n_cp: int) -> np.ndarray:
-    x_cp = np.asarray(x_cp)
-    if not 0 <= n_cp <= len(x_cp):
-        raise ValueError(f"n_cp must be in [0, {len(x_cp)}], got {n_cp}")
-    return x_cp[n_cp:].copy()
+    return _framewise(y_eq, mats.n_symbols, analyze, out)

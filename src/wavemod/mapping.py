@@ -12,6 +12,8 @@ import functools
 
 import numpy as np
 
+from ._work import BLOCK
+
 _SUPPORTED_ORDERS = (4, 16, 64)
 
 
@@ -79,14 +81,15 @@ def _binary_bits(bits) -> np.ndarray:
     return b.astype(np.uint8, copy=False)
 
 
-def qam_map(bits, order: int) -> np.ndarray:
+def qam_map(bits, order: int, out=None) -> np.ndarray:
     """Map a bit sequence to Gray-labeled unit-average-energy QAM symbols.
 
     Each symbol consumes log2(order) bits: the first half selects the
     in-phase level, the second half the quadrature level, MSB first.  The
     bits of each symbol fold MSB-first into a uint8 label, which indexes the
-    point table.  Raises ValueError on an unsupported order, a bit count not
-    divisible by log2(order), or any bit that is not 0 or 1.
+    point table.  The symbols go to ``out``, of shape (n_symbols,), if given.
+    Raises ValueError on an unsupported order, a bit count not divisible by
+    log2(order), or any bit that is not 0 or 1.
     """
     tables = _tables(order)
     bps = tables.bits.shape[1]
@@ -94,11 +97,17 @@ def qam_map(bits, order: int) -> np.ndarray:
     if len(b) % bps != 0:
         raise ValueError(f"bit count {len(b)} not divisible by {bps}")
     b = b.reshape(-1, bps)
-    label = b[:, 0].copy()
-    for j in range(1, bps):
-        label <<= 1
-        label |= b[:, j]
-    return np.take(tables.points, label)
+    if out is None:
+        out = np.empty(len(b), dtype=complex)
+    for lo in range(0, len(b), BLOCK):
+        block = b[lo:lo + BLOCK]
+        label = block[:, 0].copy()
+        for j in range(1, bps):
+            label <<= 1
+            label |= block[:, j]
+        # Every label indexes the table: "clip" mode writes ``out`` directly, "raise" buffers.
+        np.take(tables.points, label, out=out[lo:lo + BLOCK], mode="clip")
+    return out
 
 
 def _demap_axis(values: np.ndarray, order: int) -> np.ndarray:
@@ -110,15 +119,17 @@ def _demap_axis(values: np.ndarray, order: int) -> np.ndarray:
     label wins.  ``rint`` rounds halves to even, so samples within twice that
     band of a half-integer t are decided again by the distance rule: the two
     levels that bracket the amplitude, their distances and the tolerance.
+    The values must be finite.
     """
     tables = _tables(order)
     top = len(tables.labels) - 1
     t = values * (-0.5 / tables.scale)
     t += 0.5 * top
     level = np.rint(t)
-    near_tie = np.abs(t - level) >= 0.5 - tables.tie_band
+    t -= level
+    near_tie = np.abs(t, out=t) >= 0.5 - tables.tie_band
     np.clip(level, 0, top, out=level)
-    labels = np.take(tables.labels, level.astype(np.intp))
+    labels = np.take(tables.labels, level.astype(np.intp), mode="clip")
     if near_tie.any():
         i = np.flatnonzero(near_tie)
         labels[i] = _nearest_label(values[i], order)
@@ -139,18 +150,29 @@ def _nearest_label(values: np.ndarray, order: int) -> np.ndarray:
     return np.where(take_lo, labels[lo], labels[lo + 1])
 
 
-def qam_demap(symbols, order: int) -> np.ndarray:
+def qam_demap(symbols, order: int, out=None) -> np.ndarray:
     """Hard-decision demapping to uint8 bits; exact inverse of :func:`qam_map` on grid points.
 
     The two axis labels combine into the symbol label (in-phase << nb) |
-    quadrature, whose row of the bit table holds the symbol's bits.
+    quadrature, whose row of the bit table holds the symbol's bits.  The
+    bits go to ``out``, of shape (n_symbols, log2 order), if given.  Raises
+    ValueError on a symbol that is not finite.
     """
     tables = _tables(order)
     symbols = np.asarray(symbols, dtype=complex).ravel()
-    label = _demap_axis(symbols.real, order)
-    label <<= tables.bits.shape[1] // 2
-    label |= _demap_axis(symbols.imag, order)
-    return np.take(tables.bits, label, axis=0).ravel()
+    if out is None:
+        out = np.empty((len(symbols), tables.bits.shape[1]), dtype=np.uint8)
+    for lo in range(0, len(symbols), BLOCK):
+        block = symbols[lo:lo + BLOCK]
+        finite = np.isfinite(block)
+        if not finite.all():
+            i = int(np.flatnonzero(~finite)[0])
+            raise ValueError(f"symbols must be finite, got {block[i].item()!r} at index {lo + i}")
+        label = _demap_axis(block.real, order)
+        label <<= tables.bits.shape[1] // 2
+        label |= _demap_axis(block.imag, order)
+        np.take(tables.bits, label, axis=0, out=out[lo:lo + BLOCK], mode="clip")
+    return out.ravel()
 
 
 def constellation(order: int) -> np.ndarray:

@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._work import BLOCK
+
 # Segments per in-place FFT batch: a 4 MB buffer at 2,048 samples.  Once glibc
 # has freed one that large it keeps twice that much freed memory for reuse, so
 # a PSD run's chunk temporaries need no fresh pages from the next run on.
@@ -49,7 +51,10 @@ def ber_count(tx_bits, rx_bits) -> tuple[int, int, float]:
     rx = np.asarray(rx_bits).ravel()
     if tx.shape != rx.shape:
         raise ValueError(f"length mismatch: {tx.shape} vs {rx.shape}")
-    errors = int(np.count_nonzero(tx != rx))
+    errors = sum(
+        int(np.count_nonzero(tx[lo:lo + BLOCK] != rx[lo:lo + BLOCK]))
+        for lo in range(0, tx.size, BLOCK)
+    )
     total = tx.size
     return errors, total, errors / total if total else 0.0
 
@@ -135,12 +140,17 @@ def papr(frame) -> float:
 
 def papr_batch(frames: np.ndarray) -> np.ndarray:
     """Per-row PAPR in dB for a (n_frames, n_samples) array."""
-    power = np.abs(frames)
-    np.square(power, out=power)
-    mean = power.mean(axis=-1)
+    frames = np.asarray(frames)
+    peak, mean = np.empty(len(frames)), np.empty(len(frames))
+    step = max(1, BLOCK // frames.shape[-1])
+    for lo in range(0, len(frames), step):
+        power = np.abs(frames[lo:lo + step])
+        np.square(power, out=power)
+        power.mean(axis=-1, out=mean[lo:lo + step])
+        power.max(axis=-1, out=peak[lo:lo + step])
     if np.any(mean == 0.0):
         raise ValueError("PAPR undefined for an all-zero frame")
-    return 10.0 * np.log10(power.max(axis=-1) / mean)
+    return 10.0 * np.log10(peak / mean)
 
 
 def papr_ccdf(paprs, thresholds, meta: dict | None = None) -> MetricCurve:

@@ -17,16 +17,25 @@ All five waveforms share one adapter over the FFT modem core of ``gfdm``:
 CP-OFDM is plain GFDM with K = ``n_fft``, M = 1 and the rectangular pulse.
 The waveform table picks each one's matrix-set builder and frame kind
 (circular with a cyclic prefix, or prefix-free).
+
+Each chunk job borrows a work area (``_work``) and every stage writes its
+frames-first (count, ...) rows there, from the noise draw to the demapped
+bits; a PSD run borrows one for all its chunks, and its stream window and
+Welch batch are its own.  After a run the process keeps one chunk's worth
+of arrays per job that ran at the same time, at most one area per thread,
+each sized to the largest chunk seen.
 """
 
 import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _work
 from . import channel as chan
 from . import fbmc as fbmc_mod
 from . import gfdm as gfdm_mod
@@ -167,9 +176,10 @@ def _next_pow2(n: int) -> int:
 
 # ---------------------------------------------------------------------------
 # The modem adapter: one transmit/receive surface over the five waveforms.
-# Data enters and leaves as (n_data, batch) arrays; frames travel as
-# (samples, batch) arrays.  ``receive`` takes the channel taps as one
-# (n_taps,) vector for the whole batch or as (batch, n_taps) per-frame taps.
+# Everything travels frames-first, one row per frame: data as (count, n_data)
+# arrays and frames as (count, samples) arrays.  ``receive`` takes the
+# channel taps as one (n_taps,) vector for the whole batch or as
+# (count, n_taps) per-frame taps.
 # ``stride`` is the sample distance between the starts of consecutive frames
 # of a continuous stream: block frames follow each other back to back,
 # prefix-free frames overlap at the symbol rate.
@@ -187,6 +197,7 @@ class _MatrixAdapter:
     def __init__(self, wp: WaveformParams, mats, circular: bool):
         k, m = mats.subcarriers, mats.subsymbols
         self.mats = mats
+        self._oqam = isinstance(mats, gfdm_mod.OqamMatrixSet)
         self.circular = circular
         self.receiver_kind = wp.receiver
         self.cp_len = wp.cp_len if circular else 0
@@ -215,26 +226,49 @@ class _MatrixAdapter:
                 ) from None
         return self._rx_cache[key]
 
-    def transmit(self, d):
-        full = d if self._mask is None else _scatter(d, self._mask)
-        if isinstance(self.mats, gfdm_mod.OqamMatrixSet):
-            x = gfdm_mod.oqam_modulate(self.mats, full)
-        else:
-            x = gfdm_mod.gfdm_modulate(self.mats, full)
-        return gfdm_mod.add_cp(x, self.cp_len) if self.cp_len else x
+    def transmit(self, d, out=None):
+        """(count, frame_len) frames of (count, n_data) symbols, into ``out`` if given.
 
-    def receive(self, y, taps, noise_var):
+        A circular frame's cyclic prefix is copied from the end of its core.
+        """
+        if out is None:
+            out = np.empty((len(d), self.frame_len), dtype=complex)
+        full = d if self._mask is None else _scatter(d, self._mask)
+        modulate = gfdm_mod.oqam_modulate if self._oqam else gfdm_mod.gfdm_modulate
+        modulate(self.mats, full.T, out=out[:, self.cp_len:].T)
+        if self.cp_len:
+            out[:, : self.cp_len] = out[:, -self.cp_len:]
+        return out
+
+    def receive(self, y, taps, noise_var, hf=None, out=None):
+        """(count, n_data) symbols of (count, samples) received frames, into ``out`` if given.
+
+        ``hf`` is the taps' response at ``_next_pow2(samples)`` points, which
+        the channel convolution used.  A prefix-free frame is equalized at
+        that length and reuses it; a circular one is equalized over its core.
+        """
+        work = _work.area()
         n = self.mats.frame_len
         if self.circular:
-            core = y[self.cp_len:self.cp_len + n]
-            y_eq = chan.fd_zf_equalize(core.T, taps, n).T
+            y = y[:, self.cp_len:self.cp_len + n]
+            fft_len = n
+            if taps.shape[-1] > 1:
+                response = work.get("sim.core_response", taps.shape[:-1] + (n,))
+                hf = chan.freq_response(taps, n, out=response)
         else:
-            y_eq = chan.fd_zf_equalize(y.T, taps, _next_pow2(y.shape[0])).T[:n]
-        if isinstance(self.mats, gfdm_mod.OqamMatrixSet):
-            d_hat = gfdm_mod.oqam_demodulate(self.mats, y_eq)
+            fft_len = _next_pow2(y.shape[1])
+        equalized = work.get("sim.equalized", (len(y), fft_len))
+        y_eq = chan.fd_zf_equalize(y, taps, fft_len, hf=hf, out=equalized)[:, :n]
+        if out is None:
+            out = np.empty((len(y), self.n_data), dtype=complex)
+        full = out if self._mask is None else work.get("sim.demodulated", (len(y), len(self._mask)))
+        if self._oqam:
+            gfdm_mod.oqam_demodulate(self.mats, y_eq.T, out=full.T)
         else:
-            d_hat = gfdm_mod.gfdm_demodulate(self._receiver(noise_var), y_eq)
-        return d_hat if self._mask is None else d_hat[self._mask]
+            gfdm_mod.gfdm_demodulate(self._receiver(noise_var), y_eq.T, out=full.T)
+        if self._mask is not None:
+            np.compress(self._mask, full, axis=1, out=out)
+        return out
 
 
 def _active_mask(active, k: int, m: int) -> np.ndarray:
@@ -242,8 +276,10 @@ def _active_mask(active, k: int, m: int) -> np.ndarray:
 
 
 def _scatter(d, mask) -> np.ndarray:
-    full = np.zeros((len(mask),) + d.shape[1:], dtype=complex)
-    full[mask] = d
+    """(count, n_data) symbols on the active bins of (count, K*M) rows, zero elsewhere."""
+    full = _work.area().get("sim.scattered", (len(d), len(mask)))
+    full[:] = 0
+    full[:, mask] = d
     return full
 
 
@@ -276,8 +312,10 @@ def _draw_chunk(config: ScenarioConfig, adapter, scenario_id, start, count, with
     (count, bits_per_frame) bits, then the TVFS fades, then the noise.  This
     is the one place that knows the channels: the taps are one (n_taps,)
     vector on AWGN and TIFS and (count, n_taps) per-frame fades on TVFS.  The
-    unit-variance noise covers the whole received frame, ``frame_len +
-    n_taps - 1`` samples; without ``with_noise`` it is None.
+    unit-variance complex noise covers the whole received frame, ``frame_len
+    + n_taps - 1`` samples, as a (2, count, samples) array of its real and
+    imaginary parts, written into the work area; without ``with_noise`` it
+    is None.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=[config.seed & 0xFFFF_FFFF_FFFF_FFFF, scenario_id, start])
@@ -291,48 +329,78 @@ def _draw_chunk(config: ScenarioConfig, adapter, scenario_id, start, count, with
         taps = chan.TIFS_TAPS.astype(complex)
     else:
         taps = np.array([1.0 + 0j])
+    if not with_noise:
+        return bits, taps, None
     noise_len = adapter.frame_len + taps.shape[-1] - 1
-    noise = chan.complex_awgn(rng, (count, noise_len), 1.0) if with_noise else None
+    noise = chan.awgn_parts(rng, _work.area().get("sim.noise", (2, count, noise_len), float))
     return bits, taps, noise
 
 
 def _transmit_chunk(config: ScenarioConfig, adapter, scenario_id, start, count, with_noise=False):
     """Draw, map and transmit frames [start, start+count).
 
-    Returns the (frame_len, count) frames, then the draws of :func:`_draw_chunk`.
+    Returns the (count, frame_len) frames, written into the work area, then
+    the draws of :func:`_draw_chunk`.
     """
+    work = _work.area()
     bits, taps, noise = _draw_chunk(config, adapter, scenario_id, start, count, with_noise)
-    d = qam_map(bits.ravel(), config.waveform_params.qam_order).reshape(count, adapter.n_data)
-    return adapter.transmit(d.T), bits, taps, noise
+    symbols = work.get("sim.symbols", count * adapter.n_data)
+    qam_map(bits, config.waveform_params.qam_order, out=symbols)
+    frames = work.get("sim.frames", (count, adapter.frame_len))
+    x = adapter.transmit(symbols.reshape(count, -1), out=frames)
+    return x, bits, taps, noise
 
 
-def _convolve_rows(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+def _convolve_rows(x: np.ndarray, taps: np.ndarray, hf=None, out=None) -> np.ndarray:
     """Row-wise linear convolution via FFT; output has the full length.
 
-    ``taps`` is one (n_taps,) vector for every row or (rows, n_taps).  One
-    tap scales the rows instead.
+    ``taps`` is one (n_taps,) vector for every row or (rows, n_taps), and
+    ``hf``, if given, its response at the transform length, the output
+    length's next power of two.  One tap scales the rows instead.  ``out``,
+    if given, is a (rows, transform length) array: the transform runs in it
+    and the result is a view of its leading columns.
     """
-    if taps.shape[-1] == 1:
-        return x * taps
     out_len = x.shape[1] + taps.shape[-1] - 1
     fft_len = _next_pow2(out_len)
-    y = np.fft.fft(x, fft_len, axis=1)
-    y *= chan.freq_response(taps, fft_len)
-    return np.fft.ifft(y, axis=1, out=y)[:, :out_len]
+    if out is None:
+        out = np.empty((len(x), fft_len), dtype=complex)
+    if taps.shape[-1] == 1:
+        return np.multiply(x, taps, out=out[:, :out_len])
+    if hf is None:
+        hf = chan.freq_response(taps, fft_len)
+    np.fft.fft(x, fft_len, axis=1, out=out)
+    out *= hf
+    np.fft.ifft(out, axis=1, out=out)
+    return out[:, :out_len]
 
 
 def ber_errors(adapter, order: int, bits, x, taps, noise, noise_var: float) -> tuple[int, int]:
     """Bit errors and bits of transmitted frames sent through the channel.
 
-    ``x`` holds the (frame_len, count) frames carrying ``bits``; ``taps`` and
-    the unit-variance ``noise`` are shaped as :func:`_draw_chunk` draws them.
-    The frames are convolved, noised, received, demapped and counted once
-    for the whole chunk.
+    ``x`` holds the (count, frame_len) frames carrying ``bits``; ``taps`` and
+    the unit-variance ``noise`` are shaped as :func:`_draw_chunk` draws them,
+    and the noise is scaled in place.  The frames are convolved, noised,
+    received, demapped and counted once for the whole chunk, each stage
+    writing into the work area, and the channel's response is computed once
+    for the convolution and the equalizer.
     """
-    y = _convolve_rows(x.T, taps) + np.sqrt(noise_var) * noise
-    d_hat = adapter.receive(y.T, taps, noise_var)
-    rx_bits = qam_demap(d_hat.T.ravel(), order)
-    errors, _, _ = ber_count(bits.ravel(), rx_bits)
+    work = _work.area()
+    fft_len = _next_pow2(noise.shape[-1])
+    if taps.shape[-1] == 1:
+        hf = taps
+    else:
+        response = work.get("sim.response", taps.shape[:-1] + (fft_len,))
+        hf = chan.freq_response(taps, fft_len, out=response)
+    y = _convolve_rows(x, taps, hf=hf, out=work.get("sim.received", (len(x), fft_len)))
+    noise *= np.sqrt(noise_var)
+    y.real += noise[0]
+    y.imag += noise[1]
+    # The estimates overwrite the sent symbols, which the frames have replaced.
+    estimates = work.get("sim.symbols", (len(x), adapter.n_data))
+    d_hat = adapter.receive(y, taps, noise_var, hf=hf, out=estimates)
+    rx_bits = work.get("sim.rx_bits", (d_hat.size, int(np.log2(order))), np.uint8)
+    qam_demap(d_hat, order, out=rx_bits)
+    errors, _, _ = ber_count(bits, rx_bits)
     return errors, bits.size
 
 
@@ -344,26 +412,28 @@ def _process_ber_chunk(config, adapter, scenario_id, start, count, noise_var):
 def _parallel_rounds(process, total, chunk=_CHUNK, stop=None):
     """Run chunk jobs in fixed order, optionally threaded, until done/stopped.
 
-    ``process(start, count)`` returns a tuple of accumulables.  Results are
+    ``process(start, count)`` returns a tuple of accumulables; each job runs
+    in a work area borrowed for it.  Rounds of one job per thread run at
+    once, and one thread runs the jobs itself, with no pool.  Results are
     accumulated in chunk index order and ``stop`` is applied after every
     chunk; once it fires, the later chunks of the round are dropped.  A run
     therefore ends on the same chunk, with the same result, at any thread
     count.
     """
     threads = n_threads()
+    starts = range(0, total, chunk)
+
+    def job(start):
+        with _work.borrowed():
+            return process(start, min(chunk, total - start))
+
     acc = None
-    start = 0
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        while start < total:
-            round_jobs = []
-            for _ in range(threads):
-                if start >= total:
-                    break
-                count = min(chunk, total - start)
-                round_jobs.append(pool.submit(process, start, count))
-                start += count
-            for job in round_jobs:
-                res = job.result()
+    # One thread runs the jobs itself: a one-worker pool, started afresh for
+    # each run, gave BER runs about 15% fewer frames per second.
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        for first in range(0, len(starts), threads):
+            batch = starts[first:first + threads]
+            for res in pool.map(job, batch) if pool else map(job, batch):
                 acc = res if acc is None else tuple(a + b for a, b in zip(acc, res))
                 if stop is not None and stop(acc):
                     return acc
@@ -473,23 +543,24 @@ def run_psd(config: ScenarioConfig) -> MetricCurve:
     # and a chunk of frames.
     window = np.empty(_WELCH_SEGMENT + (_CHUNK - 1) * stride + frame_len, dtype=complex)
     base = held = 0
-    for start in range(0, config.frames, _CHUNK):
-        count = min(_CHUNK, config.frames - start)
-        x, *_ = _transmit_chunk(config, adapter, sid, start, count)
-        first = start * stride - base
-        end = first + (count - 1) * stride + frame_len
-        window[held:end] = 0
-        _overlap_add(window[first:end], x.T, stride)
-        held = end
-        # Samples before the next frame's start are final; after the last frame, all are.
-        final = n_samples - base if start + count == config.frames else first + count * stride
-        if final >= _WELCH_SEGMENT:
-            segments = sliding_window_view(window[:final], _WELCH_SEGMENT)[::welch.step]
-            welch.add(segments)
-            fed = len(segments) * welch.step
-            window[:held - fed] = window[fed:held]
-            base += fed
-            held -= fed
+    with _work.borrowed():  # one work area serves every chunk of the run
+        for start in range(0, config.frames, _CHUNK):
+            count = min(_CHUNK, config.frames - start)
+            x, *_ = _transmit_chunk(config, adapter, sid, start, count)
+            first = start * stride - base
+            end = first + (count - 1) * stride + frame_len
+            window[held:end] = 0
+            _overlap_add(window[first:end], x, stride)
+            held = end
+            # Samples before the next frame's start are final; after the last frame, all are.
+            final = n_samples - base if start + count == config.frames else first + count * stride
+            if final >= _WELCH_SEGMENT:
+                segments = sliding_window_view(window[:final], _WELCH_SEGMENT)[::welch.step]
+                welch.add(segments)
+                fed = len(segments) * welch.step
+                window[:held - fed] = window[fed:held]
+                base += fed
+                held -= fed
     curve = welch.curve(meta=_meta(config))
     _maybe_write(curve, config)
     return curve
@@ -523,7 +594,7 @@ def run_papr(config: ScenarioConfig) -> MetricCurve:
 
     def process(start, count):
         x, *_ = _transmit_chunk(config, adapter, sid, start, count)
-        return ([papr_batch(x.T[:, : adapter.support_len])],)
+        return ([papr_batch(x[:, : adapter.support_len])],)
 
     (paprs,) = _parallel_rounds(process, config.frames, chunk=4 * _CHUNK)
     curve = papr_ccdf(np.concatenate(paprs), default_papr_thresholds(), meta=_meta(config))

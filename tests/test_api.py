@@ -4,6 +4,7 @@ and the import footprint."""
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,24 @@ def test_public_names_resolve_once():
     names = wavemod.__all__
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(wavemod, n)] == []
+
+
+def test_cyclic_prefix_helpers_are_test_oracles():
+    # The adapter writes each cyclic prefix in place; no production path
+    # prefixes a frame by concatenation.
+    assert not {"add_cp", "remove_cp"} & set(wavemod.__all__)
+    assert not hasattr(wavemod.gfdm, "add_cp") and not hasattr(wavemod.gfdm, "remove_cp")
+
+
+def test_work_areas_belong_to_the_pipeline_and_the_modem():
+    # Only sim and gfdm take buffers from a work area, each under its own
+    # prefix, so a call into another module cannot overwrite a live buffer.
+    users = {}
+    for path in sorted((_ROOT / "src" / "wavemod").glob("*.py")):
+        text = path.read_text()
+        if "_work.area()" in text or "_work.borrowed()" in text:
+            users[path.stem] = set(re.findall(r'\.get\(\s*"(\w+)\.', text))
+    assert users == {"sim": {"sim"}, "gfdm": {"gfdm"}}
 
 
 def test_every_traced_stage_resolves():

@@ -17,6 +17,8 @@ from wavemod import (
     phydyas,
     qam_map,
 )
+from wavemod._work import BLOCK
+from wavemod.channel import awgn_parts, check_zf_bins
 from wavemod.sim import ScenarioConfig, WaveformParams, _convolve_rows, _draw_chunk, build_adapter
 
 
@@ -67,7 +69,10 @@ class TestProfiles:
 
 
 class TestApplyChannel:
-    """The channel as the pipeline applies it: ``_convolve_rows`` plus ``complex_awgn``."""
+    """The channel as the pipeline applies it: ``_convolve_rows`` plus complex noise.
+
+    The pipeline draws its noise with ``awgn_parts``, the draw ``complex_awgn`` makes.
+    """
 
     def test_identity(self):
         x = np.arange(8.0) + 0j
@@ -100,6 +105,16 @@ class TestApplyChannel:
         lhs = np.fft.fft(y)
         rhs = np.fft.fft(x) * freq_response(TIFS_TAPS, 64)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+    @pytest.mark.parametrize("shape", [7, (3, 5)])
+    def test_noise_parts_are_the_complex_draw(self, shape):
+        # One draw of real parts then imaginary parts, as two draws of the shape.
+        noise = complex_awgn(np.random.default_rng(8), shape, 0.3)
+        parts = awgn_parts(np.random.default_rng(8), np.empty((2, *noise.shape)), 0.3)
+        np.testing.assert_array_equal(noise.real, parts[0])
+        np.testing.assert_array_equal(noise.imag, parts[1])
+        first = np.random.default_rng(8).standard_normal(noise.shape)
+        np.testing.assert_array_equal(noise.real, first * np.sqrt(0.15))
 
     def test_noise_whiteness(self):
         rng = np.random.default_rng(7)
@@ -167,6 +182,23 @@ class TestFdZfEqualize:
     def test_zero_flat_tap_raises(self):
         with pytest.raises(EqualizationError, match="bin 0"):
             fd_zf_equalize(np.ones((2, 16), dtype=complex), np.array([[1.0], [0.0]]), 16)
+
+    def test_null_in_a_late_frame_is_found(self):
+        # Frames are checked a few at a time; a null past the first few still raises.
+        taps = np.tile([1.0, 0.5], (3 * BLOCK // 16, 1))
+        taps[-2] = [1.0, 1.0]
+        with pytest.raises(EqualizationError, match="bin 8"):
+            check_zf_bins(freq_response(taps, 16))
+
+    @pytest.mark.parametrize("n_taps", [1, 3])
+    def test_transform_runs_in_out(self, n_taps):
+        rng = np.random.default_rng(n_taps)
+        y = rng.standard_normal((4, 20)) + 1j * rng.standard_normal((4, 20))
+        taps = np.r_[1.0, 0.3 * rng.standard_normal(n_taps - 1)] + 0j
+        out = np.empty((4, 32), dtype=complex)
+        got = fd_zf_equalize(y, taps, 32, out=out)
+        assert got.shape == y.shape and np.shares_memory(got, out)
+        np.testing.assert_array_equal(got, fd_zf_equalize(y, taps, 32))
 
 
 class TestFlatChannel:

@@ -5,7 +5,6 @@ from conftest import cp_channel, oqam_columns
 
 from wavemod import (
     TIFS_TAPS,
-    add_cp,
     build_gfdm_matrix,
     build_oqam_matrices,
     build_receiver,
@@ -17,9 +16,9 @@ from wavemod import (
     phydyas,
     qam_map,
     rectangular,
-    remove_cp,
 )
 from wavemod.prototypes import PrototypeFilter
+from wavemod.sim import ScenarioConfig, WaveformParams, build_adapter
 
 
 def _random_symbols(rng, n):
@@ -274,21 +273,33 @@ class TestOqamModem:
 
 class TestCyclicPrefix:
     def test_basic(self):
-        np.testing.assert_array_equal(add_cp(np.array([1, 2, 3, 4]), 2), [3, 4, 1, 2, 3, 4])
+        np.testing.assert_array_equal(oracle.add_cp(np.array([1, 2, 3, 4]), 2), [3, 4, 1, 2, 3, 4])
 
     def test_zero_length_identity(self):
         x = np.arange(5.0)
-        np.testing.assert_array_equal(add_cp(x, 0), x)
-        np.testing.assert_array_equal(remove_cp(x, 0), x)
+        np.testing.assert_array_equal(oracle.add_cp(x, 0), x)
+        np.testing.assert_array_equal(oracle.remove_cp(x, 0), x)
 
     def test_roundtrip(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        np.testing.assert_array_equal(remove_cp(add_cp(x, 16), 16), x)
+        np.testing.assert_array_equal(oracle.remove_cp(oracle.add_cp(x, 16), 16), x)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            add_cp(np.arange(4), 5)
+            oracle.add_cp(np.arange(4), 5)
+
+    @pytest.mark.parametrize(
+        "waveform,modulate", [("gfdm", gfdm_modulate), ("gfdm_oqam_circular", oqam_modulate)]
+    )
+    def test_adapter_writes_the_prefix_in_place(self, waveform, modulate):
+        wp = WaveformParams(subcarriers=16, subsymbols=3, cp_len=5)
+        adapter = build_adapter(ScenarioConfig(waveform=waveform, waveform_params=wp))
+        rng = np.random.default_rng(8)
+        d = rng.standard_normal((4, 48)) + 1j * rng.standard_normal((4, 48))
+        frames = adapter.transmit(d)
+        for x, core in zip(frames, modulate(adapter.mats, d.T).T):
+            np.testing.assert_array_equal(x, oracle.add_cp(core, 5))
 
 
 class TestChannelConsistency:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavemod import constellation, qam_demap, qam_map
+from wavemod._work import BLOCK
 from wavemod.mapping import _axis_levels, _demap_axis
 
 
@@ -75,6 +76,14 @@ class TestQamDemap:
         rng = np.random.default_rng(0)
         bits = rng.integers(0, 2, 10_008)
         np.testing.assert_array_equal(qam_demap(qam_map(bits, order), order), bits)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan)])
+    def test_rejects_non_finite_symbols(self, bad):
+        # A label taken for a NaN would count as received bits.
+        y = np.full(2 * BLOCK + 9, 0.3 + 0.3j)
+        y[BLOCK + 4] = bad
+        with pytest.raises(ValueError, match=f"at index {BLOCK + 4}"):
+            qam_demap(y, 16)
 
     def test_tie_break_toward_smaller_label(self):
         # A symbol exactly on the boundary between two levels must always
@@ -150,3 +159,17 @@ class TestAgainstReference:
         d = oracle.qam_map(rng.integers(0, 2, 300 * int(np.log2(order))), order)
         y = d + sigma * (rng.standard_normal(d.size) + 1j * rng.standard_normal(d.size))
         np.testing.assert_array_equal(qam_demap(y, order), oracle.qam_demap(y, order))
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_blocks_and_out_match_reference(self, order):
+        # Map and demap run BLOCK symbols at a time; three blocks and a rest.
+        bps = int(np.log2(order))
+        rng = np.random.default_rng(order)
+        bits = rng.integers(0, 2, (3 * BLOCK + 5) * bps)
+        d = np.empty(3 * BLOCK + 5, dtype=complex)
+        assert qam_map(bits, order, out=d) is d
+        np.testing.assert_array_equal(d, oracle.qam_map(bits, order))
+        y = d + 0.3 * (rng.standard_normal(d.size) + 1j * rng.standard_normal(d.size))
+        labels = np.empty((d.size, bps), dtype=np.uint8)
+        np.testing.assert_array_equal(qam_demap(y, order, out=labels), oracle.qam_demap(y, order))
+        assert np.shares_memory(qam_demap(y, order, out=labels), labels)

@@ -16,6 +16,7 @@ from wavemod import (
     papr_ccdf,
     welch_psd,
 )
+from wavemod._work import BLOCK
 
 
 class TestBerCount:
@@ -35,6 +36,12 @@ class TestBerCount:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             ber_count([0, 1], [0])
+
+    def test_counts_across_blocks(self):
+        tx = np.zeros(3 * BLOCK + 7, dtype=np.uint8)
+        rx = tx.copy()
+        rx[[0, BLOCK - 1, BLOCK, 3 * BLOCK + 6]] = 1
+        assert ber_count(tx, rx)[:2] == (4, tx.size)
 
 
 class TestWelchPsd:
@@ -147,6 +154,18 @@ class TestPapr:
     def test_zero_frame_rejected(self):
         with pytest.raises(ValueError):
             papr(np.zeros(8))
+
+    @pytest.mark.parametrize("n_samples", [64, 1000, 3 * BLOCK])
+    def test_batch_in_blocks_is_the_whole_batch(self, n_samples):
+        # Rows go through a few at a time; each row's PAPR is the same bits.
+        rng = np.random.default_rng(n_samples)
+        frames = rng.standard_normal((300, n_samples)) + 1j * rng.standard_normal((300, n_samples))
+        power = np.abs(frames) ** 2
+        whole = 10.0 * np.log10(power.max(axis=-1) / power.mean(axis=-1))
+        np.testing.assert_array_equal(papr_batch(frames), whole)
+        frames[299] = 0
+        with pytest.raises(ValueError, match="all-zero"):
+            papr_batch(frames)
 
 
 class TestPaprCcdf:

@@ -47,7 +47,7 @@ class TestOfdmModulate:
     def test_dc_impulse_gives_constant(self):
         d = np.zeros(16, dtype=complex)
         d[0] = 1.0
-        x = _ofdm(16, 4).transmit(d[:, None])[:, 0]
+        x = _ofdm(16, 4).transmit(d[None])[0]
         assert len(x) == 20
         np.testing.assert_allclose(x, x[0], atol=1e-14)
 
@@ -61,7 +61,7 @@ class TestOfdmModulate:
     def test_parseval(self):
         rng = np.random.default_rng(1)
         d = qam_map(rng.integers(0, 2, 256), 16)
-        x = _ofdm(64, 8).transmit(d[:, None])[:, 0]
+        x = _ofdm(64, 8).transmit(d[None])[0]
         core = x[8:]
         assert abs(np.sum(np.abs(core) ** 2) - np.sum(np.abs(d) ** 2)) <= 1e-10
 
@@ -70,7 +70,7 @@ class TestOfdmDemodulate:
     def test_flat_noiseless_roundtrip(self):
         adapter = _ofdm(64, 8)
         rng = np.random.default_rng(2)
-        d = qam_map(rng.integers(0, 2, 256), 16)[:, None]
+        d = qam_map(rng.integers(0, 2, 256), 16)[None]
         d_hat = adapter.receive(adapter.transmit(d), np.array([1.0 + 0j]), 0.0)
         np.testing.assert_allclose(d_hat, d, atol=1e-10)
 
@@ -78,8 +78,8 @@ class TestOfdmDemodulate:
         adapter = _ofdm(64, 16, channel="tifs")
         taps = TIFS_TAPS.astype(complex)
         rng = np.random.default_rng(3)
-        d = qam_map(rng.integers(0, 2, 256), 16)[:, None]
-        y = _convolve_rows(adapter.transmit(d).T, taps).T
+        d = qam_map(rng.integers(0, 2, 256), 16)[None]
+        y = _convolve_rows(adapter.transmit(d), taps)
         np.testing.assert_allclose(adapter.receive(y, taps, 0.0), d, atol=1e-8)
 
     def test_ber_matches_theory_at_8db(self):
@@ -91,11 +91,11 @@ class TestOfdmDemodulate:
         for _ in range(200):
             bits = rng.integers(0, 2, 2048)
             d = qam_map(bits, 16)
-            x = adapter.transmit(d[:, None])[:, 0]
+            x = adapter.transmit(d[None])[0]
             w = np.sqrt(noise_var / 2) * (
                 rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x))
             )
-            d_hat = adapter.receive((x + w)[:, None], np.array([1.0 + 0j]), noise_var)[:, 0]
+            d_hat = adapter.receive((x + w)[None], np.array([1.0 + 0j]), noise_var)[0]
             errors += np.count_nonzero(qam_demap(d_hat, 16) != bits)
             total += len(bits)
         p = theoretical_ber(ebn0, 16)
@@ -104,18 +104,18 @@ class TestOfdmDemodulate:
 
     def test_zero_channel_bin_raises(self):
         with pytest.raises(EqualizationError) as ei:
-            _ofdm(16, 2).receive(np.zeros((18, 1), dtype=complex), _null_taps(16, 5), 0.0)
+            _ofdm(16, 2).receive(np.zeros((1, 18), dtype=complex), _null_taps(16, 5), 0.0)
         assert ei.value.bin_index == 5
 
     def test_per_frame_response_matches_per_frame_calls(self):
         adapter = _ofdm(16, 2, active=tuple(range(2, 14)))
         rng = np.random.default_rng(6)
-        y = rng.standard_normal((18, 3)) + 1j * rng.standard_normal((18, 3))
+        y = rng.standard_normal((3, 18)) + 1j * rng.standard_normal((3, 18))
         taps = np.column_stack([2.0 + 0.1 * rng.standard_normal(3), 0.1 * rng.standard_normal(3)]) + 0j
         batched = adapter.receive(y, taps, 0.0)
         for j in range(3):
             np.testing.assert_allclose(
-                batched[:, j], adapter.receive(y[:, j:j + 1], taps[j], 0.0)[:, 0], rtol=0, atol=1e-12
+                batched[j], adapter.receive(y[j:j + 1], taps[j], 0.0)[0], rtol=0, atol=1e-12
             )
 
     def test_null_in_one_frame_names_its_bin(self):
@@ -124,7 +124,7 @@ class TestOfdmDemodulate:
         adapter = _ofdm(16, 2, active=tuple(range(2, 14)))
         taps = np.array([[1.0, 0.0], [1.0, 0.0], _null_taps(16, 7)])
         with pytest.raises(EqualizationError) as ei:
-            adapter.receive(np.zeros((18, 3), dtype=complex), taps, 0.0)
+            adapter.receive(np.zeros((3, 18), dtype=complex), taps, 0.0)
         assert ei.value.bin_index == 7
 
 
@@ -148,7 +148,7 @@ class TestOfdmAdapter:
         # The core places the active symbols in ascending bin order.
         bins = None if active is None else sorted(active)
         np.testing.assert_allclose(
-            adapter.transmit(d), oracle.ofdm_modulate(d, n_fft, cp_len, bins), rtol=0, atol=1e-12
+            adapter.transmit(d.T).T, oracle.ofdm_modulate(d, n_fft, cp_len, bins), rtol=0, atol=1e-12
         )
 
     @settings(max_examples=40, deadline=None)
@@ -162,7 +162,8 @@ class TestOfdmAdapter:
         # At M = 1 with the rect pulse, ZF, MF and MMSE are the same weights.
         cfg = _config(n_fft, 7, channel=channel)
         _, taps, noise = _draw_chunk(cfg, build_adapter(cfg), seed, 0, 3, True)
-        out = {r: _ofdm(n_fft, 7, channel=channel, receiver=r).receive(noise.T, taps, noise_var)
+        y = noise[0] + 1j * noise[1]
+        out = {r: _ofdm(n_fft, 7, channel=channel, receiver=r).receive(y, taps, noise_var)
                for r in ("zf", "mf", "mmse")}
         scale = max(1.0, np.abs(out["zf"]).max())
         for r in ("mf", "mmse"):

@@ -14,7 +14,15 @@ from hypothesis import strategies as st
 
 from wavemod import cli
 from wavemod.channel import EqualizationError
-from wavemod.gfdm import oqam_demodulate, oqam_modulate
+from wavemod import _work
+from wavemod.gfdm import (
+    build_receiver,
+    gfdm_demodulate,
+    gfdm_modulate,
+    oqam_demodulate,
+    oqam_modulate,
+)
+from wavemod.metrics import _WELCH_BATCH
 from wavemod.sim import (
     CHANNELS,
     WAVEFORMS,
@@ -102,13 +110,21 @@ class TestRunBer:
         assert curve.extra["bits"][0] < 10_000 * build_adapter(cfg).n_data * 4
 
     def test_deterministic_across_thread_counts(self, monkeypatch):
+        # Five chunks of 64 frames per point: at 3 threads, jobs run at once
+        # in work areas of their own.
         monkeypatch.setattr(os, "cpu_count", lambda: 4)  # keep 3 threads on any machine
-        cfg = _ber_config(waveform="gfdm", channel="tvfs", frames=30)
-        monkeypatch.setenv("WAVEMOD_THREADS", "1")
-        e1 = run_ber(cfg).extra["errors"]
-        monkeypatch.setenv("WAVEMOD_THREADS", "3")
-        e3 = run_ber(cfg).extra["errors"]
-        np.testing.assert_array_equal(e1, e3)
+        for waveform in ("linear_gfdm", "gfdm"):
+            cfg = _ber_config(
+                waveform=waveform, channel="tvfs", ebn0_grid_db=(6.0, 10.0), frames=300
+            )
+            runs = []
+            for threads in ("1", "3"):
+                monkeypatch.setenv("WAVEMOD_THREADS", threads)
+                curve = run_ber(cfg)
+                runs.append((curve.extra["errors"], curve.extra["bits"]))
+            assert runs[0][1][0] == 300 * 2048
+            np.testing.assert_array_equal(runs[0][0], runs[1][0])
+            np.testing.assert_array_equal(runs[0][1], runs[1][1])
 
     def test_early_stop_deterministic_across_thread_counts(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)  # keep 2 threads on any machine
@@ -181,15 +197,15 @@ class TestBatchedReceive:
         noise_var = 0.05
         x, _, taps, noise = _transmit_chunk(cfg, adapter, 0, 0, count, True)
         frame_taps = taps if taps.ndim == 2 else [taps] * count
-        clean = _convolve_rows(x.T, taps)
+        clean = _convolve_rows(x, taps)
         for j in range(count):
             np.testing.assert_allclose(
-                clean[j], _convolve_rows(x.T[j : j + 1], frame_taps[j])[0], rtol=0, atol=1e-10
+                clean[j], _convolve_rows(x[j : j + 1], frame_taps[j])[0], rtol=0, atol=1e-10
             )
-        y = clean + np.sqrt(noise_var) * noise
-        batched = adapter.receive(y.T, taps, noise_var)
-        per_frame = np.column_stack(
-            [adapter.receive(y[j][:, None], frame_taps[j], noise_var)[:, 0] for j in range(count)]
+        y = clean + np.sqrt(noise_var) * (noise[0] + 1j * noise[1])
+        batched = adapter.receive(y, taps, noise_var)
+        per_frame = np.array(
+            [adapter.receive(y[j : j + 1], frame_taps[j], noise_var)[0] for j in range(count)]
         )
         # A deep TVFS fade scales the ZF output up; the tolerance scales with it.
         scale = max(1.0, np.abs(per_frame).max())
@@ -329,12 +345,12 @@ class TestRunPapr:
 
 
 class TestReusedBuffers:
-    """The modem's per-thread work arrays never show in a result."""
+    """The work areas lent to chunk jobs never show in a result, and outlive the run."""
 
     @pytest.mark.parametrize("threads", ["2", "4"])
     def test_thread_counts_give_the_same_bits(self, monkeypatch, threads):
         # Four threads on two cores, switching every 10 us, interleave chunks
-        # inside the modem; each thread has work arrays of its own.
+        # inside the modem; each running chunk job has a work area of its own.
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         configs = [
             ScenarioConfig(waveform="linear_gfdm", metric="papr", frames=1100),
@@ -360,11 +376,16 @@ class TestReusedBuffers:
         rng = np.random.default_rng(5)
         adapter = build_adapter(ScenarioConfig(waveform="linear_gfdm"))
         mats = adapter.mats
+        plain = build_adapter(ScenarioConfig(waveform="gfdm"))
+        rx = build_receiver(plain.mats, "zf")
         d1, d2 = (rng.standard_normal((512, 70)) + 1j * rng.standard_normal((512, 70)) for _ in range(2))
         calls = [
             lambda d: oqam_modulate(mats, d),
             lambda d: oqam_demodulate(mats, oqam_modulate(mats, d)),
-            adapter.transmit,
+            lambda d: gfdm_modulate(plain.mats, d),
+            lambda d: gfdm_demodulate(rx, d),
+            lambda d: adapter.transmit(d.T),
+            lambda d: plain.receive(plain.transmit(d.T), np.array([1.0 + 0j]), 0.0),
         ]
         for call in calls:
             first = call(d1)
@@ -372,6 +393,59 @@ class TestReusedBuffers:
             second = call(d2)
             np.testing.assert_array_equal(first, kept)
             assert not np.shares_memory(first, second)
+
+    def test_chunk_outside_a_job_keeps_nothing(self):
+        # Outside a chunk job every call gets a fresh work area: nothing is
+        # shared between calls, and nothing joins the free list.
+        cfg = ScenarioConfig(waveform="linear_gfdm")
+        adapter = build_adapter(cfg)
+        lent = list(_work._free)
+        first = _transmit_chunk(cfg, adapter, 0, 0, 4)[0]
+        second = _transmit_chunk(cfg, adapter, 0, 4, 4)[0]
+        assert not np.shares_memory(first, second)
+        assert _work._free == lent
+
+    _LARGE = WaveformParams(subcarriers=256, subsymbols=8)
+
+    @pytest.mark.parametrize("waveform", ["linear_gfdm", "fbmc", "gfdm"])
+    def test_repeated_run_allocates_little(self, monkeypatch, waveform):
+        # Every chunk-sized array of a run lives in a work area: a second
+        # identical run at K=256, M=8 peaks far below one chunk of frames (2 MB).
+        monkeypatch.setenv("WAVEMOD_THREADS", "1")
+        cfg = _ber_config(
+            waveform=waveform, frames=32, ebn0_grid_db=(4.0, 8.0), waveform_params=self._LARGE
+        )
+        run_ber(cfg)
+        tracemalloc.start()
+        try:
+            run_ber(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20, peak
+
+    def test_repeated_run_makes_no_work_arrays(self, monkeypatch):
+        monkeypatch.setenv("WAVEMOD_THREADS", "1")
+
+        def work_arrays():
+            return {id(buf) for area in _work._free for buf in area._flat.values()}
+
+        for waveform in ("linear_gfdm", "gfdm"):
+            cfg = _ber_config(
+                waveform=waveform, channel="tvfs", frames=100, waveform_params=self._LARGE
+            )
+            run_ber(cfg)
+            before = work_arrays()
+            run_ber(cfg)
+            assert before and work_arrays() == before
+
+    def test_psd_run_keeps_no_welch_arrays(self, monkeypatch):
+        # The stream window and the Welch batch (4 MB) are the run's own: the
+        # areas a PSD run hands back hold its chunk arrays only.
+        monkeypatch.setattr(_work, "_free", [])
+        run_psd(ScenarioConfig(waveform="fbmc", metric="psd", frames=1000))
+        kept = [buf.nbytes for area in _work._free for buf in area._flat.values()]
+        assert kept and max(kept) < _WELCH_BATCH * _WELCH_SEGMENT * 16
 
 
 class TestCli:
@@ -531,11 +605,15 @@ class TestCli:
         assert np.all(np.diff(cols[:, 0]) > 0)
 
     def test_console_script_entrypoint(self):
+        # The child imports the package this test imported, installed or not.
+        package_root = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "wavemod.cli", "ber", "--waveform", "cdma"],
             capture_output=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
-        assert proc.returncode == 2
+        assert proc.returncode == 2, proc.stderr
 
     def test_threads_env_var(self, monkeypatch):
         from wavemod.sim import n_threads
