@@ -17,9 +17,11 @@ own module name, so neither can overwrite the other's:
   holds one stage's output until a later stage has read it; the demodulator
   writes its estimates over the sent symbols, which the frames have
   replaced by then.
-- ``gfdm`` keeps the modem's GEMM operands and OQAM spectra, which live
-  only within one call; the OQAM modulator's phase-rotated parts sit in the
-  GEMM output until the GEMM input has copied them.
+- ``gfdm`` keeps the OQAM modem's two GEMM operands, which live only
+  within one call.  The modulator's subsymbol transform shares
+  ``gfdm.gemm_out``: it sits there until the GEMM input has copied it.  The
+  demodulator folds the product's mirrored half into the spent
+  ``gfdm.gemm_in`` and transposes it into its output rows.
 
 The other modules keep no arrays: their per-chunk helpers work through
 their input :data:`BLOCK` elements at a time.

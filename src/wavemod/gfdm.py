@@ -26,6 +26,17 @@ matrix per residue (:func:`synthesis_band`) and its transpose as the
 matched filter; the band wraps in a circular frame and has room for the
 tail in a linear one, so one path serves all three.
 
+Both real branches share one complex transform per subsymbol, by the
+two-for-one trick for real data (Sorensen, Jones, Heideman and Burrus, IEEE
+TASSP 1987).  With phi_k = j^k, Z_m = IFFT_K(phi * d_m) gives u[n] = Z_m[n]
+and its mirror v[n] = conj Z_m[(K/2 - n) mod K], and the branches' spreads
+are D^I = (u + v)/2 and D^Q = (u - v)/2.  The GEMM therefore runs on (u, v)
+against the fused band B_u = (B_I + B_Q)/2, B_v = (B_I - B_Q)/2.  The
+circular sets' Q rotation carries an extra (-1)^k, which conjugating their
+odd-k symbols first absorbs.  The receiver is the exact real adjoint:
+c = B^T y per residue, w[n] = c_u[n] + conj c_v[(K/2 - n) mod K], one FFT,
+conj(phi)/gain per bin, and for circular sets the odd bins conjugated.
+
 A matrix set is a small frozen description of a transmit matrix; the dense
 matrices it describes serve only as test oracles.
 """
@@ -42,6 +53,9 @@ from .prototypes import PrototypeFilter
 # OQAM quarter-turn rotation j^k of subcarrier k, exact for every k.
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 _FRAME_BLOCK = 64  # frames per transform pass
+# Largest relative difference of the I and Q pulse energies a set may have:
+# its receiver divides both parts by one gain.
+_GAIN_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,9 +84,15 @@ class OqamMatrixSet:
     (b, m) of residue r carries branch b's polyphase taps from block m on
     (see :func:`synthesis_band`).  ``phase`` is the (2, K) per-subcarrier
     rotation of each branch's real data, the Q branch's including its factor
-    j.  ``support_len`` is the index one past the last sample that can carry
-    signal; later samples of the ``frame_len``-sample frame are structural
-    zeros.
+    j: ``oqam_phase``'s j^k on I and j * j^k on Q, times (-1)^k on Q for the
+    circular sets.  ``support_len`` is the index one past the last sample
+    that can carry signal; later samples of the ``frame_len``-sample frame
+    are structural zeros.
+
+    The modem runs on :attr:`fused`, the same pair rewritten for one complex
+    transform per subsymbol (see the module docstring).  Its receiver divides
+    both parts by one gain, so building a set whose I and Q pulse energies
+    differ raises ``ValueError``, as does a ``phase`` of any other form.
     """
 
     subcarriers: int
@@ -81,6 +101,13 @@ class OqamMatrixSet:
     phase: np.ndarray
     support_len: int
     frame_len: int
+
+    def __post_init__(self):
+        gain_i, gain_q = self.gains
+        if abs(gain_i - gain_q) > _GAIN_RTOL * max(gain_i, gain_q):
+            raise ValueError(f"I and Q pulse energies differ: {gain_i!r} and {gain_q!r}")
+        if not any(np.array_equal(self.phase, oqam_phase(self.subcarriers, s)) for s in (False, True)):
+            raise ValueError("phase must be oqam_phase(subcarriers, q_sign)")
 
     @property
     def n_symbols(self) -> int:
@@ -91,6 +118,26 @@ class OqamMatrixSet:
         """Energy of every I and Q pulse: the matched filter's per-symbol gains."""
         m = self.subsymbols
         return float(np.sum(self.band[:, :, 0] ** 2)), float(np.sum(self.band[:, :, m] ** 2))
+
+    @cached_property
+    def fused(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+        """(band, spread, despread, conj_odd): the pair as the modem runs it.
+
+        ``band`` is the (K, blocks, 2M) fused band, (B_I + B_Q)/2 on the
+        columns of Z and (B_I - B_Q)/2 on those of its (K/2 - n) mirror.
+        ``spread`` weights the symbols before the IFFT: phi_k = j^k, or its
+        conjugate on the odd k of a circular set, whose products are then
+        conjugated.  ``despread`` is conj(phi)/gain on the FFT bins, and
+        ``conj_odd`` says whether the odd symbols and bins are conjugated.
+        """
+        b_i, b_q = np.split(self.band, 2, axis=-1)
+        band = np.concatenate([b_i + b_q, b_i - b_q], axis=-1) / 2
+        phi = self.phase[0]
+        conj_odd = bool(self.phase[1, 1] == -1j * phi[1])
+        spread = phi.copy()
+        if conj_odd:
+            spread[1::2] = phi[1::2].conj()
+        return band, spread, phi.conj() / self.gains[0], conj_odd
 
 
 @dataclass(frozen=True)
@@ -260,26 +307,22 @@ def gfdm_demodulate(rx: ReceiverMatrix, y, out=None) -> np.ndarray:
     return _framewise(y, m * k, analyze, out)
 
 
-def _per_residue(band: np.ndarray, rows: np.ndarray, work) -> np.ndarray:
-    """Apply real (K, out, cols) per-residue matrices to (frames, n) samples.
+def _mirror(subcarriers: int) -> tuple[tuple[slice, slice], ...]:
+    """(dst, src) slices of a K-point axis, pairing entry n with (K/2 - n) mod K."""
+    half = subcarriers // 2
+    return (slice(0, half + 1), slice(half, None, -1)), (slice(half + 1, None), slice(None, half, -1))
 
-    Sample r + qK of a frame is entry q of residue r's input, zero past the
-    n samples.  Returns (frames, out, K), a view of the "gfdm.gemm_out" array of
-    the work area ``work``, which ``rows`` may also view: they are copied out
-    first.  The complex samples enter the real product residue-major as
-    interleaved (re, im) pairs, so it runs as one batched real GEMM.
+
+def _gemm(band: np.ndarray, cols: np.ndarray, work) -> np.ndarray:
+    """Real (K, out, c) per-residue matrices times complex (K, c, frames) columns.
+
+    The columns enter as interleaved (re, im) pairs, so the product runs as
+    one batched real GEMM.  Returns the (K, out, frames) product, the
+    "gfdm.gemm_out" array of the work area ``work``.
     """
-    k, n_out, n_cols = band.shape
-    cols = work.get("gfdm.gemm_in", (k, n_cols, len(rows)))
-    head, tail = _split_blocks(rows, k)
-    whole = head.shape[1]
-    np.copyto(cols[:, :whole], head.transpose(2, 1, 0))
-    cols[:, whole:] = 0
-    if tail.size:
-        cols[: tail.shape[1], whole] = tail.T
-    prod = work.get("gfdm.gemm_out", (k, n_out, len(rows)))
+    prod = work.get("gfdm.gemm_out", (band.shape[0], band.shape[1], cols.shape[-1]))
     np.matmul(band, cols.view(np.float64), out=prod.view(np.float64))
-    return prod.transpose(2, 1, 0)
+    return prod
 
 
 def oqam_modulate(mats: OqamMatrixSet, d, out=None) -> np.ndarray:
@@ -288,17 +331,21 @@ def oqam_modulate(mats: OqamMatrixSet, d, out=None) -> np.ndarray:
     if d.shape[0] != mats.n_symbols:
         raise ValueError(f"expected {mats.n_symbols} symbols, got {d.shape[0]}")
     k, m = mats.subcarriers, mats.subsymbols
-    phase = np.tile(mats.phase, m)
+    band, spread, _, conj_odd = mats.fused
     work = _work.area()
 
     def synthesize(sym, dest):
-        # The product's output buffer: the parts are copied out before it is written.
-        parts = work.get("gfdm.gemm_out", (len(sym), 2, k * m))
-        np.multiply(sym.real, phase[0], out=parts[:, 0])
-        np.multiply(sym.imag, phase[1], out=parts[:, 1])
-        spread = parts.reshape(len(sym), 2 * m, k)
-        np.fft.ifft(spread, axis=-1, norm="forward", out=spread)
-        blocks = _per_residue(mats.band, parts.reshape(len(sym), -1), work)
+        # Z sits in the product's output buffer until the GEMM input has copied it.
+        z = work.get("gfdm.gemm_out", (len(sym), m, k))
+        np.multiply(sym.reshape(len(sym), m, k), spread, out=z)
+        if conj_odd:
+            np.negative(z.imag[..., 1::2], out=z.imag[..., 1::2])
+        np.fft.ifft(z, axis=-1, norm="forward", out=z)
+        cols = work.get("gfdm.gemm_in", (k, 2 * m, len(sym)))
+        np.copyto(cols[:, :m], z.transpose(2, 1, 0))
+        for dst, src in _mirror(k):
+            np.conjugate(cols[src, :m], out=cols[dst, m:])
+        blocks = _gemm(band, cols, work).transpose(2, 1, 0)
         # Each sample is written once, straight from the residue-major product.
         head, tail = _split_blocks(dest, k)
         head[:] = blocks[:, : head.shape[1]]
@@ -311,25 +358,40 @@ def oqam_modulate(mats: OqamMatrixSet, d, out=None) -> np.ndarray:
 def oqam_demodulate(mats: OqamMatrixSet, y_eq, out=None) -> np.ndarray:
     """Matched-filter OQAM demodulation of an equalized frame, gain-normalized per symbol.
 
-    The adjoint of :func:`oqam_modulate`: the transposed band correlates the
-    frame with every pulse, an FFT returns to the subcarriers, and each
-    branch keeps the real part of its de-rotated output.  The symbols go to
-    ``out`` if given.
+    The adjoint of :func:`oqam_modulate`: the transposed fused band
+    correlates the frame with every pulse, the mirrored half folds into the
+    direct one, and one FFT per subsymbol returns to the subcarriers, each
+    symbol's real part from the I pulses and imaginary part from the Q
+    pulses.  The symbols go to ``out`` if given.
     """
     y_eq = np.asarray(y_eq, dtype=complex)
     if y_eq.shape[0] != mats.frame_len:
         raise ValueError(f"expected {mats.frame_len} samples, got {y_eq.shape[0]}")
     k, m = mats.subcarriers, mats.subsymbols
-    derotate = mats.phase.conj()[:, None, :]
-    gain_i, gain_q = mats.gains
+    band, _, despread, conj_odd = mats.fused
+    band = band.transpose(0, 2, 1)
     work = _work.area()
 
     def analyze(rows, dest):
-        corr = _per_residue(mats.band.transpose(0, 2, 1), rows, work)
-        spec = work.get("gfdm.oqam_spectra", (len(rows), 2, m, k))
-        np.fft.fft(corr.reshape(len(rows), 2, m, k), axis=-1, out=spec)
-        spec *= derotate
-        np.divide(spec[:, 0].real.reshape(len(rows), -1), gain_i, out=dest.real)
-        np.divide(spec[:, 1].real.reshape(len(rows), -1), gain_q, out=dest.imag)
+        # Sample r + qK is entry q of residue r's column, zero past the frame.
+        cols = work.get("gfdm.gemm_in", (k, band.shape[2], len(rows)))
+        head, tail = _split_blocks(rows, k)
+        whole = head.shape[1]
+        np.copyto(cols[:, :whole], head.transpose(2, 1, 0))
+        cols[:, whole:] = 0
+        if tail.size:
+            cols[: tail.shape[1], whole] = tail.T
+        corr = _gemm(band, cols, work)
+        # The mirror folds in residue-major order, in the spent GEMM input.
+        fold = work.get("gfdm.gemm_in", (k, m, len(rows)))
+        for dst, src in _mirror(k):
+            np.conjugate(corr[src, m:], out=fold[dst])
+        fold += corr[:, :m]
+        w = np.reshape(dest, (len(rows), m, k), copy=False)
+        np.copyto(w, fold.transpose(2, 1, 0))
+        np.fft.fft(w, axis=-1, out=w)
+        w *= despread
+        if conj_odd:
+            np.negative(w.imag[..., 1::2], out=w.imag[..., 1::2])
 
     return _framewise(y_eq, mats.n_symbols, analyze, out)

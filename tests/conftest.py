@@ -4,6 +4,10 @@ from oracle import add_cp
 from wavemod import oqam_modulate
 from wavemod.sim import _convolve_rows
 
+# Largest difference from a dense oracle, relative to the larger of 1 and the
+# oracle's largest output, that a fast path may show.
+TOL = 1e-10
+
 acceptance_verdicts: list[str] = []
 
 

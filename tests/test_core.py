@@ -2,7 +2,8 @@
 
 import numpy as np
 import oracle
-from hypothesis import given, settings
+from conftest import TOL
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavemod import (
@@ -19,7 +20,6 @@ from wavemod import (
     rectangular,
 )
 
-TOL = 1e-10
 FRAMES = 3
 
 _shapes = dict(
@@ -61,8 +61,28 @@ _BUILDERS = {
 }
 
 
+# The edges of the (K/2 - n) mirror, run on every pass for every builder:
+# K = 2 (the mirror is a swap), K = 6 (K/2 odd), one subsymbol, the rect
+# prototype.
+_MIRROR_EDGES = (
+    dict(k=2, m=3, overlap=2, rect=False),
+    dict(k=6, m=2, overlap=4, rect=False),
+    dict(k=16, m=1, overlap=4, rect=False),
+    dict(k=10, m=3, overlap=1, rect=True),
+    dict(k=2, m=1, overlap=1, rect=True),
+)
+
+
+def _pin_mirror_edges(test):
+    for kind in sorted(_BUILDERS):
+        for seed, shape in enumerate(_MIRROR_EDGES):
+            test = example(kind=kind, seed=seed, **shape)(test)
+    return test
+
+
 @settings(max_examples=30, deadline=None)
 @given(kind=st.sampled_from(sorted(_BUILDERS)), **_shapes)
+@_pin_mirror_edges
 def test_oqam_core_matches_dense_pair(kind, k, m, overlap, rect, seed):
     p = _prototype(k, overlap, rect)
     mats = _BUILDERS[kind](p, k, m)
@@ -80,6 +100,18 @@ def test_oqam_core_matches_dense_pair(kind, k, m, overlap, rect, seed):
     gain_q = np.sum(np.abs(a_q) ** 2, axis=0)[:, None]
     want = (a_i.conj().T @ y).real / gain_i + 1j * (a_q.conj().T @ y).imag / gain_q
     assert _close(oqam_demodulate(mats, y), want) <= TOL
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_shapes)
+def test_linear_tail_is_exactly_zero(k, m, overlap, rect, seed):
+    # Neither branch has a tap at or past support_len, so the fused band's
+    # rows there are exact zeros and so are the samples.
+    mats = build_linear_matrices(_prototype(k, overlap, rect), k, m)
+    d = _complex(np.random.default_rng(seed), k * m, FRAMES)
+    x = oqam_modulate(mats, d)
+    assert x.shape == (mats.frame_len, FRAMES) and mats.frame_len > mats.support_len
+    assert not x[mats.support_len:].any()
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import oracle
 import pytest
@@ -260,6 +262,23 @@ class TestOqamModem:
         a_i, a_q = _dense_oqam()
         np.testing.assert_allclose(mats.gains[0], np.sum(np.abs(a_i) ** 2, axis=0), rtol=1e-12)
         np.testing.assert_allclose(mats.gains[1], np.sum(np.abs(a_q) ** 2, axis=0), rtol=1e-12)
+        assert mats.fused is mats.fused
+
+    def test_rejects_unequal_branch_gains(self):
+        # The receiver divides both parts by one gain, so the set must not
+        # carry I and Q pulses of different energy.
+        mats = build_oqam_matrices(phydyas(8, 2), 8, 2)
+        band = mats.band.copy()
+        band[:, :, 2:] *= 1 + 1e-9
+        with pytest.raises(ValueError, match="energies differ"):
+            replace(mats, band=band)
+        band[:, :, 2:] = mats.band[:, :, 2:] * (1 + 1e-14)
+        assert replace(mats, band=band).gains[1] != mats.gains[1]
+
+    def test_rejects_foreign_phase(self):
+        mats = build_oqam_matrices(phydyas(8, 2), 8, 2)
+        with pytest.raises(ValueError, match="oqam_phase"):
+            replace(mats, phase=mats.phase.conj())
 
     def test_single_symbol_interference(self):
         mats = build_oqam_matrices(phydyas(128, 4), 128, 4)

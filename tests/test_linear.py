@@ -1,7 +1,7 @@
 import numpy as np
 import oracle
 import pytest
-from conftest import oqam_columns
+from conftest import TOL, oqam_columns
 
 from wavemod import (
     build_linear_matrices,
@@ -36,15 +36,28 @@ class TestBuildLinearMatrices:
 
     @pytest.mark.parametrize("k,m", [(4, 2), (16, 4), (128, 4)])
     def test_wrap_freedom_contiguous_support(self, k, m):
-        # Every column of the core is the prototype's contiguous support, and
-        # exactly zero elsewhere: the core adds no wrapped tail.
+        # Every pulse is the prototype's contiguous support, exactly zero
+        # elsewhere: in the set's per-residue band and in the independent
+        # dense pair.  The modem adds no wrapped tail: its columns match that
+        # pair.  (They are not compared for exact zeros: the fused branches
+        # cancel to rounding, not to 0, where one branch has no taps.)
         p = phydyas(k, 4)
         mats = build_linear_matrices(p, k, m)
-        for mat, delay in zip(oqam_columns(mats), (0, k // 2)):
+        sample = np.arange(k)[:, None] + k * np.arange(mats.band.shape[1])[None, :]
+        for branch, delay in enumerate((0, k // 2)):
+            for mm in range(m):
+                start = mm * k + delay
+                taps = mats.band[:, :, branch * m + mm]
+                inside = (sample >= start) & (sample < start + p.length)
+                assert not taps[~inside].any() and np.abs(taps[inside]).min() > 0
+        dense = oracle.build_linear_matrices(p, k, m)
+        for mat, delay in zip(dense, (0, k // 2)):
             for col in range(mat.shape[1]):
                 start = (col // k) * k + delay
                 assert not mat[:start, col].any() and not mat[start + p.length:, col].any()
                 assert np.abs(mat[start:start + p.length, col]).min() > 0
+        for got, want in zip(oqam_columns(mats), dense):
+            assert np.abs(got - want).max() / max(1.0, np.abs(want).max()) <= TOL
 
     def test_quadrature_shift_relation(self):
         # Each quadrature column is the in-phase column delayed by K/2
