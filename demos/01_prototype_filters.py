@@ -10,7 +10,7 @@
 
 import numpy as np
 
-from wavemod import linear_pad_length, phydyas, rectangular, zero_pad
+from wavemod import linear_pad_length, phydyas, rectangular
 
 K = 128       # subcarriers
 THETA = 4     # overlapping factor
@@ -45,7 +45,7 @@ for m in range(1, THETA):
 # prototype ever wraps around the frame boundary.
 
 pad = linear_pad_length(K, M)
-padded = zero_pad(p_phy, pad)
+padded = np.pad(p_phy.coefficients, (0, pad))
 print("\npad length L_Z:", pad, f"(= {K}*{M} - {K}/2 + 1)")
 print("extended length:", len(padded), f"(= {p_phy.length} + {pad})")
 

@@ -21,7 +21,6 @@ from wavemod import (
     build_gfdm_matrix,
     build_linear_matrices,
     build_oqam_matrices,
-    burst_length,
     gfdm_modulate,
     oqam_demodulate,
     oqam_modulate,
@@ -79,7 +78,7 @@ def synthesis_pulse(k, m, part, length):
 
 
 x_lin = oqam_modulate(lin, d)
-nb = burst_length(p, K, M)
+nb = lin.support_len  # the FBMC burst length
 x_fbmc = np.zeros(nb, dtype=complex)
 for m in range(M):
     for k in range(K):
@@ -91,10 +90,10 @@ print("linear tail past the burst is zero:", not x_lin[nb:].any())
 
 # %%
 # So the FBMC modem is the linear pair cut to its support: same modem core
-# (oqam_modulate / oqam_demodulate), frames of burst_length samples.
+# (oqam_modulate / oqam_demodulate), frames of support_len samples.
 
 fbmc = build_fbmc_matrices(p, K, M)
-print("\nFBMC A_i shape:", oqam_pair(fbmc)[0].shape)
+print("\nFBMC A_i shape:", oqam_pair(fbmc)[0].shape, "frame_len == nb:", fbmc.frame_len == nb)
 d_hat = oqam_demodulate(fbmc, oqam_modulate(fbmc, d))
 err_db = 10 * np.log10(np.mean(np.abs(d_hat - d) ** 2) / np.mean(np.abs(d) ** 2))
 print(f"noiseless FBMC loopback error: {err_db:.0f} dB")

@@ -19,11 +19,10 @@ from .channel import (
     fd_zf_equalize,
     freq_response,
 )
-from .fbmc import build_fbmc_matrices, burst_length
+from .fbmc import build_fbmc_matrices
 from .gfdm import (
     GfdmMatrixSet,
     OqamMatrixSet,
-    ReceiverMatrix,
     build_gfdm_matrix,
     build_oqam_matrices,
     build_receiver,
@@ -38,8 +37,6 @@ from .metrics import (
     MetricCurve,
     ber_count,
     default_papr_thresholds,
-    oob_ratio,
-    papr,
     papr_batch,
     papr_ccdf,
     theoretical_ber,
@@ -50,7 +47,6 @@ from .prototypes import (
     linear_pad_length,
     phydyas,
     rectangular,
-    zero_pad,
 )
 from .sim import (
     CHANNELS,
@@ -80,7 +76,6 @@ __all__ = [
     "MetricCurve",
     "OqamMatrixSet",
     "PrototypeFilter",
-    "ReceiverMatrix",
     "ScenarioConfig",
     "WaveformParams",
     "ber_count",
@@ -89,7 +84,6 @@ __all__ = [
     "build_linear_matrices",
     "build_oqam_matrices",
     "build_receiver",
-    "burst_length",
     "complex_awgn",
     "constellation",
     "default_papr_thresholds",
@@ -99,10 +93,8 @@ __all__ = [
     "gfdm_demodulate",
     "gfdm_modulate",
     "linear_pad_length",
-    "oob_ratio",
     "oqam_demodulate",
     "oqam_modulate",
-    "papr",
     "papr_batch",
     "papr_ccdf",
     "phydyas",
@@ -115,5 +107,4 @@ __all__ = [
     "run_scenario",
     "theoretical_ber",
     "welch_psd",
-    "zero_pad",
 ]

@@ -1,10 +1,10 @@
 """The modem core: one FFT filter bank for all five waveforms.
 
 Write a frame sample as n = r + qK (residue r, block q) and let
-D_m = K * IFFT_K(d_{., m} * phase) bring subsymbol m's subcarriers to the
-time domain.  Every transmitter of the family is then, for each residue r,
-a convolution over the subsymbol index with the prototype's polyphase rows
-P[s, r] = g[r + sK]:
+D_m = K * IFFT_K(d_{., m}) bring subsymbol m's subcarriers (for OQAM rotated
+by j^k) to the time domain.  Every transmitter of the family is then, for
+each residue r, a convolution over the subsymbol index with the
+prototype's polyphase rows P[s, r] = g[r + sK]:
 
     x[r + qK] = sum_m P[q - m, r] * D_m[r].
 
@@ -36,13 +36,14 @@ circular sets' Q rotation carries an extra (-1)^k, which conjugating their
 odd-k symbols first absorbs.  The receiver is the exact real adjoint:
 c = B^T y per residue, w[n] = c_u[n] + conj c_v[(K/2 - n) mod K], one FFT,
 conj(phi)/gain per bin, and for circular sets the odd bins conjugated.
+The modem derives phi and conj(phi)/gain per call; the set stores only the
+fused band, the gain and whether it is circular.
 
 A matrix set is a small frozen description of a transmit matrix; the dense
 matrices it describes serve only as test oracles.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -53,9 +54,6 @@ from .prototypes import PrototypeFilter
 # OQAM quarter-turn rotation j^k of subcarrier k, exact for every k.
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 _FRAME_BLOCK = 64  # frames per transform pass
-# Largest relative difference of the I and Q pulse energies a set may have:
-# its receiver divides both parts by one gain.
-_GAIN_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -80,71 +78,29 @@ class GfdmMatrixSet:
 class OqamMatrixSet:
     """OQAM transmit pair: real symbol parts ride on the I branch, imaginary on Q.
 
-    ``band`` holds the (K, blocks, 2M) per-residue synthesis matrices: column
-    (b, m) of residue r carries branch b's polyphase taps from block m on
-    (see :func:`synthesis_band`).  ``phase`` is the (2, K) per-subcarrier
-    rotation of each branch's real data, the Q branch's including its factor
-    j: ``oqam_phase``'s j^k on I and j * j^k on Q, times (-1)^k on Q for the
-    circular sets.  ``support_len`` is the index one past the last sample
+    ``band`` is the (K, blocks, 2M) fused band the modem multiplies by:
+    residue r's columns m and M + m hold (B_I + B_Q)/2 and (B_I - B_Q)/2 of
+    subsymbol m, where B_I and B_Q carry each branch's polyphase taps from
+    block m on (see :func:`synthesis_band` and the module docstring).
+    ``gain`` is the energy of every I and Q pulse, which the matched filter
+    divides out.  ``circular`` marks the sets whose Q pulses are the I
+    pulses rolled by K/2 in a wrapped frame: their Q rotation carries the
+    extra (-1)^k.  ``support_len`` is the index one past the last sample
     that can carry signal; later samples of the ``frame_len``-sample frame
     are structural zeros.
-
-    The modem runs on :attr:`fused`, the same pair rewritten for one complex
-    transform per subsymbol (see the module docstring).  Its receiver divides
-    both parts by one gain, so building a set whose I and Q pulse energies
-    differ raises ``ValueError``, as does a ``phase`` of any other form.
     """
 
     subcarriers: int
     subsymbols: int
     band: np.ndarray
-    phase: np.ndarray
+    gain: float
+    circular: bool
     support_len: int
     frame_len: int
-
-    def __post_init__(self):
-        gain_i, gain_q = self.gains
-        if abs(gain_i - gain_q) > _GAIN_RTOL * max(gain_i, gain_q):
-            raise ValueError(f"I and Q pulse energies differ: {gain_i!r} and {gain_q!r}")
-        if not any(np.array_equal(self.phase, oqam_phase(self.subcarriers, s)) for s in (False, True)):
-            raise ValueError("phase must be oqam_phase(subcarriers, q_sign)")
 
     @property
     def n_symbols(self) -> int:
         return self.subcarriers * self.subsymbols
-
-    @cached_property
-    def gains(self) -> tuple[float, float]:
-        """Energy of every I and Q pulse: the matched filter's per-symbol gains."""
-        m = self.subsymbols
-        return float(np.sum(self.band[:, :, 0] ** 2)), float(np.sum(self.band[:, :, m] ** 2))
-
-    @cached_property
-    def fused(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-        """(band, spread, despread, conj_odd): the pair as the modem runs it.
-
-        ``band`` is the (K, blocks, 2M) fused band, (B_I + B_Q)/2 on the
-        columns of Z and (B_I - B_Q)/2 on those of its (K/2 - n) mirror.
-        ``spread`` weights the symbols before the IFFT: phi_k = j^k, or its
-        conjugate on the odd k of a circular set, whose products are then
-        conjugated.  ``despread`` is conj(phi)/gain on the FFT bins, and
-        ``conj_odd`` says whether the odd symbols and bins are conjugated.
-        """
-        b_i, b_q = np.split(self.band, 2, axis=-1)
-        band = np.concatenate([b_i + b_q, b_i - b_q], axis=-1) / 2
-        phi = self.phase[0]
-        conj_odd = bool(self.phase[1, 1] == -1j * phi[1])
-        spread = phi.copy()
-        if conj_odd:
-            spread[1::2] = phi[1::2].conj()
-        return band, spread, phi.conj() / self.gains[0], conj_odd
-
-
-@dataclass(frozen=True)
-class ReceiverMatrix:
-    """Plain-GFDM receiver as (M, K) weights on the Zak transform of the frame."""
-
-    weights: np.ndarray
 
 
 def polyphase(coeffs: np.ndarray, subcarriers: int, taps: int) -> np.ndarray:
@@ -158,14 +114,6 @@ def polyphase(coeffs: np.ndarray, subcarriers: int, taps: int) -> np.ndarray:
         chunk = coeffs[start:start + len(g)]
         g[: len(chunk)] += chunk
     return g.reshape(taps, subcarriers)
-
-
-def oqam_phase(subcarriers: int, q_sign: bool) -> np.ndarray:
-    """(2, K) rotations j^k of the I data and j * j^k of the Q data; ``q_sign`` adds (-1)^k on Q."""
-    k = np.arange(subcarriers)
-    phase = _QUARTER_TURNS[k % 4]
-    sign = (-1.0) ** k if q_sign else 1.0
-    return np.stack([phase, 1j * sign * phase])
 
 
 def synthesis_band(rows: np.ndarray, subsymbols: int, blocks: int) -> np.ndarray:
@@ -198,9 +146,21 @@ def build_oqam_matrices(p: PrototypeFilter, subcarriers: int, subsymbols: int) -
     n = subcarriers * subsymbols
     g = polyphase(p.coefficients, subcarriers, subsymbols).ravel()
     rows = np.stack([g, np.roll(g, subcarriers // 2)]).reshape(2, subsymbols, subcarriers)
-    band = synthesis_band(rows, subsymbols, subsymbols)
     # The rolled pulse keeps the carrier phase of the unrolled one: (-1)^k on Q.
-    return OqamMatrixSet(subcarriers, subsymbols, band, oqam_phase(subcarriers, True), n, n)
+    return oqam_set(rows, subsymbols, subsymbols, True, n, n)
+
+
+def oqam_set(rows: np.ndarray, subsymbols: int, blocks: int, circular: bool,
+             support_len: int, frame_len: int) -> OqamMatrixSet:
+    """The set of the (2, taps, K) I and Q polyphase ``rows`` over ``blocks`` blocks.
+
+    Every pulse has the energy of the first I pulse; the branch bands fuse
+    into (B_I + B_Q)/2 and (B_I - B_Q)/2.
+    """
+    b_i, b_q = np.split(synthesis_band(rows, subsymbols, blocks), 2, axis=-1)
+    gain = float(np.sum(b_i[:, :, 0] ** 2))
+    band = np.concatenate([b_i + b_q, b_i - b_q], axis=-1) / 2
+    return OqamMatrixSet(rows.shape[-1], subsymbols, band, gain, circular, support_len, frame_len)
 
 
 def _framewise(a: np.ndarray, n_out: int, apply, out=None) -> np.ndarray:
@@ -260,8 +220,8 @@ def gfdm_modulate(mats: GfdmMatrixSet, d, out=None) -> np.ndarray:
     return _framewise(d, mats.frame_len, synthesize, out)
 
 
-def build_receiver(mats: GfdmMatrixSet, kind: str, noise_var: float = 0.0) -> ReceiverMatrix:
-    """ZF, MF or MMSE receiver for the plain GFDM modem, as Zak-domain weights.
+def build_receiver(mats: GfdmMatrixSet, kind: str, noise_var: float = 0.0) -> np.ndarray:
+    """ZF, MF or MMSE receiver for the plain GFDM modem, as (M, K) Zak-domain weights.
 
     All three act on a ZF-equalized frame.  For the transmit matrix A with
     Zak transform Z, ZF is A^-1 (weights 1/(K Z)), MF is A^H (conj Z) and
@@ -281,27 +241,28 @@ def build_receiver(mats: GfdmMatrixSet, kind: str, noise_var: float = 0.0) -> Re
                 f"singular GFDM matrix: Zak bin (subsymbol bin {worst[0]}, residue "
                 f"{worst[1]}) is {mags[worst] / mags.max():.1e} of the largest"
             )
-        return ReceiverMatrix(1.0 / (k * z))
+        return 1.0 / (k * z)
     if kind == "MF":
-        return ReceiverMatrix(z.conj())
+        return z.conj()
     if kind == "MMSE":
         if noise_var is None or noise_var < 0:
             raise ValueError("MMSE requires noise_var >= 0")
         power = k * np.abs(z) ** 2
         bias = np.mean(power / (noise_var + power))
-        return ReceiverMatrix(z.conj() / ((noise_var + power) * bias))
+        return z.conj() / ((noise_var + power) * bias)
     raise ValueError(f"unknown receiver kind {kind!r}")
 
 
-def gfdm_demodulate(rx: ReceiverMatrix, y, out=None) -> np.ndarray:
+def gfdm_demodulate(weights: np.ndarray, y, out=None) -> np.ndarray:
+    """Symbols of each column of ``y`` (K*M samples) under :func:`build_receiver` weights."""
     y = np.asarray(y, dtype=complex)
-    m, k = rx.weights.shape
+    m, k = weights.shape
     if y.shape[0] != m * k:
         raise ValueError(f"expected {m * k} samples, got {y.shape[0]}")
 
     def analyze(rows, dest):
         blocks = np.reshape(dest, (len(rows), m, k), copy=False)
-        _circular(rx.weights, rows.reshape(len(rows), m, k), blocks)
+        _circular(weights, rows.reshape(len(rows), m, k), blocks)
         np.fft.fft(blocks, axis=-1, out=blocks)
 
     return _framewise(y, m * k, analyze, out)
@@ -331,21 +292,23 @@ def oqam_modulate(mats: OqamMatrixSet, d, out=None) -> np.ndarray:
     if d.shape[0] != mats.n_symbols:
         raise ValueError(f"expected {mats.n_symbols} symbols, got {d.shape[0]}")
     k, m = mats.subcarriers, mats.subsymbols
-    band, spread, _, conj_odd = mats.fused
+    spread = _QUARTER_TURNS[np.arange(k) % 4]
+    if mats.circular:
+        spread[1::2] = spread[1::2].conj()
     work = _work.area()
 
     def synthesize(sym, dest):
         # Z sits in the product's output buffer until the GEMM input has copied it.
         z = work.get("gfdm.gemm_out", (len(sym), m, k))
         np.multiply(sym.reshape(len(sym), m, k), spread, out=z)
-        if conj_odd:
+        if mats.circular:
             np.negative(z.imag[..., 1::2], out=z.imag[..., 1::2])
         np.fft.ifft(z, axis=-1, norm="forward", out=z)
         cols = work.get("gfdm.gemm_in", (k, 2 * m, len(sym)))
         np.copyto(cols[:, :m], z.transpose(2, 1, 0))
         for dst, src in _mirror(k):
             np.conjugate(cols[src, :m], out=cols[dst, m:])
-        blocks = _gemm(band, cols, work).transpose(2, 1, 0)
+        blocks = _gemm(mats.band, cols, work).transpose(2, 1, 0)
         # Each sample is written once, straight from the residue-major product.
         head, tail = _split_blocks(dest, k)
         head[:] = blocks[:, : head.shape[1]]
@@ -368,8 +331,8 @@ def oqam_demodulate(mats: OqamMatrixSet, y_eq, out=None) -> np.ndarray:
     if y_eq.shape[0] != mats.frame_len:
         raise ValueError(f"expected {mats.frame_len} samples, got {y_eq.shape[0]}")
     k, m = mats.subcarriers, mats.subsymbols
-    band, _, despread, conj_odd = mats.fused
-    band = band.transpose(0, 2, 1)
+    band = mats.band.transpose(0, 2, 1)
+    despread = _QUARTER_TURNS[np.arange(k) % 4].conj() / mats.gain
     work = _work.area()
 
     def analyze(rows, dest):
@@ -391,7 +354,7 @@ def oqam_demodulate(mats: OqamMatrixSet, y_eq, out=None) -> np.ndarray:
         np.copyto(w, fold.transpose(2, 1, 0))
         np.fft.fft(w, axis=-1, out=w)
         w *= despread
-        if conj_odd:
+        if mats.circular:
             np.negative(w.imag[..., 1::2], out=w.imag[..., 1::2])
 
     return _framewise(y_eq, mats.n_symbols, analyze, out)

@@ -12,7 +12,7 @@ FBMC-OQAM is this set cut to its ``support_len`` samples
 
 import numpy as np
 
-from .gfdm import OqamMatrixSet, oqam_phase, polyphase, synthesis_band
+from .gfdm import OqamMatrixSet, oqam_set, polyphase
 from .prototypes import PrototypeFilter, linear_pad_length
 
 
@@ -39,8 +39,5 @@ def build_linear_matrices(p: PrototypeFilter, subcarriers: int, subsymbols: int)
         polyphase(p.coefficients, subcarriers, taps),
         polyphase(np.concatenate([np.zeros(half), p.coefficients]), subcarriers, taps),
     ])
-    band = synthesis_band(rows, subsymbols, -(-n_ext // subcarriers))
     support_len = (subsymbols - 1) * subcarriers + half + lp
-    return OqamMatrixSet(
-        subcarriers, subsymbols, band, oqam_phase(subcarriers, False), support_len, n_ext
-    )
+    return oqam_set(rows, subsymbols, -(-n_ext // subcarriers), False, support_len, n_ext)

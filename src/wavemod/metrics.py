@@ -128,16 +128,6 @@ def welch_psd(stream, seg_len: int = 2048, meta: dict | None = None) -> MetricCu
     return welch.curve(meta)
 
 
-def papr(frame) -> float:
-    """Peak-to-average power ratio of one frame, in dB."""
-    frame = np.asarray(frame)
-    power = np.abs(frame) ** 2
-    mean = power.mean() if power.size else 0.0
-    if mean == 0.0:
-        raise ValueError("PAPR undefined for an all-zero frame")
-    return float(10.0 * np.log10(power.max() / mean))
-
-
 def papr_batch(frames: np.ndarray) -> np.ndarray:
     """Per-row PAPR in dB for a (n_frames, n_samples) array."""
     frames = np.asarray(frames)
@@ -165,19 +155,6 @@ def papr_ccdf(paprs, thresholds, meta: dict | None = None) -> MetricCurve:
 
 def default_papr_thresholds() -> np.ndarray:
     return np.arange(6.0, 15.0 + 0.25, 0.5)
-
-
-def oob_ratio(psd: MetricCurve, band_edge: float, offset: float) -> float:
-    """Plateau level minus the PSD value ``offset`` beyond the band edge, in dB.
-
-    Positive results mean suppression relative to the in-band plateau.
-    """
-    target = band_edge + offset
-    if target < psd.abscissa[0] or target > psd.abscissa[-1]:
-        raise ValueError(f"offset frequency {target} outside the PSD support")
-    vals = psd.values
-    plateau = np.median(vals[vals >= vals.max() - 3.0])
-    return float(plateau - psd.interpolate(target))
 
 
 def _qfunc(x):

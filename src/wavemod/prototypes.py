@@ -1,8 +1,8 @@
 """Prototype filter design for the multicarrier modems.
 
 Provides the PHYDYAS frequency-sampling filter used by the filter-bank
-waveforms, the rectangular pulse used by OFDM, and the zero-padding helpers
-that turn a circular modulation matrix into a linear one.
+waveforms, the rectangular pulse used by OFDM, and the pad length that
+turns a circular OQAM set into the wrap-free Linear GFDM one.
 """
 
 from dataclasses import dataclass
@@ -78,11 +78,3 @@ def linear_pad_length(subcarriers: int, subsymbols: int) -> int:
     if subsymbols < 1:
         raise ValueError(f"subsymbols must be >= 1, got {subsymbols}")
     return subcarriers * subsymbols - subcarriers // 2 + 1
-
-
-def zero_pad(p, n_zeros: int) -> np.ndarray:
-    """Append ``n_zeros`` zeros to a prototype (or plain coefficient array)."""
-    if n_zeros < 0:
-        raise ValueError(f"n_zeros must be >= 0, got {n_zeros}")
-    coeffs = p.coefficients if isinstance(p, PrototypeFilter) else np.asarray(p, dtype=float)
-    return np.concatenate([coeffs, np.zeros(n_zeros)])

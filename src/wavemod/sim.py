@@ -105,6 +105,8 @@ class ScenarioConfig:
             raise ConfigError(f"frames: must be >= 1, got {self.frames}")
         if self.metric == "ber" and len(self.ebn0_grid_db) == 0:
             raise ConfigError("ebn0_grid_db: must be nonempty for BER runs")
+        if not np.all(np.isfinite(self.ebn0_grid_db)):
+            raise ConfigError(f"ebn0_grid_db: must be finite, got {self.ebn0_grid_db}")
         if self.metric == "ber" and np.any(np.diff(self.ebn0_grid_db) <= 0):
             raise ConfigError(f"ebn0_grid_db: must be strictly increasing, got {self.ebn0_grid_db}")
         wp = self.waveform_params

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import oracle
 import pytest
@@ -7,7 +5,9 @@ from conftest import cp_channel, oqam_columns
 
 from wavemod import (
     TIFS_TAPS,
+    build_fbmc_matrices,
     build_gfdm_matrix,
+    build_linear_matrices,
     build_oqam_matrices,
     build_receiver,
     complex_awgn,
@@ -34,7 +34,7 @@ def _matrix(mats):
 
 def _receiver_matrix(rx):
     """The core's receiver as a matrix: its estimates for the unit sample frames."""
-    return gfdm_demodulate(rx, np.eye(rx.weights.size))
+    return gfdm_demodulate(rx, np.eye(rx.size))
 
 
 class TestBuildGfdmMatrix:
@@ -255,30 +255,19 @@ class TestOqamModem:
         mats = build_oqam_matrices(phydyas(8, 2), 8, 2)
         assert not oqam_demodulate(mats, np.zeros(16, dtype=complex)).any()
 
-    def test_gains_computed_once_per_matrix_set(self):
-        # Every pulse has the prototype's energy: one gain per branch.
-        mats = build_oqam_matrices(phydyas(8, 2), 8, 2)
-        assert mats.gains is mats.gains
-        a_i, a_q = _dense_oqam()
-        np.testing.assert_allclose(mats.gains[0], np.sum(np.abs(a_i) ** 2, axis=0), rtol=1e-12)
-        np.testing.assert_allclose(mats.gains[1], np.sum(np.abs(a_q) ** 2, axis=0), rtol=1e-12)
-        assert mats.fused is mats.fused
-
-    def test_rejects_unequal_branch_gains(self):
-        # The receiver divides both parts by one gain, so the set must not
-        # carry I and Q pulses of different energy.
-        mats = build_oqam_matrices(phydyas(8, 2), 8, 2)
-        band = mats.band.copy()
-        band[:, :, 2:] *= 1 + 1e-9
-        with pytest.raises(ValueError, match="energies differ"):
-            replace(mats, band=band)
-        band[:, :, 2:] = mats.band[:, :, 2:] * (1 + 1e-14)
-        assert replace(mats, band=band).gains[1] != mats.gains[1]
-
-    def test_rejects_foreign_phase(self):
-        mats = build_oqam_matrices(phydyas(8, 2), 8, 2)
-        with pytest.raises(ValueError, match="oqam_phase"):
-            replace(mats, phase=mats.phase.conj())
+    @pytest.mark.parametrize("proto", [phydyas, rectangular])
+    @pytest.mark.parametrize("m", [1, 3, 4])
+    @pytest.mark.parametrize("k", [2, 6, 16, 128])
+    @pytest.mark.parametrize(
+        "build", [build_oqam_matrices, build_linear_matrices, build_fbmc_matrices]
+    )
+    def test_every_pulse_has_the_set_gain(self, build, k, m, proto):
+        # The receiver divides both parts of every symbol by the one gain,
+        # so every I and Q pulse must carry exactly that energy.
+        mats = build(proto(k), k, m)
+        for a in oqam_columns(mats):
+            energy = np.sum(np.abs(a) ** 2, axis=0)
+            np.testing.assert_allclose(energy, mats.gain, rtol=1e-12, atol=0)
 
     def test_single_symbol_interference(self):
         mats = build_oqam_matrices(phydyas(128, 4), 128, 4)

@@ -34,20 +34,24 @@ class TestBuildLinearMatrices:
         assert last == 3 * 128 + 64 + 513 - 1 == 960
         assert last < mats.frame_len
 
-    @pytest.mark.parametrize("k,m", [(4, 2), (16, 4), (128, 4)])
+    @pytest.mark.parametrize("k,m", [(4, 2), (16, 4), (128, 4), (2, 1), (6, 3)])
     def test_wrap_freedom_contiguous_support(self, k, m):
         # Every pulse is the prototype's contiguous support, exactly zero
-        # elsewhere: in the set's per-residue band and in the independent
-        # dense pair.  The modem adds no wrapped tail: its columns match that
-        # pair.  (They are not compared for exact zeros: the fused branches
-        # cancel to rounding, not to 0, where one branch has no taps.)
+        # elsewhere: in the branch bands recovered from the set's fused band
+        # and in the independent dense pair.  The modem adds no wrapped tail:
+        # its columns match that pair.  (They are not compared for exact
+        # zeros: the fused branches cancel to rounding, not to 0, where one
+        # branch has no taps.)  Recovering B_I = B_u + B_v and B_Q = B_u - B_v
+        # is exact wherever one branch is zero.
         p = phydyas(k, 4)
         mats = build_linear_matrices(p, k, m)
+        b_u, b_v = mats.band[..., :m], mats.band[..., m:]
+        branches = (b_u + b_v, b_u - b_v)
         sample = np.arange(k)[:, None] + k * np.arange(mats.band.shape[1])[None, :]
         for branch, delay in enumerate((0, k // 2)):
             for mm in range(m):
                 start = mm * k + delay
-                taps = mats.band[:, :, branch * m + mm]
+                taps = branches[branch][:, :, mm]
                 inside = (sample >= start) & (sample < start + p.length)
                 assert not taps[~inside].any() and np.abs(taps[inside]).min() > 0
         dense = oracle.build_linear_matrices(p, k, m)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wavemod import linear_pad_length, phydyas, rectangular, zero_pad
+from wavemod import linear_pad_length, phydyas, rectangular
 
 
 GRID = [(k, theta) for k in (4, 16, 128) for theta in (2, 3, 4)]
@@ -66,23 +66,3 @@ class TestLinearPadLength:
     def test_rejects_odd(self):
         with pytest.raises(ValueError):
             linear_pad_length(3, 4)
-
-
-class TestZeroPad:
-    def test_basic(self):
-        np.testing.assert_array_equal(zero_pad(np.array([1.0]), 2), [1, 0, 0])
-
-    def test_extended_length(self):
-        padded = zero_pad(phydyas(128, 4), 449)
-        assert len(padded) == 962
-
-    def test_identity(self):
-        p = phydyas(16, 4)
-        np.testing.assert_array_equal(zero_pad(p, 0), p.coefficients)
-
-    def test_prefix_bit_exact_and_energy(self):
-        p = phydyas(16, 3)
-        padded = zero_pad(p, 37)
-        assert np.array_equal(padded[: p.length], p.coefficients)
-        assert np.all(padded[p.length:] == 0.0)
-        assert np.sum(padded ** 2) == np.sum(p.coefficients ** 2)

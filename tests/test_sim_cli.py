@@ -510,6 +510,9 @@ class TestCli:
             (["ber", "--waveform", "ofdm", "--frames", "2", "--out", "/nonexistent/x.csv"], "", "/nonexistent/x.csv"),
             (["papr", "--waveform", "ofdm", "--frames", "2", "--emit-plot-data", "/nonexistent/x.dat"], "", "/nonexistent/x.dat"),
             (["ber", "--waveform", "ofdm"], "n_fft = 1\ncp_len = 0", "n_fft"),
+            (["ber", "--waveform", "ofdm", "--ebn0", "nan", "--frames", "1"], "", "ebn0_grid_db"),
+            (["ber", "--waveform", "ofdm", "--ebn0=-inf", "--frames", "1"], "", "ebn0_grid_db"),
+            (["ber", "--waveform", "ofdm", "--frames", "1"], "ebn0_grid_db = 4 nan", "ebn0_grid_db"),
         ],
         ids=[
             "unknown-key",
@@ -535,6 +538,9 @@ class TestCli:
             "out-dir-missing",
             "plot-data-dir-missing",
             "n-fft-below-two-ofdm",
+            "ebn0-nan-flag",
+            "ebn0-minus-inf-flag",
+            "ebn0-nan-in-config",
         ],
     )
     def test_bad_config_file_exit_code(self, tmp_path, capsys, argv, text, key):
