@@ -2,14 +2,19 @@
 
 Three profiles are provided: ideal AWGN (single unit tap), a fixed 8-tap
 time-invariant frequency-selective response, and a per-frame-drawn 4-tap
-block-fading response.  The channel itself is always a linear convolution
-(``sim._convolve_rows``); a cyclic prefix covering its n_taps - 1 samples of
-memory makes it act circularly on the frame core, which is what the
-circulant matrix model of the CP waveforms assumes.  The prefix-free
-waveforms are equalized by full-frame frequency-domain zero forcing.  A
-one-tap (flat) channel is a plain scaling in both the convolution and the
-equalizer, so neither transforms it.
+block-fading response.  The channel is a linear convolution; a cyclic prefix
+covering its n_taps - 1 samples of memory makes it act circularly on the
+frame core, which is what the circulant matrix model of the CP waveforms
+assumes.  The CP waveforms are zero-forced over that core, the prefix-free
+ones over the whole received frame zero-padded to a power of two, a
+transform long enough to hold the linear convolution.  Under either
+precondition ZF undoes the channel exactly, ZF(h * x + n) = x + ZF(n), so
+the simulator zero-forces only the noise; the convolution itself lives in
+the tests (``tests/oracle.py``) as the reference channel.  A one-tap (flat)
+channel divides instead of transforming.
 """
+
+import functools
 
 import numpy as np
 
@@ -64,32 +69,60 @@ def awgn_parts(rng: np.random.Generator, out: np.ndarray, noise_var: float = 1.0
     return out
 
 
+@functools.cache
+def _dft_rows(n_taps: int, fft_len: int) -> np.ndarray:
+    """Read-only (2 n_taps, 2 N) real form of the first n_taps rows of the N-point DFT.
+
+    With N = ``fft_len``, row n is exp(-2 pi i ((n k) mod N) / N), the index
+    product reduced before scaling.  Interleaved (re, im) taps times this matrix give the
+    interleaved (re, im) response: one real product, built once per pair.
+    """
+    nk = np.outer(np.arange(n_taps), np.arange(fft_len)) % fft_len
+    rows = np.exp((-2j * np.pi / fft_len) * nk)
+    real = np.empty((n_taps, 2, fft_len, 2))  # (tap, tap part, bin, response part)
+    real[:, 0, :, 0] = real[:, 1, :, 1] = rows.real
+    real[:, 0, :, 1] = rows.imag
+    real[:, 1, :, 0] = -rows.imag
+    real = real.reshape(2 * n_taps, 2 * fft_len)
+    real.flags.writeable = False
+    return real
+
+
 def freq_response(taps, fft_len: int, out=None) -> np.ndarray:
     """``fft_len``-point response of the zero-padded taps, written into ``out`` if given.
 
     Taps of shape (n_taps,) give one response of shape (fft_len,); per-frame
-    taps of shape (frames, n_taps) give a (frames, fft_len) response.
+    taps of shape (frames, n_taps) give a (frames, fft_len) response.  The
+    response is the taps times the first n_taps rows of the DFT, the
+    zero-padded FFT without transforming the zeros.  ``out`` must be
+    C-contiguous.
     """
-    taps = np.asarray(taps, dtype=complex)
+    taps = np.ascontiguousarray(taps, dtype=complex)
     if taps.shape[-1] > fft_len:
         raise ValueError(f"{taps.shape[-1]} taps do not fit a {fft_len}-point response")
-    return np.fft.fft(taps, n=fft_len, axis=-1, out=out)
+    if out is None:
+        out = np.empty(taps.shape[:-1] + (fft_len,), dtype=complex)
+    np.matmul(taps.view(float), _dft_rows(taps.shape[-1], fft_len), out=out.view(float))
+    return out
 
 
 def check_zf_bins(hf) -> None:
     """Raise :class:`EqualizationError` if any bin of ``hf`` is below ``MIN_ZF_BIN``.
 
     Bins run along the last axis; a leading axis indexes frames, each checked
-    in full, a few at a time in order.  The error names the weakest bin of
-    the first few that hold one.
+    in full, a few at a time in order.  Squared magnitudes are compared with
+    ``MIN_ZF_BIN`` squared, and the error names the weakest bin of the first
+    few that hold one.
     """
     rows = np.reshape(hf, (-1, np.shape(hf)[-1]))
     step = max(1, BLOCK // rows.shape[1])
     for lo in range(0, len(rows), step):
-        mags = np.abs(rows[lo:lo + step])
-        worst = np.unravel_index(int(np.argmin(mags)), mags.shape)
-        if mags[worst] < MIN_ZF_BIN:
-            raise EqualizationError(int(worst[-1]), float(mags[worst]))
+        block = rows[lo:lo + step]
+        power = np.square(block.real)
+        power += np.square(block.imag)
+        worst = np.unravel_index(int(np.argmin(power)), power.shape)
+        if power[worst] < MIN_ZF_BIN ** 2:
+            raise EqualizationError(int(worst[-1]), float(np.abs(block[worst])))
 
 
 def fd_zf_equalize(y, taps, fft_len: int, hf=None, out=None) -> np.ndarray:

@@ -155,11 +155,16 @@ def oqam_set(rows: np.ndarray, subsymbols: int, blocks: int, circular: bool,
     """The set of the (2, taps, K) I and Q polyphase ``rows`` over ``blocks`` blocks.
 
     Every pulse has the energy of the first I pulse; the branch bands fuse
-    into (B_I + B_Q)/2 and (B_I - B_Q)/2.
+    into (B_I + B_Q)/2 and (B_I - B_Q)/2, written into the two halves of one
+    array and halved in place.
     """
-    b_i, b_q = np.split(synthesis_band(rows, subsymbols, blocks), 2, axis=-1)
+    branches = synthesis_band(rows, subsymbols, blocks)
+    b_i, b_q = np.split(branches, 2, axis=-1)
     gain = float(np.sum(b_i[:, :, 0] ** 2))
-    band = np.concatenate([b_i + b_q, b_i - b_q], axis=-1) / 2
+    band = np.empty_like(branches)
+    np.add(b_i, b_q, out=band[..., :subsymbols])
+    np.subtract(b_i, b_q, out=band[..., subsymbols:])
+    band /= 2
     return OqamMatrixSet(rows.shape[-1], subsymbols, band, gain, circular, support_len, frame_len)
 
 

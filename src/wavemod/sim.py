@@ -6,13 +6,18 @@ each chunk draws its bits, TVFS fades and noise from one generator keyed by
 bit-identical across runs and worker counts.  The waveform is not in the
 key: waveforms with equal data sizes see common random numbers, and Linear
 GFDM and FBMC emit the same samples.  One helper draws, maps and transmits
-a chunk for every instrument; each BER chunk then runs the channel,
-equalizer, demodulator, demapper and error count once (``ber_errors``),
-with TVFS taps as one (frames, n_taps) array, and a PSD run streams
-Welch's estimate chunk by chunk (``run_psd``).  The channel is one linear
-convolution, ``_convolve_rows``, for every waveform; a CP waveform sees it
-as circular on its frame core when the cyclic prefix covers the channel's
-memory of n_taps - 1 samples, which ``ScenarioConfig.validate`` requires.
+a chunk for every instrument; each BER chunk then runs the equalizer,
+demodulator, demapper and error count once (``ber_errors``), with TVFS taps
+as one (frames, n_taps) array, and a PSD run streams Welch's estimate chunk
+by chunk (``run_psd``).  The channel is a linear convolution followed by
+frequency-domain zero forcing, which inverts it exactly on every
+configuration ``ScenarioConfig.validate`` accepts: a CP frame's prefix
+covers the channel's memory of n_taps - 1 samples, so the convolution is
+circular on the frame core that ZF transforms, and a prefix-free frame is
+zero-forced over a power-of-two transform that holds the whole linear
+convolution.  So ZF(h * x + n) = x + ZF(n), and a BER chunk adds the
+zero-forced noise to the sent frames without convolving them; the
+convolution lives in ``tests/oracle.py`` as the reference channel.
 All five waveforms share one adapter over the FFT modem core of ``gfdm``:
 CP-OFDM is plain GFDM with K = ``n_fft``, M = 1 and the rectangular pulse.
 The waveform table picks each one's matrix-set builder and frame kind
@@ -112,6 +117,9 @@ class ScenarioConfig:
         wp = self.waveform_params
         if wp.qam_order not in (4, 16, 64):
             raise ConfigError(f"qam_order: {wp.qam_order} not in (4, 16, 64)")
+        low = [e for e in self.ebn0_grid_db if not np.isfinite(noise_variance(e, wp.qam_order))]
+        if low:
+            raise ConfigError(f"ebn0_grid_db: {low} dB gives an infinite noise variance")
         if wp.subsymbols < 1:
             raise ConfigError(f"subsymbols: must be >= 1, got {wp.subsymbols}")
         if wp.receiver not in ("zf", "mf", "mmse"):
@@ -152,6 +160,16 @@ class ScenarioConfig:
             raise ConfigError(f"active: duplicate indices in {wp.active}")
 
 
+def noise_variance(ebn0_db: float, order: int) -> float:
+    """Complex noise variance per sample at ``ebn0_db`` dB Eb/N0 for unit-energy ``order``-QAM.
+
+    An Eb/N0 so low that its linear value underflows gives an infinite
+    variance, which ``ScenarioConfig.validate`` rejects.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        return 1.0 / (np.log2(order) * 10.0 ** (np.float64(ebn0_db) / 10.0))
+
+
 def _grid(config: ScenarioConfig) -> tuple[int, int]:
     """(K, M) of the waveform's frame: (n_fft, 1) for OFDM, else (subcarriers, subsymbols)."""
     wp = config.waveform_params
@@ -177,10 +195,10 @@ def _next_pow2(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The modem adapter: one transmit/receive surface over the five waveforms.
-# Everything travels frames-first, one row per frame: data as (count, n_data)
-# arrays and frames as (count, samples) arrays.  ``receive`` takes the
-# channel taps as one (n_taps,) vector for the whole batch or as
+# The modem adapter: one transmit/equalize/demodulate surface over the five
+# waveforms.  Everything travels frames-first, one row per frame: data as
+# (count, n_data) arrays and frames as (count, samples) arrays.  ``equalize``
+# takes the channel taps as one (n_taps,) vector for the whole batch or as
 # (count, n_taps) per-frame taps.
 # ``stride`` is the sample distance between the starts of consecutive frames
 # of a continuous stream: block frames follow each other back to back,
@@ -193,7 +211,9 @@ class _MatrixAdapter:
     A circular frame (``circular=True``) carries a ``cp_len`` cyclic prefix
     and is ZF-equalized over its K*M core.  A prefix-free frame is
     ZF-equalized over the whole received frame, zero-padded to a power of
-    two, then cut back to ``frame_len``.
+    two, then cut back to ``frame_len``.  Either way ZF inverts a channel
+    whose n_taps - 1 samples of memory the prefix or the padding holds, so
+    :meth:`equalize` gives the sent frame's window plus the zero-forced noise.
     """
 
     def __init__(self, wp: WaveformParams, mats, circular: bool):
@@ -242,28 +262,36 @@ class _MatrixAdapter:
             out[:, : self.cp_len] = out[:, -self.cp_len:]
         return out
 
-    def receive(self, y, taps, noise_var, hf=None, out=None):
-        """(count, n_data) symbols of (count, samples) received frames, into ``out`` if given.
+    def equalize(self, y, taps) -> np.ndarray:
+        """(count, K*M) ZF-equalized windows of (count, samples) received frames.
 
-        ``hf`` is the taps' response at ``_next_pow2(samples)`` points, which
-        the channel convolution used.  A prefix-free frame is equalized at
-        that length and reuses it; a circular one is equalized over its core.
+        A circular frame is cut to its core ``[cp_len:cp_len + K*M]`` and
+        zero-forced with the core's response; a prefix-free frame is
+        zero-forced at ``_next_pow2(samples)`` points, and its first
+        ``frame_len`` samples are kept.  One tap is a division.  The result
+        is a view of a work-area array.
         """
         work = _work.area()
         n = self.mats.frame_len
         if self.circular:
             y = y[:, self.cp_len:self.cp_len + n]
             fft_len = n
-            if taps.shape[-1] > 1:
-                response = work.get("sim.core_response", taps.shape[:-1] + (n,))
-                hf = chan.freq_response(taps, n, out=response)
         else:
             fft_len = _next_pow2(y.shape[1])
+        hf = taps
+        if taps.shape[-1] > 1:
+            response = work.get("sim.response", taps.shape[:-1] + (fft_len,))
+            hf = chan.freq_response(taps, fft_len, out=response)
         equalized = work.get("sim.equalized", (len(y), fft_len))
-        y_eq = chan.fd_zf_equalize(y, taps, fft_len, hf=hf, out=equalized)[:, :n]
+        return chan.fd_zf_equalize(y, taps, fft_len, hf=hf, out=equalized)[:, :n]
+
+    def demodulate(self, y_eq, noise_var, out=None) -> np.ndarray:
+        """(count, n_data) symbols of (count, K*M) equalized windows, into ``out`` if given."""
         if out is None:
-            out = np.empty((len(y), self.n_data), dtype=complex)
-        full = out if self._mask is None else work.get("sim.demodulated", (len(y), len(self._mask)))
+            out = np.empty((len(y_eq), self.n_data), dtype=complex)
+        full = out
+        if self._mask is not None:
+            full = _work.area().get("sim.demodulated", (len(y_eq), len(self._mask)))
         if self._oqam:
             gfdm_mod.oqam_demodulate(self.mats, y_eq.T, out=full.T)
         else:
@@ -353,53 +381,27 @@ def _transmit_chunk(config: ScenarioConfig, adapter, scenario_id, start, count, 
     return x, bits, taps, noise
 
 
-def _convolve_rows(x: np.ndarray, taps: np.ndarray, hf=None, out=None) -> np.ndarray:
-    """Row-wise linear convolution via FFT; output has the full length.
-
-    ``taps`` is one (n_taps,) vector for every row or (rows, n_taps), and
-    ``hf``, if given, its response at the transform length, the output
-    length's next power of two.  One tap scales the rows instead.  ``out``,
-    if given, is a (rows, transform length) array: the transform runs in it
-    and the result is a view of its leading columns.
-    """
-    out_len = x.shape[1] + taps.shape[-1] - 1
-    fft_len = _next_pow2(out_len)
-    if out is None:
-        out = np.empty((len(x), fft_len), dtype=complex)
-    if taps.shape[-1] == 1:
-        return np.multiply(x, taps, out=out[:, :out_len])
-    if hf is None:
-        hf = chan.freq_response(taps, fft_len)
-    np.fft.fft(x, fft_len, axis=1, out=out)
-    out *= hf
-    np.fft.ifft(out, axis=1, out=out)
-    return out[:, :out_len]
-
-
 def ber_errors(adapter, order: int, bits, x, taps, noise, noise_var: float) -> tuple[int, int]:
     """Bit errors and bits of transmitted frames sent through the channel.
 
     ``x`` holds the (count, frame_len) frames carrying ``bits``; ``taps`` and
-    the unit-variance ``noise`` are shaped as :func:`_draw_chunk` draws them,
-    and the noise is scaled in place.  The frames are convolved, noised,
-    received, demapped and counted once for the whole chunk, each stage
-    writing into the work area, and the channel's response is computed once
-    for the convolution and the equalizer.
+    the unit-variance ``noise`` are shaped as :func:`_draw_chunk` draws them.
+    Zero forcing inverts the channel exactly (see the module docstring), so
+    the equalized frames are the sent frames' equalizer windows plus the
+    zero-forced noise: the noise is scaled by sqrt(``noise_var``) as it is
+    written into one complex work array, equalized, added to the windows,
+    demodulated, demapped and counted once for the whole chunk.
     """
     work = _work.area()
-    fft_len = _next_pow2(noise.shape[-1])
-    if taps.shape[-1] == 1:
-        hf = taps
-    else:
-        response = work.get("sim.response", taps.shape[:-1] + (fft_len,))
-        hf = chan.freq_response(taps, fft_len, out=response)
-    y = _convolve_rows(x, taps, hf=hf, out=work.get("sim.received", (len(x), fft_len)))
-    noise *= np.sqrt(noise_var)
-    y.real += noise[0]
-    y.imag += noise[1]
+    scale = np.sqrt(noise_var)
+    received = work.get("sim.received", noise.shape[1:])
+    np.multiply(noise[0], scale, out=received.real)
+    np.multiply(noise[1], scale, out=received.imag)
+    y_eq = adapter.equalize(received, taps)
+    y_eq += x[:, adapter.cp_len:adapter.cp_len + y_eq.shape[1]]
     # The estimates overwrite the sent symbols, which the frames have replaced.
     estimates = work.get("sim.symbols", (len(x), adapter.n_data))
-    d_hat = adapter.receive(y, taps, noise_var, hf=hf, out=estimates)
+    d_hat = adapter.demodulate(y_eq, noise_var, out=estimates)
     rx_bits = work.get("sim.rx_bits", (d_hat.size, int(np.log2(order))), np.uint8)
     qam_demap(d_hat, order, out=rx_bits)
     errors, _, _ = ber_count(bits, rx_bits)
@@ -448,12 +450,10 @@ def run_ber(config: ScenarioConfig) -> MetricCurve:
     if config.metric != "ber":
         raise ConfigError(f"metric: expected 'ber', got {config.metric!r}")
     adapter = build_adapter(config)
-    order = config.waveform_params.qam_order
-    bits_per_symbol = np.log2(order)
     grid = np.asarray(config.ebn0_grid_db, dtype=float)
     bers, err_col, bit_col = [], [], []
     for idx, ebn0_db in enumerate(grid):
-        noise_var = 1.0 / (bits_per_symbol * 10.0 ** (ebn0_db / 10.0))
+        noise_var = noise_variance(ebn0_db, config.waveform_params.qam_order)
         sid = _scenario_id(config, idx)
 
         def process(start, count):

@@ -1,8 +1,7 @@
 import numpy as np
-from oracle import add_cp
+from oracle import add_cp, convolve_rows
 
 from wavemod import oqam_modulate
-from wavemod.sim import _convolve_rows
 
 # Largest difference from a dense oracle, relative to the larger of 1 and the
 # oracle's largest output, that a fast path may show.
@@ -24,11 +23,16 @@ def oqam_columns(mats):
 def cp_channel(x, taps, n_cp):
     """The channel as a CP frame meets it in the pipeline.
 
-    Prefix ``x`` with ``n_cp`` samples, convolve linearly with ``_convolve_rows``
-    and strip the prefix again, as the CP receivers do.
+    Prefix ``x`` with ``n_cp`` samples, convolve linearly with the reference
+    channel and strip the prefix again, as the CP receivers do.
     """
-    y = _convolve_rows(add_cp(x, n_cp)[None, :], np.asarray(taps, dtype=complex))[0]
+    y = convolve_rows(add_cp(x, n_cp)[None, :], taps)[0]
     return y[n_cp:n_cp + len(x)]
+
+
+def receive(adapter, y, taps, noise_var):
+    """(count, n_data) estimates of (count, samples) received frames: equalize, then demodulate."""
+    return adapter.demodulate(adapter.equalize(y, np.asarray(taps)), noise_var)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -8,6 +8,9 @@ large (N x N and bigger) on purpose: nothing here shares code with the core.
 arithmetic, bracketing and distance comparisons instead of the package's tables.
 ``psd_oneshot`` holds a PSD run's whole stream at once, frame by frame.
 ``add_cp`` and ``remove_cp`` build and strip a cyclic prefix by concatenation.
+``convolve_rows`` is the reference channel, a time-domain linear convolution,
+which the simulator never runs: its zero forcing inverts the channel exactly,
+so it adds zero-forced noise to the sent frames instead.
 """
 
 from dataclasses import replace
@@ -103,6 +106,16 @@ def build_receiver(a: np.ndarray, kind: str, noise_var: float = 0.0) -> np.ndarr
         b = np.linalg.solve(noise_var * np.eye(n, dtype=complex) + a.conj().T @ a, a.conj().T)
         return b / np.diag(b @ a)[:, None]
     raise ValueError(f"unknown receiver kind {kind!r}")
+
+
+def convolve_rows(x, taps) -> np.ndarray:
+    """Row-wise full linear convolution of (rows, n) ``x``, (rows, n + n_taps - 1) out.
+
+    ``taps`` is one (n_taps,) vector for every row or (rows, n_taps) per-row taps.
+    """
+    x = np.asarray(x, dtype=complex)
+    taps = np.broadcast_to(np.asarray(taps, dtype=complex), (len(x), np.shape(taps)[-1]))
+    return np.array([np.convolve(row, h) for row, h in zip(x, taps)])
 
 
 def circulant_matrix(taps, n: int) -> np.ndarray:

@@ -3,7 +3,7 @@ import pytest
 from conftest import cp_channel
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import circulant_matrix
+from oracle import circulant_matrix, convolve_rows
 
 from wavemod import (
     EqualizationError,
@@ -18,8 +18,8 @@ from wavemod import (
     qam_map,
 )
 from wavemod._work import BLOCK
-from wavemod.channel import awgn_parts, check_zf_bins
-from wavemod.sim import ScenarioConfig, WaveformParams, _convolve_rows, _draw_chunk, build_adapter
+from wavemod.channel import MIN_ZF_BIN, awgn_parts, check_zf_bins
+from wavemod.sim import ScenarioConfig, WaveformParams, _draw_chunk, build_adapter
 
 
 def _chunk_taps(channel):
@@ -69,14 +69,14 @@ class TestProfiles:
 
 
 class TestApplyChannel:
-    """The channel as the pipeline applies it: ``_convolve_rows`` plus complex noise.
+    """The reference channel, ``oracle.convolve_rows``, plus complex noise.
 
     The pipeline draws its noise with ``awgn_parts``, the draw ``complex_awgn`` makes.
     """
 
     def test_identity(self):
         x = np.arange(8.0) + 0j
-        np.testing.assert_array_equal(_convolve_rows(x[None, :], _chunk_taps("awgn"))[0], x)
+        np.testing.assert_array_equal(convolve_rows(x[None, :], _chunk_taps("awgn"))[0], x)
 
     def test_circular_matches_circulant_matrix(self):
         # Behind a cyclic prefix the linear channel acts on the core circularly.
@@ -88,13 +88,13 @@ class TestApplyChannel:
 
     def test_linear_mode_lengthens_frame(self):
         x = np.ones((1, 32), dtype=complex)
-        y = _convolve_rows(x, TIFS_TAPS.astype(complex))
+        y = convolve_rows(x, TIFS_TAPS.astype(complex))
         assert y.shape == (1, 32 + 7)
 
     def test_noise_variance(self):
         rng = np.random.default_rng(5)
         x = np.zeros((1, 1_000_000), dtype=complex)
-        clean = _convolve_rows(x, _chunk_taps("awgn"))
+        clean = convolve_rows(x, _chunk_taps("awgn"))
         y = clean + complex_awgn(rng, clean.shape, 0.25)
         assert abs(np.mean(np.abs(y) ** 2) - 0.25) / 0.25 <= 0.01
 
@@ -202,7 +202,7 @@ class TestFdZfEqualize:
 
 
 class TestFlatChannel:
-    """One tap scales the frames; with a zero tap appended the same channel takes the FFT path."""
+    """One tap divides the frames; with a zero tap appended the same channel takes the FFT path."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -219,13 +219,53 @@ class TestFlatChannel:
             taps = taps[0]
         fft_taps = np.concatenate([taps, np.zeros_like(taps)], axis=-1)
         x = rng.standard_normal((frames, n)) + 1j * rng.standard_normal((frames, n))
-        flat, fft = _convolve_rows(x, taps), _convolve_rows(x, fft_taps)
-        np.testing.assert_allclose(flat, fft[:, :n], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(fft[:, n], 0.0, rtol=0, atol=1e-12)
         fft_len = max(n, 2) + pad
         np.testing.assert_allclose(
             fd_zf_equalize(x, taps, fft_len), fd_zf_equalize(x, fft_taps, fft_len), rtol=0, atol=1e-12
         )
+
+
+class TestFreqResponse:
+    """The response as taps times DFT rows, and the squared-magnitude bin check."""
+
+    @pytest.mark.parametrize(
+        "n_taps,fft_len",
+        [(t, n) for t in range(1, 10) for n in (8, 16, 544, 1024, 4096) if t <= n],
+    )
+    def test_matches_zero_padded_fft(self, n_taps, fft_len):
+        rng = np.random.default_rng(n_taps * 10_000 + fft_len)
+        for shape in ((n_taps,), (5, n_taps)):
+            taps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            want = np.fft.fft(taps, n=fft_len, axis=-1)
+            got = freq_response(taps, fft_len)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_writes_into_out(self):
+        taps = np.array([[1.0, 0.5j], [0.25, 1.0]])
+        out = np.empty((2, 16), dtype=complex)
+        assert freq_response(taps, 16, out=out) is out
+        np.testing.assert_allclose(out, np.fft.fft(taps, n=16, axis=-1), rtol=0, atol=1e-15)
+
+    def test_dc_null_names_bin_and_magnitude(self):
+        taps = np.array([1.0, -1.0])
+        with pytest.raises(EqualizationError) as ei:
+            check_zf_bins(freq_response(taps, 16))
+        want = np.abs(np.fft.fft(taps, 16))
+        assert (ei.value.bin_index, ei.value.magnitude) == (0, want[0])
+
+    def test_bin_just_below_threshold_raises(self):
+        hf = np.ones((3, 16), dtype=complex)
+        hf[1, 5] = 0.999 * MIN_ZF_BIN * np.exp(0.3j)
+        with pytest.raises(EqualizationError) as ei:
+            check_zf_bins(hf)
+        assert (ei.value.bin_index, ei.value.magnitude) == (5, float(np.abs(hf[1, 5])))
+        assert "bin 5" in str(ei.value)
+
+    def test_bin_just_above_threshold_passes(self):
+        hf = np.ones((3, 16), dtype=complex)
+        hf[1, 5] = 1.001 * MIN_ZF_BIN * np.exp(0.3j)
+        check_zf_bins(hf)
 
 
 def _dominant_first_taps(rng, frames, n_taps):

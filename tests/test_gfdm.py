@@ -19,6 +19,8 @@ from wavemod import (
     qam_map,
     rectangular,
 )
+from wavemod import gfdm as gfdm_mod
+from wavemod.gfdm import synthesis_band
 from wavemod.prototypes import PrototypeFilter
 from wavemod.sim import ScenarioConfig, WaveformParams, build_adapter
 
@@ -268,6 +270,24 @@ class TestOqamModem:
         for a in oqam_columns(mats):
             energy = np.sum(np.abs(a) ** 2, axis=0)
             np.testing.assert_allclose(energy, mats.gain, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("proto", [phydyas, rectangular])
+    @pytest.mark.parametrize("k,m", [(2, 1), (6, 3), (16, 4), (256, 8)])
+    @pytest.mark.parametrize(
+        "build", [build_oqam_matrices, build_linear_matrices, build_fbmc_matrices]
+    )
+    def test_fused_band_is_the_branch_sum_and_difference(self, monkeypatch, build, k, m, proto):
+        # The fused band is bit for bit (B_I + B_Q)/2 beside (B_I - B_Q)/2.
+        branches = []
+
+        def spy(*args):
+            branches.append(synthesis_band(*args))
+            return branches[-1].copy()
+
+        monkeypatch.setattr(gfdm_mod, "synthesis_band", spy)
+        mats = build(proto(k), k, m)
+        b_i, b_q = np.split(branches[0], 2, axis=-1)
+        assert np.array_equal(mats.band, np.concatenate([b_i + b_q, b_i - b_q], axis=-1) / 2)
 
     def test_single_symbol_interference(self):
         mats = build_oqam_matrices(phydyas(128, 4), 128, 4)

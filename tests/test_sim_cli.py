@@ -9,11 +9,12 @@ from dataclasses import replace
 import numpy as np
 import oracle
 import pytest
+from conftest import receive
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavemod import cli
-from wavemod.channel import EqualizationError
+from wavemod.channel import EqualizationError, fd_zf_equalize
 from wavemod import _work
 from wavemod.gfdm import (
     build_receiver,
@@ -37,10 +38,10 @@ from wavemod.sim import (
     run_psd,
     run_scenario,
     _WELCH_SEGMENT,
-    _convolve_rows,
     _draw_chunk,
     _scenario_id,
     _transmit_chunk,
+    ber_errors,
 )
 
 
@@ -173,7 +174,8 @@ def test_large_build_holds_no_dense_matrix(waveform):
     assert peak <= 10 * 2**20
 
 
-_SMALL = WaveformParams(subcarriers=16, subsymbols=2, cp_len=4, n_fft=32)
+# cp_len covers the TIFS channel's 7 samples of memory, as validation requires.
+_SMALL = WaveformParams(subcarriers=16, subsymbols=2, cp_len=7, n_fft=32)
 
 
 @functools.cache
@@ -181,8 +183,53 @@ def _small_adapter(waveform):
     return build_adapter(ScenarioConfig(waveform=waveform, waveform_params=_SMALL))
 
 
+# channel name -> the scenario fields that select it, tvfs_corrected included
+_CHANNEL_CASES = {
+    "awgn": dict(channel="awgn"),
+    "tifs": dict(channel="tifs"),
+    "tvfs": dict(channel="tvfs"),
+    "tvfs_corrected": dict(channel="tvfs", tvfs_corrected=True),
+}
+
+
+def _oracle_equalized(adapter, x, taps, noise, noise_var):
+    """The equalized windows by the reference chain: convolve, add noise, zero-force, cut.
+
+    The channel's response is taken with ``np.fft.fft``.
+    """
+    y = oracle.convolve_rows(x, taps) + np.sqrt(noise_var) * (noise[0] + 1j * noise[1])
+    n = adapter.mats.frame_len
+    if adapter.circular:
+        y = y[:, adapter.cp_len:adapter.cp_len + n]
+        fft_len = n
+    else:
+        fft_len = 1 << (y.shape[1] - 1).bit_length()
+    hf = np.fft.fft(taps, n=fft_len, axis=-1)
+    return fd_zf_equalize(y, taps, fft_len, hf=hf)[:, :n]
+
+
+def _production_chunk(adapter, cfg, count, noise_var):
+    """``sim.ber_errors`` on one chunk: its (errors, bits), the windows it demodulated, the draws."""
+    seen = []
+
+    def demodulate(y_eq, nv, out=None):
+        seen.append(y_eq.copy())
+        return type(adapter).demodulate(adapter, y_eq, nv, out=out)
+
+    with _work.borrowed():
+        x, bits, taps, noise = _transmit_chunk(cfg, adapter, 0, 0, count, True)
+        x, bits, noise = x.copy(), bits.copy(), noise.copy()
+        adapter.demodulate = demodulate
+        try:
+            order = cfg.waveform_params.qam_order
+            counts = ber_errors(adapter, order, bits, x, taps, noise, noise_var)
+        finally:
+            del adapter.demodulate
+    return counts, seen[0], (x, bits, taps, noise)
+
+
 class TestBatchedReceive:
-    """One channel and one receive call per chunk equal one call per frame."""
+    """One equalize and one demodulate call per chunk equal the reference chain and per-frame calls."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -197,19 +244,46 @@ class TestBatchedReceive:
         noise_var = 0.05
         x, _, taps, noise = _transmit_chunk(cfg, adapter, 0, 0, count, True)
         frame_taps = taps if taps.ndim == 2 else [taps] * count
-        clean = _convolve_rows(x, taps)
-        for j in range(count):
-            np.testing.assert_allclose(
-                clean[j], _convolve_rows(x[j : j + 1], frame_taps[j])[0], rtol=0, atol=1e-10
-            )
-        y = clean + np.sqrt(noise_var) * (noise[0] + 1j * noise[1])
-        batched = adapter.receive(y, taps, noise_var)
+        y = oracle.convolve_rows(x, taps) + np.sqrt(noise_var) * (noise[0] + 1j * noise[1])
+        batched = receive(adapter, y, taps, noise_var)
         per_frame = np.array(
-            [adapter.receive(y[j : j + 1], frame_taps[j], noise_var)[0] for j in range(count)]
+            [receive(adapter, y[j : j + 1], frame_taps[j], noise_var)[0] for j in range(count)]
         )
         # A deep TVFS fade scales the ZF output up; the tolerance scales with it.
         scale = max(1.0, np.abs(per_frame).max())
         np.testing.assert_allclose(batched, per_frame, rtol=0, atol=1e-10 * scale)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        waveform=st.sampled_from(WAVEFORMS),
+        channel=st.sampled_from(tuple(_CHANNEL_CASES)),
+        count=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equalized_frames_match_reference_chain(self, waveform, channel, count, seed):
+        # ZF inverts the channel on its window, so the pipeline zero-forces only the noise.
+        cfg = ScenarioConfig(
+            waveform=waveform, seed=seed, waveform_params=_SMALL, **_CHANNEL_CASES[channel]
+        )
+        cfg.validate()
+        adapter = _small_adapter(waveform)
+        noise_var = 0.05
+        _, got, (x, _, taps, noise) = _production_chunk(adapter, cfg, count, noise_var)
+        want = _oracle_equalized(adapter, x, taps, noise, noise_var)
+        scale = max(1.0, np.abs(want).max())
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * scale)
+
+    @pytest.mark.parametrize("channel", tuple(_CHANNEL_CASES))
+    @pytest.mark.parametrize("waveform", WAVEFORMS)
+    def test_error_count_matches_reference_chain(self, waveform, channel):
+        cfg = ScenarioConfig(waveform=waveform, seed=11, **_CHANNEL_CASES[channel])
+        adapter = build_adapter(cfg)
+        noise_var = 0.05  # Eb/N0 = 7 dB
+        (errors, n_bits), _, (x, bits, taps, noise) = _production_chunk(adapter, cfg, 8, noise_var)
+        d_hat = adapter.demodulate(_oracle_equalized(adapter, x, taps, noise, noise_var), noise_var)
+        want = int(np.count_nonzero(oracle.qam_demap(d_hat.ravel(), 16) != bits.ravel()))
+        assert (errors, n_bits) == (want, bits.size)
+        assert errors > 0
 
 
 class TestCommonRandomNumbers:
@@ -385,7 +459,7 @@ class TestReusedBuffers:
             lambda d: gfdm_modulate(plain.mats, d),
             lambda d: gfdm_demodulate(rx, d),
             lambda d: adapter.transmit(d.T),
-            lambda d: plain.receive(plain.transmit(d.T), np.array([1.0 + 0j]), 0.0),
+            lambda d: receive(plain, plain.transmit(d.T), [1.0 + 0j], 0.0),
         ]
         for call in calls:
             first = call(d1)
@@ -513,6 +587,7 @@ class TestCli:
             (["ber", "--waveform", "ofdm", "--ebn0", "nan", "--frames", "1"], "", "ebn0_grid_db"),
             (["ber", "--waveform", "ofdm", "--ebn0=-inf", "--frames", "1"], "", "ebn0_grid_db"),
             (["ber", "--waveform", "ofdm", "--frames", "1"], "ebn0_grid_db = 4 nan", "ebn0_grid_db"),
+            (["ber", "--waveform", "ofdm", "--ebn0=-4000", "--frames", "1"], "", "ebn0_grid_db"),
         ],
         ids=[
             "unknown-key",
@@ -541,6 +616,7 @@ class TestCli:
             "ebn0-nan-flag",
             "ebn0-minus-inf-flag",
             "ebn0-nan-in-config",
+            "ebn0-underflows-noise-variance",
         ],
     )
     def test_bad_config_file_exit_code(self, tmp_path, capsys, argv, text, key):
