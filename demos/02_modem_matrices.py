@@ -10,9 +10,11 @@
 # smoothly — that is the Linear GFDM configuration, and its output is
 # sample-identical to an FBMC-OQAM burst.
 #
-# The library never stores A: a matrix set describes it by the prototype's
-# polyphase rows, and the modem applies it with FFTs.  The matrices shown
-# here are built by modulating one unit symbol per column.
+# The library never stores A: one builder describes all three OQAM sets by
+# the same two polyphase rows (the prototype's and the prototype delayed by
+# K/2), and the modem applies them with FFTs.  The modems take and return
+# one frame per row, so the matrices shown here are the transposed frames of
+# the unit symbols.  Every claim printed below is also asserted.
 
 import numpy as np
 
@@ -35,7 +37,7 @@ p = phydyas(K, 4)
 def oqam_pair(mats):
     """(A_i, A_q): the frames of a unit real and a unit imaginary symbol, per column."""
     eye = np.eye(mats.n_symbols)
-    return oqam_modulate(mats, eye), -1j * oqam_modulate(mats, 1j * eye)
+    return oqam_modulate(mats, eye).T, -1j * oqam_modulate(mats, 1j * eye).T
 
 
 # %%
@@ -44,8 +46,9 @@ def oqam_pair(mats):
 circ = build_oqam_matrices(p, K, M)
 circ_i, circ_q = oqam_pair(circ)
 print("circular A_i shape:", circ_i.shape)
-print("A_q is A_i rolled by K/2 samples:",
-      np.allclose(circ_q, np.roll(circ_i, K // 2, axis=0)))
+rolled = np.allclose(circ_q, np.roll(circ_i, K // 2, axis=0))
+print("A_q is A_i rolled by K/2 samples:", rolled)
+assert circ_i.shape == (K * M, K * M) and rolled
 first_row_power = np.sum(np.abs(circ_i[0]) ** 2)
 print(f"power in first row (wrapped tails): {first_row_power:.3f}")
 
@@ -58,6 +61,7 @@ print("\nlinear A_i shape:", lin_i.shape)
 print("signal support ends at sample:", lin.support_len)
 edge_power = np.sum(np.abs(lin_i[0]) ** 2) + np.sum(np.abs(lin_i[-1]) ** 2)
 print(f"power in first+last rows: {edge_power:.2e}  (smooth edges)")
+assert lin_i.shape == (962, 512) and edge_power < 1e-6
 
 # %%
 # The headline equivalence: modulating the same data through the linear
@@ -85,15 +89,19 @@ for m in range(M):
         s = d[m * K + k]
         x_fbmc += s.real * synthesis_pulse(k, m, "I", nb)
         x_fbmc += 1j * s.imag * synthesis_pulse(k, m, "Q", nb)
-print("\nmax |linear - fbmc|:", np.abs(x_lin[:nb] - x_fbmc).max())
+max_diff = np.abs(x_lin[:nb] - x_fbmc).max()
+print("\nmax |linear - fbmc|:", max_diff)
 print("linear tail past the burst is zero:", not x_lin[nb:].any())
+assert max_diff < 1e-10 and not x_lin[nb:].any()
 
 # %%
 # So the FBMC modem is the linear pair cut to its support: same modem core
 # (oqam_modulate / oqam_demodulate), frames of support_len samples.
 
 fbmc = build_fbmc_matrices(p, K, M)
-print("\nFBMC A_i shape:", oqam_pair(fbmc)[0].shape, "frame_len == nb:", fbmc.frame_len == nb)
+fbmc_i = oqam_pair(fbmc)[0]
+print("\nFBMC A_i shape:", fbmc_i.shape, "frame_len == nb:", fbmc.frame_len == nb)
+assert fbmc_i.shape == (nb, K * M) and fbmc.frame_len == nb
 d_hat = oqam_demodulate(fbmc, oqam_modulate(fbmc, d))
 err_db = 10 * np.log10(np.mean(np.abs(d_hat - d) ** 2) / np.mean(np.abs(d) ** 2))
 print(f"noiseless FBMC loopback error: {err_db:.0f} dB")
@@ -112,7 +120,8 @@ print(f"  linear:   |x[0]| = {abs(x_lin[0]) / np.abs(x_lin).max():.2e}")
 
 from wavemod import rectangular
 
-rect_case = gfdm_modulate(build_gfdm_matrix(rectangular(4), 4, 1), np.eye(4))
+rect_case = gfdm_modulate(build_gfdm_matrix(rectangular(4), 4, 1), np.eye(4)).T
 idft = np.exp(2j * np.pi * np.outer(np.arange(4), np.arange(4)) / 4) / 2.0
-print("\nGFDM(rect, M=1) equals the unitary IDFT:",
-      np.allclose(rect_case, idft))
+is_idft = np.allclose(rect_case, idft)
+print("\nGFDM(rect, M=1) equals the unitary IDFT:", is_idft)
+assert is_idft

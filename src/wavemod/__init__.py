@@ -19,19 +19,20 @@ from .channel import (
     fd_zf_equalize,
     freq_response,
 )
-from .fbmc import build_fbmc_matrices
 from .gfdm import (
     GfdmMatrixSet,
     OqamMatrixSet,
+    build_fbmc_matrices,
     build_gfdm_matrix,
+    build_linear_matrices,
     build_oqam_matrices,
     build_receiver,
     gfdm_demodulate,
     gfdm_modulate,
+    linear_pad_length,
     oqam_demodulate,
     oqam_modulate,
 )
-from .linear import build_linear_matrices
 from .mapping import constellation, qam_demap, qam_map
 from .metrics import (
     MetricCurve,
@@ -42,12 +43,7 @@ from .metrics import (
     theoretical_ber,
     welch_psd,
 )
-from .prototypes import (
-    PrototypeFilter,
-    linear_pad_length,
-    phydyas,
-    rectangular,
-)
+from .prototypes import PrototypeFilter, phydyas, rectangular
 from .sim import (
     CHANNELS,
     METRICS,

@@ -15,6 +15,15 @@ K*M-sample frame and it is circular over M: the Zak-domain view of Matthe,
 Mendes and Fettweis ("GFDM in a Gabor transform setting", IEEE Comm.
 Letters 2014).
 
+The three OQAM waveforms are one filter bank.  Zero-padding the prototype
+(:func:`linear_pad_length`) removes the wrap: every pulse then has
+contiguous support, the frame edges ramp smoothly to zero, and the emitted
+signal is the FBMC-OQAM burst for the same data.  That is Linear GFDM, and
+FBMC-OQAM is its set cut to the burst, ``support_len`` = len(p) + (2M - 1)K/2
+samples.  So one builder makes all three sets from the same two polyphase
+rows, the prototype's and the prototype's delayed by K/2: circular over M
+taps and blocks, or linear with room for every tail.
+
 Plain GFDM runs in the Zak domain: the transmitter multiplies by
 Z = FFT_M(P) per (bin, residue), and the ZF, MF and MMSE receivers are
 per-bin weights.  CP-OFDM is plain GFDM with M = 1 and the rectangular
@@ -40,10 +49,11 @@ The modem derives phi and conj(phi)/gain per call; the set stores only the
 fused band, the gain and whether it is circular.
 
 A matrix set is a small frozen description of a transmit matrix; the dense
-matrices it describes serve only as test oracles.
+matrices it describes serve only as test oracles.  The modems take one
+frame per row: (n,) or (frames, n) in, (n_out,) or (frames, n_out) out.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -133,57 +143,102 @@ def synthesis_band(rows: np.ndarray, subsymbols: int, blocks: int) -> np.ndarray
 
 def build_gfdm_matrix(p: PrototypeFilter, subcarriers: int, subsymbols: int) -> GfdmMatrixSet:
     """Plain circular GFDM of N = K*M samples, column order k fastest then m."""
-    if subcarriers * subsymbols == 0:
-        raise ValueError("subcarriers * subsymbols must be positive")
+    for name, value in (("subcarriers", subcarriers), ("subsymbols", subsymbols)):
+        if value < 1:
+            raise ValueError(f"{name}: must be >= 1, got {value}")
     zak = np.fft.fft(polyphase(p.coefficients, subcarriers, subsymbols), axis=0)
     return GfdmMatrixSet(subcarriers, subsymbols, zak)
 
 
-def build_oqam_matrices(p: PrototypeFilter, subcarriers: int, subsymbols: int) -> OqamMatrixSet:
-    """Circular OQAM pair; the quadrature pulses are the in-phase ones rolled by K/2 samples."""
-    if subcarriers % 2 != 0:
-        raise ValueError(f"subcarriers must be even for OQAM, got {subcarriers}")
-    n = subcarriers * subsymbols
-    g = polyphase(p.coefficients, subcarriers, subsymbols).ravel()
-    rows = np.stack([g, np.roll(g, subcarriers // 2)]).reshape(2, subsymbols, subcarriers)
-    # The rolled pulse keeps the carrier phase of the unrolled one: (-1)^k on Q.
-    return oqam_set(rows, subsymbols, subsymbols, True, n, n)
+def linear_pad_length(subcarriers: int, subsymbols: int) -> int:
+    """Zeros appended to the prototype to give the Linear GFDM frame, in which no pulse wraps.
 
-
-def oqam_set(rows: np.ndarray, subsymbols: int, blocks: int, circular: bool,
-             support_len: int, frame_len: int) -> OqamMatrixSet:
-    """The set of the (2, taps, K) I and Q polyphase ``rows`` over ``blocks`` blocks.
-
-    Every pulse has the energy of the first I pulse; the branch bands fuse
-    into (B_I + B_Q)/2 and (B_I - B_Q)/2, written into the two halves of one
-    array and halved in place.
+    The pad covers the extra half-subcarrier shift of the quadrature pulses.
     """
-    branches = synthesis_band(rows, subsymbols, blocks)
+    if subcarriers < 2 or subcarriers % 2:
+        raise ValueError(f"subcarriers: must be even and >= 2 for OQAM, got {subcarriers}")
+    if subsymbols < 1:
+        raise ValueError(f"subsymbols: must be >= 1, got {subsymbols}")
+    return subcarriers * subsymbols - subcarriers // 2 + 1
+
+
+def _oqam_set(p: PrototypeFilter, subcarriers: int, subsymbols: int, circular: bool) -> OqamMatrixSet:
+    """The circular or linear OQAM set of ``p`` on K subcarriers and M subsymbols.
+
+    The I rows are the prototype's, the Q rows the prototype's delayed by
+    K/2.  A circular set folds both into M taps over the M blocks of its
+    K*M-sample frame (the delayed prototype wrapped additively is the
+    wrapped one rolled by K/2); a linear set gives them ceil((len(p) + K/2)
+    / K) taps over the blocks of its ``len(p) + linear_pad_length(K, M)``
+    samples.  Every pulse has the energy of the first I pulse; the branch
+    bands fuse into (B_I + B_Q)/2 and (B_I - B_Q)/2, written into the two
+    halves of one array and halved in place.
+    """
+    pad = linear_pad_length(subcarriers, subsymbols)  # also checks K and M
+    k, m, half = subcarriers, subsymbols, subcarriers // 2
+    if circular:
+        taps = blocks = m
+        support_len = frame_len = k * m
+    else:
+        taps = -(-(p.length + half) // k)
+        frame_len = p.length + pad
+        blocks = -(-frame_len // k)
+        support_len = (m - 1) * k + half + p.length
+    delayed = np.concatenate([np.zeros(half), p.coefficients])
+    rows = np.stack([polyphase(p.coefficients, k, taps), polyphase(delayed, k, taps)])
+    branches = synthesis_band(rows, m, blocks)
     b_i, b_q = np.split(branches, 2, axis=-1)
     gain = float(np.sum(b_i[:, :, 0] ** 2))
     band = np.empty_like(branches)
-    np.add(b_i, b_q, out=band[..., :subsymbols])
-    np.subtract(b_i, b_q, out=band[..., subsymbols:])
+    np.add(b_i, b_q, out=band[..., :m])
+    np.subtract(b_i, b_q, out=band[..., m:])
     band /= 2
-    return OqamMatrixSet(rows.shape[-1], subsymbols, band, gain, circular, support_len, frame_len)
+    return OqamMatrixSet(k, m, band, gain, circular, support_len, frame_len)
+
+
+def build_oqam_matrices(p: PrototypeFilter, subcarriers: int, subsymbols: int) -> OqamMatrixSet:
+    """Circular OQAM set of K*M samples; the quadrature pulses are the in-phase ones rolled by K/2.
+
+    The rolled pulse keeps the carrier phase of the unrolled one, so the Q
+    rotation carries an extra (-1)^k (``circular``).
+    """
+    return _oqam_set(p, subcarriers, subsymbols, circular=True)
+
+
+def build_linear_matrices(p: PrototypeFilter, subcarriers: int, subsymbols: int) -> OqamMatrixSet:
+    """Linear GFDM: the wrap-free OQAM set over ``len(p) + linear_pad_length(K, M)`` samples.
+
+    In-phase pulses place the prototype at offset m*K, quadrature pulses at
+    m*K + K/2, and the subcarrier exponential runs over the absolute sample
+    index, as in the FBMC synthesis pulses.  The frame has no cyclic
+    prefix; samples at and past ``support_len`` (the FBMC burst length) are
+    zero.
+    """
+    return _oqam_set(p, subcarriers, subsymbols, circular=False)
+
+
+def build_fbmc_matrices(p: PrototypeFilter, subcarriers: int, m_symbols: int) -> OqamMatrixSet:
+    """FBMC-OQAM burst of ``m_symbols`` OQAM symbols per subcarrier: Linear GFDM cut to its support.
+
+    ``frame_len == support_len == len(p) + (2 * m_symbols - 1) * subcarriers // 2``.
+    """
+    mats = build_linear_matrices(p, subcarriers, m_symbols)
+    return replace(mats, frame_len=mats.support_len)
 
 
 def _framewise(a: np.ndarray, n_out: int, apply, out=None) -> np.ndarray:
-    """Run ``apply`` over (n,) or (n, frames) ``a`` in blocks of frames.
+    """Run ``apply`` over the (n,) or (frames, n) ``a`` in blocks of frames.
 
     ``apply(block, dest)`` writes the (frames, n_out) output of a (frames, n)
     block into ``dest``.  Blocks of ``_FRAME_BLOCK`` frames keep every
     temporary and work array near a megabyte whatever the chunk size.  The
-    result goes to ``out``, shaped (n_out,) or (n_out, frames) as ``a`` is;
-    by default it is a fresh frames-first array, returned as a transposed
-    view.  A frames-first caller passes its (frames, n) rows transposed.
+    result, shaped (n_out,) or (frames, n_out) as ``a`` is, goes to ``out``
+    if given and to a fresh array otherwise.
     """
-    rows = a.reshape(a.shape[0], -1).T
+    rows = a.reshape(-1, a.shape[-1])
     if out is None:
-        dest = np.empty((len(rows), n_out), dtype=complex)
-        out = dest.T if a.ndim > 1 else dest[0]
-    else:
-        dest = np.reshape(out, (n_out, -1), copy=False).T
+        out = np.empty(a.shape[:-1] + (n_out,), dtype=complex)
+    dest = np.reshape(out, (-1, n_out), copy=False)
     for start in range(0, len(rows), _FRAME_BLOCK):
         apply(rows[start:start + _FRAME_BLOCK], dest[start:start + _FRAME_BLOCK])
     return out
@@ -211,10 +266,10 @@ def _circular(weights: np.ndarray, blocks: np.ndarray, out: np.ndarray) -> None:
 
 
 def gfdm_modulate(mats: GfdmMatrixSet, d, out=None) -> np.ndarray:
-    """Frame of K*M samples per column of ``d`` (K*M symbols), written into ``out`` if given."""
+    """Frame of K*M samples per row of ``d`` (K*M symbols), written into ``out`` if given."""
     d = np.asarray(d, dtype=complex)
-    if d.shape[0] != mats.frame_len:
-        raise ValueError(f"expected {mats.frame_len} symbols, got {d.shape[0]}")
+    if d.shape[-1] != mats.frame_len:
+        raise ValueError(f"expected {mats.frame_len} symbols, got {d.shape[-1]}")
     k, m = mats.subcarriers, mats.subsymbols
 
     def synthesize(sym, dest):
@@ -259,11 +314,11 @@ def build_receiver(mats: GfdmMatrixSet, kind: str, noise_var: float = 0.0) -> np
 
 
 def gfdm_demodulate(weights: np.ndarray, y, out=None) -> np.ndarray:
-    """Symbols of each column of ``y`` (K*M samples) under :func:`build_receiver` weights."""
+    """Symbols of each row of ``y`` (K*M samples) under :func:`build_receiver` weights."""
     y = np.asarray(y, dtype=complex)
     m, k = weights.shape
-    if y.shape[0] != m * k:
-        raise ValueError(f"expected {m * k} samples, got {y.shape[0]}")
+    if y.shape[-1] != m * k:
+        raise ValueError(f"expected {m * k} samples, got {y.shape[-1]}")
 
     def analyze(rows, dest):
         blocks = np.reshape(dest, (len(rows), m, k), copy=False)
@@ -292,10 +347,10 @@ def _gemm(band: np.ndarray, cols: np.ndarray, work) -> np.ndarray:
 
 
 def oqam_modulate(mats: OqamMatrixSet, d, out=None) -> np.ndarray:
-    """Frame of ``frame_len`` samples per column of ``d`` (K*M symbols), into ``out`` if given."""
+    """Frame of ``frame_len`` samples per row of ``d`` (K*M symbols), into ``out`` if given."""
     d = np.asarray(d, dtype=complex)
-    if d.shape[0] != mats.n_symbols:
-        raise ValueError(f"expected {mats.n_symbols} symbols, got {d.shape[0]}")
+    if d.shape[-1] != mats.n_symbols:
+        raise ValueError(f"expected {mats.n_symbols} symbols, got {d.shape[-1]}")
     k, m = mats.subcarriers, mats.subsymbols
     spread = _QUARTER_TURNS[np.arange(k) % 4]
     if mats.circular:
@@ -333,8 +388,8 @@ def oqam_demodulate(mats: OqamMatrixSet, y_eq, out=None) -> np.ndarray:
     pulses.  The symbols go to ``out`` if given.
     """
     y_eq = np.asarray(y_eq, dtype=complex)
-    if y_eq.shape[0] != mats.frame_len:
-        raise ValueError(f"expected {mats.frame_len} samples, got {y_eq.shape[0]}")
+    if y_eq.shape[-1] != mats.frame_len:
+        raise ValueError(f"expected {mats.frame_len} samples, got {y_eq.shape[-1]}")
     k, m = mats.subcarriers, mats.subsymbols
     band = mats.band.transpose(0, 2, 1)
     despread = _QUARTER_TURNS[np.arange(k) % 4].conj() / mats.gain

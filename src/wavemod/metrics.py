@@ -190,9 +190,12 @@ def theoretical_ber(ebn0_db, order: int = 16, channel: str = "awgn"):
 
     ``channel`` selects pure AWGN or a flat Rayleigh fade applied per frame,
     in which case each Q-function term is averaged over the exponential SNR
-    distribution in closed form.
+    distribution in closed form: with h = c/2, (1 - sqrt(h / (1 + h))) / 2,
+    computed as 1 / (2 (1 + h)(1 + s)), s = 1 / sqrt(1 + 1/h), which neither
+    cancels at high SNR nor turns into inf/inf when Eb/N0 overflows.
     """
-    ebn0 = 10.0 ** (np.asarray(ebn0_db, dtype=float) / 10.0)
+    with np.errstate(over="ignore"):
+        ebn0 = 10.0 ** (np.asarray(ebn0_db, dtype=float) / 10.0)
     gamma_s = np.log2(order) * ebn0
     base = 3.0 * gamma_s / (order - 1.0)
     channel = channel.lower()
@@ -203,7 +206,9 @@ def theoretical_ber(ebn0_db, order: int = 16, channel: str = "awgn"):
             pb = pb + weight * _qfunc(np.sqrt(c))
         elif channel == "rayleigh":
             half = c / 2.0
-            pb = pb + weight * 0.5 * (1.0 - np.sqrt(half / (1.0 + half)))
+            with np.errstate(divide="ignore"):
+                s = 1.0 / np.sqrt(1.0 + 1.0 / half)
+            pb = pb + weight * 0.5 / ((1.0 + half) * (1.0 + s))
         else:
             raise ValueError(f"unknown channel {channel!r}")
     return pb

@@ -1,8 +1,7 @@
 """Prototype filter design for the multicarrier modems.
 
 Provides the PHYDYAS frequency-sampling filter used by the filter-bank
-waveforms, the rectangular pulse used by OFDM, and the pad length that
-turns a circular OQAM set into the wrap-free Linear GFDM one.
+waveforms and the rectangular pulse used by OFDM.
 """
 
 from dataclasses import dataclass
@@ -67,14 +66,3 @@ def rectangular(subcarriers: int) -> PrototypeFilter:
     p = np.full(subcarriers, 1.0 / np.sqrt(subcarriers))
     return PrototypeFilter(coefficients=p, overlap=1, subcarriers=subcarriers)
 
-
-def linear_pad_length(subcarriers: int, subsymbols: int) -> int:
-    """Number of zeros appended to the prototype for wrap-free column shifts.
-
-    The pad covers the extra half-subcarrier shift of the quadrature matrix.
-    """
-    if subcarriers % 2 != 0:
-        raise ValueError(f"subcarriers must be even, got {subcarriers}")
-    if subsymbols < 1:
-        raise ValueError(f"subsymbols must be >= 1, got {subsymbols}")
-    return subcarriers * subsymbols - subcarriers // 2 + 1

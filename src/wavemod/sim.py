@@ -42,9 +42,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _work
 from . import channel as chan
-from . import fbmc as fbmc_mod
 from . import gfdm as gfdm_mod
-from . import linear as linear_mod
 from .mapping import qam_map, qam_demap
 from .metrics import (
     MetricCurve,
@@ -257,7 +255,7 @@ class _MatrixAdapter:
             out = np.empty((len(d), self.frame_len), dtype=complex)
         full = d if self._mask is None else _scatter(d, self._mask)
         modulate = gfdm_mod.oqam_modulate if self._oqam else gfdm_mod.gfdm_modulate
-        modulate(self.mats, full.T, out=out[:, self.cp_len:].T)
+        modulate(self.mats, full, out=out[:, self.cp_len:])
         if self.cp_len:
             out[:, : self.cp_len] = out[:, -self.cp_len:]
         return out
@@ -293,9 +291,9 @@ class _MatrixAdapter:
         if self._mask is not None:
             full = _work.area().get("sim.demodulated", (len(y_eq), len(self._mask)))
         if self._oqam:
-            gfdm_mod.oqam_demodulate(self.mats, y_eq.T, out=full.T)
+            gfdm_mod.oqam_demodulate(self.mats, y_eq, out=full)
         else:
-            gfdm_mod.gfdm_demodulate(self._receiver(noise_var), y_eq.T, out=full.T)
+            gfdm_mod.gfdm_demodulate(self._receiver(noise_var), y_eq, out=full)
         if self._mask is not None:
             np.compress(self._mask, full, axis=1, out=out)
         return out
@@ -318,8 +316,8 @@ _MATRIX_MODEMS = {
     "ofdm": (gfdm_mod.build_gfdm_matrix, True, "rect"),
     "gfdm": (gfdm_mod.build_gfdm_matrix, True, "rect"),
     "gfdm_oqam_circular": (gfdm_mod.build_oqam_matrices, True, "phydyas"),
-    "linear_gfdm": (linear_mod.build_linear_matrices, False, "phydyas"),
-    "fbmc": (fbmc_mod.build_fbmc_matrices, False, "phydyas"),
+    "linear_gfdm": (gfdm_mod.build_linear_matrices, False, "phydyas"),
+    "fbmc": (gfdm_mod.build_fbmc_matrices, False, "phydyas"),
 }
 
 

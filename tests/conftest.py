@@ -14,10 +14,10 @@ def oqam_columns(mats):
     """The core's OQAM pair (A_i, A_q) as dense matrices, one unit symbol per column.
 
     A unit real symbol emits its A_i column and a unit imaginary one j times
-    its A_q column.
+    its A_q column; the modem returns one frame per row, hence the transposes.
     """
     eye = np.eye(mats.n_symbols)
-    return oqam_modulate(mats, eye), -1j * oqam_modulate(mats, 1j * eye)
+    return oqam_modulate(mats, eye).T, -1j * oqam_modulate(mats, 1j * eye).T
 
 
 def cp_channel(x, taps, n_cp):

@@ -7,6 +7,10 @@ large (N x N and bigger) on purpose: nothing here shares code with the core.
 ``qam_map``, ``demap_axis`` and ``qam_demap`` compute Gray labels with integer
 arithmetic, bracketing and distance comparisons instead of the package's tables.
 ``psd_oneshot`` holds a PSD run's whole stream at once, frame by frame.
+``circular_oqam_set``, ``linear_oqam_set`` and ``fbmc_oqam_set`` are the three
+separate constructions the OQAM sets had before one builder made them all:
+the wrapped prototype rolled by K/2, the prototype placed at 0 and K/2 in
+zeroed blocks, and the linear set with its frame cut to ``support_len``.
 ``add_cp`` and ``remove_cp`` build and strip a cyclic prefix by concatenation.
 ``convolve_rows`` is the reference channel, a time-domain linear convolution,
 which the simulator never runs: its zero forcing inverts the channel exactly,
@@ -17,7 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from wavemod import sim, welch_psd
+from wavemod import OqamMatrixSet, sim, welch_psd
 
 
 def _wrap_prototype(p, n: int) -> np.ndarray:
@@ -88,6 +92,60 @@ def build_linear_matrices(p, subcarriers: int, subsymbols: int) -> tuple[np.ndar
             pulse[off:off + lp] = p.coefficients
             a[:, m * subcarriers:(m + 1) * subcarriers] = pulse[:, None] * carriers
     return a_i, a_q
+
+
+def _fused_set(rows, subsymbols: int, blocks: int, circular: bool, support_len: int,
+               frame_len: int) -> OqamMatrixSet:
+    """The OQAM set of (2, taps, K) I and Q polyphase ``rows`` over ``blocks`` blocks.
+
+    Column (branch, m) of residue r's band holds the branch's taps from block
+    m on, modulo ``blocks``; the gain is the first I pulse's energy, and the
+    branch bands fuse into (B_I + B_Q)/2 and (B_I - B_Q)/2.
+    """
+    k = rows.shape[-1]
+    branches = np.zeros((k, blocks, 2, subsymbols))
+    for s in range(rows.shape[1]):
+        for m in range(subsymbols):
+            branches[:, (m + s) % blocks, :, m] = rows[:, s].T
+    branches = branches.reshape(k, blocks, 2 * subsymbols)
+    b_i, b_q = np.split(branches, 2, axis=-1)
+    gain = float(np.sum(b_i[:, :, 0] ** 2))
+    band = np.empty_like(branches)
+    np.add(b_i, b_q, out=band[..., :subsymbols])
+    np.subtract(b_i, b_q, out=band[..., subsymbols:])
+    band /= 2
+    return OqamMatrixSet(k, subsymbols, band, gain, circular, support_len, frame_len)
+
+
+def circular_oqam_set(p, subcarriers: int, subsymbols: int) -> OqamMatrixSet:
+    """Circular set: the I rows wrap the prototype into K*M samples, the Q rows are those rolled by K/2."""
+    n = subcarriers * subsymbols
+    g = _wrap_prototype(p, n)
+    rows = np.stack([g, np.roll(g, subcarriers // 2)]).reshape(2, subsymbols, subcarriers)
+    return _fused_set(rows, subsymbols, subsymbols, True, n, n)
+
+
+def linear_oqam_set(p, subcarriers: int, subsymbols: int) -> OqamMatrixSet:
+    """Linear set: the prototype at offsets 0 (I) and K/2 (Q) in zeroed blocks, no wrap.
+
+    The frame holds ``len(p) + K*M - K/2 + 1`` samples, and the band as many
+    blocks as cover it.
+    """
+    half = subcarriers // 2
+    taps = -(-(p.length + half) // subcarriers)
+    rows = np.zeros((2, taps * subcarriers))
+    rows[0, : p.length] = p.coefficients
+    rows[1, half:half + p.length] = p.coefficients
+    n_ext = p.length + subcarriers * subsymbols - half + 1
+    support_len = (subsymbols - 1) * subcarriers + half + p.length
+    return _fused_set(rows.reshape(2, taps, subcarriers), subsymbols,
+                      -(-n_ext // subcarriers), False, support_len, n_ext)
+
+
+def fbmc_oqam_set(p, subcarriers: int, subsymbols: int) -> OqamMatrixSet:
+    """The linear set with its frame cut to ``support_len``, the FBMC burst."""
+    mats = linear_oqam_set(p, subcarriers, subsymbols)
+    return replace(mats, frame_len=mats.support_len)
 
 
 def build_receiver(a: np.ndarray, kind: str, noise_var: float = 0.0) -> np.ndarray:

@@ -147,15 +147,15 @@ def test_5_matrix_identities():
     # The FFT core's receivers against the dense oracle matrix: ZF inverts
     # it, MF is its conjugate transpose (exact there, to rounding here), and
     # MMSE tends to ZF as the noise vanishes.  Each receiver is applied to
-    # the oracle's columns or to unit sample frames.
+    # the oracle's columns or to unit sample frames, each passed as a row.
     mats = build_gfdm_matrix(rectangular(16), 16, 4)
     a = oracle.build_gfdm_matrix(rectangular(16), 16, 4)
     eye = np.eye(64)
     checks = {}
     zf = build_receiver(mats, "zf")
-    checks["zf"] = np.abs(gfdm_demodulate(zf, a) - eye).max() <= 1e-9
+    checks["zf"] = np.abs(gfdm_demodulate(zf, a.T) - eye).max() <= 1e-9
     mf = build_receiver(mats, "mf")
-    checks["mf"] = np.abs(gfdm_demodulate(mf, eye) - a.conj().T).max() <= 1e-12
+    checks["mf"] = np.abs(gfdm_demodulate(mf, eye).T - a.conj().T).max() <= 1e-12
     mmse = build_receiver(mats, "mmse", noise_var=1e-12)
     checks["mmse_limit"] = np.abs(gfdm_demodulate(mmse, eye) - gfdm_demodulate(zf, eye)).max() <= 1e-6
     n = 64

@@ -1,5 +1,5 @@
-"""Guards on the package surface: the public names, the benchmark's stage table, the names the
-demos and README import, dead imports and the import footprint."""
+"""Guards on the package surface: the public names, the benchmark's stage table, the demos
+and README examples (run end to end), dead imports and the import footprint."""
 
 import ast
 import importlib.util
@@ -8,6 +8,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import wavemod
 
@@ -58,58 +60,41 @@ def test_every_traced_stage_resolves():
     assert tracer.absent == ["channel_s"]
 
 
-def _wavemod_imports(source: str) -> list[tuple[str, str | None]]:
-    """(module, name) of every name ``source`` imports from wavemod or its submodules.
-
-    ``import wavemod.x`` gives (``wavemod.x``, None).
-    """
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "wavemod":
-            found += [(node.module, alias.name) for alias in node.names]
-        elif isinstance(node, ast.Import):
-            found += [(a.name, None) for a in node.names if a.name.split(".")[0] == "wavemod"]
-    return found
-
-
-def _resolves(module: str, name: str | None) -> bool:
-    try:
-        mod = importlib.import_module(module)
-    except ImportError:
-        return False
-    if name is None or hasattr(mod, name):
-        return True
-    return importlib.util.find_spec(f"{module}.{name}") is not None
-
-
-def test_demo_and_readme_imports_resolve():
-    # Deleting a public name must not silently break a demo or a README
-    # example.  Their imports are read, not run: no simulation starts.
+def _scripts() -> dict[str, str]:
+    """Source of every README ``python`` block and every demo, by origin."""
     readme = (_ROOT / "README.md").read_text()
     blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
     sources = {f"README.md block {i}": block for i, block in enumerate(blocks)}
-    sources |= {path.name: path.read_text() for path in sorted((_ROOT / "demos").glob("*.py"))}
-    imports = {origin: _wavemod_imports(text) for origin, text in sources.items()}
-    assert blocks and all(imports.values())
-    broken = [
-        f"{origin}: {module}{'.' + name if name else ''}"
-        for origin, found in imports.items()
-        for module, name in found
-        if not _resolves(module, name)
-    ]
-    assert broken == []
+    return sources | {path.name: path.read_text() for path in sorted((_ROOT / "demos").glob("*.py"))}
+
+
+def _env_with_src() -> dict:
+    paths = [str(_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+
+
+_SCRIPTS = _scripts()
+
+
+@pytest.mark.parametrize("origin", sorted(_SCRIPTS))
+def test_demos_and_readme_run(origin, tmp_path):
+    # Each runs top to bottom and asserts what it prints, so a deleted public
+    # name or a claim that stops holding fails here.
+    out = subprocess.run(
+        [sys.executable, "-c", _SCRIPTS[origin]],
+        cwd=tmp_path, env=_env_with_src(), capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
 
 
 def test_import_loads_no_scipy():
     # scipy's import alone took over a second of every run's set-up; keep it out.
-    paths = [str(_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     probe = (
         "import sys, wavemod, wavemod.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], env=_env_with_src(), capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
 

@@ -1,5 +1,7 @@
 """The FFT modem core against the dense-matrix oracles, on property-based inputs."""
 
+from functools import partial
+
 import numpy as np
 import oracle
 from conftest import TOL
@@ -90,16 +92,41 @@ def test_oqam_core_matches_dense_pair(kind, k, m, overlap, rect, seed):
     assert a_i.shape == (mats.frame_len, k * m)
     rng = np.random.default_rng(seed)
 
-    d = _complex(rng, k * m, FRAMES)
-    want = a_i @ d.real + 1j * (a_q @ d.imag)
+    d = _complex(rng, FRAMES, k * m)
+    want = d.real @ a_i.T + 1j * (d.imag @ a_q.T)
     assert _close(oqam_modulate(mats, d), want) <= TOL
-    assert _close(oqam_modulate(mats, d[:, 0]), want[:, 0]) <= TOL
+    assert _close(oqam_modulate(mats, d[0]), want[0]) <= TOL
 
-    y = _complex(rng, mats.frame_len, FRAMES)
-    gain_i = np.sum(np.abs(a_i) ** 2, axis=0)[:, None]
-    gain_q = np.sum(np.abs(a_q) ** 2, axis=0)[:, None]
-    want = (a_i.conj().T @ y).real / gain_i + 1j * (a_q.conj().T @ y).imag / gain_q
+    y = _complex(rng, FRAMES, mats.frame_len)
+    gain_i = np.sum(np.abs(a_i) ** 2, axis=0)
+    gain_q = np.sum(np.abs(a_q) ** 2, axis=0)
+    want = (y @ a_i.conj()).real / gain_i + 1j * (y @ a_q.conj()).imag / gain_q
     assert _close(oqam_demodulate(mats, y), want) <= TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    modem=st.sampled_from(("gfdm_modulate", "gfdm_demodulate", "oqam_modulate", "oqam_demodulate")),
+    kind=st.sampled_from(sorted(_BUILDERS)),
+    frames=st.sampled_from((1, 3, 70)),
+    **_shapes,
+)
+def test_frames_call_matches_row_calls(modem, kind, frames, k, m, overlap, rect, seed):
+    # Every modem takes (frames, n) rows and returns one output row per
+    # frame, the row a 1-D call returns; 70 frames span two transform blocks.
+    p = _prototype(k, overlap, rect)
+    if modem == "gfdm_modulate":
+        call, n = partial(gfdm_modulate, build_gfdm_matrix(p, k, m)), k * m
+    elif modem == "gfdm_demodulate":
+        call, n = partial(gfdm_demodulate, build_receiver(build_gfdm_matrix(p, k, m), "mf")), k * m
+    else:
+        mats = _BUILDERS[kind](p, k, m)
+        modulate = modem == "oqam_modulate"
+        call = partial(oqam_modulate if modulate else oqam_demodulate, mats)
+        n = mats.n_symbols if modulate else mats.frame_len
+    rows = _complex(np.random.default_rng(seed), frames, n)
+    got, want = call(rows), np.array([call(row) for row in rows])
+    assert got.shape == want.shape and _close(got, want) <= TOL
 
 
 @settings(max_examples=30, deadline=None)
@@ -108,10 +135,10 @@ def test_linear_tail_is_exactly_zero(k, m, overlap, rect, seed):
     # Neither branch has a tap at or past support_len, so the fused band's
     # rows there are exact zeros and so are the samples.
     mats = build_linear_matrices(_prototype(k, overlap, rect), k, m)
-    d = _complex(np.random.default_rng(seed), k * m, FRAMES)
+    d = _complex(np.random.default_rng(seed), FRAMES, k * m)
     x = oqam_modulate(mats, d)
-    assert x.shape == (mats.frame_len, FRAMES) and mats.frame_len > mats.support_len
-    assert not x[mats.support_len:].any()
+    assert x.shape == (FRAMES, mats.frame_len) and mats.frame_len > mats.support_len
+    assert not x[:, mats.support_len:].any()
 
 
 @settings(max_examples=30, deadline=None)
@@ -122,13 +149,13 @@ def test_plain_gfdm_core_matches_dense_matrix(noise_var, k, m, overlap, rect, se
     a = oracle.build_gfdm_matrix(p, k, m)
     rng = np.random.default_rng(seed)
 
-    d = _complex(rng, k * m, FRAMES)
-    assert _close(gfdm_modulate(mats, d), a @ d) <= TOL
+    d = _complex(rng, FRAMES, k * m)
+    assert _close(gfdm_modulate(mats, d), d @ a.T) <= TOL
 
-    y = _complex(rng, k * m, FRAMES)
+    y = _complex(rng, FRAMES, k * m)
     for kind in ("mf", "mmse"):
         rx = build_receiver(mats, kind, noise_var=noise_var)
-        assert _close(gfdm_demodulate(rx, y), oracle.build_receiver(a, kind, noise_var) @ y) <= TOL
+        assert _close(gfdm_demodulate(rx, y), y @ oracle.build_receiver(a, kind, noise_var).T) <= TOL
     # ZF exists exactly where the matrix is invertible; there it inverts the
     # dense matrix, which the core's own ZF check reports as singular otherwise.
     try:
@@ -136,4 +163,4 @@ def test_plain_gfdm_core_matches_dense_matrix(noise_var, k, m, overlap, rect, se
     except np.linalg.LinAlgError:
         assert np.linalg.cond(a) > 1e12
     else:
-        assert _close(gfdm_demodulate(zf, a), np.eye(k * m)) <= TOL
+        assert _close(gfdm_demodulate(zf, a.T), np.eye(k * m)) <= TOL

@@ -30,13 +30,13 @@ def _random_symbols(rng, n):
 
 
 def _matrix(mats):
-    """The core's plain GFDM transmit matrix: the frames of the unit symbols."""
-    return gfdm_modulate(mats, np.eye(mats.frame_len))
+    """The core's plain GFDM transmit matrix: the frames of the unit symbols, one per column."""
+    return gfdm_modulate(mats, np.eye(mats.frame_len)).T
 
 
 def _receiver_matrix(rx):
-    """The core's receiver as a matrix: its estimates for the unit sample frames."""
-    return gfdm_demodulate(rx, np.eye(rx.size))
+    """The core's receiver as a matrix: its estimates for the unit sample frames, one per column."""
+    return gfdm_demodulate(rx, np.eye(rx.size)).T
 
 
 class TestBuildGfdmMatrix:
@@ -202,10 +202,6 @@ class TestOqamMatrices:
         a_i, a_q = oqam_columns(build_oqam_matrices(p, 2, 1))
         np.testing.assert_allclose(a_q, a_i[::-1], atol=1e-12)
 
-    def test_rejects_odd_subcarriers(self):
-        with pytest.raises(ValueError):
-            build_oqam_matrices(rectangular(3), 3, 1)
-
     def test_quasi_orthogonality(self):
         # Real-domain interference must be far below the useful diagonal:
         # off-diagonal real parts of A_i^H A_i and imaginary parts of
@@ -222,6 +218,38 @@ class TestOqamMatrices:
 def _dense_oqam():
     """The oracle's dense circular pair for PHYDYAS(8, 2), K=8, M=2."""
     return oracle.build_oqam_matrices(phydyas(8, 2), 8, 2)
+
+
+_OQAM_BUILDERS = (build_oqam_matrices, build_linear_matrices, build_fbmc_matrices)
+
+
+@pytest.mark.parametrize("k,m", [(8, 0), (8, -1), (0, 2), (7, 2)])
+@pytest.mark.parametrize("build", (build_gfdm_matrix,) + _OQAM_BUILDERS)
+def test_builders_name_the_bad_argument(build, k, m):
+    p = phydyas(8, 4)
+    if build is build_gfdm_matrix and k == 7:
+        assert build(p, k, m).frame_len == 14  # plain GFDM takes an odd K
+        return
+    with pytest.raises(ValueError, match="subsymbols" if k == 8 else "subcarriers"):
+        build(p, k, m)
+
+
+@pytest.mark.parametrize("k", (2, 4, 6, 8, 10, 16, 32, 64, 128, 256))
+@pytest.mark.parametrize(
+    "build,reference",
+    zip(_OQAM_BUILDERS, (oracle.circular_oqam_set, oracle.linear_oqam_set, oracle.fbmc_oqam_set)),
+)
+def test_one_builder_matches_the_three_constructions(build, reference, k):
+    # Bit for bit, over M up to 16 and every prototype, also where the
+    # prototype wraps (len(p) > K*M): the K/2-delayed prototype wrapped
+    # additively is the wrapped one rolled by K/2.
+    for m in range(1, 17):
+        for p in [rectangular(k)] + [phydyas(k, overlap) for overlap in (1, 2, 3, 4)]:
+            got, want = build(p, k, m), reference(p, k, m)
+            assert np.array_equal(got.band, want.band) and got.gain == want.gain
+            assert (got.circular, got.support_len, got.frame_len) == (
+                want.circular, want.support_len, want.frame_len
+            )
 
 
 class TestOqamModem:
@@ -326,7 +354,7 @@ class TestCyclicPrefix:
         rng = np.random.default_rng(8)
         d = rng.standard_normal((4, 48)) + 1j * rng.standard_normal((4, 48))
         frames = adapter.transmit(d)
-        for x, core in zip(frames, modulate(adapter.mats, d.T).T):
+        for x, core in zip(frames, modulate(adapter.mats, d)):
             np.testing.assert_array_equal(x, oracle.add_cp(core, 5))
 
 

@@ -86,11 +86,6 @@ class TestBuildLinearMatrices:
         assert not a_i[mats.support_len:].any()
         assert not a_q[mats.support_len:].any()
 
-    def test_rejects_odd_subcarriers(self):
-        p = PrototypeFilter(coefficients=np.ones(3), overlap=1, subcarriers=3)
-        with pytest.raises(ValueError):
-            build_linear_matrices(p, 3, 1)
-
 
 class TestLinearModulate:
     def test_real_impulse_extracts_first_column(self):

@@ -1,5 +1,8 @@
 """CP-OFDM as the pipeline runs it: plain GFDM with K = n_fft, M = 1 and the rect pulse."""
 
+import warnings
+from decimal import Decimal, localcontext
+
 import numpy as np
 import oracle
 import pytest
@@ -25,6 +28,7 @@ from wavemod.sim import (
     build_adapter,
     run_ber,
 )
+from wavemod.metrics import _gray_qam_q_terms
 
 
 def _config(n_fft, cp_len, active=None, channel="awgn", receiver="zf"):
@@ -224,6 +228,30 @@ class TestTheoreticalBer:
             pb = theoretical_ber(grid, 16, channel=channel)
             assert isinstance(pb, np.ndarray) and pb.shape == grid.shape
             assert pb[1, 2] == theoretical_ber(6.0, 16, channel=channel)
+
+    @pytest.mark.parametrize("channel", ["awgn", "rayleigh"])
+    def test_extreme_ebn0_is_finite_and_silent(self, channel):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pb = theoretical_ber([-4000.0, 4000.0], 16, channel=channel)
+        np.testing.assert_allclose(pb, [0.5, 0.0], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_rayleigh_matches_60_digit_expansion(self, order):
+        # The same Q-term expansion in 60-digit decimals; 1 - sqrt(h/(1+h))
+        # in doubles lost 8 digits to cancellation at 100 dB.
+        grid = np.arange(0.0, 101.0, 5.0)
+        got = theoretical_ber(grid, order, channel="rayleigh")
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for db, pb in zip(grid, got):
+                ebn0 = Decimal(10) ** (Decimal(float(db)) / 10)
+                base = 3 * Decimal(int(np.log2(order))) * ebn0 / (order - 1)
+                want = Decimal(0)
+                for weight, mult in _gray_qam_q_terms(order):
+                    h = mult ** 2 * base / 2
+                    want += Decimal(weight) * (1 - (h / (1 + h)).sqrt()) / 2
+                assert abs(Decimal(float(pb)) - want) <= Decimal("1e-12") * want
 
     def test_rejects_unsupported(self):
         with pytest.raises(ValueError):

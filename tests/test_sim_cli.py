@@ -452,14 +452,14 @@ class TestReusedBuffers:
         mats = adapter.mats
         plain = build_adapter(ScenarioConfig(waveform="gfdm"))
         rx = build_receiver(plain.mats, "zf")
-        d1, d2 = (rng.standard_normal((512, 70)) + 1j * rng.standard_normal((512, 70)) for _ in range(2))
+        d1, d2 = (rng.standard_normal((70, 512)) + 1j * rng.standard_normal((70, 512)) for _ in range(2))
         calls = [
             lambda d: oqam_modulate(mats, d),
             lambda d: oqam_demodulate(mats, oqam_modulate(mats, d)),
             lambda d: gfdm_modulate(plain.mats, d),
             lambda d: gfdm_demodulate(rx, d),
-            lambda d: adapter.transmit(d.T),
-            lambda d: receive(plain, plain.transmit(d.T), [1.0 + 0j], 0.0),
+            lambda d: adapter.transmit(d),
+            lambda d: receive(plain, plain.transmit(d), [1.0 + 0j], 0.0),
         ]
         for call in calls:
             first = call(d1)
