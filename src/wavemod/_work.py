@@ -18,10 +18,15 @@ own module name, so neither can overwrite the other's:
   writes its estimates over the sent symbols, which the frames have
   replaced by then.
 - ``gfdm`` keeps the OQAM modem's two GEMM operands, which live only
-  within one call.  The modulator's subsymbol transform shares
-  ``gfdm.gemm_out``: it sits there until the GEMM input has copied it.  The
-  demodulator folds the product's mirrored half into the spent
-  ``gfdm.gemm_in`` and transposes it into its output rows.
+  within one call.  The modulator's subsymbol transform, (M, frames, K),
+  shares ``gfdm.gemm_out``: it sits there until the (K, 2M, frames)
+  ``gfdm.gemm_in`` has copied it, and the GEMM then writes its block-major
+  (blocks, K, frames) product there, which is copied into the frames one
+  block at a time.  The demodulator reads the frames block-major into
+  ``gfdm.gemm_in``, (blocks, K, frames), has the GEMM write the
+  subsymbol-major (2M, K, frames) correlations to ``gfdm.gemm_out``, folds
+  their mirrored half into the spent ``gfdm.gemm_in`` and copies that into
+  its output rows one subsymbol at a time.
 
 The other modules keep no arrays: their per-chunk helpers work through
 their input :data:`BLOCK` elements at a time.

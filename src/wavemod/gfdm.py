@@ -48,6 +48,16 @@ conj(phi)/gain per bin, and for circular sets the odd bins conjugated.
 The modem derives phi and conj(phi)/gain per call; the set stores only the
 fused band, the gain and whether it is circular.
 
+Every copy around the GEMM moves 2-D tiles.  The transmitter writes Z
+subsymbol-major, (M, frames, K), fills the (K, 2M, frames) GEMM input with
+one transpose per subsymbol, and has the GEMM write its product through a
+strided view into a block-major (blocks, K, frames) array, from which block
+q of every frame is one transpose, the last cut to the frame.  The receiver
+reads the frames into a block-major input the same way, and the GEMM writes
+the correlations subsymbol-major, (2M, K, frames).  Only the strides BLAS is
+given differ from contiguous residue-major operands of the same shapes, so
+the kernel and the bits are theirs.
+
 A matrix set is a small frozen description of a transmit matrix; the dense
 matrices it describes serve only as test oracles.  The modems take one
 frame per row: (n,) or (frames, n) in, (n_out,) or (frames, n_out) out.
@@ -244,13 +254,6 @@ def _framewise(a: np.ndarray, n_out: int, apply, out=None) -> np.ndarray:
     return out
 
 
-def _split_blocks(rows: np.ndarray, subcarriers: int) -> tuple[np.ndarray, np.ndarray]:
-    """(frames, n) samples as views: (frames, n // K, K) whole blocks and the (frames, n % K) rest."""
-    whole = rows.shape[1] // subcarriers * subcarriers
-    head = np.reshape(rows[:, :whole], (len(rows), -1, subcarriers), copy=False)
-    return head, rows[:, whole:]
-
-
 def _circular(weights: np.ndarray, blocks: np.ndarray, out: np.ndarray) -> None:
     """Circular filter over the subsymbol axis (-2), given per-bin weights, into ``out``.
 
@@ -334,16 +337,15 @@ def _mirror(subcarriers: int) -> tuple[tuple[slice, slice], ...]:
     return (slice(0, half + 1), slice(half, None, -1)), (slice(half + 1, None), slice(None, half, -1))
 
 
-def _gemm(band: np.ndarray, cols: np.ndarray, work) -> np.ndarray:
-    """Real (K, out, c) per-residue matrices times complex (K, c, frames) columns.
+def _gemm(band: np.ndarray, cols: np.ndarray, prod: np.ndarray) -> None:
+    """Real (K, out, c) per-residue matrices times complex (K, c, frames) columns, into ``prod``.
 
     The columns enter as interleaved (re, im) pairs, so the product runs as
-    one batched real GEMM.  Returns the (K, out, frames) product, the
-    "gfdm.gemm_out" array of the work area ``work``.
+    one batched real GEMM.  Either operand may be a strided view of a
+    block-major array; BLAS is given the strides, and the bits stay those
+    of contiguous operands of the same shapes.
     """
-    prod = work.get("gfdm.gemm_out", (band.shape[0], band.shape[1], cols.shape[-1]))
     np.matmul(band, cols.view(np.float64), out=prod.view(np.float64))
-    return prod
 
 
 def oqam_modulate(mats: OqamMatrixSet, d, out=None) -> np.ndarray:
@@ -352,28 +354,31 @@ def oqam_modulate(mats: OqamMatrixSet, d, out=None) -> np.ndarray:
     if d.shape[-1] != mats.n_symbols:
         raise ValueError(f"expected {mats.n_symbols} symbols, got {d.shape[-1]}")
     k, m = mats.subcarriers, mats.subsymbols
+    blocks = mats.band.shape[1]
     spread = _QUARTER_TURNS[np.arange(k) % 4]
     if mats.circular:
         spread[1::2] = spread[1::2].conj()
     work = _work.area()
 
     def synthesize(sym, dest):
-        # Z sits in the product's output buffer until the GEMM input has copied it.
-        z = work.get("gfdm.gemm_out", (len(sym), m, k))
-        np.multiply(sym.reshape(len(sym), m, k), spread, out=z)
+        n = len(sym)
+        # Z sits subsymbol-major in the product's buffer until the GEMM input has copied it.
+        z = work.get("gfdm.gemm_out", (m, n, k))
+        np.multiply(sym.reshape(n, m, k).transpose(1, 0, 2), spread, out=z)
         if mats.circular:
             np.negative(z.imag[..., 1::2], out=z.imag[..., 1::2])
         np.fft.ifft(z, axis=-1, norm="forward", out=z)
-        cols = work.get("gfdm.gemm_in", (k, 2 * m, len(sym)))
-        np.copyto(cols[:, :m], z.transpose(2, 1, 0))
+        cols = work.get("gfdm.gemm_in", (k, 2 * m, n))
+        for s in range(m):
+            np.copyto(cols[:, s], z[s].T)
         for dst, src in _mirror(k):
             np.conjugate(cols[src, :m], out=cols[dst, m:])
-        blocks = _gemm(mats.band, cols, work).transpose(2, 1, 0)
-        # Each sample is written once, straight from the residue-major product.
-        head, tail = _split_blocks(dest, k)
-        head[:] = blocks[:, : head.shape[1]]
-        if tail.size:
-            tail[:] = blocks[:, head.shape[1], : tail.shape[1]]
+        # Block-major product: block q of every frame is one (K, frames) tile.
+        prod = work.get("gfdm.gemm_out", (blocks, k, n))
+        _gemm(mats.band, cols, prod.transpose(1, 0, 2))
+        for q, lo in enumerate(range(0, dest.shape[1], k)):
+            hi = min(lo + k, dest.shape[1])
+            np.copyto(dest[:, lo:hi], prod[q, : hi - lo].T)
 
     return _framewise(d, mats.frame_len, synthesize, out)
 
@@ -392,26 +397,30 @@ def oqam_demodulate(mats: OqamMatrixSet, y_eq, out=None) -> np.ndarray:
         raise ValueError(f"expected {mats.frame_len} samples, got {y_eq.shape[-1]}")
     k, m = mats.subcarriers, mats.subsymbols
     band = mats.band.transpose(0, 2, 1)
+    blocks = band.shape[2]
     despread = _QUARTER_TURNS[np.arange(k) % 4].conj() / mats.gain
     work = _work.area()
 
     def analyze(rows, dest):
-        # Sample r + qK is entry q of residue r's column, zero past the frame.
-        cols = work.get("gfdm.gemm_in", (k, band.shape[2], len(rows)))
-        head, tail = _split_blocks(rows, k)
-        whole = head.shape[1]
-        np.copyto(cols[:, :whole], head.transpose(2, 1, 0))
-        cols[:, whole:] = 0
-        if tail.size:
-            cols[: tail.shape[1], whole] = tail.T
-        corr = _gemm(band, cols, work)
-        # The mirror folds in residue-major order, in the spent GEMM input.
-        fold = work.get("gfdm.gemm_in", (k, m, len(rows)))
+        n = len(rows)
+        # Block-major input: block q of every frame is one (K, frames) tile,
+        # sample r + qK at entry r of tile q, zero past the frame.
+        cols = work.get("gfdm.gemm_in", (blocks, k, n))
+        for q in range(blocks):
+            lo = min(q * k, rows.shape[1])
+            hi = min(lo + k, rows.shape[1])
+            np.copyto(cols[q, : hi - lo], rows[:, lo:hi].T)
+            cols[q, hi - lo:] = 0
+        corr = work.get("gfdm.gemm_out", (2 * m, k, n))
+        _gemm(band, cols.transpose(1, 0, 2), corr.transpose(1, 0, 2))
+        # The mirror folds subsymbol-major, in the spent GEMM input.
+        fold = work.get("gfdm.gemm_in", (m, k, n))
         for dst, src in _mirror(k):
-            np.conjugate(corr[src, m:], out=fold[dst])
-        fold += corr[:, :m]
-        w = np.reshape(dest, (len(rows), m, k), copy=False)
-        np.copyto(w, fold.transpose(2, 1, 0))
+            np.conjugate(corr[m:, src], out=fold[:, dst])
+        fold += corr[:m]
+        w = np.reshape(dest, (n, m, k), copy=False)
+        for s in range(m):
+            np.copyto(w[:, s], fold[s].T)
         np.fft.fft(w, axis=-1, out=w)
         w *= despread
         if mats.circular:

@@ -4,8 +4,13 @@ Each axis has L = 2**nb levels.  Level index i carries Gray label i ^ (i >> 1)
 and amplitude (L - 1 - 2*i) * scale, and a symbol's label is its in-phase
 label followed by its quadrature label, MSB first.  Both directions work
 through per-order tables built on first use and kept read-only: the (order,)
-points and the (order, log2 order) bits, both indexed by label, and the
-per-axis Gray labels indexed by level.
+points and the (order, log2 order) bits, both indexed by label, the per-axis
+Gray labels indexed by level, and the packed table.  That table maps
+MSB-first packed bits straight to symbols: each entry, indexed by one byte
+(four QPSK or two 16-QAM symbols) or, for 64-QAM, by twelve bits (two
+symbols, two entries per three bytes), holds the symbols those bits carry.
+:func:`map_packed` maps the bytes a simulation draws, and :func:`qam_map`
+packs its bits and maps them the same way.
 """
 
 import functools
@@ -53,12 +58,17 @@ class _Tables:
         self.points = amp_by_label[label >> nb] + 1j * amp_by_label[label & q_mask]
         self.bits = ((label[:, None] >> np.arange(2 * nb - 1, -1, -1)) & 1).astype(np.uint8)
         self.labels = labels.astype(np.uint8)  # (L,) per-axis Gray label, by level
+        # (2**width, width // bps) symbols of every MSB-first group of packed bits
+        bps = 2 * nb
+        width = 12 if order == 64 else 8
+        group = np.arange(1 << width)[:, None] >> np.arange(width - bps, -1, -bps)
+        self.packed = self.points[group & (order - 1)]
         self.scale = float(scale)
         # A tie lies within 1e-12*(1+|v|) in distance of a midpoint, where
         # |v| <= amps[0]; a distance difference is 4*scale per level unit.
         # Demapping re-decides samples within twice that band.
         self.tie_band = 2.0 * 1e-12 * (1.0 + amps[0]) / (4.0 * scale)
-        for table in (self.points, self.bits, self.labels):
+        for table in (self.points, self.bits, self.labels, self.packed):
             table.setflags(write=False)
 
 
@@ -86,27 +96,67 @@ def qam_map(bits, order: int, out=None) -> np.ndarray:
 
     Each symbol consumes log2(order) bits: the first half selects the
     in-phase level, the second half the quadrature level, MSB first.  The
-    bits of each symbol fold MSB-first into a uint8 label, which indexes the
-    point table.  The symbols go to ``out``, of shape (n_symbols,), if given.
-    Raises ValueError on an unsupported order, a bit count not divisible by
+    bits are packed MSB-first into bytes and mapped by :func:`map_packed`.
+    The symbols go to ``out``, of shape (n_symbols,), if given.  Raises
+    ValueError on an unsupported order, a bit count not divisible by
     log2(order), or any bit that is not 0 or 1.
     """
-    tables = _tables(order)
-    bps = tables.bits.shape[1]
+    bps = _tables(order).bits.shape[1]
     b = _binary_bits(bits)
     if len(b) % bps != 0:
         raise ValueError(f"bit count {len(b)} not divisible by {bps}")
-    b = b.reshape(-1, bps)
+    return map_packed(np.packbits(b), order, len(b) // bps, out=out)
+
+
+def _entries(packed: np.ndarray, order: int) -> np.ndarray:
+    """Packed-table indices of whole groups of MSB-first packed bytes.
+
+    A byte is one index, except for 64-QAM, where bytes (b0, b1, b2) hold
+    the two 12-bit indices b0 b1[7:4] and b1[3:0] b2.
+    """
+    if order != 64:
+        return packed
+    b = packed.reshape(-1, 3)
+    idx = np.empty((len(b), 2), dtype=np.uint16)
+    np.left_shift(b[:, 0], 4, out=idx[:, 0], dtype=np.uint16)
+    idx[:, 0] |= b[:, 1] >> 4
+    np.bitwise_and(b[:, 1], 0xF, out=idx[:, 1], dtype=np.uint16)
+    idx[:, 1] <<= 8
+    idx[:, 1] |= b[:, 2]
+    return idx.ravel()
+
+
+def map_packed(packed, order: int, n_symbols: int, out=None) -> np.ndarray:
+    """The first ``n_symbols`` symbols carried by MSB-first packed bits, as :func:`qam_map` maps them.
+
+    ``packed`` is a uint8 array of at least ceil(n_symbols * log2(order) /
+    8) bytes; bits past the last symbol's are ignored.  Each group of bytes
+    indexes the packed table, whose entry holds its symbols; a last group
+    cut short is zero-filled.  The symbols go to ``out``, of shape
+    (n_symbols,), if given.
+    """
+    tables = _tables(order)
+    bps, per_entry = tables.bits.shape[1], tables.packed.shape[1]
+    group = 3 if order == 64 else 1  # bytes per group of whole entries
+    per_group = 8 * group // bps  # symbols per group
+    packed = np.asarray(packed, dtype=np.uint8)
+    if 8 * len(packed) < n_symbols * bps:
+        raise ValueError(f"{len(packed)} bytes do not hold {n_symbols} symbols of order {order}")
     if out is None:
-        out = np.empty(len(b), dtype=complex)
-    for lo in range(0, len(b), BLOCK):
-        block = b[lo:lo + BLOCK]
-        label = block[:, 0].copy()
-        for j in range(1, bps):
-            label <<= 1
-            label |= block[:, j]
-        # Every label indexes the table: "clip" mode writes ``out`` directly, "raise" buffers.
-        np.take(tables.points, label, out=out[lo:lo + BLOCK], mode="clip")
+        out = np.empty(n_symbols, dtype=complex)
+    whole, rest = divmod(n_symbols, per_group)
+    rows = out[: whole * per_group].reshape(-1, per_entry)
+    step = BLOCK - BLOCK % group
+    for lo in range(0, whole * group, step):
+        entries = _entries(packed[lo:min(lo + step, whole * group)], order)
+        first = lo * per_group // group // per_entry
+        # Every index is in range: "clip" mode writes ``out`` directly, "raise" buffers.
+        np.take(tables.packed, entries, axis=0, out=rows[first:first + len(entries)], mode="clip")
+    if rest:
+        last = np.zeros(group, dtype=np.uint8)
+        tail = packed[whole * group:(whole + 1) * group]
+        last[: len(tail)] = tail
+        out[whole * per_group:] = tables.packed[_entries(last, order)].ravel()[:rest]
     return out
 
 

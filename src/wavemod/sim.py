@@ -6,7 +6,10 @@ each chunk draws its bits, TVFS fades and noise from one generator keyed by
 bit-identical across runs and worker counts.  The waveform is not in the
 key: waveforms with equal data sizes see common random numbers, and Linear
 GFDM and FBMC emit the same samples.  One helper draws, maps and transmits
-a chunk for every instrument; each BER chunk then runs the equalizer,
+a chunk for every instrument: the bits stay the packed bytes they are drawn
+as and map straight to symbols, and only the BER count unpacks them.  A
+sub-band allocation is held as runs of consecutive active bins, so its
+scatter and gather are slice copies.  Each BER chunk then runs the equalizer,
 demodulator, demapper and error count once (``ber_errors``), with TVFS taps
 as one (frames, n_taps) array, and a PSD run streams Welch's estimate chunk
 by chunk (``run_psd``).  The channel is a linear convolution followed by
@@ -43,7 +46,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import _work
 from . import channel as chan
 from . import gfdm as gfdm_mod
-from .mapping import qam_map, qam_demap
+from .mapping import map_packed, qam_demap
 from .metrics import (
     MetricCurve,
     WelchAccumulator,
@@ -225,8 +228,8 @@ class _MatrixAdapter:
         self.support_len = self.frame_len if circular else mats.support_len
         self.stride = self.frame_len if circular else k * m
         # None under the full allocation: data fill every bin, no scatter or gather.
-        self._mask = None if wp.active is None else _active_mask(wp.active, k, m)
-        self.n_data = k * m if self._mask is None else int(self._mask.sum())
+        self._runs = None if wp.active is None else _active_runs(wp.active)
+        self.n_data = k * m if self._runs is None else m * self._runs[-1][1].stop
         self._rx_cache = {}
 
     def _receiver(self, noise_var):
@@ -253,7 +256,7 @@ class _MatrixAdapter:
         """
         if out is None:
             out = np.empty((len(d), self.frame_len), dtype=complex)
-        full = d if self._mask is None else _scatter(d, self._mask)
+        full = d if self._runs is None else _scatter(d, self._runs, self.mats.subcarriers)
         modulate = gfdm_mod.oqam_modulate if self._oqam else gfdm_mod.gfdm_modulate
         modulate(self.mats, full, out=out[:, self.cp_len:])
         if self.cp_len:
@@ -288,27 +291,58 @@ class _MatrixAdapter:
         if out is None:
             out = np.empty((len(y_eq), self.n_data), dtype=complex)
         full = out
-        if self._mask is not None:
-            full = _work.area().get("sim.demodulated", (len(y_eq), len(self._mask)))
+        if self._runs is not None:
+            full = _work.area().get("sim.demodulated", y_eq.shape)
         if self._oqam:
             gfdm_mod.oqam_demodulate(self.mats, y_eq, out=full)
         else:
             gfdm_mod.gfdm_demodulate(self._receiver(noise_var), y_eq, out=full)
-        if self._mask is not None:
-            np.compress(self._mask, full, axis=1, out=out)
+        if self._runs is not None:
+            _gather(full, self._runs, self.mats.subcarriers, out)
         return out
 
 
-def _active_mask(active, k: int, m: int) -> np.ndarray:
-    return np.tile(np.isin(np.arange(k), active), m)  # the same subcarriers in every subsymbol
+def _active_runs(active) -> tuple[tuple[slice, slice], ...]:
+    """The active bins as (bins, data) slice pairs, one per run of consecutive bins.
+
+    Every subsymbol carries its data on the same bins in increasing order,
+    so each run takes the data slice that follows the previous run's.
+    """
+    runs = []
+    for at, b in enumerate(sorted({int(b) for b in active})):
+        if runs and runs[-1][0].stop == b:
+            bins, data = runs[-1]
+            runs[-1] = (slice(bins.start, b + 1), slice(data.start, at + 1))
+        else:
+            runs.append((slice(b, b + 1), slice(at, at + 1)))
+    return tuple(runs)
 
 
-def _scatter(d, mask) -> np.ndarray:
-    """(count, n_data) symbols on the active bins of (count, K*M) rows, zero elsewhere."""
-    full = _work.area().get("sim.scattered", (len(d), len(mask)))
-    full[:] = 0
-    full[:, mask] = d
-    return full
+def _scatter(d, runs, k: int) -> np.ndarray:
+    """(count, n_data) symbols on the active bins of (count, K*M) rows, zero elsewhere.
+
+    The rows are viewed as (count, M, K) and filled one run, or one gap
+    between runs, at a time.
+    """
+    count = len(d)
+    data = d.reshape(count, -1, runs[-1][1].stop)
+    full = _work.area().get("sim.scattered", (count, data.shape[1], k))
+    end = 0
+    for bins, part in runs:
+        full[..., end:bins.start] = 0
+        full[..., bins] = data[..., part]
+        end = bins.stop
+    full[..., end:] = 0
+    return full.reshape(count, -1)
+
+
+def _gather(full, runs, k: int, out) -> None:
+    """The active bins of (count, K*M) rows into the (count, n_data) ``out``, run by run."""
+    count = len(full)
+    rows = full.reshape(count, -1, k)
+    data = out.reshape(count, rows.shape[1], -1)
+    for bins, part in runs:
+        data[..., part] = rows[..., bins]
 
 
 # waveform -> (matrix builder, circular frame with CP, default prototype)
@@ -334,10 +368,13 @@ def build_adapter(config: ScenarioConfig):
 
 
 def _draw_chunk(config: ScenarioConfig, adapter, scenario_id, start, count, with_noise):
-    """Draws for frames [start, start+count): bits, taps, noise.
+    """Draws for frames [start, start+count): packed bits, taps, noise.
 
     One generator, keyed by (seed, ``scenario_id``, ``start``), draws the
-    (count, bits_per_frame) bits, then the TVFS fades, then the noise.  This
+    bits as ceil(n_bits / 8) random bytes, then the TVFS fades, then the
+    noise.  The bytes stay packed: frame f's bits are bits
+    [f * bits_per_frame, (f + 1) * bits_per_frame) of the byte stream, MSB
+    first, and bits past the last frame's are drawn but unused.  This
     is the one place that knows the channels: the taps are one (n_taps,)
     vector on AWGN and TIFS and (count, n_taps) per-frame fades on TVFS.  The
     unit-variance complex noise covers the whole received frame, ``frame_len
@@ -350,7 +387,6 @@ def _draw_chunk(config: ScenarioConfig, adapter, scenario_id, start, count, with
     )
     n_bits = count * adapter.n_data * int(np.log2(config.waveform_params.qam_order))
     packed = np.frombuffer(rng.bytes(-(-n_bits // 8)), np.uint8)
-    bits = np.unpackbits(packed, count=n_bits).reshape(count, -1)
     if config.channel == "tvfs":
         taps = chan.draw_tvfs(rng, count, corrected=config.tvfs_corrected)
     elif config.channel == "tifs":
@@ -358,32 +394,34 @@ def _draw_chunk(config: ScenarioConfig, adapter, scenario_id, start, count, with
     else:
         taps = np.array([1.0 + 0j])
     if not with_noise:
-        return bits, taps, None
+        return packed, taps, None
     noise_len = adapter.frame_len + taps.shape[-1] - 1
     noise = chan.awgn_parts(rng, _work.area().get("sim.noise", (2, count, noise_len), float))
-    return bits, taps, noise
+    return packed, taps, noise
 
 
 def _transmit_chunk(config: ScenarioConfig, adapter, scenario_id, start, count, with_noise=False):
     """Draw, map and transmit frames [start, start+count).
 
-    Returns the (count, frame_len) frames, written into the work area, then
-    the draws of :func:`_draw_chunk`.
+    The symbols are mapped straight from the packed bytes, which are never
+    unpacked here.  Returns the (count, frame_len) frames, written into the
+    work area, then the draws of :func:`_draw_chunk`.
     """
     work = _work.area()
-    bits, taps, noise = _draw_chunk(config, adapter, scenario_id, start, count, with_noise)
+    packed, taps, noise = _draw_chunk(config, adapter, scenario_id, start, count, with_noise)
     symbols = work.get("sim.symbols", count * adapter.n_data)
-    qam_map(bits, config.waveform_params.qam_order, out=symbols)
+    map_packed(packed, config.waveform_params.qam_order, symbols.size, out=symbols)
     frames = work.get("sim.frames", (count, adapter.frame_len))
     x = adapter.transmit(symbols.reshape(count, -1), out=frames)
-    return x, bits, taps, noise
+    return x, packed, taps, noise
 
 
-def ber_errors(adapter, order: int, bits, x, taps, noise, noise_var: float) -> tuple[int, int]:
+def ber_errors(adapter, order: int, packed, x, taps, noise, noise_var: float) -> tuple[int, int]:
     """Bit errors and bits of transmitted frames sent through the channel.
 
-    ``x`` holds the (count, frame_len) frames carrying ``bits``; ``taps`` and
-    the unit-variance ``noise`` are shaped as :func:`_draw_chunk` draws them.
+    ``x`` holds the (count, frame_len) frames carrying the ``packed`` bits;
+    ``packed``, ``taps`` and the unit-variance ``noise`` are as
+    :func:`_draw_chunk` draws them.
     Zero forcing inverts the channel exactly (see the module docstring), so
     the equalized frames are the sent frames' equalizer windows plus the
     zero-forced noise: the noise is scaled by sqrt(``noise_var``) as it is
@@ -402,8 +440,8 @@ def ber_errors(adapter, order: int, bits, x, taps, noise, noise_var: float) -> t
     d_hat = adapter.demodulate(y_eq, noise_var, out=estimates)
     rx_bits = work.get("sim.rx_bits", (d_hat.size, int(np.log2(order))), np.uint8)
     qam_demap(d_hat, order, out=rx_bits)
-    errors, _, _ = ber_count(bits, rx_bits)
-    return errors, bits.size
+    errors, n_bits, _ = ber_count(np.unpackbits(packed, count=rx_bits.size), rx_bits)
+    return errors, n_bits
 
 
 def _process_ber_chunk(config, adapter, scenario_id, start, count, noise_var):

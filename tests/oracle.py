@@ -11,7 +11,13 @@ arithmetic, bracketing and distance comparisons instead of the package's tables.
 separate constructions the OQAM sets had before one builder made them all:
 the wrapped prototype rolled by K/2, the prototype placed at 0 and K/2 in
 zeroed blocks, and the linear set with its frame cut to ``support_len``.
+``oqam_modulate`` and ``oqam_demodulate`` are the FFT modem's OQAM pair as
+it ran before its GEMM operands went block-major: frame-major transforms and
+one 3-D transpose on each side of the band GEMM, on fresh arrays; the
+modem's outputs must equal theirs bit for bit.
 ``add_cp`` and ``remove_cp`` build and strip a cyclic prefix by concatenation.
+``draw_chunk`` writes out a chunk's draws under RNG scheme chunk-v2, with the
+bits unpacked.
 ``convolve_rows`` is the reference channel, a time-domain linear convolution,
 which the simulator never runs: its zero forcing inverts the channel exactly,
 so it adds zero-forced noise to the sent frames instead.
@@ -21,7 +27,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from wavemod import OqamMatrixSet, sim, welch_psd
+from wavemod import TIFS_TAPS, TVFS_GAINS, TVFS_GAINS_CORRECTED, OqamMatrixSet, sim, welch_psd
+from wavemod.gfdm import _FRAME_BLOCK
 
 
 def _wrap_prototype(p, n: int) -> np.ndarray:
@@ -148,6 +155,73 @@ def fbmc_oqam_set(p, subcarriers: int, subsymbols: int) -> OqamMatrixSet:
     return replace(mats, frame_len=mats.support_len)
 
 
+def _turns(k: int) -> np.ndarray:
+    """OQAM rotation j^k of each subcarrier, exact."""
+    return np.array([1, 1j, -1, -1j])[np.arange(k) % 4]
+
+
+def oqam_modulate(mats: OqamMatrixSet, d) -> np.ndarray:
+    """(frames, frame_len) frames of (frames, K*M) symbols, through residue-major GEMM operands.
+
+    Per block of ``_FRAME_BLOCK`` frames, as the GEMM's bits depend on its
+    width: Z = IFFT_K(phi * d) as (frames, M, K), one 3-D transpose to the
+    (K, 2M, frames) input with the mirrored conjugate half, the band GEMM
+    into (K, blocks, frames), and one 3-D transpose back to the frames.
+    """
+    d = np.atleast_2d(np.asarray(d, dtype=complex))
+    k, m = mats.subcarriers, mats.subsymbols
+    spread = _turns(k)
+    if mats.circular:
+        spread[1::2] = spread[1::2].conj()
+    mirror = (k // 2 - np.arange(k)) % k
+    out = np.empty((len(d), mats.frame_len), dtype=complex)
+    for lo in range(0, len(d), _FRAME_BLOCK):
+        sym = d[lo:lo + _FRAME_BLOCK]
+        n = len(sym)
+        z = sym.reshape(n, m, k) * spread
+        if mats.circular:
+            z.imag[..., 1::2] = -z.imag[..., 1::2]
+        z = np.fft.ifft(z, axis=-1, norm="forward")
+        cols = np.empty((k, 2 * m, n), dtype=complex)
+        cols[:, :m] = z.transpose(2, 1, 0)
+        cols[:, m:] = cols[mirror, :m].conj()
+        prod = np.empty((k, mats.band.shape[1], n), dtype=complex)
+        np.matmul(mats.band, cols.view(np.float64), out=prod.view(np.float64))
+        out[lo:lo + n] = prod.transpose(2, 1, 0).reshape(n, -1)[:, : mats.frame_len]
+    return out
+
+
+def oqam_demodulate(mats: OqamMatrixSet, y) -> np.ndarray:
+    """(frames, K*M) symbols of (frames, frame_len) frames, through residue-major GEMM operands.
+
+    Per block of ``_FRAME_BLOCK`` frames: the zero-padded frames transposed
+    to (K, blocks, frames), the transposed band's GEMM into (K, 2M, frames),
+    the mirrored conjugate half folded into the direct one, and one FFT per
+    subsymbol after a 3-D transpose back to (frames, M, K).
+    """
+    y = np.atleast_2d(np.asarray(y, dtype=complex))
+    k, m = mats.subcarriers, mats.subsymbols
+    band = mats.band.transpose(0, 2, 1)
+    blocks = band.shape[2]
+    despread = _turns(k).conj() / mats.gain
+    mirror = (k // 2 - np.arange(k)) % k
+    out = np.empty((len(y), k * m), dtype=complex)
+    for lo in range(0, len(y), _FRAME_BLOCK):
+        rows = y[lo:lo + _FRAME_BLOCK]
+        n = len(rows)
+        padded = np.zeros((n, blocks * k), dtype=complex)
+        padded[:, : rows.shape[1]] = rows
+        cols = np.ascontiguousarray(padded.reshape(n, blocks, k).transpose(2, 1, 0))
+        corr = np.empty((k, 2 * m, n), dtype=complex)
+        np.matmul(band, cols.view(np.float64), out=corr.view(np.float64))
+        fold = corr[mirror, m:].conj() + corr[:, :m]
+        w = np.fft.fft(fold.transpose(2, 1, 0), axis=-1) * despread
+        if mats.circular:
+            w.imag[..., 1::2] = -w.imag[..., 1::2]
+        out[lo:lo + n] = w.reshape(n, -1)
+    return out
+
+
 def build_receiver(a: np.ndarray, kind: str, noise_var: float = 0.0) -> np.ndarray:
     """Dense ZF, MF or MMSE receiver matrix for the transmit matrix ``a``.
 
@@ -164,6 +238,31 @@ def build_receiver(a: np.ndarray, kind: str, noise_var: float = 0.0) -> np.ndarr
         b = np.linalg.solve(noise_var * np.eye(n, dtype=complex) + a.conj().T @ a, a.conj().T)
         return b / np.diag(b @ a)[:, None]
     raise ValueError(f"unknown receiver kind {kind!r}")
+
+
+def draw_chunk(config, adapter, scenario_id: int, start: int, count: int):
+    """(bits, taps, noise) of frames [start, start + count) under RNG scheme chunk-v2.
+
+    One generator keyed by (seed, ``scenario_id``, ``start``) draws
+    ceil(n_bits / 8) bytes, whose bits MSB first are the (count,
+    bits_per_frame) bits; then on TVFS a (2, count, 4) standard normal draw,
+    real parts first, scaled to unit complex variance and by the tap gains;
+    then the (2, count, frame_len + n_taps - 1) unit complex noise parts.
+    """
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=[config.seed & 0xFFFF_FFFF_FFFF_FFFF, scenario_id, start])
+    )
+    n_bits = count * adapter.n_data * int(np.log2(config.waveform_params.qam_order))
+    packed = np.frombuffer(rng.bytes(-(-n_bits // 8)), np.uint8)
+    bits = np.unpackbits(packed)[:n_bits].reshape(count, -1)
+    if config.channel == "tvfs":
+        gains = TVFS_GAINS_CORRECTED if config.tvfs_corrected else TVFS_GAINS
+        parts = rng.standard_normal((2, count, len(gains))) * np.sqrt(0.5)
+        taps = gains * (parts[0] + 1j * parts[1])
+    else:
+        taps = TIFS_TAPS.astype(complex) if config.channel == "tifs" else np.array([1.0 + 0j])
+    noise = rng.standard_normal((2, count, adapter.frame_len + taps.shape[-1] - 1)) * np.sqrt(0.5)
+    return bits, taps, noise
 
 
 def convolve_rows(x, taps) -> np.ndarray:

@@ -252,6 +252,29 @@ def test_one_builder_matches_the_three_constructions(build, reference, k):
             )
 
 
+@pytest.mark.parametrize("k", (2, 4, 6, 16, 128, 256))
+@pytest.mark.parametrize("build", _OQAM_BUILDERS)
+def test_block_major_layout_matches_the_transposes(build, k):
+    # The block-major GEMM operands change only strides, so the modem gives
+    # the transpose-based modem's bits: at every M, at frame counts that
+    # cross the frame block, and where the frame ends inside a block (a
+    # linear frame of K*(4 + M) - K/2 + 2 samples at every K but 4, an FBMC
+    # burst one sample shorter at every K but 2).
+    rng = np.random.default_rng(k)
+    for m in range(1, 9):
+        mats = build(phydyas(k, 4), k, m)
+        n = mats.frame_len
+        d = rng.standard_normal((130, k * m)) + 1j * rng.standard_normal((130, k * m))
+        y = rng.standard_normal((130, n)) + 1j * rng.standard_normal((130, n))
+        for frames in (1, 3, 64, 65, 130):
+            assert np.array_equal(
+                oqam_modulate(mats, d[:frames]), oracle.oqam_modulate(mats, d[:frames])
+            ), (m, frames)
+            assert np.array_equal(
+                oqam_demodulate(mats, y[:frames]), oracle.oqam_demodulate(mats, y[:frames])
+            ), (m, frames)
+
+
 class TestOqamModem:
     def test_real_data_uses_inphase_matrix(self):
         mats = build_oqam_matrices(phydyas(8, 2), 8, 2)

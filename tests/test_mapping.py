@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from wavemod import constellation, qam_demap, qam_map
 from wavemod._work import BLOCK
-from wavemod.mapping import _axis_levels, _demap_axis
+from wavemod.mapping import _axis_levels, _demap_axis, map_packed
 
 
 def _demap_axis_oracle(values, order):
@@ -44,15 +44,15 @@ class TestQamMap:
     @pytest.mark.parametrize(
         "bits, order, bad",
         [
-            ([0, 2, 0, 0], 16, "2"),
-            ([0, 1.7, 0, 0], 16, "1.7"),
-            ([2, 0], 4, "2"),
-            (np.array([0, 1, 0, 0, 1, 3], dtype=np.uint8), 64, "3"),
-            ([0, -1], 4, "-1"),
+            ([0, 2, 0, 0], 16, "2 at index 1"),
+            ([0, 1.7, 0, 0], 16, "1.7 at index 1"),
+            ([2, 0], 4, "2 at index 0"),
+            (np.array([0, 1, 0, 0, 1, 3], dtype=np.uint8), 64, "3 at index 5"),
+            ([0, -1], 4, "-1 at index 1"),
         ],
     )
     def test_rejects_non_binary_bits(self, bits, order, bad):
-        with pytest.raises(ValueError, match=f"got {bad}"):
+        with pytest.raises(ValueError, match=f"got {bad}$"):
             qam_map(bits, order)
 
     def test_bool_and_uint8_bits_map_like_ints(self):
@@ -148,6 +148,22 @@ class TestAgainstReference:
         bits = bits[: len(bits) - len(bits) % int(np.log2(order))]
         np.testing.assert_array_equal(qam_map(bits, order), oracle.qam_map(bits, order))
 
+    @settings(max_examples=200, deadline=None)
+    @given(order=st.sampled_from([4, 16, 64]), n=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+    def test_packed_bytes_map_like_their_bits(self, order, n, seed):
+        # Counts that end in a partial byte or 3-byte group, whose unused
+        # bits are random, as drawn.
+        bps = int(np.log2(order))
+        packed = np.random.default_rng(seed).integers(0, 256, -(-n * bps // 8), dtype=np.uint8)
+        want = oracle.qam_map(np.unpackbits(packed)[: n * bps], order)
+        np.testing.assert_array_equal(map_packed(packed, order, n), want)
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_packed_bytes_must_hold_every_symbol(self, order):
+        n = 8 * 3 + 1  # one symbol past three bytes' worth
+        with pytest.raises(ValueError, match="bytes"):
+            map_packed(np.zeros(n * int(np.log2(order)) // 8, dtype=np.uint8), order, n)
+
     @settings(max_examples=100, deadline=None)
     @given(
         order=st.sampled_from([4, 16, 64]),
@@ -168,6 +184,9 @@ class TestAgainstReference:
         bits = rng.integers(0, 2, (3 * BLOCK + 5) * bps)
         d = np.empty(3 * BLOCK + 5, dtype=complex)
         assert qam_map(bits, order, out=d) is d
+        np.testing.assert_array_equal(d, oracle.qam_map(bits, order))
+        d[:] = 0
+        assert map_packed(np.packbits(bits), order, d.size, out=d) is d
         np.testing.assert_array_equal(d, oracle.qam_map(bits, order))
         y = d + 0.3 * (rng.standard_normal(d.size) + 1j * rng.standard_normal(d.size))
         labels = np.empty((d.size, bps), dtype=np.uint8)

@@ -38,7 +38,10 @@ from wavemod.sim import (
     run_psd,
     run_scenario,
     _WELCH_SEGMENT,
+    _active_runs,
     _draw_chunk,
+    _gather,
+    _scatter,
     _scenario_id,
     _transmit_chunk,
     ber_errors,
@@ -217,15 +220,15 @@ def _production_chunk(adapter, cfg, count, noise_var):
         return type(adapter).demodulate(adapter, y_eq, nv, out=out)
 
     with _work.borrowed():
-        x, bits, taps, noise = _transmit_chunk(cfg, adapter, 0, 0, count, True)
-        x, bits, noise = x.copy(), bits.copy(), noise.copy()
+        x, packed, taps, noise = _transmit_chunk(cfg, adapter, 0, 0, count, True)
+        x, packed, noise = x.copy(), packed.copy(), noise.copy()
         adapter.demodulate = demodulate
         try:
             order = cfg.waveform_params.qam_order
-            counts = ber_errors(adapter, order, bits, x, taps, noise, noise_var)
+            counts = ber_errors(adapter, order, packed, x, taps, noise, noise_var)
         finally:
             del adapter.demodulate
-    return counts, seen[0], (x, bits, taps, noise)
+    return counts, seen[0], (x, packed, taps, noise)
 
 
 class TestBatchedReceive:
@@ -279,9 +282,10 @@ class TestBatchedReceive:
         cfg = ScenarioConfig(waveform=waveform, seed=11, **_CHANNEL_CASES[channel])
         adapter = build_adapter(cfg)
         noise_var = 0.05  # Eb/N0 = 7 dB
-        (errors, n_bits), _, (x, bits, taps, noise) = _production_chunk(adapter, cfg, 8, noise_var)
+        (errors, n_bits), _, (x, packed, taps, noise) = _production_chunk(adapter, cfg, 8, noise_var)
         d_hat = adapter.demodulate(_oracle_equalized(adapter, x, taps, noise, noise_var), noise_var)
-        want = int(np.count_nonzero(oracle.qam_demap(d_hat.ravel(), 16) != bits.ravel()))
+        bits = np.unpackbits(packed, count=4 * d_hat.size)
+        want = int(np.count_nonzero(oracle.qam_demap(d_hat.ravel(), 16) != bits))
         assert (errors, n_bits) == (want, bits.size)
         assert errors > 0
 
@@ -313,6 +317,88 @@ class TestCommonRandomNumbers:
             for w in ("linear_gfdm", "fbmc")
         )
         np.testing.assert_array_equal(lin.values, fb.values)
+
+
+class TestPackedDraws:
+    """Symbols map straight from the drawn bytes, and the draws after the bytes do not move."""
+
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("waveform,k,m", [("gfdm", 5, 3), ("ofdm", 45, 1)])
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_odd_chunks_map_like_the_unpacked_bits(self, order, waveform, k, m, count):
+        # An odd K*M*count ends every order's bits in a partial byte, and
+        # 64-QAM's in a partial 3-byte group.
+        wp = WaveformParams(qam_order=order, subcarriers=k, subsymbols=m, n_fft=k, cp_len=4)
+        cfg = ScenarioConfig(waveform=waveform, seed=3, waveform_params=wp)
+        cfg.validate()
+        adapter = build_adapter(cfg)
+        x = _transmit_chunk(cfg, adapter, 7, 0, count)[0]
+        bits = oracle.draw_chunk(cfg, adapter, 7, 0, count)[0]
+        symbols = oracle.qam_map(bits, order).reshape(count, -1)
+        np.testing.assert_array_equal(x, adapter.transmit(symbols))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        waveform=st.sampled_from(WAVEFORMS),
+        order=st.sampled_from((4, 16, 64)),
+        corrected=st.booleans(),
+        count=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tvfs_chunk_draws_are_scheme_v2(self, waveform, order, corrected, count, seed):
+        wp = WaveformParams(qam_order=order, subcarriers=6, subsymbols=3, n_fft=18, cp_len=7)
+        cfg = ScenarioConfig(
+            waveform=waveform, channel="tvfs", tvfs_corrected=corrected, seed=seed, waveform_params=wp
+        )
+        adapter = build_adapter(cfg)
+        packed, taps, noise = _draw_chunk(cfg, adapter, 5, 64, count, True)
+        bits, want_taps, want_noise = oracle.draw_chunk(cfg, adapter, 5, 64, count)
+        assert len(packed) == -(-bits.size // 8)
+        np.testing.assert_array_equal(np.unpackbits(packed, count=bits.size), bits.ravel())
+        np.testing.assert_array_equal(taps, want_taps)
+        np.testing.assert_array_equal(noise, want_noise)
+
+
+class TestAllocationRuns:
+    """The run-sliced scatter and gather equal the boolean-mask form."""
+
+    @staticmethod
+    def _check(active, k=16, m=3, count=4):
+        mask = np.tile(np.isin(np.arange(k), active), m)
+        runs = _active_runs(active)
+        rng = np.random.default_rng(len(active))
+        d = rng.standard_normal((count, mask.sum())) + 1j * rng.standard_normal((count, mask.sum()))
+        want = np.zeros((count, k * m), dtype=complex)
+        want[:, mask] = d
+        np.testing.assert_array_equal(_scatter(d, runs, k), want)
+        full = rng.standard_normal((count, k * m)) + 1j * rng.standard_normal((count, k * m))
+        got = np.empty_like(d)
+        _gather(full, runs, k, got)
+        np.testing.assert_array_equal(got, np.compress(mask, full, axis=1))
+        wp = WaveformParams(subcarriers=k, subsymbols=m, active=tuple(active))
+        assert build_adapter(ScenarioConfig(waveform="gfdm", waveform_params=wp)).n_data == d.shape[1]
+
+    @pytest.mark.parametrize(
+        "active",
+        [
+            (9, 2, 3, 14, 1, 15),  # unsorted
+            psd_default_active(16),  # wrapping through bin 0
+            (7,),
+            tuple(range(0, 16, 2)),
+            tuple(b for b in range(16) if b != 5),
+            tuple(range(16)),
+        ],
+    )
+    def test_named_sets(self, active):
+        self._check(active)
+
+    @settings(max_examples=40, deadline=None)
+    @given(active=st.sets(st.integers(0, 15), min_size=1).flatmap(lambda s: st.permutations(sorted(s))))
+    def test_random_sets(self, active):
+        self._check(tuple(active))
+
+    def test_default_psd_allocation_is_two_runs(self):
+        assert len(_active_runs(psd_default_active(128))) == 2
 
 
 def _fewest_psd_frames(waveform, wp):
@@ -430,6 +516,7 @@ class TestReusedBuffers:
             ScenarioConfig(waveform="linear_gfdm", metric="papr", frames=1100),
             _ber_config(waveform="fbmc", channel="tvfs", ebn0_grid_db=(6.0, 10.0), frames=300),
             _ber_config(waveform="gfdm_oqam_circular", channel="tifs", frames=300),
+            ScenarioConfig(waveform="fbmc", metric="psd", frames=300),
         ]
         runs = {}
         interval = sys.getswitchinterval()
