@@ -292,7 +292,9 @@ class _MatrixAdapter:
             out = np.empty((len(y_eq), self.n_data), dtype=complex)
         full = out
         if self._runs is not None:
-            full = _work.area().get("sim.demodulated", y_eq.shape)
+            # The K*M grid, which a prefix-free frame's window is longer than.
+            grid = self.mats.subcarriers * self.mats.subsymbols
+            full = _work.area().get("sim.demodulated", (len(y_eq), grid))
         if self._oqam:
             gfdm_mod.oqam_demodulate(self.mats, y_eq, out=full)
         else:
@@ -339,8 +341,8 @@ def _scatter(d, runs, k: int) -> np.ndarray:
 def _gather(full, runs, k: int, out) -> None:
     """The active bins of (count, K*M) rows into the (count, n_data) ``out``, run by run."""
     count = len(full)
-    rows = full.reshape(count, -1, k)
-    data = out.reshape(count, rows.shape[1], -1)
+    rows = np.reshape(full, (count, -1, k), copy=False)
+    data = np.reshape(out, (count, rows.shape[1], -1), copy=False)
     for bins, part in runs:
         data[..., part] = rows[..., bins]
 
@@ -440,6 +442,8 @@ def ber_errors(adapter, order: int, packed, x, taps, noise, noise_var: float) ->
     d_hat = adapter.demodulate(y_eq, noise_var, out=estimates)
     rx_bits = work.get("sim.rx_bits", (d_hat.size, int(np.log2(order))), np.uint8)
     qam_demap(d_hat, order, out=rx_bits)
+    if len(packed) != -(-rx_bits.size // 8):
+        raise ValueError(f"{len(packed)} bytes drawn for {rx_bits.size} received bits")
     errors, n_bits, _ = ber_count(np.unpackbits(packed, count=rx_bits.size), rx_bits)
     return errors, n_bits
 

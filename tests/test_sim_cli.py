@@ -359,6 +359,15 @@ class TestPackedDraws:
         np.testing.assert_array_equal(noise, want_noise)
 
 
+    def test_ber_count_refuses_bytes_that_do_not_match_the_frames(self):
+        cfg = ScenarioConfig(waveform="gfdm", seed=2, waveform_params=_SMALL)
+        adapter = _small_adapter("gfdm")
+        with _work.borrowed():
+            x, packed, taps, noise = _transmit_chunk(cfg, adapter, 0, 0, 2, True)
+            with pytest.raises(ValueError, match="bytes drawn"):
+                ber_errors(adapter, 16, packed[:-1], x, taps, noise, 0.05)
+
+
 class TestAllocationRuns:
     """The run-sliced scatter and gather equal the boolean-mask form."""
 
@@ -396,6 +405,32 @@ class TestAllocationRuns:
     @given(active=st.sets(st.integers(0, 15), min_size=1).flatmap(lambda s: st.permutations(sorted(s))))
     def test_random_sets(self, active):
         self._check(tuple(active))
+
+    def test_gather_writes_through_a_strided_output(self):
+        active = (1, 2, 5)
+        full = np.arange(4 * 16).reshape(4, 16) * (1 + 1j)
+        out = np.zeros((6, 4), dtype=complex).T
+        _gather(full, _active_runs(active), 8, out)
+        np.testing.assert_array_equal(out, full[:, np.tile(np.isin(np.arange(8), active), 2)])
+
+    @pytest.mark.parametrize("waveform", WAVEFORMS)
+    def test_sub_band_receive_gathers_the_full_grid(self, waveform):
+        # A prefix-free frame is longer than its K*M grid, which is what is demodulated and gathered.
+        wp = replace(_SMALL, active=psd_default_active(_SMALL.subcarriers))
+        sub = build_adapter(ScenarioConfig(waveform=waveform, waveform_params=wp))
+        grid = _small_adapter(waveform)
+        k = grid.mats.subcarriers
+        mask = np.tile(np.isin(np.arange(k), wp.active), grid.mats.subsymbols)
+        rng = np.random.default_rng(5)
+        d = rng.standard_normal((3, sub.n_data)) + 1j * rng.standard_normal((3, sub.n_data))
+        with _work.borrowed():
+            y_eq = sub.transmit(d)[:, sub.cp_len:sub.cp_len + sub.mats.frame_len]
+            got = sub.demodulate(y_eq, 0.05)
+            want = grid.demodulate(y_eq, 0.05)[:, mask]
+        np.testing.assert_array_equal(got, want)
+        curve = run_ber(_ber_config(waveform=waveform, waveform_params=wp, frames=70))
+        assert curve.extra["bits"][0] == 70 * sub.n_data * 4
+        assert curve.values[0] < 0.05
 
     def test_default_psd_allocation_is_two_runs(self):
         assert len(_active_runs(psd_default_active(128))) == 2
