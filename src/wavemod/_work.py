@@ -12,11 +12,14 @@ fresh arrays and keeps nothing.
 Two modules take buffers from an area, each under names prefixed with its
 own module name, so neither can overwrite the other's:
 
-- ``sim`` owns a chunk's stages, from the noise draw to the demapped bits,
-  and hands its buffers to the library through ``out=`` arguments.  Each
-  holds one stage's output until a later stage has read it; the demodulator
-  writes its estimates over the sent symbols, which the frames have
-  replaced by then.
+- ``sim`` owns a chunk's stages, from the noise draw to the decided and
+  sent labels, and hands its buffers to the library through ``out=`` and
+  ``hf=`` arguments.  Each holds one stage's output until a later stage has
+  read it.  The scaled noise is written straight into the leading columns
+  of ``sim.equalized``, where zero forcing transforms it in place, and
+  ``sim.response`` ends the chunk holding the inverse channel response; the
+  demodulator writes its estimates over the sent symbols, which the frames
+  have replaced by then.
 - ``gfdm`` keeps the OQAM modem's two GEMM operands, which live only
   within one call.  The modulator's subsymbol transform, (M, frames, K),
   shares ``gfdm.gemm_out``: it sits there until the (K, 2M, frames)

@@ -11,7 +11,10 @@ transform long enough to hold the linear convolution.  Under either
 precondition ZF undoes the channel exactly, ZF(h * x + n) = x + ZF(n), so
 the simulator zero-forces only the noise; the convolution itself lives in
 the tests (``tests/oracle.py``) as the reference channel.  A one-tap (flat)
-channel divides instead of transforming.
+channel is a division instead of a transform, and the exact unit tap of the
+AWGN profile is the identity.  Zero forcing multiplies by the inverse
+response conj(H)/|H|^2, from the same squared magnitudes that the
+``MIN_ZF_BIN`` check reads.
 """
 
 import functools
@@ -106,15 +109,13 @@ def freq_response(taps, fft_len: int, out=None) -> np.ndarray:
     return out
 
 
-def check_zf_bins(hf) -> None:
-    """Raise :class:`EqualizationError` if any bin of ``hf`` is below ``MIN_ZF_BIN``.
+def _checked_power(rows):
+    """Yield the (frames, bins) ``rows`` a few frames at a time, with their squared magnitudes.
 
-    Bins run along the last axis; a leading axis indexes frames, each checked
-    in full, a few at a time in order.  Squared magnitudes are compared with
-    ``MIN_ZF_BIN`` squared, and the error names the weakest bin of the first
-    few that hold one.
+    Before a block is yielded its squared magnitudes are compared with
+    ``MIN_ZF_BIN`` squared, and :class:`EqualizationError` names the weakest
+    bin of the first block that holds one.
     """
-    rows = np.reshape(hf, (-1, np.shape(hf)[-1]))
     step = max(1, BLOCK // rows.shape[1])
     for lo in range(0, len(rows), step):
         block = rows[lo:lo + step]
@@ -123,20 +124,38 @@ def check_zf_bins(hf) -> None:
         worst = np.unravel_index(int(np.argmin(power)), power.shape)
         if power[worst] < MIN_ZF_BIN ** 2:
             raise EqualizationError(int(worst[-1]), float(np.abs(block[worst])))
+        yield block, power
+
+
+def check_zf_bins(hf) -> None:
+    """Raise :class:`EqualizationError` if any bin of ``hf`` is below ``MIN_ZF_BIN``.
+
+    Bins run along the last axis; a leading axis indexes frames, each checked
+    in full, a few at a time in order.  Squared magnitudes are compared with
+    ``MIN_ZF_BIN`` squared, and the error names the weakest bin of the first
+    few that hold one.
+    """
+    for _ in _checked_power(np.reshape(hf, (-1, np.shape(hf)[-1]))):
+        pass
 
 
 def fd_zf_equalize(y, taps, fft_len: int, hf=None, out=None) -> np.ndarray:
-    """Bin-wise zero-forcing over an ``fft_len``-point transform.
+    """Bin-wise zero forcing over an ``fft_len``-point transform.
 
-    The input is zero-padded to ``fft_len``, divided by the channel response
-    and transformed back; the first ``len(y)`` samples are returned.  Taps of
-    shape (n_taps,) equalize every row of ``y`` alike; per-frame taps of
-    shape (frames, n_taps) equalize row j of a (frames, n) ``y`` by row j.
-    ``hf``, if given, is the taps' ``fft_len``-point :func:`freq_response`.
-    ``out``, if given, is an array of ``y``'s shape but ``fft_len`` wide: the
-    transform runs in it and the result is a view of its leading columns.
-    One tap is a flat response and divides ``y`` directly.  Bins with
-    magnitude below ``MIN_ZF_BIN`` raise :class:`EqualizationError`.
+    The input is zero-padded to ``fft_len``, multiplied by the inverse
+    channel response conj(H)/|H|^2 and transformed back; the first
+    ``len(y)`` samples are returned.  Taps of shape (n_taps,) equalize every
+    row of ``y`` alike; per-frame taps of shape (frames, n_taps) equalize row
+    j of a (frames, n) ``y`` by row j.  ``hf``, if given, is the taps'
+    ``fft_len``-point :func:`freq_response`, C-contiguous; a response of more
+    than one bin is overwritten with its inverse.  ``out``, if given, is a
+    C-contiguous array of ``y``'s shape but ``fft_len`` wide: the transform
+    runs in it, in place, and the result is its leading columns
+    ``out[..., :n]``.  ``y`` may be those very columns, and is then not
+    copied.  One tap is a flat response that divides ``y`` directly, and an
+    exact unit tap leaves it as it is.  A bin of magnitude below
+    ``MIN_ZF_BIN`` raises :class:`EqualizationError`, which names the bin
+    and its magnitude.
     """
     y = np.asarray(y, dtype=complex)
     n = y.shape[-1]
@@ -145,14 +164,26 @@ def fd_zf_equalize(y, taps, fft_len: int, hf=None, out=None) -> np.ndarray:
     if hf is None:
         taps = np.asarray(taps, dtype=complex)
         hf = taps if taps.shape[-1] == 1 else freq_response(taps, fft_len)
+    hf = np.asarray(hf, dtype=complex)
     if hf.ndim > 1 and (y.ndim != 2 or hf.shape[0] != y.shape[0]):
         raise ValueError(f"{hf.shape[0]} per-frame tap sets for frames of shape {y.shape}")
-    check_zf_bins(hf)
     if out is None:
         out = np.empty(y.shape[:-1] + (fft_len,), dtype=complex)
+    head = out[..., :n]
+    if y.__array_interface__ != head.__array_interface__:  # not those very columns
+        head[...] = y
     if hf.shape[-1] == 1:
-        return np.divide(y, hf, out=out[..., :n])
-    np.fft.fft(y, n=fft_len, axis=-1, out=out)
-    out /= hf
+        check_zf_bins(hf)
+        if np.all(hf == 1):  # the unit tap: nothing to undo
+            return head
+        return np.divide(head, hf, out=head)
+    # One pass of squared magnitudes checks the bins and inverts hf in place.
+    for block, power in _checked_power(np.reshape(hf, (-1, hf.shape[-1]), copy=False)):
+        block.real /= power
+        np.negative(power, out=power)
+        block.imag /= power
+    out[..., n:] = 0
+    np.fft.fft(out, axis=-1, out=out)
+    out *= hf
     np.fft.ifft(out, axis=-1, out=out)
-    return out[..., :n]
+    return head

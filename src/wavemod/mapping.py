@@ -2,15 +2,20 @@
 
 Each axis has L = 2**nb levels.  Level index i carries Gray label i ^ (i >> 1)
 and amplitude (L - 1 - 2*i) * scale, and a symbol's label is its in-phase
-label followed by its quadrature label, MSB first.  Both directions work
-through per-order tables built on first use and kept read-only: the (order,)
-points and the (order, log2 order) bits, both indexed by label, the per-axis
-Gray labels indexed by level, and the packed table.  That table maps
-MSB-first packed bits straight to symbols: each entry, indexed by one byte
-(four QPSK or two 16-QAM symbols) or, for 64-QAM, by twelve bits (two
-symbols, two entries per three bytes), holds the symbols those bits carry.
-:func:`map_packed` maps the bytes a simulation draws, and :func:`qam_map`
-packs its bits and maps them the same way.
+label followed by its quadrature label, MSB first.  Mapping works through
+per-order tables built on first use and kept read-only: the (order,) points
+and the (order, log2 order) bits, both indexed by label, and the packed
+table.  That table maps MSB-first packed bits straight to symbols: each
+entry, indexed by one byte (four QPSK or two 16-QAM symbols) or, for
+64-QAM, by twelve bits (two symbols, two entries per three bytes), holds the
+symbols those bits carry.  :func:`map_packed` maps the bytes a simulation
+draws, and :func:`qam_map` packs its bits and maps them the same way;
+:func:`packed_labels` reads the same entries' labels from a twin table.
+Demapping decides both axes of every symbol in one pass over their
+interleaved (re, im) values and gives labels (:func:`demap_labels`), which
+index the bit table for :func:`qam_demap`.  A symbol's bits are its label's
+binary digits, so its bit errors are the set bits of its sent label XOR its
+decided one.
 """
 
 import functools
@@ -57,19 +62,29 @@ class _Tables:
         # (order,) complex points and (order, 2*nb) uint8 bits, MSB first, by label
         self.points = amp_by_label[label >> nb] + 1j * amp_by_label[label & q_mask]
         self.bits = ((label[:, None] >> np.arange(2 * nb - 1, -1, -1)) & 1).astype(np.uint8)
-        self.labels = labels.astype(np.uint8)  # (L,) per-axis Gray label, by level
         # (2**width, width // bps) symbols of every MSB-first group of packed bits
-        bps = 2 * nb
-        width = 12 if order == 64 else 8
-        group = np.arange(1 << width)[:, None] >> np.arange(width - bps, -1, -bps)
-        self.packed = self.points[group & (order - 1)]
+        self.packed = self.points[self._groups(order)]
         self.scale = float(scale)
         # A tie lies within 1e-12*(1+|v|) in distance of a midpoint, where
         # |v| <= amps[0]; a distance difference is 4*scale per level unit.
         # Demapping re-decides samples within twice that band.
         self.tie_band = 2.0 * 1e-12 * (1.0 + amps[0]) / (4.0 * scale)
-        for table in (self.points, self.bits, self.labels, self.packed):
+        for table in (self.points, self.bits, self.packed):
             table.setflags(write=False)
+
+    @staticmethod
+    def _groups(order: int) -> np.ndarray:
+        """(2**width, width // bps) labels of every MSB-first group of ``width`` packed bits."""
+        bps = int(np.log2(order))
+        width = 12 if order == 64 else 8
+        return (np.arange(1 << width)[:, None] >> np.arange(width - bps, -1, -bps)) & (order - 1)
+
+    @functools.cached_property
+    def packed_labels(self) -> np.ndarray:
+        """The packed table's labels as uint8, built on first use: only the BER count reads them."""
+        table = self._groups(len(self.points)).astype(np.uint8)
+        table.setflags(write=False)
+        return table
 
 
 _tables = functools.cache(_Tables)
@@ -135,15 +150,32 @@ def map_packed(packed, order: int, n_symbols: int, out=None) -> np.ndarray:
     cut short is zero-filled.  The symbols go to ``out``, of shape
     (n_symbols,), if given.
     """
-    tables = _tables(order)
-    bps, per_entry = tables.bits.shape[1], tables.packed.shape[1]
+    table = _tables(order).packed
+    if out is None:
+        out = np.empty(n_symbols, dtype=complex)
+    return _unpack(table, packed, order, n_symbols, out)
+
+
+def packed_labels(packed, order: int, n_symbols: int, out=None) -> np.ndarray:
+    """The uint8 labels of the symbols :func:`map_packed` maps from the same bytes.
+
+    The labels go to ``out``, of shape (n_symbols,), if given.
+    """
+    table = _tables(order).packed_labels
+    if out is None:
+        out = np.empty(n_symbols, dtype=np.uint8)
+    return _unpack(table, packed, order, n_symbols, out)
+
+
+def _unpack(table, packed, order: int, n_symbols: int, out) -> np.ndarray:
+    """``out`` filled from ``table``, indexed by the groups of the MSB-first ``packed`` bits."""
+    bps = int(np.log2(order))
+    per_entry = table.shape[1]
     group = 3 if order == 64 else 1  # bytes per group of whole entries
     per_group = 8 * group // bps  # symbols per group
     packed = np.asarray(packed, dtype=np.uint8)
     if 8 * len(packed) < n_symbols * bps:
         raise ValueError(f"{len(packed)} bytes do not hold {n_symbols} symbols of order {order}")
-    if out is None:
-        out = np.empty(n_symbols, dtype=complex)
     whole, rest = divmod(n_symbols, per_group)
     rows = out[: whole * per_group].reshape(-1, per_entry)
     step = BLOCK - BLOCK % group
@@ -151,38 +183,47 @@ def map_packed(packed, order: int, n_symbols: int, out=None) -> np.ndarray:
         entries = _entries(packed[lo:min(lo + step, whole * group)], order)
         first = lo * per_group // group // per_entry
         # Every index is in range: "clip" mode writes ``out`` directly, "raise" buffers.
-        np.take(tables.packed, entries, axis=0, out=rows[first:first + len(entries)], mode="clip")
+        np.take(table, entries, axis=0, out=rows[first:first + len(entries)], mode="clip")
     if rest:
         last = np.zeros(group, dtype=np.uint8)
         tail = packed[whole * group:(whole + 1) * group]
         last[: len(tail)] = tail
-        out[whole * per_group:] = tables.packed[_entries(last, order)].ravel()[:rest]
+        out[whole * per_group:] = table[_entries(last, order)].ravel()[:rest]
     return out
 
 
 def _demap_axis(values: np.ndarray, order: int) -> np.ndarray:
-    """Gray label of the nearest level per sample; ties go to the smaller label.
+    """Gray label of the nearest level per sample, as uint8; ties go to the smaller label.
 
     In level units t = (L - 1 - v/scale) / 2, level i sits at t = i, so the
-    nearest level is rint(t) clipped to [0, L - 1].  Within 1e-12*(1+|v|) in
-    distance of a midpoint, that is tol / (4*scale) in t, the smaller Gray
-    label wins.  ``rint`` rounds halves to even, so samples within twice that
-    band of a half-integer t are decided again by the distance rule: the two
-    levels that bracket the amplitude, their distances and the tolerance.
-    The values must be finite.
+    nearest level is rint(t) clipped to [0, L - 1], and its Gray label is
+    i ^ (i >> 1).  Within 1e-12*(1+|v|) in distance of a midpoint, that is
+    tol / (4*scale) in t, the smaller Gray label wins.  ``rint`` rounds
+    halves to even, so samples within twice that band of a half-integer t
+    are decided again by the distance rule: the two levels that bracket the
+    amplitude, their distances and the tolerance.  A sample that is not
+    finite fails the same band test and raises ValueError.
     """
     tables = _tables(order)
-    top = len(tables.labels) - 1
+    top = (1 << (tables.bits.shape[1] // 2)) - 1
     t = values * (-0.5 / tables.scale)
     t += 0.5 * top
     level = np.rint(t)
     t -= level
-    near_tie = np.abs(t, out=t) >= 0.5 - tables.tie_band
+    np.abs(t, out=t)
+    # NaN fails every comparison, so a sample that is not finite is taken out too.
+    decided = 0.5 - tables.tie_band
+    again = None if t.max() < decided else np.flatnonzero(~(t < decided))
+    if again is not None:
+        finite = np.isfinite(values[again])
+        if not finite.all():
+            i = int(again[np.argmin(finite)])
+            raise ValueError(f"values must be finite, got {values[i].item()!r} at index {i}")
     np.clip(level, 0, top, out=level)
-    labels = np.take(tables.labels, level.astype(np.intp), mode="clip")
-    if near_tie.any():
-        i = np.flatnonzero(near_tie)
-        labels[i] = _nearest_label(values[i], order)
+    labels = level.astype(np.uint8)
+    labels ^= labels >> 1
+    if again is not None:
+        labels[again] = _nearest_label(values[again], order)
     return labels
 
 
@@ -200,28 +241,48 @@ def _nearest_label(values: np.ndarray, order: int) -> np.ndarray:
     return np.where(take_lo, labels[lo], labels[lo + 1])
 
 
+def demap_labels(symbols, order: int, out=None) -> np.ndarray:
+    """Hard-decision uint8 labels of ``symbols``, (in-phase label << nb) | quadrature label.
+
+    Both axes are decided in one pass over the symbols' interleaved (re, im)
+    float view, :data:`BLOCK` values at a time.  The labels go to ``out``, of
+    shape (n_symbols,), if given.  Raises ValueError on a symbol that is not
+    finite.
+    """
+    tables = _tables(order)
+    symbols = np.ascontiguousarray(symbols, dtype=complex).ravel()
+    values = symbols.view(float)
+    if out is None:
+        out = np.empty(len(symbols), dtype=np.uint8)
+    with np.errstate(invalid="ignore"):  # inf - inf, for an infinite sample
+        for lo in range(0, values.size, BLOCK):
+            try:
+                axes = _demap_axis(values[lo:lo + BLOCK], order)
+            except ValueError:
+                block = symbols[lo // 2:(lo + BLOCK) // 2]
+                i = int(np.flatnonzero(~np.isfinite(block))[0])
+                raise ValueError(
+                    f"symbols must be finite, got {block[i].item()!r} at index {lo // 2 + i}"
+                ) from None
+            labels = out[lo // 2:(lo + BLOCK) // 2]
+            np.left_shift(axes[0::2], tables.bits.shape[1] // 2, out=labels)
+            labels |= axes[1::2]
+    return out
+
+
 def qam_demap(symbols, order: int, out=None) -> np.ndarray:
     """Hard-decision demapping to uint8 bits; exact inverse of :func:`qam_map` on grid points.
 
-    The two axis labels combine into the symbol label (in-phase << nb) |
-    quadrature, whose row of the bit table holds the symbol's bits.  The
-    bits go to ``out``, of shape (n_symbols, log2 order), if given.  Raises
-    ValueError on a symbol that is not finite.
+    Each symbol's :func:`demap_labels` label indexes the bit table, whose
+    row holds the symbol's bits.  The bits go to ``out``, of shape
+    (n_symbols, log2 order), if given.  Raises ValueError on a symbol that is
+    not finite.
     """
     tables = _tables(order)
-    symbols = np.asarray(symbols, dtype=complex).ravel()
+    labels = demap_labels(symbols, order)
     if out is None:
-        out = np.empty((len(symbols), tables.bits.shape[1]), dtype=np.uint8)
-    for lo in range(0, len(symbols), BLOCK):
-        block = symbols[lo:lo + BLOCK]
-        finite = np.isfinite(block)
-        if not finite.all():
-            i = int(np.flatnonzero(~finite)[0])
-            raise ValueError(f"symbols must be finite, got {block[i].item()!r} at index {lo + i}")
-        label = _demap_axis(block.real, order)
-        label <<= tables.bits.shape[1] // 2
-        label |= _demap_axis(block.imag, order)
-        np.take(tables.bits, label, axis=0, out=out[lo:lo + BLOCK], mode="clip")
+        out = np.empty((len(labels), tables.bits.shape[1]), dtype=np.uint8)
+    np.take(tables.bits, labels, axis=0, out=out, mode="clip")
     return out.ravel()
 
 

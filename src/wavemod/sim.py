@@ -7,7 +7,7 @@ bit-identical across runs and worker counts.  The waveform is not in the
 key: waveforms with equal data sizes see common random numbers, and Linear
 GFDM and FBMC emit the same samples.  One helper draws, maps and transmits
 a chunk for every instrument: the bits stay the packed bytes they are drawn
-as and map straight to symbols, and only the BER count unpacks them.  A
+as, map straight to symbols and give the BER count its sent labels.  A
 sub-band allocation is held as runs of consecutive active bins, so its
 scatter and gather are slice copies.  Each BER chunk then runs the equalizer,
 demodulator, demapper and error count once (``ber_errors``), with TVFS taps
@@ -27,8 +27,8 @@ The waveform table picks each one's matrix-set builder and frame kind
 (circular with a cyclic prefix, or prefix-free).
 
 Each chunk job borrows a work area (``_work``) and every stage writes its
-frames-first (count, ...) rows there, from the noise draw to the demapped
-bits; a PSD run borrows one for all its chunks, and its stream window and
+frames-first (count, ...) rows there, from the noise draw to the decided
+labels; a PSD run borrows one for all its chunks, and its stream window and
 Welch batch are its own.  After a run the process keeps one chunk's worth
 of arrays per job that ran at the same time, at most one area per thread,
 each sized to the largest chunk seen.
@@ -46,11 +46,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import _work
 from . import channel as chan
 from . import gfdm as gfdm_mod
-from .mapping import map_packed, qam_demap
+from .mapping import demap_labels, map_packed, packed_labels
 from .metrics import (
     MetricCurve,
     WelchAccumulator,
-    ber_count,
     default_papr_thresholds,
     papr_batch,
     papr_ccdf,
@@ -263,28 +262,42 @@ class _MatrixAdapter:
             out[:, : self.cp_len] = out[:, -self.cp_len:]
         return out
 
-    def equalize(self, y, taps) -> np.ndarray:
-        """(count, K*M) ZF-equalized windows of (count, samples) received frames.
+    def zf_window(self, count: int, samples: int) -> tuple[slice, np.ndarray]:
+        """Where zero forcing of (count, samples) received frames reads and runs.
 
-        A circular frame is cut to its core ``[cp_len:cp_len + K*M]`` and
-        zero-forced with the core's response; a prefix-free frame is
-        zero-forced at ``_next_pow2(samples)`` points, and its first
-        ``frame_len`` samples are kept.  One tap is a division.  The result
-        is a view of a work-area array.
+        Returns the columns of each frame that ZF transforms, a circular
+        frame's core ``[cp_len:cp_len + K*M]`` or a prefix-free frame's every
+        sample, and the leading columns of the work-area array the transform
+        runs in: written there, they are zero-forced without a copy.
         """
-        work = _work.area()
         n = self.mats.frame_len
-        if self.circular:
-            y = y[:, self.cp_len:self.cp_len + n]
-            fft_len = n
-        else:
-            fft_len = _next_pow2(y.shape[1])
+        cols = slice(self.cp_len, self.cp_len + n) if self.circular else slice(0, samples)
+        width = cols.stop - cols.start
+        return cols, self._zf_buffer(count, width)[:, :width]
+
+    def _zf_buffer(self, count: int, width: int) -> np.ndarray:
+        """The (count, fft_len) work-area array that ZF of (count, width) windows runs in."""
+        fft_len = width if self.circular else _next_pow2(width)
+        return _work.area().get("sim.equalized", (count, fft_len))
+
+    def equalize(self, y, taps) -> np.ndarray:
+        """(count, K*M) ZF-equalized windows of their (count, width) ZF inputs.
+
+        ``y`` holds the :meth:`zf_window` columns of each received frame.  A
+        circular frame's core is zero-forced with the core's response; a
+        prefix-free frame is zero-forced at ``_next_pow2(width)`` points,
+        and its first ``frame_len`` samples are kept.  The transform runs in
+        a work-area array, which ``y`` may already be the leading columns of
+        (see :meth:`zf_window`), and the AWGN profile's unit tap leaves it
+        as it is.  The result is a view of that array.
+        """
+        equalized = self._zf_buffer(*y.shape)
+        fft_len = equalized.shape[1]
         hf = taps
         if taps.shape[-1] > 1:
-            response = work.get("sim.response", taps.shape[:-1] + (fft_len,))
+            response = _work.area().get("sim.response", taps.shape[:-1] + (fft_len,))
             hf = chan.freq_response(taps, fft_len, out=response)
-        equalized = work.get("sim.equalized", (len(y), fft_len))
-        return chan.fd_zf_equalize(y, taps, fft_len, hf=hf, out=equalized)[:, :n]
+        return chan.fd_zf_equalize(y, taps, fft_len, hf=hf, out=equalized)[:, :self.mats.frame_len]
 
     def demodulate(self, y_eq, noise_var, out=None) -> np.ndarray:
         """(count, n_data) symbols of (count, K*M) equalized windows, into ``out`` if given."""
@@ -374,15 +387,15 @@ def _draw_chunk(config: ScenarioConfig, adapter, scenario_id, start, count, with
 
     One generator, keyed by (seed, ``scenario_id``, ``start``), draws the
     bits as ceil(n_bits / 8) random bytes, then the TVFS fades, then the
-    noise.  The bytes stay packed: frame f's bits are bits
-    [f * bits_per_frame, (f + 1) * bits_per_frame) of the byte stream, MSB
-    first, and bits past the last frame's are drawn but unused.  This
-    is the one place that knows the channels: the taps are one (n_taps,)
+    noise.  The bytes stay packed, and nothing unpacks them: frame f's bits
+    are bits [f * bits_per_frame, (f + 1) * bits_per_frame) of the byte
+    stream, MSB first, and bits past the last frame's are drawn but unused.
+    This is the one place that knows the channels: the taps are one (n_taps,)
     vector on AWGN and TIFS and (count, n_taps) per-frame fades on TVFS.  The
     unit-variance complex noise covers the whole received frame, ``frame_len
     + n_taps - 1`` samples, as a (2, count, samples) array of its real and
-    imaginary parts, written into the work area; without ``with_noise`` it
-    is None.
+    imaginary parts, written into the work area, of which zero forcing reads
+    a circular frame's core only; without ``with_noise`` it is None.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=[config.seed & 0xFFFF_FFFF_FFFF_FFFF, scenario_id, start])
@@ -405,9 +418,9 @@ def _draw_chunk(config: ScenarioConfig, adapter, scenario_id, start, count, with
 def _transmit_chunk(config: ScenarioConfig, adapter, scenario_id, start, count, with_noise=False):
     """Draw, map and transmit frames [start, start+count).
 
-    The symbols are mapped straight from the packed bytes, which are never
-    unpacked here.  Returns the (count, frame_len) frames, written into the
-    work area, then the draws of :func:`_draw_chunk`.
+    The symbols are mapped straight from the packed bytes.  Returns the
+    (count, frame_len) frames, written into the work area, then the draws of
+    :func:`_draw_chunk`.
     """
     work = _work.area()
     packed, taps, noise = _draw_chunk(config, adapter, scenario_id, start, count, with_noise)
@@ -426,26 +439,38 @@ def ber_errors(adapter, order: int, packed, x, taps, noise, noise_var: float) ->
     :func:`_draw_chunk` draws them.
     Zero forcing inverts the channel exactly (see the module docstring), so
     the equalized frames are the sent frames' equalizer windows plus the
-    zero-forced noise: the noise is scaled by sqrt(``noise_var``) as it is
-    written into one complex work array, equalized, added to the windows,
-    demodulated, demapped and counted once for the whole chunk.
+    zero-forced noise.  The noise parts of the ZF window, scaled by
+    sqrt(``noise_var``), are written straight into the array the transform
+    runs in; the zero-forced noise is added to the windows, demodulated and
+    counted once for the whole chunk (:func:`_bit_errors`).
     """
-    work = _work.area()
     scale = np.sqrt(noise_var)
-    received = work.get("sim.received", noise.shape[1:])
-    np.multiply(noise[0], scale, out=received.real)
-    np.multiply(noise[1], scale, out=received.imag)
-    y_eq = adapter.equalize(received, taps)
+    cols, window = adapter.zf_window(len(x), noise.shape[-1])
+    np.multiply(noise[0][:, cols], scale, out=window.real)
+    np.multiply(noise[1][:, cols], scale, out=window.imag)
+    y_eq = adapter.equalize(window, taps)
     y_eq += x[:, adapter.cp_len:adapter.cp_len + y_eq.shape[1]]
     # The estimates overwrite the sent symbols, which the frames have replaced.
-    estimates = work.get("sim.symbols", (len(x), adapter.n_data))
+    estimates = _work.area().get("sim.symbols", (len(x), adapter.n_data))
     d_hat = adapter.demodulate(y_eq, noise_var, out=estimates)
-    rx_bits = work.get("sim.rx_bits", (d_hat.size, int(np.log2(order))), np.uint8)
-    qam_demap(d_hat, order, out=rx_bits)
-    if len(packed) != -(-rx_bits.size // 8):
-        raise ValueError(f"{len(packed)} bytes drawn for {rx_bits.size} received bits")
-    errors, n_bits, _ = ber_count(np.unpackbits(packed, count=rx_bits.size), rx_bits)
-    return errors, n_bits
+    return _bit_errors(packed, d_hat, order)
+
+
+def _bit_errors(packed, d_hat, order: int) -> tuple[int, int]:
+    """Bit errors and bits of the estimates ``d_hat`` sent as the MSB-first ``packed`` bits.
+
+    A symbol's bit errors are the set bits of its sent label XOR its
+    decided label, and the sent labels are read straight from the bytes.
+    """
+    work = _work.area()
+    n = d_hat.size
+    n_bits = n * int(np.log2(order))
+    if len(packed) != -(-n_bits // 8):
+        raise ValueError(f"{len(packed)} bytes drawn for {n_bits} received bits")
+    rx = demap_labels(d_hat, order, out=work.get("sim.rx_labels", n, np.uint8))
+    tx = packed_labels(packed, order, n, out=work.get("sim.tx_labels", n, np.uint8))
+    tx ^= rx
+    return int(np.bitwise_count(tx, out=tx).sum()), n_bits
 
 
 def _process_ber_chunk(config, adapter, scenario_id, start, count, noise_var):

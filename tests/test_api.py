@@ -1,5 +1,6 @@
-"""Guards on the package surface: the public names, the benchmark's stage table, the demos
-and README examples (run end to end), dead imports and the import footprint."""
+"""Guards on the package surface: the public names, the benchmark's stage table, the A/B
+tool's claim rule, the demos and README examples (run end to end), dead imports and the
+import footprint."""
 
 import ast
 import importlib.util
@@ -15,13 +16,18 @@ import wavemod
 
 _ROOT = Path(__file__).resolve().parents[1]
 _TRACING = _ROOT / "perfbench" / "tracing.py"
+_AB_ROUNDS = _ROOT / "tools" / "ab_rounds.py"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
+def _load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracing():
+    return _load(_TRACING, "perfbench_tracing")
 
 
 def test_public_names_resolve_once():
@@ -58,6 +64,23 @@ def test_every_traced_stage_resolves():
     with tracing.Tracer() as tracer:
         pass
     assert tracer.absent == ["channel_s"]
+
+
+@pytest.mark.parametrize(
+    "b_over_a, wins, verdict",
+    [
+        ([20] * 9 + [0], 9, "9/10: yes; median gap +19 above A's quartile spread 6: yes"),
+        ([20] * 8 + [0, 0], 8, "9/10: no; median gap +18 above A's quartile spread 6: yes"),
+        ([5] * 10, 10, "9/10: yes; median gap +5 above A's quartile spread 6: no"),
+    ],
+)
+def test_ab_rounds_claim_rule(b_over_a, wins, verdict):
+    # A tie counts for neither tree; the gap must exceed A's quartile spread,
+    # 5.5 here (quartiles 101.75 and 107.25).
+    a = [100.0 + i for i in range(10)]
+    line = _load(_AB_ROUNDS, "ab_rounds").claim_rule(a, [x + d for x, d in zip(a, b_over_a)])
+    assert f"B won {wins}/10 pairs" in line
+    assert line.endswith(verdict)
 
 
 def _scripts() -> dict[str, str]:

@@ -201,6 +201,47 @@ class TestFdZfEqualize:
         np.testing.assert_array_equal(got, fd_zf_equalize(y, taps, 32))
 
 
+    @pytest.mark.parametrize("per_frame", [False, True])
+    def test_aliased_input_equals_a_copy(self, per_frame):
+        # y may be the leading columns of out: the transform then runs without a copy.
+        rng = np.random.default_rng(11)
+        y = rng.standard_normal((4, 20)) + 1j * rng.standard_normal((4, 20))
+        taps = _dominant_first_taps(rng, 4, 3) if per_frame else np.array([1.0, 0.3j, -0.2])
+        want = fd_zf_equalize(y, taps, 32)
+        out = np.full((4, 32), np.nan + 0j)  # the tail must be zeroed, not trusted
+        out[:, :20] = y
+        got = fd_zf_equalize(out[:, :20], taps, 32, out=out)
+        assert np.shares_memory(got, out)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("taps", [[1.0], [[1.0], [1.0 + 0j]]])
+    def test_unit_tap_returns_its_input(self, taps):
+        y = np.array([[0.5 - 0.0j, -0.0 + 1e-300j], [np.inf, -3.0 - 2.0j]])
+        out = np.empty_like(y)
+        out[:] = y
+        got = fd_zf_equalize(out, taps, 2, out=out)
+        assert np.shares_memory(got, out)
+        np.testing.assert_array_equal(got.view(np.uint64), y.view(np.uint64))
+        np.testing.assert_array_equal(fd_zf_equalize(y, taps, 2).view(np.uint64), y.view(np.uint64))
+
+    def test_response_is_overwritten_with_its_inverse(self):
+        hf = freq_response(TIFS_TAPS, 16)
+        want = 1.0 / hf
+        fd_zf_equalize(np.ones(16, dtype=complex), TIFS_TAPS, 16, hf=hf)
+        np.testing.assert_allclose(hf, want, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("shape", [(16,), (3, 16)])
+    def test_weak_bin_raises_as_the_check_does(self, shape):
+        hf = np.ones(shape, dtype=complex)
+        hf[..., 5] = 0.5 * MIN_ZF_BIN * np.exp(0.7j)
+        with pytest.raises(EqualizationError) as want:
+            check_zf_bins(hf.copy())
+        with pytest.raises(EqualizationError) as got:
+            fd_zf_equalize(np.ones(shape, dtype=complex), np.ones(2), 16, hf=hf)
+        assert (got.value.bin_index, got.value.magnitude) == (5, float(np.abs(hf[..., 5].flat[0])))
+        assert str(got.value) == str(want.value)
+
+
 class TestFlatChannel:
     """One tap divides the frames; with a zero tap appended the same channel takes the FFT path."""
 

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from wavemod import constellation, qam_demap, qam_map
 from wavemod._work import BLOCK
-from wavemod.mapping import _axis_levels, _demap_axis, map_packed
+from wavemod.mapping import _axis_levels, _demap_axis, demap_labels, map_packed, packed_labels
+from wavemod.metrics import ber_count
+from wavemod.sim import _bit_errors
 
 
 def _demap_axis_oracle(values, order):
@@ -192,3 +194,48 @@ class TestAgainstReference:
         labels = np.empty((d.size, bps), dtype=np.uint8)
         np.testing.assert_array_equal(qam_demap(y, order, out=labels), oracle.qam_demap(y, order))
         assert np.shares_memory(qam_demap(y, order, out=labels), labels)
+
+
+class TestLabelCount:
+    """Bit errors as the set bits of sent label XOR decided label, against unpacked bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        order=st.sampled_from([4, 16, 64]),
+        n=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+        sigma=st.floats(0.0, 1.5),
+        ties=st.lists(
+            st.tuples(st.integers(0, 79), st.integers(0, 6), st.integers(-3, 3)), max_size=12
+        ),
+    )
+    def test_label_count_matches_bit_count(self, order, n, seed, sigma, ties):
+        # Counts that end in a partial byte or 3-byte group; some symbol parts
+        # sit on a midpoint between levels or inside the tie band around one.
+        bps = int(np.log2(order))
+        rng = np.random.default_rng(seed)
+        packed = rng.integers(0, 256, -(-n * bps // 8), dtype=np.uint8)
+        d = map_packed(packed, order, n)
+        y = d + sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        amps, _, _ = _axis_levels(order)
+        mids = (amps[:-1] + amps[1:]) / 2.0
+        parts = y.view(float)
+        for at, mid, k in ties:
+            if n:
+                parts[at % (2 * n)] = mids[mid % len(mids)] + k * 1e-13
+        bits = oracle.qam_demap(y, order)
+        want = ber_count(np.unpackbits(packed, count=n * bps), bits)[0]
+        assert _bit_errors(packed, y, order) == (want, n * bps)
+        np.testing.assert_array_equal(qam_demap(y, order), bits)
+        np.testing.assert_array_equal(constellation(order)[packed_labels(packed, order, n)], d)
+
+    def test_count_refuses_bytes_that_do_not_match_the_symbols(self):
+        d = qam_map(np.zeros(4 * 5, dtype=np.uint8), 16)
+        with pytest.raises(ValueError, match="2 bytes drawn for 20 received bits"):
+            _bit_errors(np.zeros(2, dtype=np.uint8), d, 16)
+
+    def test_non_finite_symbol_is_named(self):
+        y = np.full(BLOCK + 9, 0.3 + 0.3j)
+        y[BLOCK // 2 + 3] = complex(np.inf, 0.0)
+        with pytest.raises(ValueError, match=f"at index {BLOCK // 2 + 3}"):
+            demap_labels(y, 64)

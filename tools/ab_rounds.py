@@ -6,7 +6,9 @@ up, then ``--rounds`` times, and reports the frames per second of its best
 round.  Runs alternate between the two trees, A first in even pairs and B
 first in odd ones, so drift on a shared machine falls on both.  The summary
 gives each tree's median and quartiles over the pairs and the number of
-pairs B won.
+pairs B won, then checks B against the rule a claimed gain must meet: B wins
+at least 9 of every 10 pairs, a tie counting for neither tree, and B's
+median lies above A's by more than A's quartile spread.
 
     python3 tools/ab_rounds.py PARENT_TREE CHANGED_TREE --workload papr_psd --pairs 10
 
@@ -60,9 +62,26 @@ def run_tree(tree: Path, args) -> float:
     return json.loads(proc.stdout.strip().splitlines()[-1])["frames_per_s"]
 
 
+def quartiles(values: list[float]) -> list[float]:
+    """First quartile, median and third quartile of ``values``."""
+    return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+
+
 def summary(values: list[float]) -> str:
-    q1, med, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    q1, med, q3 = quartiles(values)
     return f"median {med:,.0f}  quartiles {q1:,.0f} .. {q3:,.0f}"
+
+
+def claim_rule(a: list[float], b: list[float]) -> str:
+    """Whether B's gain over A meets the rule a claimed gain must: one line."""
+    wins = sum(y > x for x, y in zip(a, b))  # a tie counts for neither tree
+    q1, med_a, q3 = quartiles(a)
+    gap = statistics.median(b) - med_a
+    return (
+        f"claim rule: B won {wins}/{len(a)} pairs, at least 9/10: "
+        f"{'yes' if 10 * wins >= 9 * len(a) else 'no'}; median gap {gap:+,.0f} "
+        f"above A's quartile spread {q3 - q1:,.0f}: {'yes' if gap > q3 - q1 else 'no'}"
+    )
 
 
 def main(argv=None) -> int:
@@ -91,6 +110,7 @@ def main(argv=None) -> int:
     print(f"B {trees[1]}: {summary(results[1])} frames/s")
     ratio = statistics.median(results[1]) / statistics.median(results[0])
     print(f"B won {wins}/{args.pairs} pairs; median B/A {ratio:.3f}")
+    print(claim_rule(results[0], results[1]))
     return 0
 
 
