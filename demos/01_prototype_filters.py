@@ -22,21 +22,20 @@ M = 4         # subsymbols per frame
 p_rect = rectangular(K)
 p_phy = phydyas(K, THETA)
 
-print("rectangular length:", p_rect.length)
-print("phydyas length:    ", p_phy.length, f"(= {THETA}*{K}+1)")
-print("phydyas energy:    ", np.sum(p_phy.coefficients ** 2))
-print("phydyas symmetric: ", np.allclose(p_phy.coefficients, p_phy.coefficients[::-1]))
+print("rectangular length:", len(p_rect))
+print("phydyas length:    ", len(p_phy), f"(= {THETA}*{K}+1)")
+print("phydyas energy:    ", np.sum(p_phy ** 2))
+print("phydyas symmetric: ", np.allclose(p_phy, p_phy[::-1]))
 
 # %%
 # The half-Nyquist property: the autocorrelation of the pulse at multiples
 # of K samples is essentially zero, so symbols spaced K apart do not
 # interfere after matched filtering.
 
-c = p_phy.coefficients
-r0 = np.sum(c ** 2)
+r0 = np.sum(p_phy ** 2)
 print("\nautocorrelation at lag m*K (relative to lag 0):")
 for m in range(1, THETA):
-    rm = np.sum(c[: -m * K] * c[m * K:])
+    rm = np.sum(p_phy[: -m * K] * p_phy[m * K:])
     print(f"  m={m}: {rm / r0:+.2e}")
 
 # %%
@@ -45,16 +44,16 @@ for m in range(1, THETA):
 # prototype ever wraps around the frame boundary.
 
 pad = linear_pad_length(K, M)
-padded = np.pad(p_phy.coefficients, (0, pad))
+padded = np.pad(p_phy, (0, pad))
 print("\npad length L_Z:", pad, f"(= {K}*{M} - {K}/2 + 1)")
-print("extended length:", len(padded), f"(= {p_phy.length} + {pad})")
+print("extended length:", len(padded), f"(= {len(p_phy)} + {pad})")
 
 # %%
 # A quick look at the spectrum: the PHYDYAS stopband is what buys the
 # filter-bank waveforms their out-of-band suppression.
 
 for name, p in (("rect", p_rect), ("phydyas", p_phy)):
-    spec = np.abs(np.fft.fft(p.coefficients, 8192)) ** 2
+    spec = np.abs(np.fft.fft(p, 8192)) ** 2
     spec /= spec.max()
     # power beyond two subcarrier spacings from the center
     f = np.fft.fftfreq(8192)

@@ -77,7 +77,7 @@ d = qam_map(rng.integers(0, 2, 4 * K * M), 16)
 def synthesis_pulse(k, m, part, length):
     offset = m * K + (K // 2 if part == "Q" else 0)
     pulse = np.zeros(length, dtype=complex)
-    pulse[offset:offset + p.length] = p.coefficients
+    pulse[offset:offset + len(p)] = p
     return pulse * np.exp(2j * np.pi * k * np.arange(length) / K) * 1j**k
 
 

@@ -36,14 +36,12 @@ from .gfdm import (
 from .mapping import constellation, qam_demap, qam_map
 from .metrics import (
     MetricCurve,
-    ber_count,
     default_papr_thresholds,
     papr_batch,
     papr_ccdf,
     theoretical_ber,
-    welch_psd,
 )
-from .prototypes import PrototypeFilter, phydyas, rectangular
+from .prototypes import phydyas, rectangular
 from .sim import (
     CHANNELS,
     METRICS,
@@ -71,10 +69,8 @@ __all__ = [
     "GfdmMatrixSet",
     "MetricCurve",
     "OqamMatrixSet",
-    "PrototypeFilter",
     "ScenarioConfig",
     "WaveformParams",
-    "ber_count",
     "build_fbmc_matrices",
     "build_gfdm_matrix",
     "build_linear_matrices",
@@ -102,5 +98,4 @@ __all__ = [
     "run_psd",
     "run_scenario",
     "theoretical_ber",
-    "welch_psd",
 ]

@@ -9,30 +9,13 @@ seen, whatever threads ran them.  :func:`area` is the area lent to the
 calling thread; outside a job it is a fresh one, so a call made there gets
 fresh arrays and keeps nothing.
 
-Two modules take buffers from an area, each under names prefixed with its
-own module name, so neither can overwrite the other's:
-
-- ``sim`` owns a chunk's stages, from the noise draw to the decided and
-  sent labels, and hands its buffers to the library through ``out=`` and
-  ``hf=`` arguments.  Each holds one stage's output until a later stage has
-  read it.  The scaled noise is written straight into the leading columns
-  of ``sim.equalized``, where zero forcing transforms it in place, and
-  ``sim.response`` ends the chunk holding the inverse channel response; the
-  demodulator writes its estimates over the sent symbols, which the frames
-  have replaced by then.
-- ``gfdm`` keeps the OQAM modem's two GEMM operands, which live only
-  within one call.  The modulator's subsymbol transform, (M, frames, K),
-  shares ``gfdm.gemm_out``: it sits there until the (K, 2M, frames)
-  ``gfdm.gemm_in`` has copied it, and the GEMM then writes its block-major
-  (blocks, K, frames) product there, which is copied into the frames one
-  block at a time.  The demodulator reads the frames block-major into
-  ``gfdm.gemm_in``, (blocks, K, frames), has the GEMM write the
-  subsymbol-major (2M, K, frames) correlations to ``gfdm.gemm_out``, folds
-  their mirrored half into the spent ``gfdm.gemm_in`` and copies that into
-  its output rows one subsymbol at a time.
-
-The other modules keep no arrays: their per-chunk helpers work through
-their input :data:`BLOCK` elements at a time.
+A module that takes buffers from an area names each one with its own
+module name as prefix (``sim.frames``, ``gfdm.gemm_in``), so no module can
+overwrite another's.  :meth:`WorkArea.get` hands out the named buffer and
+overwrites what it held: the module that owns a name keeps the buffer live
+only until a later stage of its own has read it.  A module that takes no
+buffers keeps no arrays: its per-chunk helpers work through their input
+:data:`BLOCK` elements at a time.
 """
 
 import math

@@ -8,9 +8,10 @@ frame core, which is what the circulant matrix model of the CP waveforms
 assumes.  The CP waveforms are zero-forced over that core, the prefix-free
 ones over the whole received frame zero-padded to a power of two, a
 transform long enough to hold the linear convolution.  Under either
-precondition ZF undoes the channel exactly, ZF(h * x + n) = x + ZF(n), so
-the simulator zero-forces only the noise; the convolution itself lives in
-the tests (``tests/oracle.py``) as the reference channel.  A one-tap (flat)
+precondition, which ``sim.ScenarioConfig.validate`` enforces, ZF undoes the
+channel exactly, ZF(h * x + n) = x + ZF(n), so the simulator zero-forces
+only the noise; the convolution itself lives in the tests
+(``tests/oracle.py``) as the reference channel.  A one-tap (flat)
 channel is a division instead of a transform, and the exact unit tap of the
 AWGN profile is the identity.  Zero forcing multiplies by the inverse
 response conj(H)/|H|^2, from the same squared magnitudes that the
@@ -45,12 +46,17 @@ class EqualizationError(RuntimeError):
         )
 
 
+def tvfs_gains(corrected: bool) -> np.ndarray:
+    """Per-tap gains of the block-fading profile, verbatim or corrected."""
+    return TVFS_GAINS_CORRECTED if corrected else TVFS_GAINS
+
+
 def draw_tvfs(rng: np.random.Generator, frames: int, corrected: bool = False) -> np.ndarray:
     """Draw ``frames`` block-fading realizations as (frames, 4) taps.
 
     Tap n of each frame is gain_n times a standard complex Gaussian.
     """
-    gains = TVFS_GAINS_CORRECTED if corrected else TVFS_GAINS
+    gains = tvfs_gains(corrected)
     return gains * complex_awgn(rng, (frames, len(gains)), 1.0)
 
 
@@ -130,10 +136,8 @@ def _checked_power(rows):
 def check_zf_bins(hf) -> None:
     """Raise :class:`EqualizationError` if any bin of ``hf`` is below ``MIN_ZF_BIN``.
 
-    Bins run along the last axis; a leading axis indexes frames, each checked
-    in full, a few at a time in order.  Squared magnitudes are compared with
-    ``MIN_ZF_BIN`` squared, and the error names the weakest bin of the first
-    few that hold one.
+    Bins run along the last axis and a leading axis indexes frames, checked
+    as :func:`_checked_power` checks them.
     """
     for _ in _checked_power(np.reshape(hf, (-1, np.shape(hf)[-1]))):
         pass

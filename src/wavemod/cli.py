@@ -1,13 +1,13 @@
 """Command-line front end for the BER / PSD / PAPR scenario runner.
 
 Flags may be combined with a flat key=value config file; file entries
-override flags.  Exit codes: 0 success, 2 configuration error, 3 numerical
-failure.
+override flags, and the subcommand alone sets the metric.  Exit codes: 0
+success, 2 configuration error, 3 numerical failure.
 """
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 _WP_FIELDS = {f.name for f in fields(WaveformParams)}
-_SC_FIELDS = {f.name for f in fields(ScenarioConfig)} - {"waveform_params"}
+_SC_FIELDS = {f.name for f in fields(ScenarioConfig)} - {"waveform_params", "metric"}
 
 
 def parse_config_file(path) -> dict:
@@ -65,29 +65,20 @@ def _coerce(key: str, val: str):
 
 
 def build_config(args) -> ScenarioConfig:
-    overrides = {}
+    values = {"waveform": args.waveform, "channel": args.channel, "frames": args.frames,
+              "seed": args.seed, "output_path": args.out}
+    if args.ebn0 is not None:
+        values["ebn0_grid_db"] = tuple(args.ebn0)
     if args.config:
         for key, val in parse_config_file(args.config).items():
             if key not in _SC_FIELDS | _WP_FIELDS:
                 raise ConfigError(f"config file: unknown key {key!r}")
             try:
-                overrides[key] = _coerce(key, val)
+                values[key] = _coerce(key, val)
             except ValueError as exc:
                 raise ConfigError(f"{key}: cannot parse {val!r} ({exc})") from None
-    wp_kwargs = {k: v for k, v in overrides.items() if k in _WP_FIELDS}
-    sc_kwargs = {k: v for k, v in overrides.items() if k in _SC_FIELDS}
-    config = ScenarioConfig(
-        waveform=sc_kwargs.pop("waveform", args.waveform),
-        channel=sc_kwargs.pop("channel", args.channel),
-        metric=args.metric,
-        frames=sc_kwargs.pop("frames", args.frames),
-        seed=sc_kwargs.pop("seed", args.seed),
-        output_path=sc_kwargs.pop("output_path", args.out),
-        waveform_params=WaveformParams(**wp_kwargs),
-    )
-    if args.ebn0 is not None and "ebn0_grid_db" not in sc_kwargs:
-        sc_kwargs["ebn0_grid_db"] = tuple(args.ebn0)
-    config = replace(config, **sc_kwargs)
+    wp = WaveformParams(**{k: values.pop(k) for k in _WP_FIELDS & values.keys()})
+    config = ScenarioConfig(metric=args.metric, waveform_params=wp, **values)
     if config.waveform is None:
         raise ConfigError("waveform: required (flag --waveform or config file)")
     config.validate()

@@ -29,11 +29,9 @@ Z = FFT_M(P) per (bin, residue), and the ZF, MF and MMSE receivers are
 per-bin weights.  CP-OFDM is plain GFDM with M = 1 and the rectangular
 pulse (Michailow et al., IEEE Trans. Commun. 2014): Z is then the constant
 1/sqrt(K), the transmitter a unitary K-point IDFT, and the three receivers
-the same weights.  The OQAM modems, whose quadrature branch is the same bank
-on a prototype delayed by K/2, apply the convolution as one small real
+the same weights.  The OQAM modems apply the convolution as one small real
 matrix per residue (:func:`synthesis_band`) and its transpose as the
-matched filter; the band wraps in a circular frame and has room for the
-tail in a linear one, so one path serves all three.
+matched filter, one path for all three sets.
 
 Both real branches share one complex transform per subsymbol, by the
 two-for-one trick for real data (Sorensen, Jones, Heideman and Burrus, IEEE
@@ -69,7 +67,6 @@ import numpy as np
 
 from . import _work
 from .channel import MIN_ZF_BIN
-from .prototypes import PrototypeFilter
 
 # OQAM quarter-turn rotation j^k of subcarrier k, exact for every k.
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
@@ -151,12 +148,12 @@ def synthesis_band(rows: np.ndarray, subsymbols: int, blocks: int) -> np.ndarray
     return band.reshape(k, blocks, branches * subsymbols)
 
 
-def build_gfdm_matrix(p: PrototypeFilter, subcarriers: int, subsymbols: int) -> GfdmMatrixSet:
+def build_gfdm_matrix(p: np.ndarray, subcarriers: int, subsymbols: int) -> GfdmMatrixSet:
     """Plain circular GFDM of N = K*M samples, column order k fastest then m."""
     for name, value in (("subcarriers", subcarriers), ("subsymbols", subsymbols)):
         if value < 1:
             raise ValueError(f"{name}: must be >= 1, got {value}")
-    zak = np.fft.fft(polyphase(p.coefficients, subcarriers, subsymbols), axis=0)
+    zak = np.fft.fft(polyphase(p, subcarriers, subsymbols), axis=0)
     return GfdmMatrixSet(subcarriers, subsymbols, zak)
 
 
@@ -172,7 +169,7 @@ def linear_pad_length(subcarriers: int, subsymbols: int) -> int:
     return subcarriers * subsymbols - subcarriers // 2 + 1
 
 
-def _oqam_set(p: PrototypeFilter, subcarriers: int, subsymbols: int, circular: bool) -> OqamMatrixSet:
+def _oqam_set(p: np.ndarray, subcarriers: int, subsymbols: int, circular: bool) -> OqamMatrixSet:
     """The circular or linear OQAM set of ``p`` on K subcarriers and M subsymbols.
 
     The I rows are the prototype's, the Q rows the prototype's delayed by
@@ -190,12 +187,12 @@ def _oqam_set(p: PrototypeFilter, subcarriers: int, subsymbols: int, circular: b
         taps = blocks = m
         support_len = frame_len = k * m
     else:
-        taps = -(-(p.length + half) // k)
-        frame_len = p.length + pad
+        taps = -(-(len(p) + half) // k)
+        frame_len = len(p) + pad
         blocks = -(-frame_len // k)
-        support_len = (m - 1) * k + half + p.length
-    delayed = np.concatenate([np.zeros(half), p.coefficients])
-    rows = np.stack([polyphase(p.coefficients, k, taps), polyphase(delayed, k, taps)])
+        support_len = (m - 1) * k + half + len(p)
+    delayed = np.concatenate([np.zeros(half), p])
+    rows = np.stack([polyphase(p, k, taps), polyphase(delayed, k, taps)])
     branches = synthesis_band(rows, m, blocks)
     b_i, b_q = np.split(branches, 2, axis=-1)
     gain = float(np.sum(b_i[:, :, 0] ** 2))
@@ -206,7 +203,7 @@ def _oqam_set(p: PrototypeFilter, subcarriers: int, subsymbols: int, circular: b
     return OqamMatrixSet(k, m, band, gain, circular, support_len, frame_len)
 
 
-def build_oqam_matrices(p: PrototypeFilter, subcarriers: int, subsymbols: int) -> OqamMatrixSet:
+def build_oqam_matrices(p: np.ndarray, subcarriers: int, subsymbols: int) -> OqamMatrixSet:
     """Circular OQAM set of K*M samples; the quadrature pulses are the in-phase ones rolled by K/2.
 
     The rolled pulse keeps the carrier phase of the unrolled one, so the Q
@@ -215,7 +212,7 @@ def build_oqam_matrices(p: PrototypeFilter, subcarriers: int, subsymbols: int) -
     return _oqam_set(p, subcarriers, subsymbols, circular=True)
 
 
-def build_linear_matrices(p: PrototypeFilter, subcarriers: int, subsymbols: int) -> OqamMatrixSet:
+def build_linear_matrices(p: np.ndarray, subcarriers: int, subsymbols: int) -> OqamMatrixSet:
     """Linear GFDM: the wrap-free OQAM set over ``len(p) + linear_pad_length(K, M)`` samples.
 
     In-phase pulses place the prototype at offset m*K, quadrature pulses at
@@ -227,7 +224,7 @@ def build_linear_matrices(p: PrototypeFilter, subcarriers: int, subsymbols: int)
     return _oqam_set(p, subcarriers, subsymbols, circular=False)
 
 
-def build_fbmc_matrices(p: PrototypeFilter, subcarriers: int, m_symbols: int) -> OqamMatrixSet:
+def build_fbmc_matrices(p: np.ndarray, subcarriers: int, m_symbols: int) -> OqamMatrixSet:
     """FBMC-OQAM burst of ``m_symbols`` OQAM symbols per subcarrier: Linear GFDM cut to its support.
 
     ``frame_len == support_len == len(p) + (2 * m_symbols - 1) * subcarriers // 2``.

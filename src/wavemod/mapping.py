@@ -13,9 +13,7 @@ draws, and :func:`qam_map` packs its bits and maps them the same way;
 :func:`packed_labels` reads the same entries' labels from a twin table.
 Demapping decides both axes of every symbol in one pass over their
 interleaved (re, im) values and gives labels (:func:`demap_labels`), which
-index the bit table for :func:`qam_demap`.  A symbol's bits are its label's
-binary digits, so its bit errors are the set bits of its sent label XOR its
-decided one.
+index the bit table for :func:`qam_demap`.
 """
 
 import functools
@@ -34,11 +32,10 @@ def _bits_per_axis(order: int) -> int:
 
 
 def _axis_levels(order: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Per-axis amplitude levels, their Gray labels and the energy scale.
+    """Per-axis amplitude levels, their Gray labels and the energy scale (see the module).
 
-    Level index i carries Gray label i ^ (i >> 1) and amplitude
-    (L - 1 - 2*i) * scale, so the all-zero label sits at the largest
-    positive amplitude and neighboring levels differ in exactly one bit.
+    The all-zero label sits at the largest positive amplitude, and
+    neighboring levels differ in exactly one bit.
     """
     nb = _bits_per_axis(order)
     nlev = 1 << nb
@@ -106,21 +103,20 @@ def _binary_bits(bits) -> np.ndarray:
     return b.astype(np.uint8, copy=False)
 
 
-def qam_map(bits, order: int, out=None) -> np.ndarray:
+def qam_map(bits, order: int) -> np.ndarray:
     """Map a bit sequence to Gray-labeled unit-average-energy QAM symbols.
 
     Each symbol consumes log2(order) bits: the first half selects the
     in-phase level, the second half the quadrature level, MSB first.  The
     bits are packed MSB-first into bytes and mapped by :func:`map_packed`.
-    The symbols go to ``out``, of shape (n_symbols,), if given.  Raises
-    ValueError on an unsupported order, a bit count not divisible by
+    Raises ValueError on an unsupported order, a bit count not divisible by
     log2(order), or any bit that is not 0 or 1.
     """
     bps = _tables(order).bits.shape[1]
     b = _binary_bits(bits)
     if len(b) % bps != 0:
         raise ValueError(f"bit count {len(b)} not divisible by {bps}")
-    return map_packed(np.packbits(b), order, len(b) // bps, out=out)
+    return map_packed(np.packbits(b), order, len(b) // bps)
 
 
 def _entries(packed: np.ndarray, order: int) -> np.ndarray:
@@ -270,20 +266,14 @@ def demap_labels(symbols, order: int, out=None) -> np.ndarray:
     return out
 
 
-def qam_demap(symbols, order: int, out=None) -> np.ndarray:
+def qam_demap(symbols, order: int) -> np.ndarray:
     """Hard-decision demapping to uint8 bits; exact inverse of :func:`qam_map` on grid points.
 
     Each symbol's :func:`demap_labels` label indexes the bit table, whose
-    row holds the symbol's bits.  The bits go to ``out``, of shape
-    (n_symbols, log2 order), if given.  Raises ValueError on a symbol that is
-    not finite.
+    row holds the symbol's bits.  Raises ValueError on a symbol that is not
+    finite.
     """
-    tables = _tables(order)
-    labels = demap_labels(symbols, order)
-    if out is None:
-        out = np.empty((len(labels), tables.bits.shape[1]), dtype=np.uint8)
-    np.take(tables.bits, labels, axis=0, out=out, mode="clip")
-    return out.ravel()
+    return _tables(order).bits[demap_labels(symbols, order)].ravel()
 
 
 def constellation(order: int) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Evaluation instruments: bit error counting, Welch's averaged-periodogram PSD
-estimate, PAPR and its CCDF, and the closed-form QAM bit error probability curves."""
+"""Evaluation instruments: Welch's averaged-periodogram PSD estimate, PAPR and its
+CCDF, and the closed-form QAM bit error probability curves."""
 
 import math
 from dataclasses import dataclass, field
@@ -43,20 +43,6 @@ class MetricCurve:
 
     def interpolate(self, x: float) -> float:
         return float(np.interp(x, self.abscissa, self.values))
-
-
-def ber_count(tx_bits, rx_bits) -> tuple[int, int, float]:
-    """Exact Hamming error count and ratio between two equal-length streams."""
-    tx = np.asarray(tx_bits).ravel()
-    rx = np.asarray(rx_bits).ravel()
-    if tx.shape != rx.shape:
-        raise ValueError(f"length mismatch: {tx.shape} vs {rx.shape}")
-    errors = sum(
-        int(np.count_nonzero(tx[lo:lo + BLOCK] != rx[lo:lo + BLOCK]))
-        for lo in range(0, tx.size, BLOCK)
-    )
-    total = tx.size
-    return errors, total, errors / total if total else 0.0
 
 
 class WelchAccumulator:
@@ -111,21 +97,6 @@ class WelchAccumulator:
         plateau = np.median(pxx[pxx >= pxx.max() / 2.0])
         vals_db = 10.0 * np.log10(np.maximum(pxx / plateau, 1e-300))
         return MetricCurve(freqs, vals_db, kind="PSD_dB", meta=dict(meta or {}))
-
-
-def welch_psd(stream, seg_len: int = 2048, meta: dict | None = None) -> MetricCurve:
-    """Welch's estimate: the mean periodogram of half-overlapped periodic-Hann segments.
-
-    No detrending, density scaling 1/(n_seg * sum(w^2)), samples past the last whole
-    segment dropped; two-sided and plateau-normalized to 0 dB.  The whole stream
-    goes through one :class:`WelchAccumulator`.
-    """
-    stream = np.asarray(stream)
-    if len(stream) < seg_len:
-        raise ValueError(f"need at least {seg_len} samples, got {len(stream)}")
-    welch = WelchAccumulator(seg_len, len(stream))
-    welch.add(np.lib.stride_tricks.sliding_window_view(stream, seg_len)[::welch.step])
-    return welch.curve(meta)
 
 
 def papr_batch(frames: np.ndarray) -> np.ndarray:

@@ -1,10 +1,9 @@
 """Prototype filter design for the multicarrier modems.
 
 Provides the PHYDYAS frequency-sampling filter used by the filter-bank
-waveforms and the rectangular pulse used by OFDM.
+waveforms and the rectangular pulse used by OFDM, each as a plain float
+array of real, unit-energy impulse-response coefficients.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,20 +19,7 @@ _FREQ_COEFFS = {
 PHYDYAS_OVERLAPS = tuple(sorted(_FREQ_COEFFS))
 
 
-@dataclass(frozen=True)
-class PrototypeFilter:
-    """Real-valued, unit-energy prototype filter impulse response."""
-
-    coefficients: np.ndarray
-    overlap: int
-    subcarriers: int
-
-    @property
-    def length(self) -> int:
-        return len(self.coefficients)
-
-
-def phydyas(subcarriers: int, overlap: int = 4) -> PrototypeFilter:
+def phydyas(subcarriers: int, overlap: int = 4) -> np.ndarray:
     """PHYDYAS frequency-sampling prototype of length ``overlap * subcarriers + 1``.
 
     The impulse response is built by summing the frequency samples with
@@ -56,13 +42,12 @@ def phydyas(subcarriers: int, overlap: int = 4) -> PrototypeFilter:
     for l in range(1, overlap):
         p += 2.0 * (-1) ** l * coeffs[l] * np.cos(2.0 * np.pi * l * n / span)
     p /= np.linalg.norm(p)
-    return PrototypeFilter(coefficients=p, overlap=overlap, subcarriers=subcarriers)
+    return p
 
 
-def rectangular(subcarriers: int) -> PrototypeFilter:
+def rectangular(subcarriers: int) -> np.ndarray:
     """Length-``subcarriers`` rectangular pulse with unit energy."""
     if subcarriers < 1:
         raise ValueError(f"subcarriers must be >= 1, got {subcarriers}")
-    p = np.full(subcarriers, 1.0 / np.sqrt(subcarriers))
-    return PrototypeFilter(coefficients=p, overlap=1, subcarriers=subcarriers)
+    return np.full(subcarriers, 1.0 / np.sqrt(subcarriers))
 

@@ -12,26 +12,18 @@ sub-band allocation is held as runs of consecutive active bins, so its
 scatter and gather are slice copies.  Each BER chunk then runs the equalizer,
 demodulator, demapper and error count once (``ber_errors``), with TVFS taps
 as one (frames, n_taps) array, and a PSD run streams Welch's estimate chunk
-by chunk (``run_psd``).  The channel is a linear convolution followed by
-frequency-domain zero forcing, which inverts it exactly on every
-configuration ``ScenarioConfig.validate`` accepts: a CP frame's prefix
-covers the channel's memory of n_taps - 1 samples, so the convolution is
-circular on the frame core that ZF transforms, and a prefix-free frame is
-zero-forced over a power-of-two transform that holds the whole linear
-convolution.  So ZF(h * x + n) = x + ZF(n), and a BER chunk adds the
-zero-forced noise to the sent frames without convolving them; the
-convolution lives in ``tests/oracle.py`` as the reference channel.
-All five waveforms share one adapter over the FFT modem core of ``gfdm``:
-CP-OFDM is plain GFDM with K = ``n_fft``, M = 1 and the rectangular pulse.
-The waveform table picks each one's matrix-set builder and frame kind
-(circular with a cyclic prefix, or prefix-free).
+by chunk (``run_psd``).  Zero forcing inverts the channel exactly on every
+configuration ``ScenarioConfig.validate`` accepts (see ``channel``), so a
+BER chunk adds the zero-forced noise to the sent frames without convolving
+them.  All five waveforms share one adapter over the FFT modem core of
+``gfdm``: CP-OFDM is plain GFDM with K = ``n_fft``, M = 1 and the
+rectangular pulse.  The waveform table picks each one's matrix-set builder
+and frame kind (circular with a cyclic prefix, or prefix-free).
 
 Each chunk job borrows a work area (``_work``) and every stage writes its
 frames-first (count, ...) rows there, from the noise draw to the decided
 labels; a PSD run borrows one for all its chunks, and its stream window and
-Welch batch are its own.  After a run the process keeps one chunk's worth
-of arrays per job that ran at the same time, at most one area per thread,
-each sized to the largest chunk seen.
+Welch batch are its own.
 """
 
 import os
@@ -209,11 +201,10 @@ class _MatrixAdapter:
     """One waveform over one matrix set, plain GFDM (OFDM at M = 1) or OQAM.
 
     A circular frame (``circular=True``) carries a ``cp_len`` cyclic prefix
-    and is ZF-equalized over its K*M core.  A prefix-free frame is
-    ZF-equalized over the whole received frame, zero-padded to a power of
-    two, then cut back to ``frame_len``.  Either way ZF inverts a channel
-    whose n_taps - 1 samples of memory the prefix or the padding holds, so
-    :meth:`equalize` gives the sent frame's window plus the zero-forced noise.
+    and is ZF-equalized over its K*M core; a prefix-free frame over the whole
+    received frame, zero-padded to a power of two, then cut back to
+    ``frame_len``.  Either way :meth:`equalize` gives the sent frame's window
+    plus the zero-forced noise (see ``channel``).
     """
 
     def __init__(self, wp: WaveformParams, mats, circular: bool):
@@ -283,13 +274,10 @@ class _MatrixAdapter:
     def equalize(self, y, taps) -> np.ndarray:
         """(count, K*M) ZF-equalized windows of their (count, width) ZF inputs.
 
-        ``y`` holds the :meth:`zf_window` columns of each received frame.  A
-        circular frame's core is zero-forced with the core's response; a
-        prefix-free frame is zero-forced at ``_next_pow2(width)`` points,
-        and its first ``frame_len`` samples are kept.  The transform runs in
-        a work-area array, which ``y`` may already be the leading columns of
-        (see :meth:`zf_window`), and the AWGN profile's unit tap leaves it
-        as it is.  The result is a view of that array.
+        ``y`` holds the :meth:`zf_window` columns of each received frame and
+        may already be the leading columns of the work-area array the
+        transform runs in; the AWGN profile's unit tap leaves it as it is.
+        The result is a view of that array.
         """
         equalized = self._zf_buffer(*y.shape)
         fft_len = equalized.shape[1]
@@ -436,12 +424,10 @@ def ber_errors(adapter, order: int, packed, x, taps, noise, noise_var: float) ->
 
     ``x`` holds the (count, frame_len) frames carrying the ``packed`` bits;
     ``packed``, ``taps`` and the unit-variance ``noise`` are as
-    :func:`_draw_chunk` draws them.
-    Zero forcing inverts the channel exactly (see the module docstring), so
-    the equalized frames are the sent frames' equalizer windows plus the
-    zero-forced noise.  The noise parts of the ZF window, scaled by
+    :func:`_draw_chunk` draws them.  By ZF(h * x + n) = x + ZF(n) (see
+    ``channel``), the noise parts of the ZF window, scaled by
     sqrt(``noise_var``), are written straight into the array the transform
-    runs in; the zero-forced noise is added to the windows, demodulated and
+    runs in, zero-forced, added to the frames' windows, demodulated and
     counted once for the whole chunk (:func:`_bit_errors`).
     """
     scale = np.sqrt(noise_var)
@@ -473,21 +459,15 @@ def _bit_errors(packed, d_hat, order: int) -> tuple[int, int]:
     return int(np.bitwise_count(tx, out=tx).sum()), n_bits
 
 
-def _process_ber_chunk(config, adapter, scenario_id, start, count, noise_var):
-    x, bits, taps, noise = _transmit_chunk(config, adapter, scenario_id, start, count, True)
-    return ber_errors(adapter, config.waveform_params.qam_order, bits, x, taps, noise, noise_var)
-
-
 def _parallel_rounds(process, total, chunk=_CHUNK, stop=None):
     """Run chunk jobs in fixed order, optionally threaded, until done/stopped.
 
     ``process(start, count)`` returns a tuple of accumulables; each job runs
     in a work area borrowed for it.  Rounds of one job per thread run at
-    once, and one thread runs the jobs itself, with no pool.  Results are
-    accumulated in chunk index order and ``stop`` is applied after every
-    chunk; once it fires, the later chunks of the round are dropped.  A run
-    therefore ends on the same chunk, with the same result, at any thread
-    count.
+    once.  Results are accumulated in chunk index order and ``stop`` is
+    applied after every chunk; once it fires, the later chunks of the round
+    are dropped.  A run therefore ends on the same chunk, with the same
+    result, at any thread count.
     """
     threads = n_threads()
     starts = range(0, total, chunk)
@@ -515,14 +495,16 @@ def run_ber(config: ScenarioConfig) -> MetricCurve:
     if config.metric != "ber":
         raise ConfigError(f"metric: expected 'ber', got {config.metric!r}")
     adapter = build_adapter(config)
+    order = config.waveform_params.qam_order
     grid = np.asarray(config.ebn0_grid_db, dtype=float)
     bers, err_col, bit_col = [], [], []
     for idx, ebn0_db in enumerate(grid):
-        noise_var = noise_variance(ebn0_db, config.waveform_params.qam_order)
+        noise_var = noise_variance(ebn0_db, order)
         sid = _scenario_id(config, idx)
 
         def process(start, count):
-            return _process_ber_chunk(config, adapter, sid, start, count, noise_var)
+            x, packed, taps, noise = _transmit_chunk(config, adapter, sid, start, count, True)
+            return ber_errors(adapter, order, packed, x, taps, noise, noise_var)
 
         def stop(acc):
             errors, bits = acc
@@ -551,10 +533,7 @@ def run_ber(config: ScenarioConfig) -> MetricCurve:
 def _theory_reference(config: ScenarioConfig, grid: np.ndarray) -> np.ndarray:
     order = config.waveform_params.qam_order
     if config.channel == "tvfs":
-        gains = (
-            chan.TVFS_GAINS_CORRECTED if config.tvfs_corrected else chan.TVFS_GAINS
-        )
-        mean_power = float(np.sum(gains ** 2))
+        mean_power = float(np.sum(chan.tvfs_gains(config.tvfs_corrected) ** 2))
         shift = 10.0 * np.log10(mean_power)
         return theoretical_ber(grid + shift, order, channel="rayleigh")
     return theoretical_ber(grid, order, channel="awgn")

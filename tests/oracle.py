@@ -6,7 +6,8 @@ the core's outputs against products with these matrices.  They are slow and
 large (N x N and bigger) on purpose: nothing here shares code with the core.
 ``qam_map``, ``demap_axis`` and ``qam_demap`` compute Gray labels with integer
 arithmetic, bracketing and distance comparisons instead of the package's tables.
-``psd_oneshot`` holds a PSD run's whole stream at once, frame by frame.
+``welch_psd`` estimates a whole stream in one call, and ``psd_oneshot`` holds
+a PSD run's whole stream at once, frame by frame, before estimating it.
 ``circular_oqam_set``, ``linear_oqam_set`` and ``fbmc_oqam_set`` are the three
 separate constructions the OQAM sets had before one builder made them all:
 the wrapped prototype rolled by K/2, the prototype placed at 0 and K/2 in
@@ -27,16 +28,16 @@ from dataclasses import replace
 
 import numpy as np
 
-from wavemod import TIFS_TAPS, TVFS_GAINS, TVFS_GAINS_CORRECTED, OqamMatrixSet, sim, welch_psd
+from wavemod import TIFS_TAPS, TVFS_GAINS, TVFS_GAINS_CORRECTED, MetricCurve, OqamMatrixSet, sim
 from wavemod.gfdm import _FRAME_BLOCK
+from wavemod.metrics import WelchAccumulator
 
 
 def _wrap_prototype(p, n: int) -> np.ndarray:
     """Fold the prototype into length ``n`` by additive wrapping modulo n."""
     g = np.zeros(n)
-    coeffs = p.coefficients
-    for start in range(0, len(coeffs), n):
-        chunk = coeffs[start:start + n]
+    for start in range(0, len(p), n):
+        chunk = p[start:start + n]
         g[: len(chunk)] += chunk
     return g
 
@@ -85,7 +86,7 @@ def build_linear_matrices(p, subcarriers: int, subsymbols: int) -> tuple[np.ndar
     at m*K + K/2, both modulated over the absolute sample index.  The FBMC
     pair is the first ``burst_length`` rows.
     """
-    lp = p.length
+    lp = len(p)
     n_ext = lp + subcarriers * subsymbols - subcarriers // 2 + 1
     n = np.arange(n_ext)
     n_sym = subcarriers * subsymbols
@@ -96,7 +97,7 @@ def build_linear_matrices(p, subcarriers: int, subsymbols: int) -> tuple[np.ndar
     for m in range(subsymbols):
         for a, off in ((a_i, m * subcarriers), (a_q, m * subcarriers + subcarriers // 2)):
             pulse = np.zeros(n_ext)
-            pulse[off:off + lp] = p.coefficients
+            pulse[off:off + lp] = p
             a[:, m * subcarriers:(m + 1) * subcarriers] = pulse[:, None] * carriers
     return a_i, a_q
 
@@ -139,12 +140,12 @@ def linear_oqam_set(p, subcarriers: int, subsymbols: int) -> OqamMatrixSet:
     blocks as cover it.
     """
     half = subcarriers // 2
-    taps = -(-(p.length + half) // subcarriers)
+    taps = -(-(len(p) + half) // subcarriers)
     rows = np.zeros((2, taps * subcarriers))
-    rows[0, : p.length] = p.coefficients
-    rows[1, half:half + p.length] = p.coefficients
-    n_ext = p.length + subcarriers * subsymbols - half + 1
-    support_len = (subsymbols - 1) * subcarriers + half + p.length
+    rows[0, : len(p)] = p
+    rows[1, half:half + len(p)] = p
+    n_ext = len(p) + subcarriers * subsymbols - half + 1
+    support_len = (subsymbols - 1) * subcarriers + half + len(p)
     return _fused_set(rows.reshape(2, taps, subcarriers), subsymbols,
                       -(-n_ext // subcarriers), False, support_len, n_ext)
 
@@ -301,17 +302,17 @@ def synthesis_pulse(k: int, m: int, part: str, p, subcarriers: int, length: int 
         raise ValueError(f"part must be 'I' or 'Q', got {part!r}")
     offset = m * subcarriers + (subcarriers // 2 if part == "Q" else 0)
     if length is None:
-        length = offset + p.length
+        length = offset + len(p)
     pulse = np.zeros(length, dtype=complex)
-    stop = min(length, offset + p.length)
-    pulse[offset:stop] = p.coefficients[: stop - offset]
+    stop = min(length, offset + len(p))
+    pulse[offset:stop] = p[: stop - offset]
     n = np.arange(length)
     pulse *= np.exp(2j * np.pi * k * n / subcarriers) * np.exp(1j * np.pi * k / 2)
     return pulse
 
 
 def burst_length(p, subcarriers: int, m_symbols: int) -> int:
-    return p.length + (2 * m_symbols - 1) * subcarriers // 2
+    return len(p) + (2 * m_symbols - 1) * subcarriers // 2
 
 
 def pulse_bank(p, k: int, ms: int) -> tuple[np.ndarray, np.ndarray]:
@@ -367,6 +368,21 @@ def welch_loop(x, seg_len: int) -> tuple[np.ndarray, np.ndarray]:
     for s in starts:
         total += np.abs(np.fft.fft(w * x[s:s + seg_len])) ** 2 / np.sum(w ** 2)
     return (n - seg_len * (n >= (seg_len + 1) // 2)) / seg_len, total / len(starts)
+
+
+def welch_psd(stream, seg_len: int = 2048, meta: dict | None = None) -> MetricCurve:
+    """Welch's estimate: the mean periodogram of half-overlapped periodic-Hann segments.
+
+    No detrending, density scaling 1/(n_seg * sum(w^2)), samples past the last whole
+    segment dropped; two-sided and plateau-normalized to 0 dB.  The whole stream
+    goes through one :class:`WelchAccumulator`.
+    """
+    stream = np.asarray(stream)
+    if len(stream) < seg_len:
+        raise ValueError(f"need at least {seg_len} samples, got {len(stream)}")
+    welch = WelchAccumulator(seg_len, len(stream))
+    welch.add(np.lib.stride_tricks.sliding_window_view(stream, seg_len)[::welch.step])
+    return welch.curve(meta)
 
 
 def psd_oneshot(config):

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -56,14 +57,16 @@ def test_work_areas_belong_to_the_pipeline_and_the_modem():
 
 def test_every_traced_stage_resolves():
     # A stage none of whose functions exists would vanish from traced runs.
-    # The channel stage names only the channel convolution, which the
-    # simulator no longer runs (zero forcing inverts the channel, so it
-    # equalizes the noise alone): that one stage reads zero until the
-    # benchmark's stage table drops it.
+    # Three stages name only functions the pipeline never runs, and read
+    # zero until the benchmark's stage table drops them: channel_s the
+    # channel convolution (zero forcing inverts the channel, so the
+    # simulator equalizes the noise alone), count_s and welch_s the
+    # one-call bit count and PSD, test helpers that left the package (BER
+    # chunks count label bits in sim, PSD runs stream WelchAccumulator).
     tracing = _load_tracing()
     with tracing.Tracer() as tracer:
         pass
-    assert tracer.absent == ["channel_s"]
+    assert tracer.absent == ["channel_s", "count_s", "welch_s"]
 
 
 @pytest.mark.parametrize(
@@ -146,3 +149,33 @@ def test_no_unused_imports():
     modules = sorted((_ROOT / "src" / "wavemod").glob("*.py")) + sorted((_ROOT / "tests").glob("*.py"))
     assert modules
     assert [entry for path in modules for entry in _unused_imports(path)] == []
+
+
+def _names_read(node) -> list[str]:
+    """Every name under ``node`` that code can read: plain names, attributes, imported names."""
+    names = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.append(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.append(n.attr)
+        elif isinstance(n, ast.alias):
+            names.append(n.name)
+    return names
+
+
+def test_no_unused_private_definitions():
+    # A module-level _private function or class that nothing in the package
+    # reads outside its own body is dead code, even when tests call it.
+    paths = sorted((_ROOT / "src" / "wavemod").glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text()) for path in paths}
+    read = Counter(name for tree in trees.values() for name in _names_read(tree))
+    unused = [
+        f"{module}:{node.lineno}: {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+        and read[node.name] == _names_read(node).count(node.name)
+    ]
+    assert trees
+    assert unused == []

@@ -20,14 +20,14 @@ class TestSynthesisPulse:
     def test_dc_pulse_is_prototype(self):
         p = phydyas(8, 4)
         pulse = synthesis_pulse(0, 0, "I", p, 8)
-        np.testing.assert_allclose(pulse, p.coefficients, atol=1e-14)
+        np.testing.assert_allclose(pulse, p, atol=1e-14)
 
     def test_subcarrier_two_phase(self):
         k = 8
         p = phydyas(k, 4)
         pulse = synthesis_pulse(2, 0, "I", p, k)
-        n = np.arange(p.length)
-        want = -p.coefficients * np.exp(4j * np.pi * n / k)
+        n = np.arange(len(p))
+        want = -p * np.exp(4j * np.pi * n / k)
         np.testing.assert_allclose(pulse, want, atol=1e-12)
 
     def test_quadrature_is_delayed_inphase(self):
@@ -36,8 +36,8 @@ class TestSynthesisPulse:
         k = 8
         p = phydyas(k, 4)
         for kk in range(k):
-            gi = synthesis_pulse(kk, 0, "I", p, k, length=p.length + k)
-            gq = synthesis_pulse(kk, 0, "Q", p, k, length=p.length + k)
+            gi = synthesis_pulse(kk, 0, "I", p, k, length=len(p) + k)
+            gq = synthesis_pulse(kk, 0, "Q", p, k, length=len(p) + k)
             delayed = np.roll(gi, k // 2)
             delayed[: k // 2] = 0.0
             np.testing.assert_allclose(gq, delayed * (-1) ** kk, atol=1e-12)
@@ -55,7 +55,7 @@ class TestFbmcModulate:
         d = np.zeros(k, dtype=complex)
         d[0] = 1.0
         x = oqam_modulate(mats, d)
-        np.testing.assert_allclose(x[: p.length], p.coefficients, atol=1e-14)
+        np.testing.assert_allclose(x[: len(p)], p, atol=1e-14)
 
     def test_table_profile_burst_length(self):
         p = phydyas(128, 4)

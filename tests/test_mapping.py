@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from wavemod import constellation, qam_demap, qam_map
 from wavemod._work import BLOCK
 from wavemod.mapping import _axis_levels, _demap_axis, demap_labels, map_packed, packed_labels
-from wavemod.metrics import ber_count
 from wavemod.sim import _bit_errors
 
 
@@ -184,16 +183,12 @@ class TestAgainstReference:
         bps = int(np.log2(order))
         rng = np.random.default_rng(order)
         bits = rng.integers(0, 2, (3 * BLOCK + 5) * bps)
-        d = np.empty(3 * BLOCK + 5, dtype=complex)
-        assert qam_map(bits, order, out=d) is d
-        np.testing.assert_array_equal(d, oracle.qam_map(bits, order))
-        d[:] = 0
+        np.testing.assert_array_equal(qam_map(bits, order), oracle.qam_map(bits, order))
+        d = np.zeros(3 * BLOCK + 5, dtype=complex)
         assert map_packed(np.packbits(bits), order, d.size, out=d) is d
         np.testing.assert_array_equal(d, oracle.qam_map(bits, order))
         y = d + 0.3 * (rng.standard_normal(d.size) + 1j * rng.standard_normal(d.size))
-        labels = np.empty((d.size, bps), dtype=np.uint8)
-        np.testing.assert_array_equal(qam_demap(y, order, out=labels), oracle.qam_demap(y, order))
-        assert np.shares_memory(qam_demap(y, order, out=labels), labels)
+        np.testing.assert_array_equal(qam_demap(y, order), oracle.qam_demap(y, order))
 
 
 class TestLabelCount:
@@ -224,7 +219,7 @@ class TestLabelCount:
             if n:
                 parts[at % (2 * n)] = mids[mid % len(mids)] + k * 1e-13
         bits = oracle.qam_demap(y, order)
-        want = ber_count(np.unpackbits(packed, count=n * bps), bits)[0]
+        want = np.count_nonzero(np.unpackbits(packed, count=n * bps) != bits)
         assert _bit_errors(packed, y, order) == (want, n * bps)
         np.testing.assert_array_equal(qam_demap(y, order), bits)
         np.testing.assert_array_equal(constellation(order)[packed_labels(packed, order, n)], d)

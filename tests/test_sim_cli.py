@@ -710,6 +710,7 @@ class TestCli:
             (["ber", "--waveform", "ofdm", "--ebn0=-inf", "--frames", "1"], "", "ebn0_grid_db"),
             (["ber", "--waveform", "ofdm", "--frames", "1"], "ebn0_grid_db = 4 nan", "ebn0_grid_db"),
             (["ber", "--waveform", "ofdm", "--ebn0=-4000", "--frames", "1"], "", "ebn0_grid_db"),
+            (["ber", "--waveform", "ofdm", "--frames", "1"], "metric = papr", "metric"),
         ],
         ids=[
             "unknown-key",
@@ -739,6 +740,7 @@ class TestCli:
             "ebn0-minus-inf-flag",
             "ebn0-nan-in-config",
             "ebn0-underflows-noise-variance",
+            "metric-is-the-subcommand",
         ],
     )
     def test_bad_config_file_exit_code(self, tmp_path, capsys, argv, text, key):
