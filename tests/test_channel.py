@@ -8,6 +8,8 @@ from oracle import circulant_matrix, convolve_rows
 from wavemod import (
     EqualizationError,
     TIFS_TAPS,
+    TVFS_GAINS,
+    TVFS_GAINS_CORRECTED,
     build_linear_matrices,
     complex_awgn,
     draw_tvfs,
@@ -18,7 +20,7 @@ from wavemod import (
     qam_map,
 )
 from wavemod._work import BLOCK
-from wavemod.channel import MIN_ZF_BIN, awgn_parts, check_zf_bins
+from wavemod.channel import MIN_ZF_BIN, awgn_parts, check_zf_bins, tvfs_gains
 from wavemod.sim import ScenarioConfig, WaveformParams, _draw_chunk, build_adapter
 
 
@@ -43,6 +45,21 @@ class TestProfiles:
     def test_tvfs_second_tap_always_zero(self):
         rng = np.random.default_rng(0)
         assert np.all(draw_tvfs(rng, 100)[:, 1] == 0.0)
+
+    @pytest.mark.parametrize(
+        "corrected,gains", [(False, TVFS_GAINS), (True, TVFS_GAINS_CORRECTED)], ids=["verbatim", "corrected"]
+    )
+    def test_tvfs_gains_picks_the_profile(self, corrected, gains):
+        assert tvfs_gains(corrected) is gains
+
+    def test_tvfs_corrected_tap_powers(self):
+        # Tap n of a corrected draw is gain_n times a unit complex Gaussian,
+        # so |tap_n|^2 is gain_n^2 * Exp(1): its mean has std gain_n^2 / sqrt(n).
+        rng = np.random.default_rng(4)
+        n = 100_000
+        powers = np.mean(np.abs(draw_tvfs(rng, n, corrected=True)) ** 2, axis=0)
+        expected = TVFS_GAINS_CORRECTED ** 2
+        assert np.all(np.abs(powers - expected) <= 4 * expected / np.sqrt(n))
 
     def test_tvfs_first_tap_power(self):
         rng = np.random.default_rng(1)

@@ -55,6 +55,13 @@ class TestRectangular:
         assert abs(np.sum(c ** 2) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("make", [lambda: phydyas(16, 4), lambda: rectangular(16)], ids=["phydyas", "rectangular"])
+def test_prototype_is_a_plain_float_array(make):
+    c = make()
+    assert type(c) is np.ndarray
+    assert c.dtype == np.float64 and c.ndim == 1
+
+
 class TestLinearPadLength:
     def test_default_profile(self):
         assert linear_pad_length(128, 4) == 449

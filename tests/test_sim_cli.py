@@ -680,6 +680,26 @@ class TestCli:
         assert rc == 0
         assert capsys.readouterr().out.count("\n") == 1
 
+    def test_build_config_file_entries_over_flags(self, tmp_path):
+        # One dict: the flags first, the file's entries over them, the
+        # waveform-parameter keys split out last; the subcommand sets the metric.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("waveform = gfdm\nseed = 7\nebn0_grid_db = 2 6\nsubsymbols = 3\n")
+        argv = ["ber", "--waveform", "ofdm", "--seed", "1", "--ebn0", "9", "--frames", "4",
+                "--config", str(cfg)]
+        config = cli.build_config(cli.make_parser().parse_args(argv))
+        assert (config.metric, config.waveform, config.seed) == ("ber", "gfdm", 7)
+        assert config.ebn0_grid_db == (2.0, 6.0)
+        assert config.frames == 4
+        assert config.waveform_params.subsymbols == 3
+
+    def test_build_config_flags_without_file(self):
+        argv = ["papr", "--waveform", "fbmc", "--channel", "tifs", "--frames", "6", "--seed", "3"]
+        config = cli.build_config(cli.make_parser().parse_args(argv))
+        assert (config.metric, config.waveform, config.channel) == ("papr", "fbmc", "tifs")
+        assert (config.frames, config.seed, config.output_path) == (6, 3, None)
+        assert config.waveform_params == WaveformParams()
+
     @pytest.mark.parametrize(
         "argv,text,key",
         [
