@@ -61,21 +61,16 @@ def draw_tvfs(rng: np.random.Generator, frames: int, corrected: bool = False) ->
 
 
 def complex_awgn(rng: np.random.Generator, shape, noise_var: float) -> np.ndarray:
-    """I.i.d. circular complex Gaussian noise with total per-sample variance."""
-    noise = np.empty(shape, dtype=complex)
-    noise.real, noise.imag = awgn_parts(rng, np.empty((2, *noise.shape)), noise_var)
-    return noise
+    """I.i.d. circular complex Gaussian noise with total per-sample variance.
 
-
-def awgn_parts(rng: np.random.Generator, out: np.ndarray, noise_var: float = 1.0) -> np.ndarray:
-    """Fill (2, ...) float ``out`` with complex noise's real parts, then its imaginary parts.
-
-    One draw fills both, real parts first, in the order two draws of the
-    noise's shape would; each part has variance ``noise_var`` / 2.
+    One draw fills the real parts, then the imaginary parts, in the order
+    two draws of ``shape`` would; each part has variance ``noise_var`` / 2.
     """
-    rng.standard_normal(out=out)
-    out *= np.sqrt(noise_var / 2.0)
-    return out
+    noise = np.empty(shape, dtype=complex)
+    parts = rng.standard_normal((2, *noise.shape))
+    parts *= np.sqrt(noise_var / 2.0)
+    noise.real, noise.imag = parts
+    return noise
 
 
 @functools.cache
@@ -155,11 +150,10 @@ def fd_zf_equalize(y, taps, fft_len: int, hf=None, out=None) -> np.ndarray:
     than one bin is overwritten with its inverse.  ``out``, if given, is a
     C-contiguous array of ``y``'s shape but ``fft_len`` wide: the transform
     runs in it, in place, and the result is its leading columns
-    ``out[..., :n]``.  ``y`` may be those very columns, and is then not
-    copied.  One tap is a flat response that divides ``y`` directly, and an
-    exact unit tap leaves it as it is.  A bin of magnitude below
-    ``MIN_ZF_BIN`` raises :class:`EqualizationError`, which names the bin
-    and its magnitude.
+    ``out[..., :n]``.  ``y`` may be those very columns.  One tap is a flat
+    response that divides ``y`` directly, and an exact unit tap leaves it as
+    it is.  A bin of magnitude below ``MIN_ZF_BIN`` raises
+    :class:`EqualizationError`, which names the bin and its magnitude.
     """
     y = np.asarray(y, dtype=complex)
     n = y.shape[-1]
@@ -174,8 +168,7 @@ def fd_zf_equalize(y, taps, fft_len: int, hf=None, out=None) -> np.ndarray:
     if out is None:
         out = np.empty(y.shape[:-1] + (fft_len,), dtype=complex)
     head = out[..., :n]
-    if y.__array_interface__ != head.__array_interface__:  # not those very columns
-        head[...] = y
+    head[...] = y
     if hf.shape[-1] == 1:
         check_zf_bins(hf)
         if np.all(hf == 1):  # the unit tap: nothing to undo

@@ -1,29 +1,31 @@
 """Scenario runner: BER, PSD and PAPR experiments over the five waveforms.
 
 Frames run in chunks of 64 (256 for PAPR) whatever the thread count, and
-each chunk draws its bits, TVFS fades and noise from one generator keyed by
-(seed, metric, channel, Eb/N0 point, first frame), so results are
-bit-identical across runs and worker counts.  The waveform is not in the
-key: waveforms with equal data sizes see common random numbers, and Linear
-GFDM and FBMC emit the same samples.  One helper draws, maps and transmits
-a chunk for every instrument: the bits stay the packed bytes they are drawn
-as, map straight to symbols and give the BER count its sent labels.  A
-sub-band allocation is held as runs of consecutive active bins, so its
-scatter and gather are slice copies.  Each BER chunk then runs the equalizer,
-demodulator, demapper and error count once (``ber_errors``), with TVFS taps
-as one (frames, n_taps) array, and a PSD run streams Welch's estimate chunk
-by chunk (``run_psd``).  Zero forcing inverts the channel exactly on every
-configuration ``ScenarioConfig.validate`` accepts (see ``channel``), so a
-BER chunk adds the zero-forced noise to the sent frames without convolving
-them.  All five waveforms share one adapter over the FFT modem core of
-``gfdm``: CP-OFDM is plain GFDM with K = ``n_fft``, M = 1 and the
+each chunk draws its bits, TVFS fades and noise from one SFC64 generator
+keyed by (seed, metric, channel, first frame), so results are
+bit-identical across runs and worker counts (RNG scheme ``chunk-v3``).
+Neither the waveform nor the Eb/N0 point is in the key: waveforms with
+equal data sizes see common random numbers, Linear GFDM and FBMC emit the
+same samples and meet the same noise, and every point of a BER grid sees
+the same draws.  One helper draws, maps and transmits a chunk for every
+instrument: the bits stay the packed bytes they are drawn as, map straight
+to symbols and give the BER count its sent labels.  A sub-band allocation
+is held as runs of consecutive active bins, so its scatter and gather are
+slice copies.  Zero forcing inverts the channel exactly on every
+configuration ``ScenarioConfig.validate`` accepts (see ``channel``), and it
+is linear, so a BER chunk zero-forces its noise once for the whole grid
+and each point adds that noise, scaled, to the sent frames without
+convolving them (``ber_errors``); each point then demodulates, demaps and
+counts with its own receiver.  TVFS taps travel as one (frames, n_taps)
+array, and a PSD run streams Welch's estimate chunk by chunk
+(``run_psd``).  All five waveforms share one adapter over the FFT modem
+core of ``gfdm``: CP-OFDM is plain GFDM with K = ``n_fft``, M = 1 and the
 rectangular pulse.  The waveform table picks each one's matrix-set builder
 and frame kind (circular with a cyclic prefix, or prefix-free).
 
 Each chunk job borrows a work area (``_work``) and every stage writes its
-frames-first (count, ...) rows there, from the noise draw to the decided
-labels; a PSD run borrows one for all its chunks, and its stream window and
-Welch batch are its own.
+rows there, from the noise draw to the decided labels; a PSD run borrows
+one for all its chunks, and its stream window and Welch batch are its own.
 """
 
 import os
@@ -54,7 +56,7 @@ CHANNELS = ("awgn", "tifs", "tvfs")
 METRICS = ("ber", "psd", "papr")
 
 _CHUNK = 64
-RNG_SCHEME = "chunk-v2"  # tags outputs; bump when the draw order or keying changes
+RNG_SCHEME = "chunk-v3"  # tags outputs; bump when the draw order or keying changes
 _WELCH_SEGMENT = 2048  # samples per Welch segment; the PSD stream needs one at least
 # Samples of channel memory (n_taps - 1) that a cyclic prefix must cover.
 _CHANNEL_MEMORY = {"awgn": 0, "tifs": len(chan.TIFS_TAPS) - 1, "tvfs": len(chan.TVFS_GAINS) - 1}
@@ -177,9 +179,9 @@ def n_threads() -> int:
     return max(1, min(requested, os.cpu_count() or 1))
 
 
-def _scenario_id(config: ScenarioConfig, point_index: int = 0) -> int:
-    """RNG key of one Eb/N0 point, the same for every waveform (common random numbers)."""
-    return zlib.crc32(f"{config.metric}|{config.channel}|{point_index}".encode())
+def _scenario_id(config: ScenarioConfig) -> int:
+    """RNG key of a run, the same for every waveform and Eb/N0 point (common random numbers)."""
+    return zlib.crc32(f"{config.metric}|{config.channel}".encode())
 
 
 def _next_pow2(n: int) -> int:
@@ -203,8 +205,9 @@ class _MatrixAdapter:
     A circular frame (``circular=True``) carries a ``cp_len`` cyclic prefix
     and is ZF-equalized over its K*M core; a prefix-free frame over the whole
     received frame, zero-padded to a power of two, then cut back to
-    ``frame_len``.  Either way :meth:`equalize` gives the sent frame's window
-    plus the zero-forced noise (see ``channel``).
+    ``frame_len``.  Either way zero forcing gives the sent frame's window
+    plus the zero-forced noise (see ``channel``), so :meth:`equalize` runs on
+    the noise alone.
     """
 
     def __init__(self, wp: WaveformParams, mats, circular: bool):
@@ -253,34 +256,27 @@ class _MatrixAdapter:
             out[:, : self.cp_len] = out[:, -self.cp_len:]
         return out
 
-    def zf_window(self, count: int, samples: int) -> tuple[slice, np.ndarray]:
-        """Where zero forcing of (count, samples) received frames reads and runs.
+    def zf_cols(self, samples: int) -> slice:
+        """The columns of a ``samples``-long received frame that zero forcing transforms.
 
-        Returns the columns of each frame that ZF transforms, a circular
-        frame's core ``[cp_len:cp_len + K*M]`` or a prefix-free frame's every
-        sample, and the leading columns of the work-area array the transform
-        runs in: written there, they are zero-forced without a copy.
+        A circular frame's core ``[cp_len:cp_len + K*M]``, a prefix-free
+        frame's every sample.
         """
-        n = self.mats.frame_len
-        cols = slice(self.cp_len, self.cp_len + n) if self.circular else slice(0, samples)
-        width = cols.stop - cols.start
-        return cols, self._zf_buffer(count, width)[:, :width]
-
-    def _zf_buffer(self, count: int, width: int) -> np.ndarray:
-        """The (count, fft_len) work-area array that ZF of (count, width) windows runs in."""
-        fft_len = width if self.circular else _next_pow2(width)
-        return _work.area().get("sim.equalized", (count, fft_len))
+        if self.circular:
+            return slice(self.cp_len, self.cp_len + self.mats.frame_len)
+        return slice(0, samples)
 
     def equalize(self, y, taps) -> np.ndarray:
-        """(count, K*M) ZF-equalized windows of their (count, width) ZF inputs.
+        """(count, frame_len) ZF-equalized windows of their (count, width) :meth:`zf_cols` columns.
 
-        ``y`` holds the :meth:`zf_window` columns of each received frame and
-        may already be the leading columns of the work-area array the
-        transform runs in; the AWGN profile's unit tap leaves it as it is.
-        The result is a view of that array.
+        The transform runs in a work-area array, into which ``y`` is copied
+        (it may be a strided view); the AWGN profile's unit tap leaves the
+        copy as it is.  ``frame_len`` is the matrix set's, K*M on a circular
+        frame.  The result is a view of that array.
         """
-        equalized = self._zf_buffer(*y.shape)
-        fft_len = equalized.shape[1]
+        count, width = y.shape
+        fft_len = width if self.circular else _next_pow2(width)
+        equalized = _work.area().get("sim.equalized", (count, fft_len))
         hf = taps
         if taps.shape[-1] > 1:
             response = _work.area().get("sim.response", taps.shape[:-1] + (fft_len,))
@@ -373,21 +369,24 @@ def build_adapter(config: ScenarioConfig):
 def _draw_chunk(config: ScenarioConfig, adapter, scenario_id, start, count, with_noise):
     """Draws for frames [start, start+count): packed bits, taps, noise.
 
-    One generator, keyed by (seed, ``scenario_id``, ``start``), draws the
-    bits as ceil(n_bits / 8) random bytes, then the TVFS fades, then the
+    One SFC64 generator, keyed by (seed, ``scenario_id``, ``start``), draws
+    the bits as ceil(n_bits / 8) random bytes, then the TVFS fades, then the
     noise.  The bytes stay packed, and nothing unpacks them: frame f's bits
     are bits [f * bits_per_frame, (f + 1) * bits_per_frame) of the byte
     stream, MSB first, and bits past the last frame's are drawn but unused.
     This is the one place that knows the channels: the taps are one (n_taps,)
     vector on AWGN and TIFS and (count, n_taps) per-frame fades on TVFS.  The
-    unit-variance complex noise covers the whole received frame, ``frame_len
-    + n_taps - 1`` samples, as a (2, count, samples) array of its real and
-    imaginary parts, written into the work area, of which zero forcing reads
-    a circular frame's core only; without ``with_noise`` it is None.
+    noise covers the :meth:`~_MatrixAdapter.zf_cols` columns of the received
+    frame, ``frame_len + n_taps - 1`` samples long, and is drawn sample-major
+    into the work area: a (width, count) complex array whose real and
+    imaginary parts are standard normals, interleaved.  Frame f's sample s
+    is then the same draw for any frame length, so frames that differ only
+    in trailing samples meet the same noise.  Without ``with_noise`` it is
+    None.
     """
-    rng = np.random.default_rng(
+    rng = np.random.Generator(np.random.SFC64(
         np.random.SeedSequence(entropy=[config.seed & 0xFFFF_FFFF_FFFF_FFFF, scenario_id, start])
-    )
+    ))
     n_bits = count * adapter.n_data * int(np.log2(config.waveform_params.qam_order))
     packed = np.frombuffer(rng.bytes(-(-n_bits // 8)), np.uint8)
     if config.channel == "tvfs":
@@ -398,8 +397,9 @@ def _draw_chunk(config: ScenarioConfig, adapter, scenario_id, start, count, with
         taps = np.array([1.0 + 0j])
     if not with_noise:
         return packed, taps, None
-    noise_len = adapter.frame_len + taps.shape[-1] - 1
-    noise = chan.awgn_parts(rng, _work.area().get("sim.noise", (2, count, noise_len), float))
+    cols = adapter.zf_cols(adapter.frame_len + taps.shape[-1] - 1)
+    noise = _work.area().get("sim.noise", (cols.stop - cols.start, count))
+    rng.standard_normal(out=noise.view(float))
     return packed, taps, noise
 
 
@@ -419,55 +419,62 @@ def _transmit_chunk(config: ScenarioConfig, adapter, scenario_id, start, count, 
     return x, packed, taps, noise
 
 
-def ber_errors(adapter, order: int, packed, x, taps, noise, noise_var: float) -> tuple[int, int]:
-    """Bit errors and bits of transmitted frames sent through the channel.
+def ber_errors(adapter, order: int, packed, x, taps, noise, noise_vars) -> tuple[list[int], int]:
+    """Bit errors at each of ``noise_vars``, and the bits, of frames sent through the channel.
 
     ``x`` holds the (count, frame_len) frames carrying the ``packed`` bits;
-    ``packed``, ``taps`` and the unit-variance ``noise`` are as
-    :func:`_draw_chunk` draws them.  By ZF(h * x + n) = x + ZF(n) (see
-    ``channel``), the noise parts of the ZF window, scaled by
-    sqrt(``noise_var``), are written straight into the array the transform
-    runs in, zero-forced, added to the frames' windows, demodulated and
-    counted once for the whole chunk (:func:`_bit_errors`).
+    ``packed``, ``taps`` and the standard-normal ``noise`` are as
+    :func:`_draw_chunk` draws them.  Zero forcing is linear and inverts the
+    channel (see ``channel``), so at noise variance v the equalized frames
+    are x + sqrt(v / 2) ZF(noise): the noise is zero-forced and the sent
+    labels read once for every variance.  Each variance then writes its
+    frames' windows into the spent noise buffer, demodulates them with its
+    own receiver and counts (:func:`_bit_errors`).
     """
-    scale = np.sqrt(noise_var)
-    cols, window = adapter.zf_window(len(x), noise.shape[-1])
-    np.multiply(noise[0][:, cols], scale, out=window.real)
-    np.multiply(noise[1][:, cols], scale, out=window.imag)
-    y_eq = adapter.equalize(window, taps)
-    y_eq += x[:, adapter.cp_len:adapter.cp_len + y_eq.shape[1]]
-    # The estimates overwrite the sent symbols, which the frames have replaced.
-    estimates = _work.area().get("sim.symbols", (len(x), adapter.n_data))
-    d_hat = adapter.demodulate(y_eq, noise_var, out=estimates)
-    return _bit_errors(packed, d_hat, order)
-
-
-def _bit_errors(packed, d_hat, order: int) -> tuple[int, int]:
-    """Bit errors and bits of the estimates ``d_hat`` sent as the MSB-first ``packed`` bits.
-
-    A symbol's bit errors are the set bits of its sent label XOR its
-    decided label, and the sent labels are read straight from the bytes.
-    """
+    count = len(x)
     work = _work.area()
-    n = d_hat.size
+    tx = _sent_labels(packed, order, count * adapter.n_data)
+    zf_noise = adapter.equalize(noise.T, taps)
+    sent = x[:, adapter.cp_len:adapter.cp_len + zf_noise.shape[1]]
+    errors = []
+    for noise_var in noise_vars:
+        y_eq = work.get("sim.noise", zf_noise.shape)
+        np.multiply(zf_noise, np.sqrt(noise_var / 2.0), out=y_eq)
+        y_eq += sent
+        # The estimates overwrite the sent symbols, which the frames have replaced.
+        estimates = work.get("sim.symbols", (count, adapter.n_data))
+        errors.append(_bit_errors(tx, adapter.demodulate(y_eq, noise_var, out=estimates), order))
+    return errors, tx.size * int(np.log2(order))
+
+
+def _sent_labels(packed, order: int, n: int) -> np.ndarray:
+    """The Gray labels of ``n`` symbols sent as the MSB-first ``packed`` bits."""
     n_bits = n * int(np.log2(order))
     if len(packed) != -(-n_bits // 8):
         raise ValueError(f"{len(packed)} bytes drawn for {n_bits} received bits")
-    rx = demap_labels(d_hat, order, out=work.get("sim.rx_labels", n, np.uint8))
-    tx = packed_labels(packed, order, n, out=work.get("sim.tx_labels", n, np.uint8))
-    tx ^= rx
-    return int(np.bitwise_count(tx, out=tx).sum()), n_bits
+    return packed_labels(packed, order, n, out=_work.area().get("sim.tx_labels", n, np.uint8))
 
 
-def _parallel_rounds(process, total, chunk=_CHUNK, stop=None):
-    """Run chunk jobs in fixed order, optionally threaded, until done/stopped.
+def _bit_errors(tx, d_hat, order: int) -> int:
+    """Bit errors of the estimates ``d_hat`` of symbols sent with the labels ``tx``.
 
-    ``process(start, count)`` returns a tuple of accumulables; each job runs
-    in a work area borrowed for it.  Rounds of one job per thread run at
-    once.  Results are accumulated in chunk index order and ``stop`` is
-    applied after every chunk; once it fires, the later chunks of the round
-    are dropped.  A run therefore ends on the same chunk, with the same
-    result, at any thread count.
+    A symbol's bit errors are the set bits of its sent label XOR its
+    decided label.
+    """
+    rx = demap_labels(d_hat, order, out=_work.area().get("sim.rx_labels", tx.size, np.uint8))
+    rx ^= tx
+    return int(np.bitwise_count(rx, out=rx).sum())
+
+
+def _parallel_rounds(process, total, chunk=_CHUNK):
+    """Yield the results of chunk jobs in chunk order, optionally threaded.
+
+    ``process(start, count)`` runs in a work area borrowed for it.  Rounds of
+    one job per thread run at once, and a round starts only when the caller
+    asks for the result after the previous round's last: every job starts
+    after the caller has taken the results of all earlier rounds.  A caller
+    that stops asking ends the run, and the jobs of the round in flight
+    finish unread.
     """
     threads = n_threads()
     starts = range(0, total, chunk)
@@ -476,55 +483,67 @@ def _parallel_rounds(process, total, chunk=_CHUNK, stop=None):
         with _work.borrowed():
             return process(start, min(chunk, total - start))
 
-    acc = None
     # One thread runs the jobs itself: a one-worker pool, started afresh for
     # each run, gave BER runs about 15% fewer frames per second.
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
         for first in range(0, len(starts), threads):
             batch = starts[first:first + threads]
-            for res in pool.map(job, batch) if pool else map(job, batch):
-                acc = res if acc is None else tuple(a + b for a, b in zip(acc, res))
-                if stop is not None and stop(acc):
-                    return acc
-    return acc
+            yield from pool.map(job, batch) if pool else map(job, batch)
 
 
 def run_ber(config: ScenarioConfig) -> MetricCurve:
-    """Monte Carlo BER over the Eb/N0 grid, with the closed-form reference."""
+    """Monte Carlo BER over the Eb/N0 grid, with the closed-form reference.
+
+    One chunk loop serves every point.  A point stops after the chunk, in
+    chunk order, at which it reaches the error target and ``min_bits``; no
+    later chunk runs it.  A chunk job runs the points still running when it
+    starts, and the results of a point past its stop are dropped, so the
+    counts do not depend on the thread count.
+    """
     config.validate()
     if config.metric != "ber":
         raise ConfigError(f"metric: expected 'ber', got {config.metric!r}")
     adapter = build_adapter(config)
     order = config.waveform_params.qam_order
     grid = np.asarray(config.ebn0_grid_db, dtype=float)
-    bers, err_col, bit_col = [], [], []
-    for idx, ebn0_db in enumerate(grid):
-        noise_var = noise_variance(ebn0_db, order)
-        sid = _scenario_id(config, idx)
+    noise_vars = [noise_variance(ebn0_db, order) for ebn0_db in grid]
+    sid = _scenario_id(config)
+    # Jobs read this while the loop below clears entries, with no lock: an
+    # entry clears once its point's stop chunk is taken, and every job
+    # running then works on a later chunk, whose count for the point is
+    # dropped whichever value the job read.
+    live = [True] * len(grid)
 
-        def process(start, count):
-            x, packed, taps, noise = _transmit_chunk(config, adapter, sid, start, count, True)
-            return ber_errors(adapter, order, packed, x, taps, noise, noise_var)
+    def running():
+        return [p for p, on in enumerate(live) if on]
 
-        def stop(acc):
-            errors, bits = acc
-            return (
+    def process(start, count):
+        points = running()
+        x, packed, taps, noise = _transmit_chunk(config, adapter, sid, start, count, True)
+        point_vars = [noise_vars[p] for p in points]
+        errors, n_bits = ber_errors(adapter, order, packed, x, taps, noise, point_vars)
+        return dict(zip(points, errors)), n_bits
+
+    errors = np.zeros(len(grid), dtype=np.int64)
+    bits = np.zeros(len(grid), dtype=np.int64)
+    for counted, n_bits in _parallel_rounds(process, config.frames):
+        for p in running():
+            errors[p] += counted[p]
+            bits[p] += n_bits
+            live[p] = not (
                 config.error_target is not None
-                and errors >= config.error_target
-                and bits >= config.min_bits
+                and errors[p] >= config.error_target
+                and bits[p] >= config.min_bits
             )
-
-        errors, bits = _parallel_rounds(process, config.frames, stop=stop)
-        bers.append(errors / bits)
-        err_col.append(errors)
-        bit_col.append(bits)
+        if not any(live):
+            break
     theory = _theory_reference(config, grid)
     curve = MetricCurve(
         grid,
-        np.array(bers),
+        errors / bits,
         kind="BER",
         meta=_meta(config),
-        extra={"theory": theory, "errors": np.array(err_col), "bits": np.array(bit_col)},
+        extra={"theory": theory, "errors": errors, "bits": bits},
     )
     _maybe_write(curve, config)
     return curve
@@ -640,10 +659,10 @@ def run_papr(config: ScenarioConfig) -> MetricCurve:
 
     def process(start, count):
         x, *_ = _transmit_chunk(config, adapter, sid, start, count)
-        return ([papr_batch(x[:, : adapter.support_len])],)
+        return papr_batch(x[:, : adapter.support_len])
 
-    (paprs,) = _parallel_rounds(process, config.frames, chunk=4 * _CHUNK)
-    curve = papr_ccdf(np.concatenate(paprs), default_papr_thresholds(), meta=_meta(config))
+    paprs = np.concatenate(list(_parallel_rounds(process, config.frames, chunk=4 * _CHUNK)))
+    curve = papr_ccdf(paprs, default_papr_thresholds(), meta=_meta(config))
     _maybe_write(curve, config)
     return curve
 

@@ -32,8 +32,20 @@ def cp_channel(x, taps, n_cp):
 
 def receive(adapter, y, taps, noise_var):
     """(count, n_data) estimates of (count, samples) received frames: equalize, then demodulate."""
-    cols, _ = adapter.zf_window(*y.shape)
+    cols = adapter.zf_cols(y.shape[1])
     return adapter.demodulate(adapter.equalize(y[:, cols], np.asarray(taps)), noise_var)
+
+
+def received(adapter, x, taps, noise, noise_var):
+    """(count, frame_len + n_taps - 1) frames ``x`` through the reference channel, with noise.
+
+    ``noise`` is a chunk's standard-normal (samples, count) noise as the
+    pipeline draws it, over the columns zero forcing reads; scaled to
+    ``noise_var``, it is added there.
+    """
+    y = convolve_rows(x, taps)
+    y[:, adapter.zf_cols(y.shape[1])] += np.sqrt(noise_var / 2.0) * noise.T
+    return y
 
 
 def pytest_terminal_summary(terminalreporter):

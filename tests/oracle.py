@@ -17,8 +17,8 @@ it ran before its GEMM operands went block-major: frame-major transforms and
 one 3-D transpose on each side of the band GEMM, on fresh arrays; the
 modem's outputs must equal theirs bit for bit.
 ``add_cp`` and ``remove_cp`` build and strip a cyclic prefix by concatenation.
-``draw_chunk`` writes out a chunk's draws under RNG scheme chunk-v2, with the
-bits unpacked.
+``draw_chunk`` writes out a chunk's draws under RNG scheme chunk-v3, with the
+bits unpacked and the noise drawn one sample at a time.
 ``convolve_rows`` is the reference channel, a time-domain linear convolution,
 which the simulator never runs: its zero forcing inverts the channel exactly,
 so it adds zero-forced noise to the sent frames instead.
@@ -242,17 +242,20 @@ def build_receiver(a: np.ndarray, kind: str, noise_var: float = 0.0) -> np.ndarr
 
 
 def draw_chunk(config, adapter, scenario_id: int, start: int, count: int):
-    """(bits, taps, noise) of frames [start, start + count) under RNG scheme chunk-v2.
+    """(bits, taps, noise) of frames [start, start + count) under RNG scheme chunk-v3.
 
-    One generator keyed by (seed, ``scenario_id``, ``start``) draws
+    One SFC64 generator keyed by (seed, ``scenario_id``, ``start``) draws
     ceil(n_bits / 8) bytes, whose bits MSB first are the (count,
     bits_per_frame) bits; then on TVFS a (2, count, 4) standard normal draw,
     real parts first, scaled to unit complex variance and by the tap gains;
-    then the (2, count, frame_len + n_taps - 1) unit complex noise parts.
+    then the noise, one sample at a time and within a sample one frame at a
+    time, as a standard normal real part and then an imaginary part.  The
+    noise covers the samples zero forcing reads, a circular frame's K*M core
+    or a prefix-free frame's whole received frame (``frame_len + n_taps -
+    1`` samples), and is returned frames-first, (count, samples).
     """
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=[config.seed & 0xFFFF_FFFF_FFFF_FFFF, scenario_id, start])
-    )
+    seq = np.random.SeedSequence(entropy=[config.seed & 0xFFFF_FFFF_FFFF_FFFF, scenario_id, start])
+    rng = np.random.Generator(np.random.SFC64(seq))
     n_bits = count * adapter.n_data * int(np.log2(config.waveform_params.qam_order))
     packed = np.frombuffer(rng.bytes(-(-n_bits // 8)), np.uint8)
     bits = np.unpackbits(packed)[:n_bits].reshape(count, -1)
@@ -262,7 +265,12 @@ def draw_chunk(config, adapter, scenario_id: int, start: int, count: int):
         taps = gains * (parts[0] + 1j * parts[1])
     else:
         taps = TIFS_TAPS.astype(complex) if config.channel == "tifs" else np.array([1.0 + 0j])
-    noise = rng.standard_normal((2, count, adapter.frame_len + taps.shape[-1] - 1)) * np.sqrt(0.5)
+    k, m = sim._grid(config)
+    samples = k * m if adapter.circular else adapter.frame_len + taps.shape[-1] - 1
+    noise = np.empty((count, samples), dtype=complex)
+    for s in range(samples):
+        for f in range(count):
+            noise[f, s] = complex(*rng.standard_normal(2))
     return bits, taps, noise
 
 

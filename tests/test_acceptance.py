@@ -210,26 +210,25 @@ def test_6_noiseless_loopback():
 _CROSS_FRAMES = 489  # 489 * 2048 bits > 1e6 bits
 
 
-def _paired_cross_waveform_ber(channel: str, ebn0_db: float) -> np.ndarray:
-    """BER at one point of the three benchmark waveforms.
+def _paired_cross_waveform_ber(channel: str, ebn0_db: float) -> tuple[np.ndarray, np.ndarray]:
+    """BER and bit errors at one point of the three benchmark waveforms.
 
-    The runs share bits and fades (common random numbers), which removes the
-    fade-draw variance from the pairwise comparison."""
-    return np.array(
-        [
-            run_ber(
-                ScenarioConfig(
-                    waveform=wf,
-                    channel=channel,
-                    metric="ber",
-                    ebn0_grid_db=(ebn0_db,),
-                    frames=_CROSS_FRAMES,
-                    error_target=None,
-                )
-            ).values[0]
-            for wf in ("ofdm", "fbmc", "linear_gfdm")
-        ]
-    )
+    The runs share bits, fades and noise (common random numbers), which
+    removes the fade-draw variance from the pairwise comparison."""
+    curves = [
+        run_ber(
+            ScenarioConfig(
+                waveform=wf,
+                channel=channel,
+                metric="ber",
+                ebn0_grid_db=(ebn0_db,),
+                frames=_CROSS_FRAMES,
+                error_target=None,
+            )
+        )
+        for wf in ("ofdm", "fbmc", "linear_gfdm")
+    ]
+    return np.array([c.values[0] for c in curves]), np.array([c.extra["errors"][0] for c in curves])
 
 
 @pytest.mark.parametrize("channel,points", [("tifs", (4.0, 8.0)), ("tvfs", (8.0, 12.0))])
@@ -238,10 +237,13 @@ def test_7_cross_waveform_ber_equality(channel, points):
     details = []
     n_bits = _CROSS_FRAMES * 2048
     for ebn0 in points:
-        bers = _paired_cross_waveform_ber(channel, ebn0)
+        bers, errors = _paired_cross_waveform_ber(channel, ebn0)
         pbar = bers.mean()
         joint = 3.0 * np.sqrt(2.0 * pbar * (1.0 - pbar) / n_bits)
         max_diff = bers.max() - bers.min()
         ok &= max_diff <= joint
-        details.append(f"{ebn0} dB: max diff {max_diff:.1e} vs 3sigma {joint:.1e}")
+        details.append(
+            f"{ebn0} dB: max diff {max_diff:.1e} vs 3sigma {joint:.1e}, "
+            f"linear-fbmc errors {int(errors[2] - errors[1]):+d}"
+        )
     _report(7, f"cross-waveform BER equality ({channel})", ok, "; ".join(details))

@@ -20,7 +20,7 @@ from wavemod import (
     qam_map,
 )
 from wavemod._work import BLOCK
-from wavemod.channel import MIN_ZF_BIN, awgn_parts, check_zf_bins, tvfs_gains
+from wavemod.channel import MIN_ZF_BIN, check_zf_bins, tvfs_gains
 from wavemod.sim import ScenarioConfig, WaveformParams, _draw_chunk, build_adapter
 
 
@@ -88,7 +88,7 @@ class TestProfiles:
 class TestApplyChannel:
     """The reference channel, ``oracle.convolve_rows``, plus complex noise.
 
-    The pipeline draws its noise with ``awgn_parts``, the draw ``complex_awgn`` makes.
+    ``complex_awgn`` draws the noise's real parts, then its imaginary parts.
     """
 
     def test_identity(self):
@@ -127,7 +127,7 @@ class TestApplyChannel:
     def test_noise_parts_are_the_complex_draw(self, shape):
         # One draw of real parts then imaginary parts, as two draws of the shape.
         noise = complex_awgn(np.random.default_rng(8), shape, 0.3)
-        parts = awgn_parts(np.random.default_rng(8), np.empty((2, *noise.shape)), 0.3)
+        parts = np.random.default_rng(8).standard_normal((2, *noise.shape)) * np.sqrt(0.15)
         np.testing.assert_array_equal(noise.real, parts[0])
         np.testing.assert_array_equal(noise.imag, parts[1])
         first = np.random.default_rng(8).standard_normal(noise.shape)
@@ -220,7 +220,7 @@ class TestFdZfEqualize:
 
     @pytest.mark.parametrize("per_frame", [False, True])
     def test_aliased_input_equals_a_copy(self, per_frame):
-        # y may be the leading columns of out: the transform then runs without a copy.
+        # y may be the leading columns of out, the array the transform runs in.
         rng = np.random.default_rng(11)
         y = rng.standard_normal((4, 20)) + 1j * rng.standard_normal((4, 20))
         taps = _dominant_first_taps(rng, 4, 3) if per_frame else np.array([1.0, 0.3j, -0.2])

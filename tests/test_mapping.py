@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from wavemod import constellation, qam_demap, qam_map
 from wavemod._work import BLOCK
 from wavemod.mapping import _axis_levels, _demap_axis, demap_labels, map_packed, packed_labels
-from wavemod.sim import _bit_errors
+from wavemod.sim import _bit_errors, _sent_labels
 
 
 def _demap_axis_oracle(values, order):
@@ -220,14 +220,13 @@ class TestLabelCount:
                 parts[at % (2 * n)] = mids[mid % len(mids)] + k * 1e-13
         bits = oracle.qam_demap(y, order)
         want = np.count_nonzero(np.unpackbits(packed, count=n * bps) != bits)
-        assert _bit_errors(packed, y, order) == (want, n * bps)
+        assert _bit_errors(_sent_labels(packed, order, n), y, order) == want
         np.testing.assert_array_equal(qam_demap(y, order), bits)
         np.testing.assert_array_equal(constellation(order)[packed_labels(packed, order, n)], d)
 
     def test_count_refuses_bytes_that_do_not_match_the_symbols(self):
-        d = qam_map(np.zeros(4 * 5, dtype=np.uint8), 16)
         with pytest.raises(ValueError, match="2 bytes drawn for 20 received bits"):
-            _bit_errors(np.zeros(2, dtype=np.uint8), d, 16)
+            _sent_labels(np.zeros(2, dtype=np.uint8), 16, 5)
 
     def test_non_finite_symbol_is_named(self):
         y = np.full(BLOCK + 9, 0.3 + 0.3j)

@@ -6,7 +6,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import oracle
 import pytest
-from conftest import receive
+from conftest import receive, received
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -165,8 +165,9 @@ class TestOfdmAdapter:
     def test_receive_does_not_depend_on_receiver(self, channel, n_fft, noise_var, seed):
         # At M = 1 with the rect pulse, ZF, MF and MMSE are the same weights.
         cfg = _config(n_fft, 7, channel=channel)
-        _, taps, noise = _draw_chunk(cfg, build_adapter(cfg), seed, 0, 3, True)
-        y = noise[0] + 1j * noise[1]
+        adapter = build_adapter(cfg)
+        _, taps, noise = _draw_chunk(cfg, adapter, seed, 0, 3, True)
+        y = received(adapter, np.zeros((3, adapter.frame_len)), taps, noise, 1.0)
         out = {r: receive(_ofdm(n_fft, 7, channel=channel, receiver=r), y, taps, noise_var)
                for r in ("zf", "mf", "mmse")}
         scale = max(1.0, np.abs(out["zf"]).max())
