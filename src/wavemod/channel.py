@@ -176,9 +176,10 @@ def fd_zf_equalize(y, taps, fft_len: int, hf=None, out=None) -> np.ndarray:
         return np.divide(head, hf, out=head)
     # One pass of squared magnitudes checks the bins and inverts hf in place.
     for block, power in _checked_power(np.reshape(hf, (-1, hf.shape[-1]), copy=False)):
-        block.real /= power
-        np.negative(power, out=power)
-        block.imag /= power
+        inverse = np.reciprocal(power, out=power)
+        block.real *= inverse
+        np.negative(inverse, out=inverse)
+        block.imag *= inverse
     out[..., n:] = 0
     np.fft.fft(out, axis=-1, out=out)
     out *= hf

@@ -49,8 +49,10 @@ fused band, the gain and whether it is circular.
 Every copy around the GEMM moves 2-D tiles.  The transmitter writes Z
 subsymbol-major, (M, frames, K), fills the (K, 2M, frames) GEMM input with
 one transpose per subsymbol, and has the GEMM write its product through a
-strided view into a block-major (blocks, K, frames) array, from which block
-q of every frame is one transpose, the last cut to the frame.  The receiver
+strided view into a block-major (blocks, K, frames) array
+(:func:`oqam_product`).  :func:`oqam_modulate` copies block q of every frame
+out of it with one transpose, the last cut to the frame; the PAPR and PSD
+instruments read prefix-free frames from the product itself.  The receiver
 reads the frames into a block-major input the same way, and the GEMM writes
 the correlations subsymbol-major, (2M, K, frames).  Only the strides BLAS is
 given differ from contiguous residue-major operands of the same shapes, so
@@ -345,34 +347,50 @@ def _gemm(band: np.ndarray, cols: np.ndarray, prod: np.ndarray) -> None:
     np.matmul(band, cols.view(np.float64), out=prod.view(np.float64))
 
 
-def oqam_modulate(mats: OqamMatrixSet, d, out=None) -> np.ndarray:
-    """Frame of ``frame_len`` samples per row of ``d`` (K*M symbols), into ``out`` if given."""
-    d = np.asarray(d, dtype=complex)
-    if d.shape[-1] != mats.n_symbols:
-        raise ValueError(f"expected {mats.n_symbols} symbols, got {d.shape[-1]}")
+def oqam_product(mats: OqamMatrixSet, sym: np.ndarray, prod: np.ndarray) -> None:
+    """Block-major transmit product of the (frames, K*M) symbols ``sym``, into ``prod``.
+
+    ``prod`` is a C-contiguous (blocks, K, frames) array, blocks being
+    ``mats.band.shape[1]``: frame j's sample r + qK lands at ``prod[q, r, j]``,
+    and entries past ``frame_len`` are zero.  The GEMM's bits depend on how
+    many frames it runs at once, so callers pass blocks of ``_FRAME_BLOCK``
+    frames, as :func:`oqam_modulate` does.
+    """
     k, m = mats.subcarriers, mats.subsymbols
-    blocks = mats.band.shape[1]
+    n = len(sym)
     spread = _QUARTER_TURNS[np.arange(k) % 4]
     if mats.circular:
         spread[1::2] = spread[1::2].conj()
+    # Z sits subsymbol-major in the product's buffer until the GEMM input has copied it.
+    z = np.reshape(prod, -1, copy=False)[: m * n * k].reshape(m, n, k)
+    np.multiply(sym.reshape(n, m, k).transpose(1, 0, 2), spread, out=z)
+    if mats.circular:
+        np.negative(z.imag[..., 1::2], out=z.imag[..., 1::2])
+    np.fft.ifft(z, axis=-1, norm="forward", out=z)
+    cols = _work.area().get("gfdm.gemm_in", (k, 2 * m, n))
+    for s in range(m):
+        np.copyto(cols[:, s], z[s].T)
+    for dst, src in _mirror(k):
+        np.conjugate(cols[src, :m], out=cols[dst, m:])
+    _gemm(mats.band, cols, prod.transpose(1, 0, 2))
+
+
+def oqam_modulate(mats: OqamMatrixSet, d, out=None) -> np.ndarray:
+    """Frame of ``frame_len`` samples per row of ``d`` (K*M symbols), into ``out`` if given.
+
+    Each block of frames runs through :func:`oqam_product`, and block q of
+    every frame is then one transposed (K, frames) tile of the product, the
+    last cut to the frame.
+    """
+    d = np.asarray(d, dtype=complex)
+    if d.shape[-1] != mats.n_symbols:
+        raise ValueError(f"expected {mats.n_symbols} symbols, got {d.shape[-1]}")
+    k, blocks = mats.band.shape[:2]
     work = _work.area()
 
     def synthesize(sym, dest):
-        n = len(sym)
-        # Z sits subsymbol-major in the product's buffer until the GEMM input has copied it.
-        z = work.get("gfdm.gemm_out", (m, n, k))
-        np.multiply(sym.reshape(n, m, k).transpose(1, 0, 2), spread, out=z)
-        if mats.circular:
-            np.negative(z.imag[..., 1::2], out=z.imag[..., 1::2])
-        np.fft.ifft(z, axis=-1, norm="forward", out=z)
-        cols = work.get("gfdm.gemm_in", (k, 2 * m, n))
-        for s in range(m):
-            np.copyto(cols[:, s], z[s].T)
-        for dst, src in _mirror(k):
-            np.conjugate(cols[src, :m], out=cols[dst, m:])
-        # Block-major product: block q of every frame is one (K, frames) tile.
-        prod = work.get("gfdm.gemm_out", (blocks, k, n))
-        _gemm(mats.band, cols, prod.transpose(1, 0, 2))
+        prod = work.get("gfdm.gemm_out", (blocks, k, len(sym)))
+        oqam_product(mats, sym, prod)
         for q, lo in enumerate(range(0, dest.shape[1], k)):
             hi = min(lo + k, dest.shape[1])
             np.copyto(dest[:, lo:hi], prod[q, : hi - lo].T)

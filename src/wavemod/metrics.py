@@ -60,6 +60,7 @@ class WelchAccumulator:
         self.seg_len = seg_len
         self.step = seg_len - seg_len // 2
         self.window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(seg_len) / seg_len)
+        self._pair_window = np.repeat(self.window, 2)  # per interleaved (re, im) float
         self.n_segments = 0
         self._pxx = np.zeros(seg_len)
         rows = min(_WELCH_BATCH, max(1, (n_samples - seg_len) // self.step + 1))
@@ -71,7 +72,12 @@ class WelchAccumulator:
         while done < len(segments):
             take = min(len(segments) - done, len(self._batch) - self._filled)
             rows = self._batch[self._filled:self._filled + take]
-            np.multiply(segments[done:done + take], self.window, out=rows)
+            part = segments[done:done + take]
+            if part.dtype == complex and part.strides[-1] == part.itemsize:
+                # The complex product's bits, without casting the window to complex.
+                np.multiply(part.view(np.float64), self._pair_window, out=rows.view(np.float64))
+            else:
+                np.multiply(part, self.window, out=rows)
             self._filled += take
             done += take
             if self._filled == len(self._batch):
@@ -99,16 +105,30 @@ class WelchAccumulator:
         return MetricCurve(freqs, vals_db, kind="PSD_dB", meta=dict(meta or {}))
 
 
-def papr_batch(frames: np.ndarray) -> np.ndarray:
-    """Per-row PAPR in dB for a (n_frames, n_samples) array."""
+def papr_batch(frames: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Per-frame PAPR in dB of a 2-D array whose frames run along ``axis``.
+
+    The default takes one frame per row, (n_frames, n_samples); ``axis=0``
+    one per column, (n_samples, n_frames), as a block-major product holds
+    them.  Either way the array goes through a few rows at a time, whole
+    frames or one sample of every frame per row, and each frame's power sum
+    and peak build up from those passes.
+    """
     frames = np.asarray(frames)
-    peak, mean = np.empty(len(frames)), np.empty(len(frames))
-    step = max(1, BLOCK // frames.shape[-1])
+    by_column = axis % frames.ndim == 0
+    n_frames = frames.shape[1] if by_column else len(frames)
+    total, peak = np.zeros(n_frames), np.zeros(n_frames)
+    step = max(1, BLOCK // frames.shape[1])
     for lo in range(0, len(frames), step):
         power = np.abs(frames[lo:lo + step])
         np.square(power, out=power)
-        power.mean(axis=-1, out=mean[lo:lo + step])
-        power.max(axis=-1, out=peak[lo:lo + step])
+        if by_column:
+            total += power.sum(axis=0)
+            np.maximum(peak, power.max(axis=0), out=peak)
+        else:
+            power.sum(axis=1, out=total[lo:lo + step])
+            power.max(axis=1, out=peak[lo:lo + step])
+    mean = total / frames.shape[axis]
     if np.any(mean == 0.0):
         raise ValueError("PAPR undefined for an all-zero frame")
     return 10.0 * np.log10(peak / mean)

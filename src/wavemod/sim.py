@@ -18,10 +18,13 @@ and each point adds that noise, scaled, to the sent frames without
 convolving them (``ber_errors``); each point then demodulates, demaps and
 counts with its own receiver.  TVFS taps travel as one (frames, n_taps)
 array, and a PSD run streams Welch's estimate chunk by chunk
-(``run_psd``).  All five waveforms share one adapter over the FFT modem
-core of ``gfdm``: CP-OFDM is plain GFDM with K = ``n_fft``, M = 1 and the
-rectangular pulse.  The waveform table picks each one's matrix-set builder
-and frame kind (circular with a cyclic prefix, or prefix-free).
+(``run_psd``).  The PAPR and PSD runs take prefix-free frames (Linear GFDM,
+FBMC) in the modem's block-major product, one frame per column, and never
+copy them out to frame rows: PAPR reduces the columns, and the PSD
+overlap-adds in the product.  All five waveforms share one adapter over the
+FFT modem core of ``gfdm``: CP-OFDM is plain GFDM with K = ``n_fft``, M = 1
+and the rectangular pulse.  The waveform table picks each one's matrix-set
+builder and frame kind (circular with a cyclic prefix, or prefix-free).
 
 Each chunk job borrows a work area (``_work``) and every stage writes its
 rows there, from the noise draw to the decided labels; a PSD run borrows
@@ -35,7 +38,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from . import _work
 from . import channel as chan
@@ -256,6 +259,22 @@ class _MatrixAdapter:
             out[:, : self.cp_len] = out[:, -self.cp_len:]
         return out
 
+    def products(self, d):
+        """Yield (first frame, product) per block of the prefix-free frames of (count, n_data) symbols.
+
+        The product is :func:`gfdm.oqam_product`'s block-major (blocks, K,
+        frames) array, frame j's sample r + qK at ``[q, r, j]``, for each
+        block of the modem's ``_FRAME_BLOCK`` frames.  It lives in the work
+        area, and the next block overwrites it.
+        """
+        k, blocks = self.mats.band.shape[:2]
+        full = d if self._runs is None else _scatter(d, self._runs, k)
+        for lo in range(0, len(full), gfdm_mod._FRAME_BLOCK):
+            sym = full[lo:lo + gfdm_mod._FRAME_BLOCK]
+            prod = _work.area().get("sim.product", (blocks, k, len(sym)))
+            gfdm_mod.oqam_product(self.mats, sym, prod)
+            yield lo, prod
+
     def zf_cols(self, samples: int) -> slice:
         """The columns of a ``samples``-long received frame that zero forcing transforms.
 
@@ -403,20 +422,28 @@ def _draw_chunk(config: ScenarioConfig, adapter, scenario_id, start, count, with
     return packed, taps, noise
 
 
+def _mapped_chunk(config: ScenarioConfig, adapter, scenario_id, start, count, with_noise=False):
+    """Draw and map frames [start, start+count).
+
+    The symbols are mapped straight from the packed bytes.  Returns the
+    (count, n_data) symbols, written into the work area, then the draws of
+    :func:`_draw_chunk`.
+    """
+    packed, taps, noise = _draw_chunk(config, adapter, scenario_id, start, count, with_noise)
+    symbols = _work.area().get("sim.symbols", (count, adapter.n_data))
+    map_packed(packed, config.waveform_params.qam_order, symbols.size, out=symbols.reshape(-1))
+    return symbols, packed, taps, noise
+
+
 def _transmit_chunk(config: ScenarioConfig, adapter, scenario_id, start, count, with_noise=False):
     """Draw, map and transmit frames [start, start+count).
 
-    The symbols are mapped straight from the packed bytes.  Returns the
-    (count, frame_len) frames, written into the work area, then the draws of
-    :func:`_draw_chunk`.
+    Returns the (count, frame_len) frames, written into the work area, then
+    the draws of :func:`_draw_chunk`.
     """
-    work = _work.area()
-    packed, taps, noise = _draw_chunk(config, adapter, scenario_id, start, count, with_noise)
-    symbols = work.get("sim.symbols", count * adapter.n_data)
-    map_packed(packed, config.waveform_params.qam_order, symbols.size, out=symbols)
-    frames = work.get("sim.frames", (count, adapter.frame_len))
-    x = adapter.transmit(symbols.reshape(count, -1), out=frames)
-    return x, packed, taps, noise
+    d, packed, taps, noise = _mapped_chunk(config, adapter, scenario_id, start, count, with_noise)
+    frames = _work.area().get("sim.frames", (count, adapter.frame_len))
+    return adapter.transmit(d, out=frames), packed, taps, noise
 
 
 def ber_errors(adapter, order: int, packed, x, taps, noise, noise_vars) -> tuple[list[int], int]:
@@ -580,10 +607,14 @@ def run_psd(config: ScenarioConfig) -> MetricCurve:
     Prefix-free waveforms are overlap-added at the data-symbol stride;
     block waveforms are concatenated back to back.  When no explicit
     allocation is given, a centered sub-band is used so that out-of-band
-    behavior is observable.  The stream is never held whole: each chunk is
-    overlap-added into a window of at most a segment plus a chunk of
+    behavior is observable.  The stream is never held whole: each chunk
+    writes its samples into a window of at most a segment plus a chunk of
     frames, and every Welch segment that no later frame can reach goes into
     the running periodogram sum, so memory does not grow with the frames.
+    Block frames are transmitted straight into the window's rows;
+    prefix-free frames are overlap-added in the modem's block-major product
+    (:func:`_overlap_add_product`), and only their finished stride-long heads
+    and the last frame's tail reach the window.
     """
     config.validate()
     if config.metric != "psd":
@@ -603,26 +634,30 @@ def run_psd(config: ScenarioConfig) -> MetricCurve:
         )
     welch = WelchAccumulator(_WELCH_SEGMENT, n_samples)
     # window[i] is stream sample base + i, base being the start of the first
-    # segment not yet fed, and its first ``held`` samples are written.  A chunk's
-    # first frame starts within a segment of base: the window holds a segment
-    # and a chunk of frames.
+    # segment not yet fed, and its first ``held`` samples are written: those
+    # before the next frame's start are final, the rest the partial sums of
+    # the frames sent so far.  A chunk's first frame starts within a segment
+    # of base: the window holds a segment and a chunk of frames.
     window = np.empty(_WELCH_SEGMENT + (_CHUNK - 1) * stride + frame_len, dtype=complex)
     base = held = 0
     with _work.borrowed():  # one work area serves every chunk of the run
         for start in range(0, config.frames, _CHUNK):
             count = min(_CHUNK, config.frames - start)
-            x, *_ = _transmit_chunk(config, adapter, sid, start, count)
+            d = _mapped_chunk(config, adapter, sid, start, count)[0]
             first = start * stride - base
-            end = first + (count - 1) * stride + frame_len
-            window[held:end] = 0
-            _overlap_add(window[first:end], x, stride)
-            held = end
+            if adapter.circular:
+                adapter.transmit(d, out=window[first:first + count * stride].reshape(count, stride))
+                held = first + count * stride
+            else:
+                for lo, prod in adapter.products(d):
+                    held = _overlap_add_product(window, first + lo * stride, held, prod, stride, frame_len)
             # Samples before the next frame's start are final; after the last frame, all are.
-            final = n_samples - base if start + count == config.frames else first + count * stride
+            final = held if start + count == config.frames else first + count * stride
             if final >= _WELCH_SEGMENT:
-                segments = sliding_window_view(window[:final], _WELCH_SEGMENT)[::welch.step]
-                welch.add(segments)
-                fed = len(segments) * welch.step
+                n_seg = (final - _WELCH_SEGMENT) // welch.step + 1
+                item = window.itemsize
+                welch.add(as_strided(window, (n_seg, _WELCH_SEGMENT), (welch.step * item, item)))
+                fed = n_seg * welch.step
                 window[:held - fed] = window[fed:held]
                 base += fed
                 held -= fed
@@ -631,25 +666,42 @@ def run_psd(config: ScenarioConfig) -> MetricCurve:
     return curve
 
 
-def _overlap_add(out: np.ndarray, frames: np.ndarray, stride: int) -> None:
-    """Add (count, frame_len) ``frames`` into ``out`` at ``stride`` spacing.
+def _overlap_add_product(window, at: int, held: int, prod, stride: int, frame_len: int) -> int:
+    """Overlap-add a block of prefix-free frames, starting at ``window[at]``, from their product.
 
-    One strided add per ``stride``-long piece of the frames, the last piece
-    first: each sample of ``out`` then gains its terms in frame order, as a
-    loop over the frames would add them, so the sums are the same bits.
+    ``prod`` is the block's (blocks, K, frames) product (see
+    :meth:`_MatrixAdapter.products`), and the frames, ``frame_len`` samples
+    long, start ``stride`` = M*K samples (M blocks) apart.
+    ``window[at:held]`` holds the carry: the partial sums that earlier
+    frames left on the first frame's samples.  The carry is added into the
+    first frame's column, then, from the last block down, each frame's block
+    q into block q - M of the frame after it.  Every frame's first M blocks
+    then hold finished stream samples and go to the window as (frames,
+    stride) rows, and the last frame's later samples, the next carry, follow
+    them.  Each sample gains its terms in frame order, as a loop adding the
+    frames one by one into a zeroed stream would add them, so the stream is
+    the same bits.  Returns the new ``held``.
     """
-    count, frame_len = frames.shape
-    for lo in reversed(range(0, frame_len, stride)):
-        width = min(stride, frame_len - lo)
-        piece = sliding_window_view(out[lo:], width, writeable=True)[::stride][:count]
-        piece += frames[:, lo:lo + width]
+    blocks, k, n = prod.shape
+    heads = stride // k
+    # Column j of the product, read block after block, is frame j.
+    np.reshape(prod[:, :, 0], -1, copy=False)[: held - at] += window[at:held]
+    for q in range(blocks - 1, heads - 1, -1):
+        prod[q - heads, :, 1:] += prod[q, :, :-1]
+    end = at + n * stride
+    np.copyto(window[at:end].reshape(n, stride), prod[:heads].reshape(stride, n).T)
+    carry = frame_len - stride
+    window[end:end + carry] = np.reshape(prod[heads:, :, -1], -1, copy=False)[:carry]
+    return end + carry
 
 
 def run_papr(config: ScenarioConfig) -> MetricCurve:
     """Per-frame PAPR CCDF on the standard threshold grid.
 
     PAPR is measured over each frame's signal-bearing support at baseband
-    rate, with no oversampling; the channel plays no role here.
+    rate, with no oversampling; the channel plays no role here.  Prefix-free
+    frames are measured in the modem's block-major product, one frame per
+    column (:meth:`_MatrixAdapter.products`).
     """
     config.validate()
     if config.metric != "papr":
@@ -658,8 +710,14 @@ def run_papr(config: ScenarioConfig) -> MetricCurve:
     sid = _scenario_id(config)
 
     def process(start, count):
-        x, *_ = _transmit_chunk(config, adapter, sid, start, count)
-        return papr_batch(x[:, : adapter.support_len])
+        if adapter.circular:
+            x, *_ = _transmit_chunk(config, adapter, sid, start, count)
+            return papr_batch(x[:, : adapter.support_len])
+        paprs = np.empty(count)
+        for lo, prod in adapter.products(_mapped_chunk(config, adapter, sid, start, count)[0]):
+            support = prod.reshape(-1, prod.shape[-1])[: adapter.support_len]
+            paprs[lo:lo + support.shape[1]] = papr_batch(support, axis=0)
+        return paprs
 
     paprs = np.concatenate(list(_parallel_rounds(process, config.frames, chunk=4 * _CHUNK)))
     curve = papr_ccdf(paprs, default_papr_thresholds(), meta=_meta(config))

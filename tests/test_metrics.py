@@ -78,16 +78,20 @@ class TestWelchPsd:
         n_seg=st.integers(1, 600),
         tail=st.floats(0.0, 1.0, exclude_max=True),
         complex_stream=st.booleans(),
+        strided=st.booleans(),
     )
-    def test_matches_segment_loop(self, seed, half, n_seg, tail, complex_stream):
+    def test_matches_segment_loop(self, seed, half, n_seg, tail, complex_stream, strided):
         # Even seg_len in 8..2048, up to 600 segments (so past the 128-segment
-        # batch) and a partial trailing segment the estimate must drop.
+        # batch) and a partial trailing segment the estimate must drop; real,
+        # complex, and every other sample of a longer stream.
         seg_len = 2 * half
         length = (n_seg + 1) * half + int(tail * half)
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal(length)
+        x = rng.standard_normal(2 * length if strided else length)
         if complex_stream:
-            x = x + 1j * rng.standard_normal(length)
+            x = x + 1j * rng.standard_normal(len(x))
+        if strided:
+            x = x[::2]
         curve = welch_psd(x, seg_len=seg_len)
         freqs, pxx = welch_loop(x, seg_len)
         ref = np.fft.fftshift(pxx)
@@ -122,6 +126,12 @@ class TestPapr:
         for i in range(10):
             power = np.abs(frames[i]) ** 2
             assert batch[i] == pytest.approx(10 * np.log10(power.max() / power.mean()), abs=1e-12)
+
+    def test_columns_are_the_rows(self):
+        # One frame per column, as a block-major product holds them.
+        rng = np.random.default_rng(4)
+        frames = rng.standard_normal((70, 961)) + 1j * rng.standard_normal((70, 961))
+        np.testing.assert_allclose(papr_batch(frames.T, axis=0), papr_batch(frames), rtol=0, atol=1e-12)
 
     def test_zero_frame_rejected(self):
         with pytest.raises(ValueError):

@@ -23,7 +23,8 @@ from wavemod.gfdm import (
     oqam_demodulate,
     oqam_modulate,
 )
-from wavemod.metrics import _WELCH_BATCH
+from wavemod import metrics, sim
+from wavemod.metrics import _WELCH_BATCH, WelchAccumulator, papr_batch
 from wavemod.sim import (
     CHANNELS,
     WAVEFORMS,
@@ -532,6 +533,42 @@ class TestRunPsd:
         np.testing.assert_array_equal(got.abscissa, want.abscissa)
         np.testing.assert_allclose(10.0 ** (got.values / 10.0), 10.0 ** (want.values / 10.0), rtol=1e-12, atol=0)
 
+    # M = 1: a frame's tail spans four later frames; K = 96: the 1,024-sample
+    # Welch hop is no whole number of strides; 70 and 200 frames end on a
+    # chunk of 6 and 8.
+    _STREAM_PARAMS = {
+        "default": WaveformParams(),
+        "M=1": WaveformParams(subsymbols=1),
+        "K=96,M=3": WaveformParams(subcarriers=96, subsymbols=3, n_fft=288),
+        "sub-band": WaveformParams(active=tuple(range(3, 21)) + tuple(range(40, 51))),
+    }
+
+    @pytest.mark.parametrize("frames", [70, 200])
+    @pytest.mark.parametrize("params", list(_STREAM_PARAMS))
+    @pytest.mark.parametrize("waveform", WAVEFORMS)
+    def test_stream_is_the_oneshot_stream(self, monkeypatch, waveform, params, frames):
+        # What reaches Welch's sum is the stream the oracle adds up frame by
+        # frame into zeros, bit for bit: the same samples in the same segments.
+        fed = []
+        add = WelchAccumulator.add
+
+        def record(welch, segments):
+            fed.append(np.array(segments))
+            add(welch, segments)
+
+        monkeypatch.setattr(WelchAccumulator, "add", record)
+        cfg = ScenarioConfig(
+            waveform=waveform, metric="psd", frames=frames, seed=frames,
+            waveform_params=self._STREAM_PARAMS[params],
+        )
+        run_psd(cfg)
+        got = np.concatenate(fed)
+        fed.clear()
+        oracle.psd_oneshot(cfg)
+        want = np.concatenate(fed)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_fewest_frames_fill_one_segment(self):
         for waveform in WAVEFORMS:
             frames = _fewest_psd_frames(waveform, WaveformParams())
@@ -587,6 +624,33 @@ class TestRunPapr:
         assert np.all(np.diff(curve.values) <= 0)
         assert curve.interpolate(6.0) > 0.5
         assert curve.interpolate(14.0) < 0.01
+
+    @pytest.mark.parametrize(
+        "params", [WaveformParams(), WaveformParams(subcarriers=96, subsymbols=3, active=tuple(range(20, 70)))]
+    )
+    @pytest.mark.parametrize("waveform", ["linear_gfdm", "fbmc"])
+    def test_product_columns_give_the_frames_papr(self, monkeypatch, waveform, params):
+        # Prefix-free frames are measured down the product's columns; 300
+        # frames end on a chunk of 44.  Each PAPR is the rows' up to summation
+        # order, and the CCDF counts are equal.
+        measured = []
+        ccdf = metrics.papr_ccdf
+
+        def record(paprs, *args, **kw):
+            measured.append(np.array(paprs))
+            return ccdf(paprs, *args, **kw)
+
+        monkeypatch.setattr(sim, "papr_ccdf", record)
+        cfg = ScenarioConfig(waveform=waveform, metric="papr", frames=300, seed=3, waveform_params=params)
+        curve = run_papr(cfg)
+        adapter, sid = build_adapter(cfg), _scenario_id(cfg)
+        rows = []
+        for start in (0, 256):
+            x = _transmit_chunk(cfg, adapter, sid, start, min(256, 300 - start))[0]
+            rows.append(papr_batch(x[:, : adapter.support_len]))
+        want = np.concatenate(rows)
+        np.testing.assert_allclose(measured[0], want, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(curve.values, ccdf(want, curve.abscissa).values)
 
     def test_papr_uses_signal_support(self):
         # Prefix-free frames end in structural zeros; PAPR must be taken

@@ -1,0 +1,132 @@
+"""Whether two checkouts give the same BER counts, PAPR CCDFs and PSD values.
+
+Runs one grid of scenarios from each tree's ``src/wavemod``, in a fresh
+interpreter per tree, and compares every output exactly: BER error and bit
+counts, PAPR CCDF values and PSD values bit for bit.  The grid is wider than
+the seed-0 golden file: seeds 0 to 3; the five waveforms; default K = 128,
+M = 4, and M = 1, K = 96 / M = 3 and K = 64 / M = 2 / overlap 3; a sub-band
+allocation; 4- and 64-QAM; every channel at 4, 8 and 12 dB; frame counts
+that end on a short chunk.  It prints how many outputs each tree gave and the
+first configuration, in grid order, whose outputs differ, or that none does.
+
+    python3 tools/same_outputs.py TREE_A TREE_B
+
+Every run pins one BLAS/OpenMP thread and one wavemod worker.  Exit status
+0 means identical outputs, 1 a difference.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+THREAD_ENV = {
+    "OPENBLAS_NUM_THREADS": "1",
+    "OMP_NUM_THREADS": "1",
+    "MKL_NUM_THREADS": "1",
+    "WAVEMOD_THREADS": "1",
+}
+WAVEFORMS = ("ofdm", "gfdm", "gfdm_oqam_circular", "linear_gfdm", "fbmc")
+CHANNELS = ("awgn", "tifs", "tvfs")
+SEEDS = (0, 1, 2, 3)
+# Parameter sets by name; OFDM takes n_fft = K*M and M = 1 in their place.
+PARAMS = {
+    "default": {},
+    "M=1": {"subsymbols": 1},
+    "K=96,M=3": {"subcarriers": 96, "subsymbols": 3},
+    "K=64,M=2,overlap=3": {"subcarriers": 64, "subsymbols": 2, "overlap": 3},
+    "sub-band": {"active": tuple(range(5, 40)) + tuple(range(70, 90))},
+}
+BER_FRAMES = 100  # a 64-frame chunk and a 36-frame one
+PAPR_FRAMES = 300  # a 256-frame chunk and a 44-frame one
+PSD_FRAMES = (70, 200)
+
+
+def _params(sim, waveform: str, name: str, **extra):
+    p = {**PARAMS[name], **extra}
+    if waveform == "ofdm":
+        k, m = p.pop("subcarriers", 128), p.pop("subsymbols", 4)
+        p["n_fft"] = k * m
+        if "active" in p:
+            p["active"] = tuple(4 * b for b in p["active"])
+    return sim.WaveformParams(**p)
+
+
+def grid(sim):
+    """Yield (label, config) over the grid, in comparison order."""
+    for seed in SEEDS:
+        for waveform in WAVEFORMS:
+            for name in PARAMS:
+                wp = _params(sim, waveform, name)
+                for channel in CHANNELS:
+                    yield f"ber {waveform} {name} {channel} seed={seed}", sim.ScenarioConfig(
+                        waveform=waveform, channel=channel, metric="ber", ebn0_grid_db=(4.0, 8.0, 12.0),
+                        frames=BER_FRAMES, seed=seed, error_target=None, waveform_params=wp,
+                    )
+                yield f"papr {waveform} {name} seed={seed}", sim.ScenarioConfig(
+                    waveform=waveform, metric="papr", frames=PAPR_FRAMES, seed=seed, waveform_params=wp
+                )
+                for frames in PSD_FRAMES:
+                    yield f"psd {waveform} {name} {frames} frames seed={seed}", sim.ScenarioConfig(
+                        waveform=waveform, metric="psd", frames=frames, seed=seed, waveform_params=wp
+                    )
+            for order in (4, 64):
+                wp = _params(sim, waveform, "default", qam_order=order)
+                yield f"ber {waveform} {order}-QAM tifs seed={seed}", sim.ScenarioConfig(
+                    waveform=waveform, channel="tifs", metric="ber", ebn0_grid_db=(4.0, 8.0, 12.0),
+                    frames=BER_FRAMES, seed=seed, error_target=None, waveform_params=wp,
+                )
+
+
+def outputs(tree: Path) -> dict:
+    """Every grid output of ``tree``, floats as hex strings so equality is bitwise."""
+    sys.path.insert(0, str(tree / "src"))
+    from wavemod import sim
+
+    out = {}
+    for label, config in grid(sim):
+        curve = sim.run_scenario(config)
+        if config.metric == "ber":
+            out[label] = [[int(e) for e in curve.extra["errors"]], [int(b) for b in curve.extra["bits"]]]
+        else:
+            out[label] = [float(v).hex() for v in curve.values]
+    return out
+
+
+def run_tree(tree: Path) -> dict:
+    cmd = [sys.executable, __file__, "--worker", str(tree)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env={**os.environ, **THREAD_ENV})
+    if proc.returncode != 0:
+        raise SystemExit(f"run from {tree} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("trees", nargs="*", type=Path, help="tree A and tree B")
+    ap.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.worker is not None:
+        print(json.dumps(outputs(args.worker.resolve())))
+        return 0
+    if len(args.trees) != 2:
+        ap.error("give two trees: A and B")
+    a, b = (run_tree(t.resolve()) for t in args.trees)
+    kinds = {kind: sum(label.startswith(kind + " ") for label in a) for kind in ("ber", "papr", "psd")}
+    print(f"A {args.trees[0]}: {len(a)} configurations; B {args.trees[1]}: {len(b)}")
+    print("grid: " + ", ".join(f"{n} {kind}" for kind, n in kinds.items()))
+    for label in a:
+        if a[label] != b.get(label):
+            print(f"first difference: {label}\n  A {a[label]}\n  B {b.get(label)}")
+            return 1
+    if a.keys() != b.keys():
+        print(f"B runs configurations A does not: {sorted(b.keys() - a.keys())[:3]}")
+        return 1
+    print("identical: every BER count, PAPR CCDF and PSD value")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
