@@ -11,9 +11,9 @@ transform long enough to hold the linear convolution.  Under either
 precondition, which ``sim.ScenarioConfig.validate`` enforces, ZF undoes the
 channel exactly, ZF(h * x + n) = x + ZF(n), so the simulator zero-forces
 only the noise; the convolution itself lives in the tests
-(``tests/oracle.py``) as the reference channel.  A one-tap (flat)
-channel is a division instead of a transform, and the exact unit tap of the
-AWGN profile is the identity.  Zero forcing multiplies by the inverse
+(``tests/oracle.py``) as the reference channel.  Every channel takes the
+transform, a flat one-tap channel too, except the exact unit tap of the AWGN
+profile, which is the identity.  Zero forcing multiplies by the inverse
 response conj(H)/|H|^2, from the same squared magnitudes that the
 ``MIN_ZF_BIN`` check reads.
 """
@@ -110,34 +110,6 @@ def freq_response(taps, fft_len: int, out=None) -> np.ndarray:
     return out
 
 
-def _checked_power(rows):
-    """Yield the (frames, bins) ``rows`` a few frames at a time, with their squared magnitudes.
-
-    Before a block is yielded its squared magnitudes are compared with
-    ``MIN_ZF_BIN`` squared, and :class:`EqualizationError` names the weakest
-    bin of the first block that holds one.
-    """
-    step = max(1, BLOCK // rows.shape[1])
-    for lo in range(0, len(rows), step):
-        block = rows[lo:lo + step]
-        power = np.square(block.real)
-        power += np.square(block.imag)
-        worst = np.unravel_index(int(np.argmin(power)), power.shape)
-        if power[worst] < MIN_ZF_BIN ** 2:
-            raise EqualizationError(int(worst[-1]), float(np.abs(block[worst])))
-        yield block, power
-
-
-def check_zf_bins(hf) -> None:
-    """Raise :class:`EqualizationError` if any bin of ``hf`` is below ``MIN_ZF_BIN``.
-
-    Bins run along the last axis and a leading axis indexes frames, checked
-    as :func:`_checked_power` checks them.
-    """
-    for _ in _checked_power(np.reshape(hf, (-1, np.shape(hf)[-1]))):
-        pass
-
-
 def fd_zf_equalize(y, taps, fft_len: int, hf=None, out=None) -> np.ndarray:
     """Bin-wise zero forcing over an ``fft_len``-point transform.
 
@@ -146,36 +118,41 @@ def fd_zf_equalize(y, taps, fft_len: int, hf=None, out=None) -> np.ndarray:
     ``len(y)`` samples are returned.  Taps of shape (n_taps,) equalize every
     row of ``y`` alike; per-frame taps of shape (frames, n_taps) equalize row
     j of a (frames, n) ``y`` by row j.  ``hf``, if given, is the taps'
-    ``fft_len``-point :func:`freq_response`, C-contiguous; a response of more
-    than one bin is overwritten with its inverse.  ``out``, if given, is a
-    C-contiguous array of ``y``'s shape but ``fft_len`` wide: the transform
-    runs in it, in place, and the result is its leading columns
-    ``out[..., :n]``.  ``y`` may be those very columns.  One tap is a flat
-    response that divides ``y`` directly, and an exact unit tap leaves it as
-    it is.  A bin of magnitude below ``MIN_ZF_BIN`` raises
-    :class:`EqualizationError`, which names the bin and its magnitude.
+    ``fft_len``-point :func:`freq_response`, C-contiguous, and is overwritten
+    with its inverse.  ``out``, if given, is a C-contiguous array of ``y``'s
+    shape but ``fft_len`` wide: the transform runs in it, in place, and the
+    result is its leading columns ``out[..., :n]``.  ``y`` may be those very
+    columns.  Without ``hf``, an exact unit tap leaves ``y`` as it is, and
+    any other taps, a flat one too, take their response.  A bin of magnitude
+    below ``MIN_ZF_BIN`` raises :class:`EqualizationError`, which names the
+    bin and its magnitude.
     """
     y = np.asarray(y, dtype=complex)
     n = y.shape[-1]
     if fft_len < n:
         raise ValueError(f"fft_len {fft_len} shorter than frame {n}")
-    if hf is None:
-        taps = np.asarray(taps, dtype=complex)
-        hf = taps if taps.shape[-1] == 1 else freq_response(taps, fft_len)
-    hf = np.asarray(hf, dtype=complex)
-    if hf.ndim > 1 and (y.ndim != 2 or hf.shape[0] != y.shape[0]):
-        raise ValueError(f"{hf.shape[0]} per-frame tap sets for frames of shape {y.shape}")
+    taps = np.asarray(taps, dtype=complex)
+    if taps.ndim > 1 and (y.ndim != 2 or len(taps) != len(y)):
+        raise ValueError(f"{len(taps)} per-frame tap sets for frames of shape {y.shape}")
     if out is None:
         out = np.empty(y.shape[:-1] + (fft_len,), dtype=complex)
     head = out[..., :n]
     head[...] = y
-    if hf.shape[-1] == 1:
-        check_zf_bins(hf)
-        if np.all(hf == 1):  # the unit tap: nothing to undo
+    if hf is None:
+        if taps.shape[-1] == 1 and np.all(taps == 1):  # the unit tap: nothing to undo
             return head
-        return np.divide(head, hf, out=head)
-    # One pass of squared magnitudes checks the bins and inverts hf in place.
-    for block, power in _checked_power(np.reshape(hf, (-1, hf.shape[-1]), copy=False)):
+        hf = freq_response(taps, fft_len)
+    # One pass of squared magnitudes, a few frames at a time, checks the bins
+    # and inverts hf in place; the first block holding a weak bin names its weakest.
+    rows = np.reshape(hf, (-1, hf.shape[-1]), copy=False)
+    step = max(1, BLOCK // rows.shape[1])
+    for lo in range(0, len(rows), step):
+        block = rows[lo:lo + step]
+        power = np.square(block.real)
+        power += np.square(block.imag)
+        worst = np.unravel_index(int(np.argmin(power)), power.shape)
+        if power[worst] < MIN_ZF_BIN ** 2:
+            raise EqualizationError(int(worst[-1]), float(np.abs(block[worst])))
         inverse = np.reciprocal(power, out=power)
         block.real *= inverse
         np.negative(inverse, out=inverse)

@@ -113,23 +113,20 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    # An unreadable config file or an output path that cannot be written
+    # (an OSError, which names the path) is a configuration mistake too.
     try:
-        config = build_config(args)
+        curve = run_scenario(build_config(args))
+        if args.emit_plot_data:
+            cols = [curve.abscissa, curve.values] + [np.asarray(c) for c in curve.extra.values()]
+            header = " ".join(["abscissa", "value"] + list(curve.extra))
+            np.savetxt(args.emit_plot_data, np.column_stack(cols), header=header)
     except (ConfigError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        curve = run_scenario(config)
-    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (EqualizationError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    if args.emit_plot_data:
-        cols = [curve.abscissa, curve.values] + [np.asarray(c) for c in curve.extra.values()]
-        header = " ".join(["abscissa", "value"] + list(curve.extra))
-        np.savetxt(args.emit_plot_data, np.column_stack(cols), header=header)
     for x, v in zip(curve.abscissa, curve.values):
         print(f"{x:g}\t{v:.6e}")
     return EXIT_OK

@@ -10,57 +10,28 @@ prototype's polyphase rows P[s, r] = g[r + sK]:
 
 For Linear GFDM and FBMC-OQAM it is linear over the prototype's overlap + 1
 taps: the PPN/IFFT filter bank of Siohan, Siclet and Lacaille (IEEE TSP
-2002).  For circular GFDM and GFDM-OQAM the prototype wraps into the
-K*M-sample frame and it is circular over M: the Zak-domain view of Matthe,
-Mendes and Fettweis ("GFDM in a Gabor transform setting", IEEE Comm.
-Letters 2014).
+2002).  For circular GFDM and GFDM-OQAM it is circular over the M blocks of
+the K*M-sample frame: the Zak-domain view of Matthe, Mendes and Fettweis
+("GFDM in a Gabor transform setting", IEEE Comm. Letters 2014), in which
+plain GFDM multiplies by Z = FFT_M(P) and its receivers are per-bin
+weights.  CP-OFDM is plain GFDM with M = 1 and the rectangular pulse
+(Michailow et al., IEEE Trans. Commun. 2014).  Zero-padding the prototype
+(:func:`linear_pad_length`) removes the wrap, so the three OQAM waveforms
+are one filter bank: Linear GFDM emits the FBMC-OQAM burst for the same
+data, and FBMC is its set cut to ``support_len``.
 
-The three OQAM waveforms are one filter bank.  Zero-padding the prototype
-(:func:`linear_pad_length`) removes the wrap: every pulse then has
-contiguous support, the frame edges ramp smoothly to zero, and the emitted
-signal is the FBMC-OQAM burst for the same data.  That is Linear GFDM, and
-FBMC-OQAM is its set cut to the burst, ``support_len`` = len(p) + (2M - 1)K/2
-samples.  So one builder makes all three sets from the same two polyphase
-rows, the prototype's and the prototype's delayed by K/2: circular over M
-taps and blocks, or linear with room for every tail.
-
-Plain GFDM runs in the Zak domain: the transmitter multiplies by
-Z = FFT_M(P) per (bin, residue), and the ZF, MF and MMSE receivers are
-per-bin weights.  CP-OFDM is plain GFDM with M = 1 and the rectangular
-pulse (Michailow et al., IEEE Trans. Commun. 2014): Z is then the constant
-1/sqrt(K), the transmitter a unitary K-point IDFT, and the three receivers
-the same weights.  The OQAM modems apply the convolution as one small real
-matrix per residue (:func:`synthesis_band`) and its transpose as the
-matched filter, one path for all three sets.
-
-Both real branches share one complex transform per subsymbol, by the
-two-for-one trick for real data (Sorensen, Jones, Heideman and Burrus, IEEE
-TASSP 1987).  With phi_k = j^k, Z_m = IFFT_K(phi * d_m) gives u[n] = Z_m[n]
-and its mirror v[n] = conj Z_m[(K/2 - n) mod K], and the branches' spreads
-are D^I = (u + v)/2 and D^Q = (u - v)/2.  The GEMM therefore runs on (u, v)
-against the fused band B_u = (B_I + B_Q)/2, B_v = (B_I - B_Q)/2.  The
-circular sets' Q rotation carries an extra (-1)^k, which conjugating their
-odd-k symbols first absorbs.  The receiver is the exact real adjoint:
-c = B^T y per residue, w[n] = c_u[n] + conj c_v[(K/2 - n) mod K], one FFT,
-conj(phi)/gain per bin, and for circular sets the odd bins conjugated.
-The modem derives phi and conj(phi)/gain per call; the set stores only the
-fused band, the gain and whether it is circular.
-
-Every copy around the GEMM moves 2-D tiles.  The transmitter writes Z
-subsymbol-major, (M, frames, K), fills the (K, 2M, frames) GEMM input with
-one transpose per subsymbol, and has the GEMM write its product through a
-strided view into a block-major (blocks, K, frames) array
-(:func:`oqam_product`).  :func:`oqam_modulate` copies block q of every frame
-out of it with one transpose, the last cut to the frame; the PAPR and PSD
-instruments read prefix-free frames from the product itself.  The receiver
-reads the frames into a block-major input the same way, and the GEMM writes
-the correlations subsymbol-major, (2M, K, frames).  Only the strides BLAS is
-given differ from contiguous residue-major operands of the same shapes, so
-the kernel and the bits are theirs.
-
-A matrix set is a small frozen description of a transmit matrix; the dense
-matrices it describes serve only as test oracles.  The modems take one
-frame per row: (n,) or (frames, n) in, (n_out,) or (frames, n_out) out.
+The OQAM modems apply the convolution as one real matrix per residue and
+its transpose as the matched filter.  Both real branches share one complex
+transform per subsymbol, by the two-for-one trick for real data (Sorensen,
+Jones, Heideman and Burrus, IEEE TASSP 1987): with phi_k = j^k, Z_m =
+IFFT_K(phi * d_m) gives u[n] = Z_m[n] and its mirror v[n] = conj Z_m[(K/2 -
+n) mod K], and the branches' spreads are D^I = (u + v)/2 and D^Q = (u -
+v)/2.  So the GEMM runs on (u, v) against the fused band (B_I + B_Q)/2,
+(B_I - B_Q)/2.  The circular sets' Q rotation carries an extra (-1)^k,
+which conjugating their odd-k symbols first absorbs.  The receiver is the
+exact real adjoint: c = B^T y per residue, w[n] = c_u[n] + conj c_v[(K/2 -
+n) mod K], one FFT, conj(phi)/gain per bin, and for circular sets the odd
+bins conjugated.
 """
 
 from dataclasses import dataclass, replace
@@ -347,55 +318,59 @@ def _gemm(band: np.ndarray, cols: np.ndarray, prod: np.ndarray) -> None:
     np.matmul(band, cols.view(np.float64), out=prod.view(np.float64))
 
 
-def oqam_product(mats: OqamMatrixSet, sym: np.ndarray, prod: np.ndarray) -> None:
-    """Block-major transmit product of the (frames, K*M) symbols ``sym``, into ``prod``.
+def oqam_products(mats: OqamMatrixSet, d: np.ndarray):
+    """Yield (first frame, product) per ``_FRAME_BLOCK`` rows of the (frames, K*M) symbols ``d``.
 
-    ``prod`` is a C-contiguous (blocks, K, frames) array, blocks being
-    ``mats.band.shape[1]``: frame j's sample r + qK lands at ``prod[q, r, j]``,
-    and entries past ``frame_len`` are zero.  The GEMM's bits depend on how
-    many frames it runs at once, so callers pass blocks of ``_FRAME_BLOCK``
-    frames, as :func:`oqam_modulate` does.
+    The product is a block-major (blocks, K, frames) array in the work area,
+    blocks being ``mats.band.shape[1]``: frame j's sample r + qK lands at
+    ``prod[q, r, j]``, and entries past ``frame_len`` are zero.  The next
+    block overwrites it.  Z is written subsymbol-major into the product's
+    buffer, copied into the (K, 2M, frames) GEMM input one transposed tile
+    per subsymbol, and the GEMM writes the product through a strided view
+    (see :func:`_gemm`).  The GEMM's bits depend on how many frames it runs
+    at once, so every caller runs the same blocks.
     """
     k, m = mats.subcarriers, mats.subsymbols
-    n = len(sym)
     spread = _QUARTER_TURNS[np.arange(k) % 4]
     if mats.circular:
         spread[1::2] = spread[1::2].conj()
-    # Z sits subsymbol-major in the product's buffer until the GEMM input has copied it.
-    z = np.reshape(prod, -1, copy=False)[: m * n * k].reshape(m, n, k)
-    np.multiply(sym.reshape(n, m, k).transpose(1, 0, 2), spread, out=z)
-    if mats.circular:
-        np.negative(z.imag[..., 1::2], out=z.imag[..., 1::2])
-    np.fft.ifft(z, axis=-1, norm="forward", out=z)
-    cols = _work.area().get("gfdm.gemm_in", (k, 2 * m, n))
-    for s in range(m):
-        np.copyto(cols[:, s], z[s].T)
-    for dst, src in _mirror(k):
-        np.conjugate(cols[src, :m], out=cols[dst, m:])
-    _gemm(mats.band, cols, prod.transpose(1, 0, 2))
+    work = _work.area()
+    for lo in range(0, len(d), _FRAME_BLOCK):
+        sym = d[lo:lo + _FRAME_BLOCK]
+        n = len(sym)
+        prod = work.get("gfdm.gemm_out", (mats.band.shape[1], k, n))
+        z = np.reshape(prod, -1, copy=False)[: m * n * k].reshape(m, n, k)
+        np.multiply(sym.reshape(n, m, k).transpose(1, 0, 2), spread, out=z)
+        if mats.circular:
+            np.negative(z.imag[..., 1::2], out=z.imag[..., 1::2])
+        np.fft.ifft(z, axis=-1, norm="forward", out=z)
+        cols = work.get("gfdm.gemm_in", (k, 2 * m, n))
+        for s in range(m):
+            np.copyto(cols[:, s], z[s].T)
+        for dst, src in _mirror(k):
+            np.conjugate(cols[src, :m], out=cols[dst, m:])
+        _gemm(mats.band, cols, prod.transpose(1, 0, 2))
+        yield lo, prod
 
 
 def oqam_modulate(mats: OqamMatrixSet, d, out=None) -> np.ndarray:
     """Frame of ``frame_len`` samples per row of ``d`` (K*M symbols), into ``out`` if given.
 
-    Each block of frames runs through :func:`oqam_product`, and block q of
-    every frame is then one transposed (K, frames) tile of the product, the
-    last cut to the frame.
+    Block q of every frame of a :func:`oqam_products` block is one
+    transposed (K, frames) tile of the product, the last cut to the frame.
     """
     d = np.asarray(d, dtype=complex)
     if d.shape[-1] != mats.n_symbols:
         raise ValueError(f"expected {mats.n_symbols} symbols, got {d.shape[-1]}")
-    k, blocks = mats.band.shape[:2]
-    work = _work.area()
-
-    def synthesize(sym, dest):
-        prod = work.get("gfdm.gemm_out", (blocks, k, len(sym)))
-        oqam_product(mats, sym, prod)
-        for q, lo in enumerate(range(0, dest.shape[1], k)):
-            hi = min(lo + k, dest.shape[1])
-            np.copyto(dest[:, lo:hi], prod[q, : hi - lo].T)
-
-    return _framewise(d, mats.frame_len, synthesize, out)
+    k, n_out = mats.subcarriers, mats.frame_len
+    if out is None:
+        out = np.empty(d.shape[:-1] + (n_out,), dtype=complex)
+    dest = np.reshape(out, (-1, n_out), copy=False)
+    for lo, prod in oqam_products(mats, d.reshape(-1, mats.n_symbols)):
+        rows = dest[lo:lo + prod.shape[2]]
+        for q, c in enumerate(range(0, n_out, k)):
+            np.copyto(rows[:, c:c + k], prod[q, : min(k, n_out - c)].T)
+    return out
 
 
 def oqam_demodulate(mats: OqamMatrixSet, y_eq, out=None) -> np.ndarray:

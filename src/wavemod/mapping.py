@@ -2,18 +2,11 @@
 
 Each axis has L = 2**nb levels.  Level index i carries Gray label i ^ (i >> 1)
 and amplitude (L - 1 - 2*i) * scale, and a symbol's label is its in-phase
-label followed by its quadrature label, MSB first.  Mapping works through
-per-order tables built on first use and kept read-only: the (order,) points
-and the (order, log2 order) bits, both indexed by label, and the packed
-table.  That table maps MSB-first packed bits straight to symbols: each
-entry, indexed by one byte (four QPSK or two 16-QAM symbols) or, for
-64-QAM, by twelve bits (two symbols, two entries per three bytes), holds the
-symbols those bits carry.  :func:`map_packed` maps the bytes a simulation
-draws, and :func:`qam_map` packs its bits and maps them the same way;
-:func:`packed_labels` reads the same entries' labels from a twin table.
-Demapping decides both axes of every symbol in one pass over their
-interleaved (re, im) values and gives labels (:func:`demap_labels`), which
-index the bit table for :func:`qam_demap`.
+label followed by its quadrature label, MSB first.  A simulation draws its
+bits as packed bytes and never unpacks them: each byte (or, for 64-QAM,
+each twelve bits) indexes a table row that holds the symbols it carries,
+and a twin table holds their labels, so mapping and the sent labels of a
+bit count are one table lookup per byte.
 """
 
 import functools
@@ -59,29 +52,18 @@ class _Tables:
         # (order,) complex points and (order, 2*nb) uint8 bits, MSB first, by label
         self.points = amp_by_label[label >> nb] + 1j * amp_by_label[label & q_mask]
         self.bits = ((label[:, None] >> np.arange(2 * nb - 1, -1, -1)) & 1).astype(np.uint8)
-        # (2**width, width // bps) symbols of every MSB-first group of packed bits
-        self.packed = self.points[self._groups(order)]
+        # (2**width, width // bps) labels, then symbols, of every MSB-first group of packed bits
+        bps, width = 2 * nb, 12 if order == 64 else 8
+        groups = (np.arange(1 << width)[:, None] >> np.arange(width - bps, -1, -bps)) & (order - 1)
+        self.packed_labels = groups.astype(np.uint8)
+        self.packed = self.points[groups]
         self.scale = float(scale)
         # A tie lies within 1e-12*(1+|v|) in distance of a midpoint, where
         # |v| <= amps[0]; a distance difference is 4*scale per level unit.
         # Demapping re-decides samples within twice that band.
         self.tie_band = 2.0 * 1e-12 * (1.0 + amps[0]) / (4.0 * scale)
-        for table in (self.points, self.bits, self.packed):
+        for table in (self.points, self.bits, self.packed, self.packed_labels):
             table.setflags(write=False)
-
-    @staticmethod
-    def _groups(order: int) -> np.ndarray:
-        """(2**width, width // bps) labels of every MSB-first group of ``width`` packed bits."""
-        bps = int(np.log2(order))
-        width = 12 if order == 64 else 8
-        return (np.arange(1 << width)[:, None] >> np.arange(width - bps, -1, -bps)) & (order - 1)
-
-    @functools.cached_property
-    def packed_labels(self) -> np.ndarray:
-        """The packed table's labels as uint8, built on first use: only the BER count reads them."""
-        table = self._groups(len(self.points)).astype(np.uint8)
-        table.setflags(write=False)
-        return table
 
 
 _tables = functools.cache(_Tables)

@@ -48,10 +48,12 @@ class MetricCurve:
 class WelchAccumulator:
     """Welch's estimate built up segment by segment: one running sum of periodograms.
 
-    :meth:`add` takes whole (n, ``seg_len``) segments in stream order.  They are
-    windowed into a reused batch, transformed in place whenever it fills, and
-    their power added to the sum; :meth:`curve` normalizes once.  Segments
-    start every ``step`` samples.  The batch holds ``_WELCH_BATCH`` rows, or
+    :meth:`add` takes whole (n, ``seg_len``) complex segments in stream order,
+    each one's samples contiguous; real or strided segments raise ValueError.
+    They are windowed, as interleaved (re, im) floats, into a reused batch,
+    transformed in place whenever it fills, and their power added to the
+    sum; :meth:`curve` normalizes once.  Segments start every ``step``
+    samples.  The batch holds ``_WELCH_BATCH`` rows, or
     fewer when the ``n_samples``-sample stream has fewer segments, so a short
     stream takes no more memory than its segments.
     """
@@ -72,12 +74,9 @@ class WelchAccumulator:
         while done < len(segments):
             take = min(len(segments) - done, len(self._batch) - self._filled)
             rows = self._batch[self._filled:self._filled + take]
-            part = segments[done:done + take]
-            if part.dtype == complex and part.strides[-1] == part.itemsize:
-                # The complex product's bits, without casting the window to complex.
-                np.multiply(part.view(np.float64), self._pair_window, out=rows.view(np.float64))
-            else:
-                np.multiply(part, self.window, out=rows)
+            # The complex product's bits, without casting the window to complex.
+            part = segments[done:done + take].view(np.float64)
+            np.multiply(part, self._pair_window, out=rows.view(np.float64))
             self._filled += take
             done += take
             if self._filled == len(self._batch):

@@ -7,9 +7,9 @@ bit-identical across runs and worker counts (RNG scheme ``chunk-v3``).
 Neither the waveform nor the Eb/N0 point is in the key: waveforms with
 equal data sizes see common random numbers, Linear GFDM and FBMC emit the
 same samples and meet the same noise, and every point of a BER grid sees
-the same draws.  One helper draws, maps and transmits a chunk for every
-instrument: the bits stay the packed bytes they are drawn as, map straight
-to symbols and give the BER count its sent labels.  A sub-band allocation
+the same draws.  One helper draws and maps a chunk for every instrument:
+the bits stay the packed bytes they are drawn as, map straight to symbols
+and give the BER count its sent labels.  A sub-band allocation
 is held as runs of consecutive active bins, so its scatter and gather are
 slice copies.  Zero forcing inverts the channel exactly on every
 configuration ``ScenarioConfig.validate`` accepts (see ``channel``), and it
@@ -21,14 +21,18 @@ array, and a PSD run streams Welch's estimate chunk by chunk
 (``run_psd``).  The PAPR and PSD runs take prefix-free frames (Linear GFDM,
 FBMC) in the modem's block-major product, one frame per column, and never
 copy them out to frame rows: PAPR reduces the columns, and the PSD
-overlap-adds in the product.  All five waveforms share one adapter over the
+overlap-adds in the product, block by block of the modem's own
+(``gfdm.oqam_products``).  All five waveforms share one adapter over the
 FFT modem core of ``gfdm``: CP-OFDM is plain GFDM with K = ``n_fft``, M = 1
 and the rectangular pulse.  The waveform table picks each one's matrix-set
 builder and frame kind (circular with a cyclic prefix, or prefix-free).
 
 Each chunk job borrows a work area (``_work``) and every stage writes its
-rows there, from the noise draw to the decided labels; a PSD run borrows
-one for all its chunks, and its stream window and Welch batch are its own.
+rows there, from the noise draw to the decided labels, the transmitted
+frames too unless the caller gives ``out``; a PSD run borrows one for all
+its chunks, and its stream window and Welch batch are its own.  The plain
+GFDM receiver's weights cost microseconds, and each demodulation builds
+its own.
 """
 
 import os
@@ -54,7 +58,15 @@ from .metrics import (
 )
 from .prototypes import PHYDYAS_OVERLAPS, phydyas, rectangular
 
-WAVEFORMS = ("ofdm", "gfdm", "gfdm_oqam_circular", "linear_gfdm", "fbmc")
+# waveform -> (matrix builder, circular frame with CP, default prototype)
+_MATRIX_MODEMS = {
+    "ofdm": (gfdm_mod.build_gfdm_matrix, True, "rect"),
+    "gfdm": (gfdm_mod.build_gfdm_matrix, True, "rect"),
+    "gfdm_oqam_circular": (gfdm_mod.build_oqam_matrices, True, "phydyas"),
+    "linear_gfdm": (gfdm_mod.build_linear_matrices, False, "phydyas"),
+    "fbmc": (gfdm_mod.build_fbmc_matrices, False, "phydyas"),
+}
+WAVEFORMS = tuple(_MATRIX_MODEMS)
 CHANNELS = ("awgn", "tifs", "tvfs")
 METRICS = ("ber", "psd", "papr")
 
@@ -226,32 +238,14 @@ class _MatrixAdapter:
         # None under the full allocation: data fill every bin, no scatter or gather.
         self._runs = None if wp.active is None else _active_runs(wp.active)
         self.n_data = k * m if self._runs is None else m * self._runs[-1][1].stop
-        self._rx_cache = {}
-
-    def _receiver(self, noise_var):
-        if self.receiver_kind != "mmse":
-            key = self.receiver_kind
-        else:
-            key = ("mmse", round(float(noise_var), 15))
-        if key not in self._rx_cache:
-            try:
-                self._rx_cache[key] = gfdm_mod.build_receiver(
-                    self.mats, self.receiver_kind, noise_var=noise_var
-                )
-            except np.linalg.LinAlgError as exc:
-                raise ConfigError(
-                    f"subsymbols/prototype: {exc}; zero forcing cannot invert it, so choose "
-                    f"other subsymbols or prototype, or the mf or mmse receiver"
-                ) from None
-        return self._rx_cache[key]
 
     def transmit(self, d, out=None):
-        """(count, frame_len) frames of (count, n_data) symbols, into ``out`` if given.
+        """(count, frame_len) frames of (count, n_data) symbols, into ``out`` or the work area's frames.
 
         A circular frame's cyclic prefix is copied from the end of its core.
         """
         if out is None:
-            out = np.empty((len(d), self.frame_len), dtype=complex)
+            out = _work.area().get("sim.frames", (len(d), self.frame_len))
         full = d if self._runs is None else _scatter(d, self._runs, self.mats.subcarriers)
         modulate = gfdm_mod.oqam_modulate if self._oqam else gfdm_mod.gfdm_modulate
         modulate(self.mats, full, out=out[:, self.cp_len:])
@@ -260,20 +254,12 @@ class _MatrixAdapter:
         return out
 
     def products(self, d):
-        """Yield (first frame, product) per block of the prefix-free frames of (count, n_data) symbols.
+        """Yield :func:`gfdm.oqam_products`' (first frame, product) pairs of (count, n_data) symbols.
 
-        The product is :func:`gfdm.oqam_product`'s block-major (blocks, K,
-        frames) array, frame j's sample r + qK at ``[q, r, j]``, for each
-        block of the modem's ``_FRAME_BLOCK`` frames.  It lives in the work
-        area, and the next block overwrites it.
+        Frame j's sample r + qK sits at ``[q, r, j]`` of its block's product.
         """
-        k, blocks = self.mats.band.shape[:2]
-        full = d if self._runs is None else _scatter(d, self._runs, k)
-        for lo in range(0, len(full), gfdm_mod._FRAME_BLOCK):
-            sym = full[lo:lo + gfdm_mod._FRAME_BLOCK]
-            prod = _work.area().get("sim.product", (blocks, k, len(sym)))
-            gfdm_mod.oqam_product(self.mats, sym, prod)
-            yield lo, prod
+        full = d if self._runs is None else _scatter(d, self._runs, self.mats.subcarriers)
+        yield from gfdm_mod.oqam_products(self.mats, full)
 
     def zf_cols(self, samples: int) -> slice:
         """The columns of a ``samples``-long received frame that zero forcing transforms.
@@ -296,7 +282,7 @@ class _MatrixAdapter:
         count, width = y.shape
         fft_len = width if self.circular else _next_pow2(width)
         equalized = _work.area().get("sim.equalized", (count, fft_len))
-        hf = taps
+        hf = None  # one tap: fd_zf_equalize takes its response itself
         if taps.shape[-1] > 1:
             response = _work.area().get("sim.response", taps.shape[:-1] + (fft_len,))
             hf = chan.freq_response(taps, fft_len, out=response)
@@ -314,7 +300,14 @@ class _MatrixAdapter:
         if self._oqam:
             gfdm_mod.oqam_demodulate(self.mats, y_eq, out=full)
         else:
-            gfdm_mod.gfdm_demodulate(self._receiver(noise_var), y_eq, out=full)
+            try:
+                weights = gfdm_mod.build_receiver(self.mats, self.receiver_kind, noise_var=noise_var)
+            except np.linalg.LinAlgError as exc:
+                raise ConfigError(
+                    f"subsymbols/prototype: {exc}; zero forcing cannot invert it, so choose "
+                    f"other subsymbols or prototype, or the mf or mmse receiver"
+                ) from None
+            gfdm_mod.gfdm_demodulate(weights, y_eq, out=full)
         if self._runs is not None:
             _gather(full, self._runs, self.mats.subcarriers, out)
         return out
@@ -361,16 +354,6 @@ def _gather(full, runs, k: int, out) -> None:
     data = np.reshape(out, (count, rows.shape[1], -1), copy=False)
     for bins, part in runs:
         data[..., part] = rows[..., bins]
-
-
-# waveform -> (matrix builder, circular frame with CP, default prototype)
-_MATRIX_MODEMS = {
-    "ofdm": (gfdm_mod.build_gfdm_matrix, True, "rect"),
-    "gfdm": (gfdm_mod.build_gfdm_matrix, True, "rect"),
-    "gfdm_oqam_circular": (gfdm_mod.build_oqam_matrices, True, "phydyas"),
-    "linear_gfdm": (gfdm_mod.build_linear_matrices, False, "phydyas"),
-    "fbmc": (gfdm_mod.build_fbmc_matrices, False, "phydyas"),
-}
 
 
 def build_adapter(config: ScenarioConfig):
@@ -433,17 +416,6 @@ def _mapped_chunk(config: ScenarioConfig, adapter, scenario_id, start, count, wi
     symbols = _work.area().get("sim.symbols", (count, adapter.n_data))
     map_packed(packed, config.waveform_params.qam_order, symbols.size, out=symbols.reshape(-1))
     return symbols, packed, taps, noise
-
-
-def _transmit_chunk(config: ScenarioConfig, adapter, scenario_id, start, count, with_noise=False):
-    """Draw, map and transmit frames [start, start+count).
-
-    Returns the (count, frame_len) frames, written into the work area, then
-    the draws of :func:`_draw_chunk`.
-    """
-    d, packed, taps, noise = _mapped_chunk(config, adapter, scenario_id, start, count, with_noise)
-    frames = _work.area().get("sim.frames", (count, adapter.frame_len))
-    return adapter.transmit(d, out=frames), packed, taps, noise
 
 
 def ber_errors(adapter, order: int, packed, x, taps, noise, noise_vars) -> tuple[list[int], int]:
@@ -546,7 +518,8 @@ def run_ber(config: ScenarioConfig) -> MetricCurve:
 
     def process(start, count):
         points = running()
-        x, packed, taps, noise = _transmit_chunk(config, adapter, sid, start, count, True)
+        d, packed, taps, noise = _mapped_chunk(config, adapter, sid, start, count, True)
+        x = adapter.transmit(d)
         point_vars = [noise_vars[p] for p in points]
         errors, n_bits = ber_errors(adapter, order, packed, x, taps, noise, point_vars)
         return dict(zip(points, errors)), n_bits
@@ -710,11 +683,11 @@ def run_papr(config: ScenarioConfig) -> MetricCurve:
     sid = _scenario_id(config)
 
     def process(start, count):
+        d = _mapped_chunk(config, adapter, sid, start, count)[0]
         if adapter.circular:
-            x, *_ = _transmit_chunk(config, adapter, sid, start, count)
-            return papr_batch(x[:, : adapter.support_len])
+            return papr_batch(adapter.transmit(d)[:, : adapter.support_len])
         paprs = np.empty(count)
-        for lo, prod in adapter.products(_mapped_chunk(config, adapter, sid, start, count)[0]):
+        for lo, prod in adapter.products(d):
             support = prod.reshape(-1, prod.shape[-1])[: adapter.support_len]
             paprs[lo:lo + support.shape[1]] = papr_batch(support, axis=0)
         return paprs

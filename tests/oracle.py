@@ -385,7 +385,7 @@ def welch_psd(stream, seg_len: int = 2048, meta: dict | None = None) -> MetricCu
     segment dropped; two-sided and plateau-normalized to 0 dB.  The whole stream
     goes through one :class:`WelchAccumulator`.
     """
-    stream = np.asarray(stream)
+    stream = np.ascontiguousarray(stream, dtype=complex)
     if len(stream) < seg_len:
         raise ValueError(f"need at least {seg_len} samples, got {len(stream)}")
     welch = WelchAccumulator(seg_len, len(stream))
@@ -410,7 +410,7 @@ def psd_oneshot(config):
     stream = np.zeros((config.frames - 1) * stride + frame_len, dtype=complex)
     for start in range(0, config.frames, sim._CHUNK):
         count = min(sim._CHUNK, config.frames - start)
-        x = sim._transmit_chunk(config, adapter, sid, start, count)[0]
+        x = adapter.transmit(sim._mapped_chunk(config, adapter, sid, start, count)[0])
         for j in range(count):
             off = (start + j) * stride
             stream[off:off + frame_len] += x[j]

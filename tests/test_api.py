@@ -1,6 +1,6 @@
 """Guards on the package surface: the public names, the benchmark's stage table, the A/B
-tool's claim rule, the demos and README examples (run end to end), dead imports and the
-import footprint."""
+tool's claim rule, the source-size tool's line count, the demos and README examples (run
+end to end), dead imports and private names, and the import footprint."""
 
 import ast
 import importlib.util
@@ -18,6 +18,7 @@ import wavemod
 _ROOT = Path(__file__).resolve().parents[1]
 _TRACING = _ROOT / "perfbench" / "tracing.py"
 _AB_ROUNDS = _ROOT / "tools" / "ab_rounds.py"
+_SRC_SIZE = _ROOT / "tools" / "src_size.py"
 
 
 def _load(path: Path, name: str):
@@ -84,6 +85,19 @@ def test_ab_rounds_claim_rule(b_over_a, wins, verdict):
     line = _load(_AB_ROUNDS, "ab_rounds").claim_rule(a, [x + d for x, d in zip(a, b_over_a)])
     assert f"B won {wins}/10 pairs" in line
     assert line.endswith(verdict)
+
+
+def test_src_size_counts_code_lines_only(tmp_path):
+    # Docstring, blank, comment and string-continuation lines are not code.
+    src_size = _load(_SRC_SIZE, "src_size")
+    source = '"""Doc.\n\nMore."""\n\n# note\nx = (1,\n     2)  # why\ns = """a\nb"""\n'
+    assert src_size.code_lines(source) == 3
+    for tree, extra in (("a", ""), ("b", "y = x\n")):
+        (tmp_path / tree / "src" / "wavemod").mkdir(parents=True)
+        (tmp_path / tree / "src" / "wavemod" / "m.py").write_text(source + extra)
+    assert src_size.report([tmp_path / "a"])[-1].split() == ["total", "9", "3"]
+    rows = src_size.report([tmp_path / "a", tmp_path / "b"])
+    assert rows[-1].split() == ["total", "9", "10", "+1", "3", "4", "+1"]
 
 
 def _scripts() -> dict[str, str]:
@@ -179,3 +193,54 @@ def test_no_unused_private_definitions():
     ]
     assert trees
     assert unused == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _foreign_private_reads(path: Path) -> list[str]:
+    """Private names of other wavemod modules that ``path`` reads.
+
+    Both ``from .x import _name`` and ``alias._name``, ``alias`` being a name
+    bound to a wavemod module (``from . import gfdm as gfdm_mod``).  A module
+    may import a private module (``from . import _work``) and read its
+    public names.
+    """
+    tree = ast.parse(path.read_text())
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        package = (node.level == 1 and node.module is None) or node.module == "wavemod"
+        ours = node.level > 0 or (node.module or "").startswith("wavemod.")
+        for alias in node.names:
+            if package:
+                modules.add(alias.asname or alias.name)
+            elif ours and _private(alias.name):
+                found.append(f"{path.name}:{node.lineno}: from .{node.module} import {alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)):
+            found.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
+    return found
+
+
+def test_guard_finds_foreign_private_reads(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from . import _work, gfdm as g\nfrom .sim import _grid, run_ber\n"
+        "n = g._FRAME_BLOCK + g.__name__.count(_work.area().__doc__)\n"
+    )
+    assert _foreign_private_reads(probe) == [
+        "probe.py:2: from .sim import _grid",
+        "probe.py:3: g._FRAME_BLOCK",
+    ]
+
+
+def test_no_module_reads_another_modules_private_names():
+    # A private name is its module's own; a module that needs another's
+    # (the GEMM's frame block, say) has taken over a job that module owns.
+    paths = sorted((_ROOT / "src" / "wavemod").glob("*.py"))
+    assert paths
+    assert [entry for path in paths for entry in _foreign_private_reads(path)] == []

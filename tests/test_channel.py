@@ -20,7 +20,7 @@ from wavemod import (
     qam_map,
 )
 from wavemod._work import BLOCK
-from wavemod.channel import MIN_ZF_BIN, check_zf_bins, tvfs_gains
+from wavemod.channel import MIN_ZF_BIN, tvfs_gains
 from wavemod.sim import ScenarioConfig, WaveformParams, _draw_chunk, build_adapter
 
 
@@ -205,7 +205,7 @@ class TestFdZfEqualize:
         taps = np.tile([1.0, 0.5], (3 * BLOCK // 16, 1))
         taps[-2] = [1.0, 1.0]
         with pytest.raises(EqualizationError, match="bin 8"):
-            check_zf_bins(freq_response(taps, 16))
+            fd_zf_equalize(np.ones((len(taps), 16), dtype=complex), taps, 16)
 
     @pytest.mark.parametrize("n_taps", [1, 3])
     def test_transform_runs_in_out(self, n_taps):
@@ -248,19 +248,17 @@ class TestFdZfEqualize:
         np.testing.assert_allclose(hf, want, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("shape", [(16,), (3, 16)])
-    def test_weak_bin_raises_as_the_check_does(self, shape):
+    def test_weak_bin_of_a_given_response_raises(self, shape):
         hf = np.ones(shape, dtype=complex)
         hf[..., 5] = 0.5 * MIN_ZF_BIN * np.exp(0.7j)
-        with pytest.raises(EqualizationError) as want:
-            check_zf_bins(hf.copy())
         with pytest.raises(EqualizationError) as got:
             fd_zf_equalize(np.ones(shape, dtype=complex), np.ones(2), 16, hf=hf)
         assert (got.value.bin_index, got.value.magnitude) == (5, float(np.abs(hf[..., 5].flat[0])))
-        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("ill-conditioned equalization: bin 5 has magnitude")
 
 
 class TestFlatChannel:
-    """One tap divides the frames; with a zero tap appended the same channel takes the FFT path."""
+    """One tap takes the transform like any channel: with a zero tap appended it equalizes the same."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -308,22 +306,23 @@ class TestFreqResponse:
     def test_dc_null_names_bin_and_magnitude(self):
         taps = np.array([1.0, -1.0])
         with pytest.raises(EqualizationError) as ei:
-            check_zf_bins(freq_response(taps, 16))
+            fd_zf_equalize(np.ones(16, dtype=complex), taps, 16, hf=freq_response(taps, 16))
         want = np.abs(np.fft.fft(taps, 16))
         assert (ei.value.bin_index, ei.value.magnitude) == (0, want[0])
 
     def test_bin_just_below_threshold_raises(self):
         hf = np.ones((3, 16), dtype=complex)
         hf[1, 5] = 0.999 * MIN_ZF_BIN * np.exp(0.3j)
+        magnitude = float(np.abs(hf[1, 5]))
         with pytest.raises(EqualizationError) as ei:
-            check_zf_bins(hf)
-        assert (ei.value.bin_index, ei.value.magnitude) == (5, float(np.abs(hf[1, 5])))
+            fd_zf_equalize(np.ones((3, 16), dtype=complex), np.ones((3, 2)), 16, hf=hf)
+        assert (ei.value.bin_index, ei.value.magnitude) == (5, magnitude)
         assert "bin 5" in str(ei.value)
 
     def test_bin_just_above_threshold_passes(self):
         hf = np.ones((3, 16), dtype=complex)
         hf[1, 5] = 1.001 * MIN_ZF_BIN * np.exp(0.3j)
-        check_zf_bins(hf)
+        fd_zf_equalize(np.ones((3, 16), dtype=complex), np.ones((3, 2)), 16, hf=hf)
 
 
 def _dominant_first_taps(rng, frames, n_taps):

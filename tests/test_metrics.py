@@ -8,6 +8,7 @@ from oracle import ofdm_modulate, welch_loop, welch_psd
 
 from wavemod import MetricCurve, default_papr_thresholds, papr_batch, papr_ccdf
 from wavemod._work import BLOCK
+from wavemod.metrics import WelchAccumulator
 
 
 class TestWelchPsd:
@@ -59,6 +60,14 @@ class TestWelchPsd:
     def test_rejects_short_input(self):
         with pytest.raises(ValueError):
             welch_psd(np.ones(16), seg_len=2048)
+
+    @pytest.mark.parametrize(
+        "segments", [np.ones((2, 16)), (np.ones((2, 32)) + 0j)[:, ::2]], ids=["real", "strided"]
+    )
+    def test_accumulator_refuses_real_or_strided_segments(self, segments):
+        # It windows interleaved (re, im) floats; other segments fail, not misread.
+        with pytest.raises(ValueError):
+            WelchAccumulator(16, 64).add(segments)
 
     def test_short_stream_takes_memory_for_its_segments_only(self):
         # One 2,048-sample segment: a 32 KB batch, not a full 128-segment (4 MB) one.

@@ -1,3 +1,4 @@
+import errno
 import functools
 import os
 import subprocess
@@ -42,9 +43,9 @@ from wavemod.sim import (
     _active_runs,
     _draw_chunk,
     _gather,
+    _mapped_chunk,
     _scatter,
     _scenario_id,
-    _transmit_chunk,
     ber_errors,
 )
 
@@ -249,8 +250,8 @@ def _production_chunk(adapter, cfg, count, noise_var):
         return type(adapter).demodulate(adapter, y_eq, nv, out=out)
 
     with _work.borrowed():
-        x, packed, taps, noise = _transmit_chunk(cfg, adapter, 0, 0, count, True)
-        x, packed, noise = x.copy(), packed.copy(), noise.copy()
+        d, packed, taps, noise = _mapped_chunk(cfg, adapter, 0, 0, count, True)
+        x, packed, noise = adapter.transmit(d).copy(), packed.copy(), noise.copy()
         adapter.demodulate = demodulate
         try:
             order = cfg.waveform_params.qam_order
@@ -274,7 +275,8 @@ class TestBatchedReceive:
         cfg = ScenarioConfig(waveform=waveform, channel=channel, seed=seed, waveform_params=_SMALL)
         adapter = _small_adapter(waveform)
         noise_var = 0.05
-        x, _, taps, noise = _transmit_chunk(cfg, adapter, 0, 0, count, True)
+        d, _, taps, noise = _mapped_chunk(cfg, adapter, 0, 0, count, True)
+        x = adapter.transmit(d)
         frame_taps = taps if taps.ndim == 2 else [taps] * count
         y = received(adapter, x, taps, noise, noise_var)
         batched = receive(adapter, y, taps, noise_var)
@@ -393,7 +395,7 @@ class TestPackedDraws:
         cfg = ScenarioConfig(waveform=waveform, seed=3, waveform_params=wp)
         cfg.validate()
         adapter = build_adapter(cfg)
-        x = _transmit_chunk(cfg, adapter, 7, 0, count)[0]
+        x = adapter.transmit(_mapped_chunk(cfg, adapter, 7, 0, count)[0])
         bits = oracle.draw_chunk(cfg, adapter, 7, 0, count)[0]
         symbols = oracle.qam_map(bits, order).reshape(count, -1)
         np.testing.assert_array_equal(x, adapter.transmit(symbols))
@@ -422,7 +424,8 @@ class TestPackedDraws:
         cfg = ScenarioConfig(waveform="gfdm", seed=2, waveform_params=_SMALL)
         adapter = _small_adapter("gfdm")
         with _work.borrowed():
-            x, packed, taps, noise = _transmit_chunk(cfg, adapter, 0, 0, 2, True)
+            d, packed, taps, noise = _mapped_chunk(cfg, adapter, 0, 0, 2, True)
+            x = adapter.transmit(d)
             with pytest.raises(ValueError, match="bytes drawn"):
                 ber_errors(adapter, 16, packed[:-1], x, taps, noise, [0.05])
 
@@ -646,7 +649,7 @@ class TestRunPapr:
         adapter, sid = build_adapter(cfg), _scenario_id(cfg)
         rows = []
         for start in (0, 256):
-            x = _transmit_chunk(cfg, adapter, sid, start, min(256, 300 - start))[0]
+            x = adapter.transmit(_mapped_chunk(cfg, adapter, sid, start, min(256, 300 - start))[0])
             rows.append(papr_batch(x[:, : adapter.support_len]))
         want = np.concatenate(rows)
         np.testing.assert_allclose(measured[0], want, rtol=0, atol=1e-12)
@@ -717,14 +720,26 @@ class TestReusedBuffers:
             np.testing.assert_array_equal(first, kept)
             assert not np.shares_memory(first, second)
 
+    @pytest.mark.parametrize("waveform", ["gfdm", "linear_gfdm"])
+    def test_transmit_without_out_writes_the_areas_frames(self, waveform):
+        # Inside a job the frames are the work area's; outside one, each call's own.
+        adapter = build_adapter(ScenarioConfig(waveform=waveform))
+        d = np.ones((3, adapter.n_data), dtype=complex)
+        with _work.borrowed() as area:
+            x = adapter.transmit(d)
+            assert np.shares_memory(x, area.get("sim.frames", x.shape))
+        first, second = adapter.transmit(d), adapter.transmit(d)
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, second)
+
     def test_chunk_outside_a_job_keeps_nothing(self):
         # Outside a chunk job every call gets a fresh work area: nothing is
         # shared between calls, and nothing joins the free list.
         cfg = ScenarioConfig(waveform="linear_gfdm")
         adapter = build_adapter(cfg)
         lent = list(_work._free)
-        first = _transmit_chunk(cfg, adapter, 0, 0, 4)[0]
-        second = _transmit_chunk(cfg, adapter, 0, 4, 4)[0]
+        first = adapter.transmit(_mapped_chunk(cfg, adapter, 0, 0, 4)[0])
+        second = adapter.transmit(_mapped_chunk(cfg, adapter, 0, 4, 4)[0])
         assert not np.shares_memory(first, second)
         assert _work._free == lent
 
@@ -913,6 +928,23 @@ class TestCli:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and "is a directory" in err and str(tmp_path) in err
+
+    @pytest.mark.parametrize("flag", ["--out", "--emit-plot-data"])
+    def test_unwritable_output_path_exit_code(self, tmp_path, monkeypatch, capsys, flag):
+        # The directory exists, so the checks pass and the write fails after
+        # the run.  The PermissionError is injected where each file is
+        # written: file modes stop no process run as root.
+        target = str(tmp_path / "out.txt")
+
+        def refuse(*args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), target)
+
+        monkeypatch.setattr(metrics.MetricCurve, "write_csv", refuse)
+        monkeypatch.setattr(cli.np, "savetxt", refuse)
+        assert cli.main(["papr", "--waveform", "ofdm", "--frames", "2", flag, target]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and target in err
+        assert "Traceback" not in err
 
     def test_ofdm_ignores_subcarriers(self, tmp_path, capsys):
         # OFDM's grid is n_fft x 1, so its size check looks at n_fft only.
