@@ -2,7 +2,9 @@
 
 Three profiles are provided: ideal AWGN (single unit tap), a fixed 8-tap
 time-invariant frequency-selective response, and a per-frame-drawn 4-tap
-block-fading response.  The channel is a linear convolution; a cyclic prefix
+block-fading response.  This module is the one that knows them:
+``PROFILE_MEMORY`` gives each profile's memory and :func:`draw_taps` its
+taps.  The channel is a linear convolution; a cyclic prefix
 covering its n_taps - 1 samples of memory makes it act circularly on the
 frame core, which is what the circulant matrix model of the CP waveforms
 assumes.  The CP waveforms are zero-forced over that core, the prefix-free
@@ -33,6 +35,8 @@ MIN_ZF_BIN = 1e-12  # smallest response magnitude zero forcing divides by
 # actually produce frequency selectivity.
 TVFS_GAINS = np.array([1.0, 0.0, 0.01 ** 2, 0.02 ** 2]) / np.sqrt(2.0)
 TVFS_GAINS_CORRECTED = np.array([1.0, 0.4, 0.01, 0.02]) / np.sqrt(2.0)
+# Profile -> samples of memory (n_taps - 1), which a cyclic prefix must cover.
+PROFILE_MEMORY = {"awgn": 0, "tifs": len(TIFS_TAPS) - 1, "tvfs": len(TVFS_GAINS) - 1}
 
 
 class EqualizationError(RuntimeError):
@@ -58,6 +62,18 @@ def draw_tvfs(rng: np.random.Generator, frames: int, corrected: bool = False) ->
     """
     gains = tvfs_gains(corrected)
     return gains * complex_awgn(rng, (frames, len(gains)), 1.0)
+
+
+def draw_taps(profile: str, rng, frames: int, corrected: bool = False) -> np.ndarray:
+    """The taps of ``frames`` frames on ``profile``.
+
+    One (n_taps,) vector for every frame on AWGN (the unit tap) and TIFS;
+    (frames, n_taps) fades drawn from ``rng`` by :func:`draw_tvfs` on TVFS,
+    the only profile that draws.
+    """
+    if profile == "tvfs":
+        return draw_tvfs(rng, frames, corrected=corrected)
+    return TIFS_TAPS.astype(complex) if profile == "tifs" else np.array([1.0 + 0j])
 
 
 def complex_awgn(rng: np.random.Generator, shape, noise_var: float) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Command-line front end for the BER / PSD / PAPR scenario runner.
 
 Flags may be combined with a flat key=value config file; file entries
-override flags, and the subcommand alone sets the metric.  Exit codes: 0
-success, 2 configuration error, 3 numerical failure.
+override flags, and the subcommand alone sets the metric.  The runs return
+their curves and this module writes every file: the CSV of ``--out`` (or
+the file's ``output_path`` key) and the plot data.  Exit codes: 0 success,
+2 configuration error, 3 numerical failure.
 """
 
 import argparse
@@ -29,6 +31,7 @@ EXIT_NUMERICAL = 3
 
 _WP_FIELDS = {f.name for f in fields(WaveformParams)}
 _SC_FIELDS = {f.name for f in fields(ScenarioConfig)} - {"waveform_params", "metric"}
+_KEYS = _SC_FIELDS | _WP_FIELDS | {"output_path"}  # output_path is the CLI's own: --out
 
 
 def parse_config_file(path) -> dict:
@@ -64,30 +67,32 @@ def _coerce(key: str, val: str):
     return val
 
 
-def build_config(args) -> ScenarioConfig:
+def build_config(args) -> tuple[ScenarioConfig, str | None]:
+    """The checked scenario of the flags and config file, and the CSV path, if any."""
     values = {"waveform": args.waveform, "channel": args.channel, "frames": args.frames,
               "seed": args.seed, "output_path": args.out}
     if args.ebn0 is not None:
         values["ebn0_grid_db"] = tuple(args.ebn0)
     if args.config:
         for key, val in parse_config_file(args.config).items():
-            if key not in _SC_FIELDS | _WP_FIELDS:
+            if key not in _KEYS:
                 raise ConfigError(f"config file: unknown key {key!r}")
             try:
                 values[key] = _coerce(key, val)
             except ValueError as exc:
                 raise ConfigError(f"{key}: cannot parse {val!r} ({exc})") from None
+    out = values.pop("output_path")
     wp = WaveformParams(**{k: values.pop(k) for k in _WP_FIELDS & values.keys()})
     config = ScenarioConfig(metric=args.metric, waveform_params=wp, **values)
     if config.waveform is None:
         raise ConfigError("waveform: required (flag --waveform or config file)")
     config.validate()
-    for key, path in (("output_path", config.output_path), ("emit-plot-data", args.emit_plot_data)):
+    for key, path in (("output_path", out), ("emit-plot-data", args.emit_plot_data)):
         if path and not Path(path).absolute().parent.is_dir():
             raise ConfigError(f"{key}: the directory of {path!r} does not exist")
         if path and Path(path).is_dir():
             raise ConfigError(f"{key}: {path!r} is a directory, not a file")
-    return config
+    return config, out
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -116,7 +121,10 @@ def main(argv=None) -> int:
     # An unreadable config file or an output path that cannot be written
     # (an OSError, which names the path) is a configuration mistake too.
     try:
-        curve = run_scenario(build_config(args))
+        config, out = build_config(args)
+        curve = run_scenario(config)
+        if out:
+            curve.write_csv(out)
         if args.emit_plot_data:
             cols = [curve.abscissa, curve.values] + [np.asarray(c) for c in curve.extra.values()]
             header = " ".join(["abscissa", "value"] + list(curve.extra))

@@ -5,6 +5,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ._work import BLOCK
 
@@ -48,14 +49,13 @@ class MetricCurve:
 class WelchAccumulator:
     """Welch's estimate built up segment by segment: one running sum of periodograms.
 
-    :meth:`add` takes whole (n, ``seg_len``) complex segments in stream order,
-    each one's samples contiguous; real or strided segments raise ValueError.
-    They are windowed, as interleaved (re, im) floats, into a reused batch,
-    transformed in place whenever it fills, and their power added to the
-    sum; :meth:`curve` normalizes once.  Segments start every ``step``
-    samples.  The batch holds ``_WELCH_BATCH`` rows, or
-    fewer when the ``n_samples``-sample stream has fewer segments, so a short
-    stream takes no more memory than its segments.
+    :meth:`add` takes the stream in pieces and cuts its segments, which
+    start every ``step`` samples.  They are windowed, as interleaved (re, im)
+    floats, into a reused batch, transformed in place whenever it fills, and
+    their power added to the sum; :meth:`curve` normalizes once.  The batch
+    holds ``_WELCH_BATCH`` rows, or fewer when the ``n_samples``-sample
+    stream has fewer segments, so a short stream takes no more memory than
+    its segments.
     """
 
     def __init__(self, seg_len: int, n_samples: int):
@@ -69,7 +69,21 @@ class WelchAccumulator:
         self._batch = np.empty((rows, seg_len), dtype=complex)
         self._filled = 0
 
-    def add(self, segments) -> None:
+    def add(self, stream) -> int:
+        """Add every whole segment of ``stream``; return the samples it is done with.
+
+        ``stream`` is a C-contiguous 1-D complex array whose first sample
+        starts a segment: the part of the stream not yet done with.  The
+        return value, a multiple of ``step``, is where the next segment
+        starts; a stream shorter than a segment adds nothing and returns 0.
+        A real or non-contiguous stream raises ValueError: the segments are
+        views cut at fixed byte offsets, which would misread it.
+        """
+        if stream.ndim != 1 or stream.dtype != np.complex128 or not stream.flags.c_contiguous:
+            raise ValueError(f"need a C-contiguous 1-D complex stream, got {stream.dtype}")
+        n_seg = max(0, (len(stream) - self.seg_len) // self.step + 1)
+        item = stream.itemsize
+        segments = as_strided(stream, (n_seg, self.seg_len), (self.step * item, item))
         done = 0
         while done < len(segments):
             take = min(len(segments) - done, len(self._batch) - self._filled)
@@ -81,7 +95,8 @@ class WelchAccumulator:
             done += take
             if self._filled == len(self._batch):
                 self._flush()
-        self.n_segments += len(segments)
+        self.n_segments += n_seg
+        return n_seg * self.step
 
     def _flush(self) -> None:
         batch = self._batch[:self._filled]

@@ -1,9 +1,12 @@
 """Scenario runner: BER, PSD and PAPR experiments over the five waveforms.
 
-Frames run in chunks of 64 (256 for PAPR) whatever the thread count, and
-each chunk draws its bits, TVFS fades and noise from one SFC64 generator
-keyed by (seed, metric, channel, first frame), so results are
-bit-identical across runs and worker counts (RNG scheme ``chunk-v3``).
+Each run composes the modem (``gfdm``), the channel profiles (``channel``),
+the QAM mapping and the instruments (``metrics``), and returns its curve;
+it writes no file (the CLI does).  Frames run in chunks of 64 (256 for
+PAPR) whatever the thread count, and each chunk draws its bits, TVFS fades
+and noise from one SFC64 generator keyed by (seed, metric, channel, first
+frame), so results are bit-identical across runs and worker counts (RNG
+scheme ``chunk-v3``).
 Neither the waveform nor the Eb/N0 point is in the key: waveforms with
 equal data sizes see common random numbers, Linear GFDM and FBMC emit the
 same samples and meet the same noise, and every point of a BER grid sees
@@ -17,10 +20,10 @@ is linear, so a BER chunk zero-forces its noise once for the whole grid
 and each point adds that noise, scaled, to the sent frames without
 convolving them (``ber_errors``); each point then demodulates, demaps and
 counts with its own receiver.  TVFS taps travel as one (frames, n_taps)
-array, and a PSD run streams Welch's estimate chunk by chunk
-(``run_psd``).  The PAPR and PSD runs take prefix-free frames (Linear GFDM,
-FBMC) in the modem's block-major product, one frame per column, and never
-copy them out to frame rows: PAPR reduces the columns, and the PSD
+array, and a PSD run streams its samples into Welch's estimate chunk by
+chunk (``run_psd``).  The PAPR and PSD runs take prefix-free frames (Linear
+GFDM, FBMC) in the modem's block-major product, one frame per column, and
+never copy them out to frame rows: PAPR reduces the columns, and the PSD
 overlap-adds in the product, block by block of the modem's own
 (``gfdm.oqam_products``).  All five waveforms share one adapter over the
 FFT modem core of ``gfdm``: CP-OFDM is plain GFDM with K = ``n_fft``, M = 1
@@ -42,7 +45,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from . import _work
 from . import channel as chan
@@ -67,14 +69,12 @@ _MATRIX_MODEMS = {
     "fbmc": (gfdm_mod.build_fbmc_matrices, False, "phydyas"),
 }
 WAVEFORMS = tuple(_MATRIX_MODEMS)
-CHANNELS = ("awgn", "tifs", "tvfs")
+CHANNELS = tuple(chan.PROFILE_MEMORY)
 METRICS = ("ber", "psd", "papr")
 
 _CHUNK = 64
 RNG_SCHEME = "chunk-v3"  # tags outputs; bump when the draw order or keying changes
 _WELCH_SEGMENT = 2048  # samples per Welch segment; the PSD stream needs one at least
-# Samples of channel memory (n_taps - 1) that a cyclic prefix must cover.
-_CHANNEL_MEMORY = {"awgn": 0, "tifs": len(chan.TIFS_TAPS) - 1, "tvfs": len(chan.TVFS_GAINS) - 1}
 
 
 class ConfigError(ValueError):
@@ -103,7 +103,6 @@ class ScenarioConfig:
     frames: int = 1000
     seed: int = 0
     waveform_params: WaveformParams = field(default_factory=WaveformParams)
-    output_path: str | None = None
     error_target: int | None = 500
     min_bits: int = 100_000
     tvfs_corrected: bool = False
@@ -117,6 +116,9 @@ class ScenarioConfig:
             raise ConfigError(f"metric: {self.metric!r} not in {METRICS}")
         if self.frames < 1:
             raise ConfigError(f"frames: must be >= 1, got {self.frames}")
+        for key, value in (("error_target", self.error_target or 0), ("min_bits", self.min_bits)):
+            if value < 0:
+                raise ConfigError(f"{key}: must be >= 0, got {value}")
         if self.metric == "ber" and len(self.ebn0_grid_db) == 0:
             raise ConfigError("ebn0_grid_db: must be nonempty for BER runs")
         if not np.all(np.isfinite(self.ebn0_grid_db)):
@@ -155,7 +157,7 @@ class ScenarioConfig:
                 f"{size_key}: must be even for {self.waveform} with the {proto} "
                 f"prototype, got {k}"
             )
-        cp_min = _CHANNEL_MEMORY[self.channel]
+        cp_min = chan.PROFILE_MEMORY[self.channel]
         if circular and not cp_min <= wp.cp_len <= k * m - 1:
             raise ConfigError(
                 f"cp_len: must be in [{cp_min}, {k * m - 1}] (the {self.channel} channel has "
@@ -376,9 +378,9 @@ def _draw_chunk(config: ScenarioConfig, adapter, scenario_id, start, count, with
     noise.  The bytes stay packed, and nothing unpacks them: frame f's bits
     are bits [f * bits_per_frame, (f + 1) * bits_per_frame) of the byte
     stream, MSB first, and bits past the last frame's are drawn but unused.
-    This is the one place that knows the channels: the taps are one (n_taps,)
-    vector on AWGN and TIFS and (count, n_taps) per-frame fades on TVFS.  The
-    noise covers the :meth:`~_MatrixAdapter.zf_cols` columns of the received
+    ``channel.draw_taps`` gives the taps: one (n_taps,) vector on AWGN and
+    TIFS, (count, n_taps) per-frame fades on TVFS.  The noise covers the
+    :meth:`~_MatrixAdapter.zf_cols` columns of the received
     frame, ``frame_len + n_taps - 1`` samples long, and is drawn sample-major
     into the work area: a (width, count) complex array whose real and
     imaginary parts are standard normals, interleaved.  Frame f's sample s
@@ -391,12 +393,7 @@ def _draw_chunk(config: ScenarioConfig, adapter, scenario_id, start, count, with
     ))
     n_bits = count * adapter.n_data * int(np.log2(config.waveform_params.qam_order))
     packed = np.frombuffer(rng.bytes(-(-n_bits // 8)), np.uint8)
-    if config.channel == "tvfs":
-        taps = chan.draw_tvfs(rng, count, corrected=config.tvfs_corrected)
-    elif config.channel == "tifs":
-        taps = chan.TIFS_TAPS.astype(complex)
-    else:
-        taps = np.array([1.0 + 0j])
+    taps = chan.draw_taps(config.channel, rng, count, corrected=config.tvfs_corrected)
     if not with_noise:
         return packed, taps, None
     cols = adapter.zf_cols(adapter.frame_len + taps.shape[-1] - 1)
@@ -538,15 +535,13 @@ def run_ber(config: ScenarioConfig) -> MetricCurve:
         if not any(live):
             break
     theory = _theory_reference(config, grid)
-    curve = MetricCurve(
+    return MetricCurve(
         grid,
         errors / bits,
         kind="BER",
         meta=_meta(config),
         extra={"theory": theory, "errors": errors, "bits": bits},
     )
-    _maybe_write(curve, config)
-    return curve
 
 
 def _theory_reference(config: ScenarioConfig, grid: np.ndarray) -> np.ndarray:
@@ -582,8 +577,10 @@ def run_psd(config: ScenarioConfig) -> MetricCurve:
     allocation is given, a centered sub-band is used so that out-of-band
     behavior is observable.  The stream is never held whole: each chunk
     writes its samples into a window of at most a segment plus a chunk of
-    frames, and every Welch segment that no later frame can reach goes into
-    the running periodogram sum, so memory does not grow with the frames.
+    frames, and the window's samples that no later frame can reach go to
+    :meth:`WelchAccumulator.add`, which adds their whole segments to the
+    running periodogram sum and says where the next segment starts, so
+    memory does not grow with the frames.
     Block frames are transmitted straight into the window's rows;
     prefix-free frames are overlap-added in the modem's block-major product
     (:func:`_overlap_add_product`), and only their finished stride-long heads
@@ -626,17 +623,11 @@ def run_psd(config: ScenarioConfig) -> MetricCurve:
                     held = _overlap_add_product(window, first + lo * stride, held, prod, stride, frame_len)
             # Samples before the next frame's start are final; after the last frame, all are.
             final = held if start + count == config.frames else first + count * stride
-            if final >= _WELCH_SEGMENT:
-                n_seg = (final - _WELCH_SEGMENT) // welch.step + 1
-                item = window.itemsize
-                welch.add(as_strided(window, (n_seg, _WELCH_SEGMENT), (welch.step * item, item)))
-                fed = n_seg * welch.step
-                window[:held - fed] = window[fed:held]
-                base += fed
-                held -= fed
-    curve = welch.curve(meta=_meta(config))
-    _maybe_write(curve, config)
-    return curve
+            fed = welch.add(window[:final])
+            window[:held - fed] = window[fed:held]
+            base += fed
+            held -= fed
+    return welch.curve(meta=_meta(config))
 
 
 def _overlap_add_product(window, at: int, held: int, prod, stride: int, frame_len: int) -> int:
@@ -693,9 +684,7 @@ def run_papr(config: ScenarioConfig) -> MetricCurve:
         return paprs
 
     paprs = np.concatenate(list(_parallel_rounds(process, config.frames, chunk=4 * _CHUNK)))
-    curve = papr_ccdf(paprs, default_papr_thresholds(), meta=_meta(config))
-    _maybe_write(curve, config)
-    return curve
+    return papr_ccdf(paprs, default_papr_thresholds(), meta=_meta(config))
 
 
 def _meta(config: ScenarioConfig) -> dict:
@@ -711,11 +700,6 @@ def _meta(config: ScenarioConfig) -> dict:
         "subsymbols": m,
         "rng": RNG_SCHEME,
     }
-
-
-def _maybe_write(curve: MetricCurve, config: ScenarioConfig):
-    if config.output_path:
-        curve.write_csv(config.output_path)
 
 
 def run_scenario(config: ScenarioConfig) -> MetricCurve:

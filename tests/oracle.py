@@ -389,7 +389,7 @@ def welch_psd(stream, seg_len: int = 2048, meta: dict | None = None) -> MetricCu
     if len(stream) < seg_len:
         raise ValueError(f"need at least {seg_len} samples, got {len(stream)}")
     welch = WelchAccumulator(seg_len, len(stream))
-    welch.add(np.lib.stride_tricks.sliding_window_view(stream, seg_len)[::welch.step])
+    welch.add(stream)
     return welch.curve(meta)
 
 

@@ -20,7 +20,7 @@ from wavemod import (
     qam_map,
 )
 from wavemod._work import BLOCK
-from wavemod.channel import MIN_ZF_BIN, tvfs_gains
+from wavemod.channel import MIN_ZF_BIN, PROFILE_MEMORY, draw_taps, tvfs_gains
 from wavemod.sim import ScenarioConfig, WaveformParams, _draw_chunk, build_adapter
 
 
@@ -41,6 +41,24 @@ class TestProfiles:
 
     def test_awgn_single_unit_tap(self):
         np.testing.assert_array_equal(_chunk_taps("awgn"), [1.0 + 0j])
+
+    @pytest.mark.parametrize("corrected", [False, True])
+    @pytest.mark.parametrize("profile", ["awgn", "tifs", "tvfs"])
+    def test_draw_taps_are_the_chunk_draws(self, profile, corrected):
+        # From one generator state: the unit tap, the TIFS taps, or TVFS fades
+        # from a (2, frames, 4) standard normal draw, real parts first, at
+        # unit complex variance times the gains.  Only TVFS moves the
+        # generator, and a profile's memory is its tap count minus 1.
+        rng, ref = (np.random.Generator(np.random.SFC64(9)) for _ in range(2))
+        taps = draw_taps(profile, rng, 3, corrected)
+        if profile == "tvfs":
+            parts = ref.standard_normal((2, 3, 4)) * np.sqrt(0.5)
+            want = tvfs_gains(corrected) * (parts[0] + 1j * parts[1])
+        else:
+            want = TIFS_TAPS.astype(complex) if profile == "tifs" else np.array([1.0 + 0j])
+        np.testing.assert_array_equal(taps, want)
+        assert rng.random() == ref.random()
+        assert PROFILE_MEMORY[profile] == taps.shape[-1] - 1
 
     def test_tvfs_second_tap_always_zero(self):
         rng = np.random.default_rng(0)

@@ -62,12 +62,39 @@ class TestWelchPsd:
             welch_psd(np.ones(16), seg_len=2048)
 
     @pytest.mark.parametrize(
-        "segments", [np.ones((2, 16)), (np.ones((2, 32)) + 0j)[:, ::2]], ids=["real", "strided"]
+        "stream", [np.ones(64), (np.ones(128) + 0j)[::2]], ids=["real", "strided"]
     )
-    def test_accumulator_refuses_real_or_strided_segments(self, segments):
-        # It windows interleaved (re, im) floats; other segments fail, not misread.
+    def test_accumulator_refuses_real_or_strided_segments(self, stream):
+        # It cuts segments at fixed byte offsets and windows interleaved (re,
+        # im) floats; other streams fail, not misread.
         with pytest.raises(ValueError):
-            WelchAccumulator(16, 64).add(segments)
+            WelchAccumulator(16, 64).add(stream)
+
+    @pytest.mark.parametrize("length", [0, 15, 16, 23, 24, 100])
+    def test_add_takes_every_whole_segment(self, length):
+        # add(stream) windows the segments sliding_window_view cuts every step
+        # samples, bit for bit, and returns where the next one starts.  The
+        # batch holds 4 segments, so 100 samples (11 segments) fill it twice.
+        stream = np.random.default_rng(length).standard_normal(2 * length).view(complex)
+        welch = WelchAccumulator(16, 40)
+        added = []
+
+        def capture():
+            added.append(welch._batch[:welch._filled].copy())
+            welch._filled = 0
+
+        welch._flush = capture
+        done = welch.add(stream)
+        capture()
+        n_seg = max(0, (length - 16) // 8 + 1)
+        assert (welch.step, done, welch.n_segments) == (8, n_seg * 8, n_seg)
+        want = np.empty((0, 16), complex)
+        if n_seg:  # sliding_window_view refuses a stream shorter than its window
+            want = np.lib.stride_tricks.sliding_window_view(stream, 16)[::8].copy()
+        want.real *= welch.window
+        want.imag *= welch.window
+        got = np.concatenate(added)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_short_stream_takes_memory_for_its_segments_only(self):
         # One 2,048-sample segment: a 32 KB batch, not a full 128-segment (4 MB) one.

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import oracle
@@ -175,8 +175,8 @@ class TestRunBer:
     def test_deterministic_csv_across_runs(self, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
-        run_ber(_ber_config(output_path=str(out1)))
-        run_ber(_ber_config(output_path=str(out2)))
+        run_ber(_ber_config()).write_csv(out1)
+        run_ber(_ber_config()).write_csv(out2)
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_tvfs_theory_uses_rayleigh_reference(self):
@@ -555,9 +555,12 @@ class TestRunPsd:
         fed = []
         add = WelchAccumulator.add
 
-        def record(welch, segments):
-            fed.append(np.array(segments))
-            add(welch, segments)
+        def record(welch, stream):
+            done = add(welch, stream)
+            if done:  # the segments it added, which the run overwrites next
+                segments = np.lib.stride_tricks.sliding_window_view(stream, welch.seg_len)[::welch.step]
+                fed.append(np.array(segments[:done // welch.step]))
+            return done
 
         monkeypatch.setattr(WelchAccumulator, "add", record)
         cfg = ScenarioConfig(
@@ -801,6 +804,20 @@ class TestCli:
         assert "8.0," in lines[2]
         assert "8\t" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("metric,frames", [("ber", 20), ("papr", 300), ("psd", 70)])
+    def test_out_writes_the_run_curve(self, tmp_path, metric, frames):
+        # A run writes no file: the CLI writes the curve it returns, from
+        # --out or from the config file's own output_path key.
+        assert "output_path" not in {f.name for f in fields(ScenarioConfig)}
+        flag, key, want = tmp_path / "flag.csv", tmp_path / "key.csv", tmp_path / "want.csv"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"output_path = {key}\n")
+        argv = [metric, "--waveform", "fbmc", "--frames", str(frames)]
+        assert cli.main(argv + ["--out", str(flag)]) == 0
+        assert cli.main(argv + ["--config", str(cfg)]) == 0
+        run_scenario(ScenarioConfig(waveform="fbmc", metric=metric, frames=frames)).write_csv(want)
+        assert flag.read_bytes() == key.read_bytes() == want.read_bytes()
+
     @pytest.mark.parametrize(
         "waveform,text",
         [("gfdm", "subcarriers = 2\nsubsymbols = 4\ncp_len = 3"), ("ofdm", "n_fft = 2\ncp_len = 1")],
@@ -829,7 +846,7 @@ class TestCli:
         cfg.write_text("waveform = gfdm\nseed = 7\nebn0_grid_db = 2 6\nsubsymbols = 3\n")
         argv = ["ber", "--waveform", "ofdm", "--seed", "1", "--ebn0", "9", "--frames", "4",
                 "--config", str(cfg)]
-        config = cli.build_config(cli.make_parser().parse_args(argv))
+        config, _ = cli.build_config(cli.make_parser().parse_args(argv))
         assert (config.metric, config.waveform, config.seed) == ("ber", "gfdm", 7)
         assert config.ebn0_grid_db == (2.0, 6.0)
         assert config.frames == 4
@@ -837,9 +854,9 @@ class TestCli:
 
     def test_build_config_flags_without_file(self):
         argv = ["papr", "--waveform", "fbmc", "--channel", "tifs", "--frames", "6", "--seed", "3"]
-        config = cli.build_config(cli.make_parser().parse_args(argv))
+        config, out = cli.build_config(cli.make_parser().parse_args(argv))
         assert (config.metric, config.waveform, config.channel) == ("papr", "fbmc", "tifs")
-        assert (config.frames, config.seed, config.output_path) == (6, 3, None)
+        assert (config.frames, config.seed, out) == (6, 3, None)
         assert config.waveform_params == WaveformParams()
 
     @pytest.mark.parametrize(
@@ -873,6 +890,8 @@ class TestCli:
             (["ber", "--waveform", "ofdm", "--frames", "1"], "ebn0_grid_db = 4 nan", "ebn0_grid_db"),
             (["ber", "--waveform", "ofdm", "--ebn0=-4000", "--frames", "1"], "", "ebn0_grid_db"),
             (["ber", "--waveform", "ofdm", "--frames", "1"], "metric = papr", "metric"),
+            (["ber", "--waveform", "ofdm", "--frames", "1"], "error_target = -5", "error_target"),
+            (["ber", "--waveform", "ofdm", "--frames", "1"], "min_bits = -1", "min_bits"),
         ],
         ids=[
             "unknown-key",
@@ -903,6 +922,8 @@ class TestCli:
             "ebn0-nan-in-config",
             "ebn0-underflows-noise-variance",
             "metric-is-the-subcommand",
+            "negative-error-target",
+            "negative-min-bits",
         ],
     )
     def test_bad_config_file_exit_code(self, tmp_path, capsys, argv, text, key):

@@ -1,13 +1,17 @@
-"""Whether two checkouts give the same BER counts, PAPR CCDFs and PSD values.
+"""Whether two checkouts give the same BER counts, PAPR CCDFs, PSD values and CLI files.
 
 Runs one grid of scenarios from each tree's ``src/wavemod``, in a fresh
 interpreter per tree, and compares every output exactly: BER error and bit
 counts, PAPR CCDF values and PSD values bit for bit.  The grid is wider than
 the seed-0 golden file: seeds 0 to 3; the five waveforms; default K = 128,
 M = 4, and M = 1, K = 96 / M = 3 and K = 64 / M = 2 / overlap 3; a sub-band
-allocation; 4- and 64-QAM; every channel at 4, 8 and 12 dB; frame counts
-that end on a short chunk.  It prints how many outputs each tree gave and the
-first configuration, in grid order, whose outputs differ, or that none does.
+allocation; 4- and 64-QAM; every channel at 4, 8 and 12 dB; the corrected
+TVFS gains; the plain GFDM MF and MMSE receivers; no cyclic prefix on the
+circular waveforms; frame counts that end on a short chunk.  Then one BER,
+one PAPR and one PSD run go through ``wavemod.cli.main`` with ``--out`` and
+``--emit-plot-data``, and the two files' bytes are compared.  It prints how
+many outputs each tree gave and the first configuration, in grid order,
+whose outputs differ, or that none does.
 
     python3 tools/same_outputs.py TREE_A TREE_B
 
@@ -16,10 +20,13 @@ Every run pins one BLAS/OpenMP thread and one wavemod worker.  Exit status
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 THREAD_ENV = {
@@ -29,6 +36,7 @@ THREAD_ENV = {
     "WAVEMOD_THREADS": "1",
 }
 WAVEFORMS = ("ofdm", "gfdm", "gfdm_oqam_circular", "linear_gfdm", "fbmc")
+CIRCULAR = ("ofdm", "gfdm", "gfdm_oqam_circular")  # the waveforms that send a cyclic prefix
 CHANNELS = ("awgn", "tifs", "tvfs")
 SEEDS = (0, 1, 2, 3)
 # Parameter sets by name; OFDM takes n_fft = K*M and M = 1 in their place.
@@ -42,6 +50,12 @@ PARAMS = {
 BER_FRAMES = 100  # a 64-frame chunk and a 36-frame one
 PAPR_FRAMES = 300  # a 256-frame chunk and a 44-frame one
 PSD_FRAMES = (70, 200)
+# CLI runs whose --out and --emit-plot-data files are compared byte for byte.
+CLI_RUNS = (
+    "ber --waveform linear_gfdm --channel tvfs --ebn0 4 8 --frames 100",
+    "papr --waveform gfdm --frames 300",
+    "psd --waveform fbmc --frames 200",
+)
 
 
 def _params(sim, waveform: str, name: str, **extra):
@@ -57,33 +71,57 @@ def _params(sim, waveform: str, name: str, **extra):
 def grid(sim):
     """Yield (label, config) over the grid, in comparison order."""
     for seed in SEEDS:
+
+        def ber(waveform, channel, wp, **extra):
+            return sim.ScenarioConfig(
+                waveform=waveform, channel=channel, metric="ber", ebn0_grid_db=(4.0, 8.0, 12.0),
+                frames=BER_FRAMES, seed=seed, error_target=None, waveform_params=wp, **extra,
+            )
+
+        def papr_psd(waveform, label, wp):
+            yield f"papr {waveform} {label} seed={seed}", sim.ScenarioConfig(
+                waveform=waveform, metric="papr", frames=PAPR_FRAMES, seed=seed, waveform_params=wp
+            )
+            for frames in PSD_FRAMES:
+                yield f"psd {waveform} {label} {frames} frames seed={seed}", sim.ScenarioConfig(
+                    waveform=waveform, metric="psd", frames=frames, seed=seed, waveform_params=wp
+                )
+
         for waveform in WAVEFORMS:
             for name in PARAMS:
                 wp = _params(sim, waveform, name)
                 for channel in CHANNELS:
-                    yield f"ber {waveform} {name} {channel} seed={seed}", sim.ScenarioConfig(
-                        waveform=waveform, channel=channel, metric="ber", ebn0_grid_db=(4.0, 8.0, 12.0),
-                        frames=BER_FRAMES, seed=seed, error_target=None, waveform_params=wp,
-                    )
-                yield f"papr {waveform} {name} seed={seed}", sim.ScenarioConfig(
-                    waveform=waveform, metric="papr", frames=PAPR_FRAMES, seed=seed, waveform_params=wp
-                )
-                for frames in PSD_FRAMES:
-                    yield f"psd {waveform} {name} {frames} frames seed={seed}", sim.ScenarioConfig(
-                        waveform=waveform, metric="psd", frames=frames, seed=seed, waveform_params=wp
-                    )
+                    yield f"ber {waveform} {name} {channel} seed={seed}", ber(waveform, channel, wp)
+                yield from papr_psd(waveform, name, wp)
             for order in (4, 64):
                 wp = _params(sim, waveform, "default", qam_order=order)
-                yield f"ber {waveform} {order}-QAM tifs seed={seed}", sim.ScenarioConfig(
-                    waveform=waveform, channel="tifs", metric="ber", ebn0_grid_db=(4.0, 8.0, 12.0),
-                    frames=BER_FRAMES, seed=seed, error_target=None, waveform_params=wp,
-                )
+                yield f"ber {waveform} {order}-QAM tifs seed={seed}", ber(waveform, "tifs", wp)
+            wp = _params(sim, waveform, "default")
+            corrected = ber(waveform, "tvfs", wp, tvfs_corrected=True)
+            yield f"ber {waveform} corrected tvfs seed={seed}", corrected
+            if waveform == "gfdm":
+                for receiver in ("mf", "mmse"):
+                    wp = _params(sim, waveform, "default", receiver=receiver)
+                    yield f"ber {waveform} {receiver} awgn seed={seed}", ber(waveform, "awgn", wp)
+            if waveform in CIRCULAR:
+                wp = _params(sim, waveform, "default", cp_len=0)
+                yield f"ber {waveform} cp_len=0 awgn seed={seed}", ber(waveform, "awgn", wp)
+                yield from papr_psd(waveform, "cp_len=0", wp)
+
+
+def cli_files(cli, argv) -> list:
+    """Exit code and the hex bytes of the --out and --emit-plot-data files of one CLI run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out, plot = Path(tmp, "out.csv"), Path(tmp, "plot.dat")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv + ["--out", str(out), "--emit-plot-data", str(plot)])
+        return [code] + [path.read_bytes().hex() if path.exists() else None for path in (out, plot)]
 
 
 def outputs(tree: Path) -> dict:
     """Every grid output of ``tree``, floats as hex strings so equality is bitwise."""
     sys.path.insert(0, str(tree / "src"))
-    from wavemod import sim
+    from wavemod import cli, sim
 
     out = {}
     for label, config in grid(sim):
@@ -92,6 +130,8 @@ def outputs(tree: Path) -> dict:
             out[label] = [[int(e) for e in curve.extra["errors"]], [int(b) for b in curve.extra["bits"]]]
         else:
             out[label] = [float(v).hex() for v in curve.values]
+    for argv in CLI_RUNS:
+        out["cli " + argv] = cli_files(cli, argv.split())
     return out
 
 
@@ -114,17 +154,17 @@ def main(argv=None) -> int:
     if len(args.trees) != 2:
         ap.error("give two trees: A and B")
     a, b = (run_tree(t.resolve()) for t in args.trees)
-    kinds = {kind: sum(label.startswith(kind + " ") for label in a) for kind in ("ber", "papr", "psd")}
+    kinds = {kind: sum(label.startswith(kind + " ") for label in a) for kind in ("ber", "papr", "psd", "cli")}
     print(f"A {args.trees[0]}: {len(a)} configurations; B {args.trees[1]}: {len(b)}")
     print("grid: " + ", ".join(f"{n} {kind}" for kind, n in kinds.items()))
     for label in a:
         if a[label] != b.get(label):
-            print(f"first difference: {label}\n  A {a[label]}\n  B {b.get(label)}")
+            print(f"first difference: {label}\n  A {str(a[label])[:200]}\n  B {str(b.get(label))[:200]}")
             return 1
     if a.keys() != b.keys():
         print(f"B runs configurations A does not: {sorted(b.keys() - a.keys())[:3]}")
         return 1
-    print("identical: every BER count, PAPR CCDF and PSD value")
+    print("identical: every BER count, PAPR CCDF and PSD value, and the CLI files' bytes")
     return 0
 
 
