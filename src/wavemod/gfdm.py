@@ -44,6 +44,7 @@ from .channel import MIN_ZF_BIN
 # OQAM quarter-turn rotation j^k of subcarrier k, exact for every k.
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 _FRAME_BLOCK = 64  # frames per transform pass
+RECEIVERS = ("zf", "mf", "mmse")  # the plain GFDM receiver kinds of build_receiver
 
 
 @dataclass(frozen=True)

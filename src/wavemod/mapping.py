@@ -15,12 +15,12 @@ import numpy as np
 
 from ._work import BLOCK
 
-_SUPPORTED_ORDERS = (4, 16, 64)
+QAM_ORDERS = (4, 16, 64)
 
 
 def _bits_per_axis(order: int) -> int:
-    if order not in _SUPPORTED_ORDERS:
-        raise ValueError(f"unsupported QAM order {order}; supported: {_SUPPORTED_ORDERS}")
+    if order not in QAM_ORDERS:
+        raise ValueError(f"unsupported QAM order {order}; supported: {QAM_ORDERS}")
     return int(np.log2(order)) // 2
 
 

@@ -31,15 +31,19 @@ class MetricCurve:
         if np.any(np.diff(self.abscissa) <= 0):
             raise ValueError("abscissas must be strictly increasing")
 
+    def columns(self) -> dict:
+        """The curve's columns by name, in file order: abscissa, value, then ``extra``."""
+        extra = {name: np.asarray(col) for name, col in self.extra.items()}
+        return {"abscissa": self.abscissa, "value": self.values, **extra}
+
     def write_csv(self, path) -> None:
-        """Header naming kind and meta, then full-precision value rows."""
+        """Header naming kind and meta, then the :meth:`columns` names and full-precision rows."""
         meta = " ".join(f"{k}={v}" for k, v in self.meta.items())
-        names = ["abscissa", "value"] + list(self.extra)
-        cols = [self.abscissa, self.values] + [np.asarray(c) for c in self.extra.values()]
+        cols = self.columns()
         with open(path, "w") as f:
             f.write(f"# kind={self.kind} {meta}".rstrip() + "\n")
-            f.write("# " + ",".join(names) + "\n")
-            for row in zip(*cols):
+            f.write("# " + ",".join(cols) + "\n")
+            for row in zip(*cols.values()):
                 f.write(",".join(repr(float(v)) for v in row) + "\n")
 
     def interpolate(self, x: float) -> float:

@@ -28,8 +28,6 @@ def phydyas(subcarriers: int, overlap: int = 4) -> np.ndarray:
     """
     if subcarriers < 2 or subcarriers % 2 != 0:
         raise ValueError(f"subcarriers must be even and >= 2, got {subcarriers}")
-    if overlap < 1:
-        raise ValueError(f"overlap must be >= 1, got {overlap}")
     if overlap not in _FREQ_COEFFS:
         raise ValueError(
             f"no frequency-sampling coefficients for overlap {overlap}; "

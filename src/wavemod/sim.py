@@ -10,9 +10,12 @@ scheme ``chunk-v3``).
 Neither the waveform nor the Eb/N0 point is in the key: waveforms with
 equal data sizes see common random numbers, Linear GFDM and FBMC emit the
 same samples and meet the same noise, and every point of a BER grid sees
-the same draws.  One helper draws and maps a chunk for every instrument:
-the bits stay the packed bytes they are drawn as, map straight to symbols
-and give the BER count its sent labels.  A sub-band allocation
+the same draws.  One helper draws and maps a chunk for every instrument
+(``_draw_chunk``): the bits stay the packed bytes they are drawn as, map
+straight to symbols and give the BER count its sent labels.  The
+dataclasses below hold the only defaults (the CLI passes only the settings
+it is given), and ``validate`` takes the QAM orders from ``mapping`` and
+the receiver kinds from ``gfdm``.  A sub-band allocation
 is held as runs of consecutive active bins, so its scatter and gather are
 slice copies.  Zero forcing inverts the channel exactly on every
 configuration ``ScenarioConfig.validate`` accepts (see ``channel``), and it
@@ -49,7 +52,7 @@ import numpy as np
 from . import _work
 from . import channel as chan
 from . import gfdm as gfdm_mod
-from .mapping import demap_labels, map_packed, packed_labels
+from .mapping import QAM_ORDERS, demap_labels, map_packed, packed_labels
 from .metrics import (
     MetricCurve,
     WelchAccumulator,
@@ -126,15 +129,15 @@ class ScenarioConfig:
         if self.metric == "ber" and np.any(np.diff(self.ebn0_grid_db) <= 0):
             raise ConfigError(f"ebn0_grid_db: must be strictly increasing, got {self.ebn0_grid_db}")
         wp = self.waveform_params
-        if wp.qam_order not in (4, 16, 64):
-            raise ConfigError(f"qam_order: {wp.qam_order} not in (4, 16, 64)")
+        if wp.qam_order not in QAM_ORDERS:
+            raise ConfigError(f"qam_order: {wp.qam_order} not in {QAM_ORDERS}")
         low = [e for e in self.ebn0_grid_db if not np.isfinite(noise_variance(e, wp.qam_order))]
         if low:
             raise ConfigError(f"ebn0_grid_db: {low} dB gives an infinite noise variance")
         if wp.subsymbols < 1:
             raise ConfigError(f"subsymbols: must be >= 1, got {wp.subsymbols}")
-        if wp.receiver not in ("zf", "mf", "mmse"):
-            raise ConfigError(f"receiver: {wp.receiver!r} not in ('zf', 'mf', 'mmse')")
+        if wp.receiver not in gfdm_mod.RECEIVERS:
+            raise ConfigError(f"receiver: {wp.receiver!r} not in {gfdm_mod.RECEIVERS}")
         if self.waveform == "gfdm" and wp.receiver == "mmse" and self.channel != "awgn":
             raise ConfigError(
                 f"receiver: mmse weighs white noise of the AWGN variance, but after zero "
@@ -370,23 +373,24 @@ def build_adapter(config: ScenarioConfig):
 # Frame pipeline
 
 
-def _draw_chunk(config: ScenarioConfig, adapter, scenario_id, start, count, with_noise):
-    """Draws for frames [start, start+count): packed bits, taps, noise.
+def _draw_chunk(config: ScenarioConfig, adapter, scenario_id, start, count, with_noise=False):
+    """Draw and map frames [start, start+count): symbols, packed bits, taps, noise.
 
     One SFC64 generator, keyed by (seed, ``scenario_id``, ``start``), draws
     the bits as ceil(n_bits / 8) random bytes, then the TVFS fades, then the
     noise.  The bytes stay packed, and nothing unpacks them: frame f's bits
     are bits [f * bits_per_frame, (f + 1) * bits_per_frame) of the byte
     stream, MSB first, and bits past the last frame's are drawn but unused.
-    ``channel.draw_taps`` gives the taps: one (n_taps,) vector on AWGN and
-    TIFS, (count, n_taps) per-frame fades on TVFS.  The noise covers the
-    :meth:`~_MatrixAdapter.zf_cols` columns of the received
-    frame, ``frame_len + n_taps - 1`` samples long, and is drawn sample-major
-    into the work area: a (width, count) complex array whose real and
-    imaginary parts are standard normals, interleaved.  Frame f's sample s
-    is then the same draw for any frame length, so frames that differ only
-    in trailing samples meet the same noise.  Without ``with_noise`` it is
-    None.
+    They map straight to the (count, n_data) symbols, written into the work
+    area; mapping draws nothing.  ``channel.draw_taps`` gives the taps: one
+    (n_taps,) vector on AWGN and TIFS, (count, n_taps) per-frame fades on
+    TVFS.  The noise covers the :meth:`~_MatrixAdapter.zf_cols` columns of
+    the received frame, ``frame_len + n_taps - 1`` samples long, and is
+    drawn sample-major into the work area: a (width, count) complex array
+    whose real and imaginary parts are standard normals, interleaved.  Frame
+    f's sample s is then the same draw for any frame length, so frames that
+    differ only in trailing samples meet the same noise.  Without
+    ``with_noise`` it is None.
     """
     rng = np.random.Generator(np.random.SFC64(
         np.random.SeedSequence(entropy=[config.seed & 0xFFFF_FFFF_FFFF_FFFF, scenario_id, start])
@@ -394,24 +398,13 @@ def _draw_chunk(config: ScenarioConfig, adapter, scenario_id, start, count, with
     n_bits = count * adapter.n_data * int(np.log2(config.waveform_params.qam_order))
     packed = np.frombuffer(rng.bytes(-(-n_bits // 8)), np.uint8)
     taps = chan.draw_taps(config.channel, rng, count, corrected=config.tvfs_corrected)
+    symbols = _work.area().get("sim.symbols", (count, adapter.n_data))
+    map_packed(packed, config.waveform_params.qam_order, symbols.size, out=symbols.reshape(-1))
     if not with_noise:
-        return packed, taps, None
+        return symbols, packed, taps, None
     cols = adapter.zf_cols(adapter.frame_len + taps.shape[-1] - 1)
     noise = _work.area().get("sim.noise", (cols.stop - cols.start, count))
     rng.standard_normal(out=noise.view(float))
-    return packed, taps, noise
-
-
-def _mapped_chunk(config: ScenarioConfig, adapter, scenario_id, start, count, with_noise=False):
-    """Draw and map frames [start, start+count).
-
-    The symbols are mapped straight from the packed bytes.  Returns the
-    (count, n_data) symbols, written into the work area, then the draws of
-    :func:`_draw_chunk`.
-    """
-    packed, taps, noise = _draw_chunk(config, adapter, scenario_id, start, count, with_noise)
-    symbols = _work.area().get("sim.symbols", (count, adapter.n_data))
-    map_packed(packed, config.waveform_params.qam_order, symbols.size, out=symbols.reshape(-1))
     return symbols, packed, taps, noise
 
 
@@ -515,7 +508,7 @@ def run_ber(config: ScenarioConfig) -> MetricCurve:
 
     def process(start, count):
         points = running()
-        d, packed, taps, noise = _mapped_chunk(config, adapter, sid, start, count, True)
+        d, packed, taps, noise = _draw_chunk(config, adapter, sid, start, count, True)
         x = adapter.transmit(d)
         point_vars = [noise_vars[p] for p in points]
         errors, n_bits = ber_errors(adapter, order, packed, x, taps, noise, point_vars)
@@ -613,7 +606,7 @@ def run_psd(config: ScenarioConfig) -> MetricCurve:
     with _work.borrowed():  # one work area serves every chunk of the run
         for start in range(0, config.frames, _CHUNK):
             count = min(_CHUNK, config.frames - start)
-            d = _mapped_chunk(config, adapter, sid, start, count)[0]
+            d = _draw_chunk(config, adapter, sid, start, count)[0]
             first = start * stride - base
             if adapter.circular:
                 adapter.transmit(d, out=window[first:first + count * stride].reshape(count, stride))
@@ -674,7 +667,7 @@ def run_papr(config: ScenarioConfig) -> MetricCurve:
     sid = _scenario_id(config)
 
     def process(start, count):
-        d = _mapped_chunk(config, adapter, sid, start, count)[0]
+        d = _draw_chunk(config, adapter, sid, start, count)[0]
         if adapter.circular:
             return papr_batch(adapter.transmit(d)[:, : adapter.support_len])
         paprs = np.empty(count)

@@ -410,7 +410,7 @@ def psd_oneshot(config):
     stream = np.zeros((config.frames - 1) * stride + frame_len, dtype=complex)
     for start in range(0, config.frames, sim._CHUNK):
         count = min(sim._CHUNK, config.frames - start)
-        x = adapter.transmit(sim._mapped_chunk(config, adapter, sid, start, count)[0])
+        x = adapter.transmit(sim._draw_chunk(config, adapter, sid, start, count)[0])
         for j in range(count):
             off = (start + j) * stride
             stream[off:off + frame_len] += x[j]

@@ -27,7 +27,7 @@ from wavemod.sim import ScenarioConfig, WaveformParams, _draw_chunk, build_adapt
 def _chunk_taps(channel):
     """The taps the BER pipeline draws for a chunk of three frames."""
     cfg = ScenarioConfig(waveform="ofdm", channel=channel, waveform_params=WaveformParams(n_fft=32, cp_len=4))
-    return _draw_chunk(cfg, build_adapter(cfg), 0, 0, 3, False)[1]
+    return _draw_chunk(cfg, build_adapter(cfg), 0, 0, 3)[2]
 
 
 class TestProfiles:

@@ -166,7 +166,7 @@ class TestOfdmAdapter:
         # At M = 1 with the rect pulse, ZF, MF and MMSE are the same weights.
         cfg = _config(n_fft, 7, channel=channel)
         adapter = build_adapter(cfg)
-        _, taps, noise = _draw_chunk(cfg, adapter, seed, 0, 3, True)
+        _, _, taps, noise = _draw_chunk(cfg, adapter, seed, 0, 3, True)
         y = received(adapter, np.zeros((3, adapter.frame_len)), taps, noise, 1.0)
         out = {r: receive(_ofdm(n_fft, 7, channel=channel, receiver=r), y, taps, noise_var)
                for r in ("zf", "mf", "mmse")}

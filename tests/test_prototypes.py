@@ -39,6 +39,8 @@ class TestPhydyas:
             phydyas(7, 4)
         with pytest.raises(ValueError):
             phydyas(16, 0)
+        with pytest.raises(ValueError, match="overlap"):
+            phydyas(16, 5)
 
 
 class TestRectangular:

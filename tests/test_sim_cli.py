@@ -43,7 +43,6 @@ from wavemod.sim import (
     _active_runs,
     _draw_chunk,
     _gather,
-    _mapped_chunk,
     _scatter,
     _scenario_id,
     ber_errors,
@@ -91,6 +90,11 @@ class TestConfigValidation:
         cfg = _ber_config(waveform_params=WaveformParams(qam_order=8))
         with pytest.raises(ConfigError, match="qam_order"):
             cfg.validate()
+
+    @pytest.mark.parametrize("run,metric", [(run_ber, "psd"), (run_psd, "papr"), (run_papr, "ber")])
+    def test_run_refuses_another_metrics_config(self, run, metric):
+        with pytest.raises(ConfigError, match="metric"):
+            run(ScenarioConfig(waveform="ofdm", metric=metric, frames=1))
 
 
 class TestRunBer:
@@ -250,7 +254,7 @@ def _production_chunk(adapter, cfg, count, noise_var):
         return type(adapter).demodulate(adapter, y_eq, nv, out=out)
 
     with _work.borrowed():
-        d, packed, taps, noise = _mapped_chunk(cfg, adapter, 0, 0, count, True)
+        d, packed, taps, noise = _draw_chunk(cfg, adapter, 0, 0, count, True)
         x, packed, noise = adapter.transmit(d).copy(), packed.copy(), noise.copy()
         adapter.demodulate = demodulate
         try:
@@ -275,7 +279,7 @@ class TestBatchedReceive:
         cfg = ScenarioConfig(waveform=waveform, channel=channel, seed=seed, waveform_params=_SMALL)
         adapter = _small_adapter(waveform)
         noise_var = 0.05
-        d, _, taps, noise = _mapped_chunk(cfg, adapter, 0, 0, count, True)
+        d, _, taps, noise = _draw_chunk(cfg, adapter, 0, 0, count, True)
         x = adapter.transmit(d)
         frame_taps = taps if taps.ndim == 2 else [taps] * count
         y = received(adapter, x, taps, noise, noise_var)
@@ -339,8 +343,8 @@ class TestCommonRandomNumbers:
         for waveform in pair:
             cfg = ScenarioConfig(waveform=waveform, channel=channel, seed=seed, waveform_params=wp)
             cfg.validate()
-            draws.append(_draw_chunk(cfg, build_adapter(cfg), _scenario_id(cfg), 64, 5, False))
-        for a, b in zip(draws[0][:2], draws[1][:2]):  # bits, taps
+            draws.append(_draw_chunk(cfg, build_adapter(cfg), _scenario_id(cfg), 64, 5))
+        for a, b in zip(draws[0][:3], draws[1][:3]):  # symbols, bits, taps
             np.testing.assert_array_equal(a, b)
         # Linear GFDM and FBMC then emit the same samples: equal PAPR CCDFs.
         lin, fb = (
@@ -395,7 +399,7 @@ class TestPackedDraws:
         cfg = ScenarioConfig(waveform=waveform, seed=3, waveform_params=wp)
         cfg.validate()
         adapter = build_adapter(cfg)
-        x = adapter.transmit(_mapped_chunk(cfg, adapter, 7, 0, count)[0])
+        x = adapter.transmit(_draw_chunk(cfg, adapter, 7, 0, count)[0])
         bits = oracle.draw_chunk(cfg, adapter, 7, 0, count)[0]
         symbols = oracle.qam_map(bits, order).reshape(count, -1)
         np.testing.assert_array_equal(x, adapter.transmit(symbols))
@@ -412,7 +416,7 @@ class TestPackedDraws:
         wp = WaveformParams(qam_order=order, subcarriers=6, subsymbols=3, n_fft=18, cp_len=7)
         cfg = ScenarioConfig(waveform=waveform, seed=seed, waveform_params=wp, **_CHANNEL_CASES[channel])
         adapter = build_adapter(cfg)
-        packed, taps, noise = _draw_chunk(cfg, adapter, 5, 64, count, True)
+        _, packed, taps, noise = _draw_chunk(cfg, adapter, 5, 64, count, True)
         bits, want_taps, want_noise = oracle.draw_chunk(cfg, adapter, 5, 64, count)
         assert len(packed) == -(-bits.size // 8)
         np.testing.assert_array_equal(np.unpackbits(packed, count=bits.size), bits.ravel())
@@ -424,7 +428,7 @@ class TestPackedDraws:
         cfg = ScenarioConfig(waveform="gfdm", seed=2, waveform_params=_SMALL)
         adapter = _small_adapter("gfdm")
         with _work.borrowed():
-            d, packed, taps, noise = _mapped_chunk(cfg, adapter, 0, 0, 2, True)
+            d, packed, taps, noise = _draw_chunk(cfg, adapter, 0, 0, 2, True)
             x = adapter.transmit(d)
             with pytest.raises(ValueError, match="bytes drawn"):
                 ber_errors(adapter, 16, packed[:-1], x, taps, noise, [0.05])
@@ -652,7 +656,7 @@ class TestRunPapr:
         adapter, sid = build_adapter(cfg), _scenario_id(cfg)
         rows = []
         for start in (0, 256):
-            x = adapter.transmit(_mapped_chunk(cfg, adapter, sid, start, min(256, 300 - start))[0])
+            x = adapter.transmit(_draw_chunk(cfg, adapter, sid, start, min(256, 300 - start))[0])
             rows.append(papr_batch(x[:, : adapter.support_len]))
         want = np.concatenate(rows)
         np.testing.assert_allclose(measured[0], want, rtol=0, atol=1e-12)
@@ -741,8 +745,8 @@ class TestReusedBuffers:
         cfg = ScenarioConfig(waveform="linear_gfdm")
         adapter = build_adapter(cfg)
         lent = list(_work._free)
-        first = adapter.transmit(_mapped_chunk(cfg, adapter, 0, 0, 4)[0])
-        second = adapter.transmit(_mapped_chunk(cfg, adapter, 0, 4, 4)[0])
+        first = adapter.transmit(_draw_chunk(cfg, adapter, 0, 0, 4)[0])
+        second = adapter.transmit(_draw_chunk(cfg, adapter, 0, 4, 4)[0])
         assert not np.shares_memory(first, second)
         assert _work._free == lent
 
@@ -852,6 +856,31 @@ class TestCli:
         assert config.frames == 4
         assert config.waveform_params.subsymbols == 3
 
+    @pytest.mark.parametrize("metric", sim.METRICS)
+    def test_omitted_flags_take_the_dataclass_defaults(self, metric):
+        # The parser sets no default of its own: an omitted flag parses to
+        # None, and the scenario keeps ScenarioConfig's default for it.
+        args = cli.make_parser().parse_args([metric])
+        assert {key: val for key, val in vars(args).items() if key != "metric"} == dict.fromkeys(
+            ["waveform", "channel", "ebn0", "frames", "seed", "config", "out", "emit_plot_data"]
+        )
+        config, out = cli.build_config(cli.make_parser().parse_args([metric, "--waveform", "gfdm"]))
+        assert config == ScenarioConfig(waveform="gfdm", metric=metric) and out is None
+
+    def test_every_int_field_parses_from_a_config_file(self, tmp_path):
+        want = {"frames": 3, "seed": 5, "min_bits": 0, "qam_order": 64, "subcarriers": 64,
+                "subsymbols": 2, "overlap": 3, "cp_len": 16, "n_fft": 256}
+        assert want.keys() == {
+            f.name for f in fields(ScenarioConfig) + fields(WaveformParams) if f.type is int
+        }
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("".join(f"{key} = {val}\n" for key, val in want.items()))
+        argv = ["ber", "--waveform", "gfdm", "--config", str(cfg)]
+        config, _ = cli.build_config(cli.make_parser().parse_args(argv))
+        got = {**vars(config), **vars(config.waveform_params)}
+        assert {key: got[key] for key in want} == want
+        assert all(type(got[key]) is int for key in want)
+
     def test_build_config_flags_without_file(self):
         argv = ["papr", "--waveform", "fbmc", "--channel", "tifs", "--frames", "6", "--seed", "3"]
         config, out = cli.build_config(cli.make_parser().parse_args(argv))
@@ -892,6 +921,10 @@ class TestCli:
             (["ber", "--waveform", "ofdm", "--frames", "1"], "metric = papr", "metric"),
             (["ber", "--waveform", "ofdm", "--frames", "1"], "error_target = -5", "error_target"),
             (["ber", "--waveform", "ofdm", "--frames", "1"], "min_bits = -1", "min_bits"),
+            (["ber", "--waveform", "ofdm"], "frames = 5\nframes = 7", "cfg.txt:2: frames"),
+            (["ber", "--waveform", "gfdm"], "receiver = bogus", "receiver"),
+            (["ber", "--waveform", "gfdm"], "subsymbols = 0", "subsymbols"),
+            (["ber", "--waveform", "ofdm"], "frames 5", "cfg.txt:1"),
         ],
         ids=[
             "unknown-key",
@@ -924,6 +957,10 @@ class TestCli:
             "metric-is-the-subcommand",
             "negative-error-target",
             "negative-min-bits",
+            "key-given-twice",
+            "unknown-receiver",
+            "no-subsymbols",
+            "line-without-equals",
         ],
     )
     def test_bad_config_file_exit_code(self, tmp_path, capsys, argv, text, key):
@@ -993,22 +1030,22 @@ class TestCli:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_emit_plot_data(self, tmp_path):
-        dat = tmp_path / "plot.dat"
-        rc = cli.main(
-            [
-                "papr",
-                "--waveform",
-                "ofdm",
-                "--frames",
-                "200",
-                "--emit-plot-data",
-                str(dat),
-            ]
-        )
-        assert rc == 0
-        cols = np.loadtxt(dat)
-        assert cols.shape[1] == 2
-        assert np.all(np.diff(cols[:, 0]) > 0)
+        # The plot data are the CSV's columns under the same names: two for
+        # PAPR, and for BER its theory, errors and bits after them.
+        csv, dat = tmp_path / "out.csv", tmp_path / "plot.dat"
+        runs = {
+            ("abscissa", "value"): ["papr", "--waveform", "ofdm", "--frames", "200"],
+            ("abscissa", "value", "theory", "errors", "bits"):
+                ["ber", "--waveform", "ofdm", "--ebn0", "4", "8", "--frames", "2"],
+        }
+        for names, argv in runs.items():
+            assert cli.main(argv + ["--out", str(csv), "--emit-plot-data", str(dat)]) == 0
+            assert csv.read_text().splitlines()[1] == "# " + ",".join(names)
+            assert dat.read_text().splitlines()[0] == "# " + " ".join(names)
+            cols = np.loadtxt(dat)
+            assert cols.shape[1] == len(names)
+            assert np.all(np.diff(cols[:, 0]) > 0)
+            np.testing.assert_array_equal(cols, np.loadtxt(csv, delimiter=","))
 
     def test_console_script_entrypoint(self):
         # The child imports the package this test imported, installed or not.

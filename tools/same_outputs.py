@@ -2,14 +2,17 @@
 
 Runs one grid of scenarios from each tree's ``src/wavemod``, in a fresh
 interpreter per tree, and compares every output exactly: BER error and bit
-counts, PAPR CCDF values and PSD values bit for bit.  The grid is wider than
+counts and the ``theory`` column, PAPR CCDF values and PSD values bit for
+bit.  The grid is wider than
 the seed-0 golden file: seeds 0 to 3; the five waveforms; default K = 128,
 M = 4, and M = 1, K = 96 / M = 3 and K = 64 / M = 2 / overlap 3; a sub-band
 allocation; 4- and 64-QAM; every channel at 4, 8 and 12 dB; the corrected
 TVFS gains; the plain GFDM MF and MMSE receivers; no cyclic prefix on the
 circular waveforms; frame counts that end on a short chunk.  Then one BER,
-one PAPR and one PSD run go through ``wavemod.cli.main`` with ``--out`` and
-``--emit-plot-data``, and the two files' bytes are compared.  It prints how
+two PAPR and one PSD run go through ``wavemod.cli.main`` with ``--out`` and
+``--emit-plot-data``, and the two files' bytes are compared; one of them
+gives no ``--channel``, ``--frames`` or ``--seed``, so it runs on the
+defaults.  It prints how
 many outputs each tree gave and the first configuration, in grid order,
 whose outputs differ, or that none does.
 
@@ -55,6 +58,7 @@ CLI_RUNS = (
     "ber --waveform linear_gfdm --channel tvfs --ebn0 4 8 --frames 100",
     "papr --waveform gfdm --frames 300",
     "psd --waveform fbmc --frames 200",
+    "papr --waveform gfdm_oqam_circular",  # default channel, frames and seed
 )
 
 
@@ -127,7 +131,8 @@ def outputs(tree: Path) -> dict:
     for label, config in grid(sim):
         curve = sim.run_scenario(config)
         if config.metric == "ber":
-            out[label] = [[int(e) for e in curve.extra["errors"]], [int(b) for b in curve.extra["bits"]]]
+            out[label] = [[int(e) for e in curve.extra["errors"]], [int(b) for b in curve.extra["bits"]],
+                          [float(t).hex() for t in curve.extra["theory"]]]
         else:
             out[label] = [float(v).hex() for v in curve.values]
     for argv in CLI_RUNS:
@@ -164,7 +169,7 @@ def main(argv=None) -> int:
     if a.keys() != b.keys():
         print(f"B runs configurations A does not: {sorted(b.keys() - a.keys())[:3]}")
         return 1
-    print("identical: every BER count, PAPR CCDF and PSD value, and the CLI files' bytes")
+    print("identical: every BER count and theory value, PAPR CCDF and PSD value, and the CLI files' bytes")
     return 0
 
 
