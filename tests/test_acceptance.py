@@ -34,6 +34,13 @@ from wavemod.sim import (
 )
 
 
+# The BER setup of tests 2 and 7, which tools/seed_margins.py repeats over seeds.
+BER_FRAMES = 489  # 489 * 2048 bits > 1e6 bits per point
+BER_WAVEFORMS = ("ofdm", "fbmc", "linear_gfdm")
+TEST2_GRID = (4.0, 8.0, 12.0)
+TEST7_POINTS = {"tifs": (4.0, 8.0), "tvfs": (8.0, 12.0)}
+
+
 def _report(num: int, name: str, ok: bool, detail: str):
     line = f"ACCEPTANCE {num} ({name}): {'PASS' if ok else 'FAIL'} — {detail}"
     print(line)
@@ -72,18 +79,16 @@ def test_1_papr_ccdf_reproduction():
 
 
 def test_2_awgn_ber_matches_theory():
-    grid = (4.0, 8.0, 12.0)
-    frames = 489  # 489 * 2048 bits > 1e6 bits per point
     worst = 0.0
     ok = True
-    for wf in ("ofdm", "fbmc", "linear_gfdm"):
+    for wf in BER_WAVEFORMS:
         curve = run_ber(
             ScenarioConfig(
                 waveform=wf,
                 channel="awgn",
                 metric="ber",
-                ebn0_grid_db=grid,
-                frames=frames,
+                ebn0_grid_db=TEST2_GRID,
+                frames=BER_FRAMES,
                 error_target=None,
             )
         )
@@ -207,9 +212,6 @@ def test_6_noiseless_loopback():
     _report(6, "noiseless loopback", ok, "; ".join(details))
 
 
-_CROSS_FRAMES = 489  # 489 * 2048 bits > 1e6 bits
-
-
 def _paired_cross_waveform_ber(channel: str, ebn0_db: float) -> tuple[np.ndarray, np.ndarray]:
     """BER and bit errors at one point of the three benchmark waveforms.
 
@@ -222,20 +224,20 @@ def _paired_cross_waveform_ber(channel: str, ebn0_db: float) -> tuple[np.ndarray
                 channel=channel,
                 metric="ber",
                 ebn0_grid_db=(ebn0_db,),
-                frames=_CROSS_FRAMES,
+                frames=BER_FRAMES,
                 error_target=None,
             )
         )
-        for wf in ("ofdm", "fbmc", "linear_gfdm")
+        for wf in BER_WAVEFORMS
     ]
     return np.array([c.values[0] for c in curves]), np.array([c.extra["errors"][0] for c in curves])
 
 
-@pytest.mark.parametrize("channel,points", [("tifs", (4.0, 8.0)), ("tvfs", (8.0, 12.0))])
+@pytest.mark.parametrize("channel,points", list(TEST7_POINTS.items()))
 def test_7_cross_waveform_ber_equality(channel, points):
     ok = True
     details = []
-    n_bits = _CROSS_FRAMES * 2048
+    n_bits = BER_FRAMES * 2048
     for ebn0 in points:
         bers, errors = _paired_cross_waveform_ber(channel, ebn0)
         pbar = bers.mean()

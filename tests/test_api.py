@@ -1,9 +1,11 @@
 """Guards on the package surface: the public names, the benchmark's stage table, the A/B
-tool's claim rule, the source-size tool's line count, the demos and README examples (run
-end to end), dead imports and private names, and the import footprint."""
+tool's runs and verdicts, the seed-margin tool's acceptance setup, the source-size tool's
+line count, the demos and README examples (run end to end), dead imports and private
+names, and the import footprint."""
 
 import ast
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -19,6 +21,8 @@ _ROOT = Path(__file__).resolve().parents[1]
 _TRACING = _ROOT / "perfbench" / "tracing.py"
 _AB_ROUNDS = _ROOT / "tools" / "ab_rounds.py"
 _SRC_SIZE = _ROOT / "tools" / "src_size.py"
+_SEED_MARGINS = _ROOT / "tools" / "seed_margins.py"
+_BENCHMARK = json.loads((_ROOT / "BENCHMARK.json").read_text())
 
 
 def _load(path: Path, name: str):
@@ -73,18 +77,116 @@ def test_every_traced_stage_resolves():
 @pytest.mark.parametrize(
     "b_over_a, wins, verdict",
     [
-        ([20] * 9 + [0], 9, "9/10: yes; median gap +19 above A's quartile spread 6: yes"),
-        ([20] * 8 + [0, 0], 8, "9/10: no; median gap +18 above A's quartile spread 6: yes"),
-        ([5] * 10, 10, "9/10: yes; median gap +5 above A's quartile spread 6: no"),
+        ([20] * 9 + [0], 9, "9/10: yes; median gap +18.2% above A's quartile spread 5.3%: yes"),
+        ([20] * 8 + [0, 0], 8, "9/10: no; median gap +17.2% above A's quartile spread 5.3%: yes"),
+        ([5] * 10, 10, "9/10: yes; median gap +4.8% above A's quartile spread 5.3%: no"),
     ],
 )
 def test_ab_rounds_claim_rule(b_over_a, wins, verdict):
     # A tie counts for neither tree; the gap must exceed A's quartile spread,
-    # 5.5 here (quartiles 101.75 and 107.25).
+    # 5.5 here (quartiles 101.75 and 107.25), 5.3% of A's median 104.5.
     a = [100.0 + i for i in range(10)]
     line = _load(_AB_ROUNDS, "ab_rounds").claim_rule(a, [x + d for x, d in zip(a, b_over_a)])
     assert f"B won {wins}/10 pairs" in line
     assert line.endswith(verdict)
+
+
+_NARROW = [100.0 + i for i in range(10)]  # quartile spread 5.3% of the median
+_WIDE = [60.0, 80.0, 100.0, 120.0, 140.0]  # quartile spread 60% of the median
+
+
+@pytest.mark.parametrize(
+    "better, a, b, verdict",
+    [
+        ("higher", _NARROW, [0.9 * x for x in _NARROW], "-10.0% against -25%: within"),
+        ("higher", _NARROW, [0.7 * x for x in _NARROW], "-30.0% against -25%: worse"),
+        ("higher", _WIDE, _WIDE, "+0.0% against -25%: unresolved"),
+        ("higher", _WIDE, [150.0] * 5, "+50.0% against -25%: within"),
+        ("lower", _NARROW, [1.1 * x for x in _NARROW], "+10.0% against +25%: within"),
+        ("lower", _NARROW, [1.3 * x for x in _NARROW], "+30.0% against +25%: worse"),
+        ("lower", _WIDE, _WIDE, "+0.0% against +25%: unresolved"),
+        ("lower", _WIDE, [50.0] * 5, "-50.0% against +25%: within"),
+    ],
+)
+def test_ab_rounds_bound_verdict(better, a, b, verdict):
+    # A spread wider than the bound leaves the verdict open unless every B
+    # run beats every A run.
+    assert _load(_AB_ROUNDS, "ab_rounds").bound_verdict(a, b, better, 0.25) == f"bound: {verdict}"
+
+
+_STUB_VALUES = {"frames_per_s": 1000.0, "setup_s": 0.02, "peak_rss_mb": 50.0}
+_STUB_COMMAND = [sys.executable, "perfbench/run.py"]
+
+
+def _stub_tree(root: Path, exit_code: int = 0, **result) -> Path:
+    """A tree whose ``perfbench/run.py`` prints a progress line, an ``info`` line
+    echoing its arguments and a correct result, amended by ``result``."""
+    metrics = {m["name"]: {"value": _STUB_VALUES[m["name"]], "unit": m["unit"]}
+               for m in _BENCHMARK["end_to_end"]}
+    line = json.dumps({"correct": True, "attempted": 7, "failed": 0, "metrics": metrics} | result)
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(
+        "import json, sys\nprint('progress')\n"
+        "print(json.dumps({'info': {'rounds': 7, 'argv': sys.argv[1:]}}))\n"
+        f"print({line!r})\nsys.exit({exit_code})\n"
+    )
+    return root
+
+
+def test_ab_rounds_run_tree_reads_the_last_two_lines(tmp_path):
+    tree = _stub_tree(tmp_path / "tree")
+    ab = _load(_AB_ROUNDS, "ab_rounds")
+    info, values = ab.run_tree(tree, _STUB_COMMAND, "ber_tvfs", 3, 1.5)
+    assert info["argv"] == ["--workload", "ber_tvfs", "--seed", "3", "--seconds", "1.5"]
+    assert values == _STUB_VALUES | {"rounds": 7}
+
+
+@pytest.mark.parametrize(
+    "exit_code, result, reason",
+    [(0, {"correct": False}, "correct False"), (0, {"failed": 1}, "failed 1"), (1, {}, "exited 1")],
+)
+def test_ab_rounds_refuses_a_failed_run(tmp_path, exit_code, result, reason):
+    tree = _stub_tree(tmp_path / "tree", exit_code, **result)
+    ab = _load(_AB_ROUNDS, "ab_rounds")
+    with pytest.raises(SystemExit) as stop:
+        ab.run_tree(tree, _STUB_COMMAND, "ber_tvfs", 0, 1.0)
+    assert f"ber_tvfs run from {tree}" in str(stop.value.code)
+    assert reason in str(stop.value.code)
+
+
+def test_ab_rounds_judges_every_workload_and_metric_of_the_benchmark(tmp_path, monkeypatch, capsys):
+    # Workloads, metrics, directions, bounds and the run length are
+    # BENCHMARK.json's; only the interpreter is pinned to this one.
+    ab = _load(_AB_ROUNDS, "ab_rounds")
+    monkeypatch.setattr(ab, "benchmark", lambda: _BENCHMARK | {"command": _STUB_COMMAND})
+    trees = [str(_stub_tree(tmp_path / side)) for side in "AB"]
+    assert ab.main([*trees, "--pairs", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = [w["name"] for w in _BENCHMARK["workloads"]]
+    for w in names:
+        ratios = "  ".join(f"{m['name']} B/A 1.000" for m in _BENCHMARK["end_to_end"])
+        assert f"{w} pair 1: {ratios}  rounds A 7 B 7" in lines
+        for m in _BENCHMARK["end_to_end"]:
+            at = next(i for i, line in enumerate(lines) if line.startswith(f"{w} {m['name']}: A median"))
+            assert lines[at + 1].startswith("  claim rule: B won 0/1 pairs")
+            sign = "-" if m["better"] == "higher" else "+"
+            assert lines[at + 2] == f"  bound: +0.0% against {sign}{m['bound']:.0%}: within"
+    record = json.loads(lines[-1])
+    assert (record["seed"], record["seconds"], record["pairs"]) == (0, _BENCHMARK["run_seconds"], 1)
+    assert record["info"]["argv"][-2] == "--seconds"
+    assert float(record["info"]["argv"][-1]) == _BENCHMARK["run_seconds"]
+    for side in "AB":
+        assert list(record["runs"][side]) == names
+        assert all(runs == [_STUB_VALUES | {"rounds": 7}] for runs in record["runs"][side].values())
+
+
+def test_seed_margins_runs_the_acceptance_ber_setup():
+    # The tool imports another tree's wavemod, so it keeps its own copies.
+    tool = _load(_SEED_MARGINS, "seed_margins")
+    acceptance = _load(_ROOT / "tests" / "test_acceptance.py", "acceptance")
+    assert (tool.FRAMES, tool.WAVEFORMS, tool.TEST2_GRID, tool.TEST7_POINTS) == (
+        acceptance.BER_FRAMES, acceptance.BER_WAVEFORMS, acceptance.TEST2_GRID, acceptance.TEST7_POINTS,
+    )
 
 
 def test_src_size_counts_code_lines_only(tmp_path):

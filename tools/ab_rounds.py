@@ -1,65 +1,46 @@
-"""Alternating A/B rounds of one perfbench workload for two checkouts.
+"""Alternating A/B runs of the benchmark for two checkouts, judged as the benchmark judges them.
 
-Each run is a fresh interpreter that imports one checkout's ``src/wavemod``
-and ``perfbench/workloads.py``, runs the workload's scenarios once to warm
-up, then ``--rounds`` times, and reports the frames per second of its best
-round.  Runs alternate between the two trees, A first in even pairs and B
-first in odd ones, so drift on a shared machine falls on both.  The summary
-gives each tree's median and quartiles over the pairs and the number of
-pairs B won, then checks B against the rule a claimed gain must meet: B wins
-at least 9 of every 10 pairs, a tie counting for neither tree, and B's
-median lies above A's by more than A's quartile spread.
+Each run is the tree's own ``perfbench/run.py --workload W --seed S --seconds T``
+(``BENCHMARK.json``'s command, started in the tree), read from its last two
+stdout lines, ``{"info": ...}`` and the result; one that exits non-zero or
+reports ``correct: false`` or ``failed > 0`` stops the tool.  A runs first in
+even pairs and B in odd ones, so drift on a shared machine falls on both.  Each
+pair prints B/A per metric and both runs' rounds, since ``run.py`` keeps every
+round's outputs and ``peak_rss_mb`` grows with the rounds a faster tree fits.
+Each workload and end-to-end metric then gets both trees' medians and quartiles,
+``claim_rule`` (lower-is-better values negated) and ``bound_verdict``.  The last
+stdout line is one JSON object: every run's metrics and rounds by tree and
+workload, the seed, seconds and pairs, and the first run's ``info``.  ``run.py``
+writes ``perfbench/results/`` in its tree, so compare copies, not a work tree:
 
     python3 tools/ab_rounds.py PARENT_TREE CHANGED_TREE --workload papr_psd --pairs 10
-
-Every run pins one BLAS/OpenMP thread and one wavemod worker, as
-``perfbench/run.py`` does.  Nothing under ``perfbench/`` is written.
 """
 
 import argparse
 import json
-import os
 import statistics
 import subprocess
 import sys
-import time
 from pathlib import Path
 
-THREAD_ENV = {
-    "OPENBLAS_NUM_THREADS": "1",
-    "OMP_NUM_THREADS": "1",
-    "MKL_NUM_THREADS": "1",
-    "WAVEMOD_THREADS": "1",
-}
+
+def benchmark() -> dict:
+    """``BENCHMARK.json``: the run command, workloads, end-to-end metrics and run length."""
+    return json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
 
 
-def measure(tree: Path, workload: str, rounds: int, seed: int) -> float:
-    """Best-round frames per second of ``workload`` run from ``tree`` (this interpreter)."""
-    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
-    import workloads  # noqa: E402  (the tree's own, after the path is set)
-    from wavemod import sim
-
-    work = workloads.WORKLOADS[workload]
-    configs = [(getattr(sim, f"run_{s.run}"), s.config(sim, seed)) for s in work.scenarios]
-    best = float("inf")
-    for r in range(rounds + 1):
-        t0 = time.perf_counter()
-        for run, config in configs:
-            run(config)
-        if r:  # round 0 warms the caches and work areas
-            best = min(best, time.perf_counter() - t0)
-    return work.frames_per_round / best
-
-
-def run_tree(tree: Path, args) -> float:
-    cmd = [
-        sys.executable, __file__, "--worker", str(tree), "--workload", args.workload,
-        "--rounds", str(args.rounds), "--seed", str(args.seed),
-    ]
-    proc = subprocess.run(cmd, capture_output=True, text=True, env={**os.environ, **THREAD_ENV})
+def run_tree(tree: Path, command: list[str], workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """One benchmark run from ``tree``: its ``info``, and its metric values with ``rounds``."""
+    args = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    proc = subprocess.run([*command, *args], cwd=tree, capture_output=True, text=True)
+    where = f"{workload} run from {tree}"
     if proc.returncode != 0:
-        raise SystemExit(f"run from {tree} failed:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])["frames_per_s"]
+        raise SystemExit(f"{where} exited {proc.returncode}:\n{proc.stderr}")
+    info_line, result_line = proc.stdout.strip().splitlines()[-2:]
+    info, result = json.loads(info_line)["info"], json.loads(result_line)
+    if not result["correct"] or result["failed"]:
+        raise SystemExit(f"{where}: correct {result['correct']}, failed {result['failed']}:\n{proc.stderr}")
+    return info, {name: m["value"] for name, m in result["metrics"].items()} | {"rounds": info["rounds"]}
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -69,48 +50,65 @@ def quartiles(values: list[float]) -> list[float]:
 
 def summary(values: list[float]) -> str:
     q1, med, q3 = quartiles(values)
-    return f"median {med:,.0f}  quartiles {q1:,.0f} .. {q3:,.0f}"
+    return f"median {med:.6g}, quartiles {q1:.6g} .. {q3:.6g} (spread {(q3 - q1) / med:.1%})"
 
 
 def claim_rule(a: list[float], b: list[float]) -> str:
-    """Whether B's gain over A meets the rule a claimed gain must: one line."""
-    wins = sum(y > x for x, y in zip(a, b))  # a tie counts for neither tree
+    """One line: does B's gain over A meet the claim rule?  B wins at least 9 of every 10
+    pairs, a tie counting for neither tree, and its median tops A's by more than A's quartile spread."""
+    wins = sum(y > x for x, y in zip(a, b))
     q1, med_a, q3 = quartiles(a)
-    gap = statistics.median(b) - med_a
+    gap, spread = (statistics.median(b) - med_a) / abs(med_a), (q3 - q1) / abs(med_a)
     return (
         f"claim rule: B won {wins}/{len(a)} pairs, at least 9/10: "
-        f"{'yes' if 10 * wins >= 9 * len(a) else 'no'}; median gap {gap:+,.0f} "
-        f"above A's quartile spread {q3 - q1:,.0f}: {'yes' if gap > q3 - q1 else 'no'}"
+        f"{'yes' if 10 * wins >= 9 * len(a) else 'no'}; median gap {gap:+.1%} "
+        f"above A's quartile spread {spread:.1%}: {'yes' if gap > spread else 'no'}"
     )
 
 
+def bound_verdict(a: list[float], b: list[float], better: str, bound: float) -> str:
+    """One line: B's median change from A's, ``within`` or ``worse`` than ``bound``, or
+    ``unresolved`` when A's quartile spread exceeds it, unless every B run beats every A run."""
+    sign = 1 if better == "higher" else -1
+    q1, med_a, q3 = quartiles(a)
+    change = statistics.median(b) / med_a - 1
+    if (q3 - q1) / med_a > bound and min(sign * y for y in b) <= max(sign * x for x in a):
+        verdict = "unresolved"
+    else:
+        verdict = "worse" if sign * change < -bound else "within"
+    return f"bound: {change:+.1%} against {-sign * bound:+.0%}: {verdict}"
+
+
 def main(argv=None) -> int:
+    bench = benchmark()
+    names = [w["name"] for w in bench["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("trees", nargs="*", type=Path, help="tree A (baseline) and tree B")
-    ap.add_argument("--workload", default="papr_psd")
+    ap.add_argument("trees", nargs=2, type=Path, help="tree A (baseline) and tree B")
+    ap.add_argument("--workload", action="append", choices=names, help="repeatable; default: every workload")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--rounds", type=int, default=5, help="timed rounds per run")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
+    ap.add_argument("--seconds", type=float, default=bench["run_seconds"])
     args = ap.parse_args(argv)
-    if args.worker is not None:
-        print(json.dumps({"frames_per_s": measure(args.worker, args.workload, args.rounds, args.seed)}))
-        return 0
-    if len(args.trees) != 2:
-        ap.error("give two trees: A (baseline) and B")
-    trees = [t.resolve() for t in args.trees]
-    results = {0: [], 1: []}
-    for i in range(args.pairs):
-        for side in (0, 1) if i % 2 == 0 else (1, 0):
-            results[side].append(run_tree(trees[side], args))
-        a, b = results[0][-1], results[1][-1]
-        print(f"pair {i + 1}: A {a:,.0f}  B {b:,.0f}  B/A {b / a:.3f}", flush=True)
-    wins = sum(b > a for a, b in zip(results[0], results[1]))
-    print(f"A {trees[0]}: {summary(results[0])} frames/s")
-    print(f"B {trees[1]}: {summary(results[1])} frames/s")
-    ratio = statistics.median(results[1]) / statistics.median(results[0])
-    print(f"B won {wins}/{args.pairs} pairs; median B/A {ratio:.3f}")
-    print(claim_rule(results[0], results[1]))
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    trees = dict(zip("AB", (t.resolve() for t in args.trees)))
+    runs, info = {"A": {}, "B": {}}, None
+    for w in args.workload or names:
+        for i in range(args.pairs):
+            for side in "AB" if i % 2 == 0 else "BA":
+                run_info, values = run_tree(trees[side], bench["command"], w, args.seed, args.seconds)
+                info = info or run_info
+                runs[side].setdefault(w, []).append(values)
+            a, b = runs["A"][w][-1], runs["B"][w][-1]
+            ratios = "  ".join(f"{m['name']} B/A {b[m['name']] / a[m['name']]:.3f}" for m in bench["end_to_end"])
+            print(f"{w} pair {i + 1}: {ratios}  rounds A {a['rounds']} B {b['rounds']}", flush=True)
+        for m in bench["end_to_end"]:
+            a, b = ([r[m["name"]] for r in runs[side][w]] for side in "AB")
+            sign = 1 if m["better"] == "higher" else -1
+            print(f"{w} {m['name']}: A {summary(a)}; B {summary(b)}")
+            print(f"  {claim_rule([sign * x for x in a], [sign * y for y in b])}")
+            print(f"  {bound_verdict(a, b, m['better'], m['bound'])}", flush=True)
+    print(json.dumps({"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs, "info": info, "runs": runs}))
     return 0
 
 
