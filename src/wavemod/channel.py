@@ -55,7 +55,9 @@ def tvfs_gains(corrected: bool) -> np.ndarray:
     return TVFS_GAINS_CORRECTED if corrected else TVFS_GAINS
 
 
-def draw_tvfs(rng: np.random.Generator, frames: int, corrected: bool = False) -> np.ndarray:
+# The ``rng`` annotations are quoted: evaluating ``np.random`` at definition
+# would import numpy's RNG stack with this module, before anything draws.
+def draw_tvfs(rng: "np.random.Generator", frames: int, corrected: bool = False) -> np.ndarray:
     """Draw ``frames`` block-fading realizations as (frames, 4) taps.
 
     Tap n of each frame is gain_n times a standard complex Gaussian.
@@ -76,7 +78,7 @@ def draw_taps(profile: str, rng, frames: int, corrected: bool = False) -> np.nda
     return TIFS_TAPS.astype(complex) if profile == "tifs" else np.array([1.0 + 0j])
 
 
-def complex_awgn(rng: np.random.Generator, shape, noise_var: float) -> np.ndarray:
+def complex_awgn(rng: "np.random.Generator", shape, noise_var: float) -> np.ndarray:
     """I.i.d. circular complex Gaussian noise with total per-sample variance.
 
     One draw fills the real parts, then the imaginary parts, in the order

@@ -39,11 +39,15 @@ frames too unless the caller gives ``out``; a PSD run borrows one for all
 its chunks, and its stream window and Welch batch are its own.  The plain
 GFDM receiver's weights cost microseconds, and each demodulation builds
 its own.
+
+Set-up loads only what it runs.  ``concurrent.futures`` is imported only
+when more than one thread runs (``_parallel_rounds``), and ``import
+wavemod`` loads neither it nor numpy's RNG (``numpy.random``); the first
+run's first draw loads the RNG, once per process.
 """
 
 import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
@@ -473,7 +477,13 @@ def _parallel_rounds(process, total, chunk=_CHUNK):
             return process(start, min(chunk, total - start))
 
     # One thread runs the jobs itself: a one-worker pool, started afresh for
-    # each run, gave BER runs about 15% fewer frames per second.
+    # each run, gave BER runs about 15% fewer frames per second.  The pool's
+    # module (and ``logging`` with it) is imported only when more than one
+    # thread runs, so neither ``import wavemod`` nor a one-thread run loads it.
+    # ``import wavemod`` does not load numpy's RNG either: the first job's
+    # draw (``_draw_chunk``) does, on a pool thread when the run is threaded.
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
         for first in range(0, len(starts), threads):
             batch = starts[first:first + threads]

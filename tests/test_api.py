@@ -241,6 +241,72 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def _probe(source: str, **env) -> dict:
+    """The JSON object a fresh interpreter running ``source`` prints last."""
+    out = subprocess.run(
+        [sys.executable, "-c", source], env=_env_with_src() | env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+# numpy's RNG and the thread pool's module (with ``logging``) took about half
+# of set-up; whether ``import numpy`` loads them depends on numpy's version.
+_SET_UP_PROBE = """
+import json, sys
+import numpy
+lazy = ("numpy.random", "concurrent.futures")
+loaded = lambda: [m in sys.modules for m in lazy]
+stages = {"numpy": loaded()}
+import wavemod, wavemod.cli
+from wavemod import gfdm, sim
+for waveform in sim.WAVEFORMS:
+    adapter = sim.build_adapter(sim.ScenarioConfig(waveform=waveform))
+    if waveform == "gfdm":
+        gfdm.build_receiver(adapter.mats, "zf")
+stages["built"] = loaded()
+sim.run_ber(sim.ScenarioConfig(waveform="gfdm", channel="tvfs", frames=64, ebn0_grid_db=(8.0,)))
+stages["ran"] = loaded()
+print(json.dumps(stages))
+"""
+
+
+def test_set_up_loads_no_rng_or_thread_pool():
+    stages = _probe(_SET_UP_PROBE, WAVEMOD_THREADS="1")
+    assert stages["built"] == stages["numpy"]  # neither newly loaded by import or build
+    assert stages["ran"][1] == stages["numpy"][1]  # one thread starts no pool
+    assert stages["ran"][0]  # the run drew
+
+
+_THREADED_PROBE = """
+import json, os, sys
+import numpy
+preloaded = "numpy.random" in sys.modules
+from wavemod import sim
+os.cpu_count = lambda: 4  # keep 3 threads on any machine
+config = sim.ScenarioConfig(
+    waveform="gfdm", channel="tvfs", frames=200, ebn0_grid_db=(4.0, 8.0), error_target=None
+)
+counts = []
+for threads in ("3", "1"):
+    os.environ["WAVEMOD_THREADS"] = threads
+    curve = sim.run_ber(config)
+    counts.append([curve.extra["errors"].tolist(), curve.extra["bits"].tolist()])
+print(json.dumps({"preloaded": preloaded, "counts": counts}))
+"""
+
+
+def test_lazy_imports_first_happen_on_pool_threads():
+    # The process's first draws, and so numpy's RNG import, run on three pool
+    # threads at once over four chunks; one thread then gives the same counts.
+    result = _probe(_THREADED_PROBE)
+    if result["preloaded"]:
+        pytest.skip("this numpy loads numpy.random with numpy")
+    threaded, single = result["counts"]
+    assert threaded == single
+    assert single[1] == [200 * 128 * 4 * 4] * 2
+
+
 def _unused_imports(path: Path) -> list[str]:
     """Names ``path`` imports and never reads; names in ``__all__`` count as read."""
     tree = ast.parse(path.read_text())
