@@ -2,11 +2,13 @@
 
 Each run composes the modem (``gfdm``), the channel profiles (``channel``),
 the QAM mapping and the instruments (``metrics``), and returns its curve;
-it writes no file (the CLI does).  Frames run in chunks of 64 (256 for
-PAPR) whatever the thread count, and each chunk draws its bits, TVFS fades
-and noise from one SFC64 generator keyed by (seed, metric, channel, first
-frame), so results are bit-identical across runs and worker counts (RNG
-scheme ``chunk-v3``).
+it writes no file (the CLI does).  Frames run in chunks sized by the grid
+alone, whatever the thread count (``_chunk``: 64 frames up to K*M = 512,
+fewer above, so a chunk holds at most 32,768 data symbols unless one frame
+holds more; PAPR runs 4 chunks at once), and each chunk draws its bits,
+TVFS fades and noise from one SFC64 generator keyed by (seed, metric,
+channel, first frame), so results are bit-identical across runs and worker
+counts (RNG scheme ``chunk-v4``).
 Neither the waveform nor the Eb/N0 point is in the key: waveforms with
 equal data sizes see common random numbers, Linear GFDM and FBMC emit the
 same samples and meet the same noise, and every point of a BER grid sees
@@ -79,8 +81,9 @@ WAVEFORMS = tuple(_MATRIX_MODEMS)
 CHANNELS = tuple(chan.PROFILE_MEMORY)
 METRICS = ("ber", "psd", "papr")
 
-_CHUNK = 64
-RNG_SCHEME = "chunk-v3"  # tags outputs; bump when the draw order or keying changes
+_CHUNK = 64  # most frames per chunk
+_CHUNK_SYMBOLS = 32_768  # most data symbols per chunk, unless one frame holds more
+RNG_SCHEME = "chunk-v4"  # tags outputs; bump when the draw order, keying or chunking changes
 _WELCH_SEGMENT = 2048  # samples per Welch segment; the PSD stream needs one at least
 
 
@@ -192,6 +195,18 @@ def _grid(config: ScenarioConfig) -> tuple[int, int]:
     """(K, M) of the waveform's frame: (n_fft, 1) for OFDM, else (subcarriers, subsymbols)."""
     wp = config.waveform_params
     return (wp.n_fft, 1) if config.waveform == "ofdm" else (wp.subcarriers, wp.subsymbols)
+
+
+def _chunk(config: ScenarioConfig) -> int:
+    """Frames per chunk: clamp(``_CHUNK_SYMBOLS`` // (K*M), 1, ``_CHUNK``).
+
+    The grid alone sets it, because the RNG key holds each chunk's first
+    frame: the chunk fixes the draws.  The work areas grow with a chunk's
+    symbols, so they stay bounded by ``_CHUNK_SYMBOLS`` on every grid whose
+    frame holds fewer, not by the largest grid a process ran.
+    """
+    k, m = _grid(config)
+    return max(1, min(_CHUNK, _CHUNK_SYMBOLS // (k * m)))
 
 
 def n_threads() -> int:
@@ -459,15 +474,15 @@ def _bit_errors(tx, d_hat, order: int) -> int:
     return int(np.bitwise_count(rx, out=rx).sum())
 
 
-def _parallel_rounds(process, total, chunk=_CHUNK):
+def _parallel_rounds(process, total, chunk):
     """Yield the results of chunk jobs in chunk order, optionally threaded.
 
-    ``process(start, count)`` runs in a work area borrowed for it.  Rounds of
-    one job per thread run at once, and a round starts only when the caller
-    asks for the result after the previous round's last: every job starts
-    after the caller has taken the results of all earlier rounds.  A caller
-    that stops asking ends the run, and the jobs of the round in flight
-    finish unread.
+    ``process(start, count)`` runs on ``chunk`` frames (fewer in the last
+    job) in a work area borrowed for it.  Rounds of one job per thread run
+    at once, and a round starts only when the caller asks for the result
+    after the previous round's last: every job starts after the caller has
+    taken the results of all earlier rounds.  A caller that stops asking
+    ends the run, and the jobs of the round in flight finish unread.
     """
     threads = n_threads()
     starts = range(0, total, chunk)
@@ -526,7 +541,7 @@ def run_ber(config: ScenarioConfig) -> MetricCurve:
 
     errors = np.zeros(len(grid), dtype=np.int64)
     bits = np.zeros(len(grid), dtype=np.int64)
-    for counted, n_bits in _parallel_rounds(process, config.frames):
+    for counted, n_bits in _parallel_rounds(process, config.frames, _chunk(config)):
         for p in running():
             errors[p] += counted[p]
             bits[p] += n_bits
@@ -611,11 +626,12 @@ def run_psd(config: ScenarioConfig) -> MetricCurve:
     # before the next frame's start are final, the rest the partial sums of
     # the frames sent so far.  A chunk's first frame starts within a segment
     # of base: the window holds a segment and a chunk of frames.
-    window = np.empty(_WELCH_SEGMENT + (_CHUNK - 1) * stride + frame_len, dtype=complex)
+    chunk = _chunk(config)
+    window = np.empty(_WELCH_SEGMENT + (chunk - 1) * stride + frame_len, dtype=complex)
     base = held = 0
     with _work.borrowed():  # one work area serves every chunk of the run
-        for start in range(0, config.frames, _CHUNK):
-            count = min(_CHUNK, config.frames - start)
+        for start in range(0, config.frames, chunk):
+            count = min(chunk, config.frames - start)
             d = _draw_chunk(config, adapter, sid, start, count)[0]
             first = start * stride - base
             if adapter.circular:
@@ -686,7 +702,7 @@ def run_papr(config: ScenarioConfig) -> MetricCurve:
             paprs[lo:lo + support.shape[1]] = papr_batch(support, axis=0)
         return paprs
 
-    paprs = np.concatenate(list(_parallel_rounds(process, config.frames, chunk=4 * _CHUNK)))
+    paprs = np.concatenate(list(_parallel_rounds(process, config.frames, 4 * _chunk(config))))
     return papr_ccdf(paprs, default_papr_thresholds(), meta=_meta(config))
 
 

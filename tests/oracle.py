@@ -17,7 +17,7 @@ it ran before its GEMM operands went block-major: frame-major transforms and
 one 3-D transpose on each side of the band GEMM, on fresh arrays; the
 modem's outputs must equal theirs bit for bit.
 ``add_cp`` and ``remove_cp`` build and strip a cyclic prefix by concatenation.
-``draw_chunk`` writes out a chunk's draws under RNG scheme chunk-v3, with the
+``draw_chunk`` writes out a chunk's draws under RNG scheme chunk-v4, with the
 bits unpacked and the noise drawn one sample at a time.
 ``convolve_rows`` is the reference channel, a time-domain linear convolution,
 which the simulator never runs: its zero forcing inverts the channel exactly,
@@ -242,7 +242,7 @@ def build_receiver(a: np.ndarray, kind: str, noise_var: float = 0.0) -> np.ndarr
 
 
 def draw_chunk(config, adapter, scenario_id: int, start: int, count: int):
-    """(bits, taps, noise) of frames [start, start + count) under RNG scheme chunk-v3.
+    """(bits, taps, noise) of frames [start, start + count) under RNG scheme chunk-v4.
 
     One SFC64 generator keyed by (seed, ``scenario_id``, ``start``) draws
     ceil(n_bits / 8) bytes, whose bits MSB first are the (count,
@@ -408,8 +408,9 @@ def psd_oneshot(config):
     sid = sim._scenario_id(config)
     stride, frame_len = adapter.stride, adapter.frame_len
     stream = np.zeros((config.frames - 1) * stride + frame_len, dtype=complex)
-    for start in range(0, config.frames, sim._CHUNK):
-        count = min(sim._CHUNK, config.frames - start)
+    chunk = sim._chunk(config)
+    for start in range(0, config.frames, chunk):
+        count = min(chunk, config.frames - start)
         x = adapter.transmit(sim._draw_chunk(config, adapter, sid, start, count)[0])
         for j in range(count):
             off = (start + j) * stride

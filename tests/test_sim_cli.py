@@ -601,6 +601,16 @@ class TestRunPsd:
         small, large = peak(1000), peak(8000)
         assert large <= 1.25 * small, (small, large)
 
+    @pytest.mark.parametrize("waveform", WAVEFORMS)
+    def test_large_grid_estimate_is_the_oneshot_estimate(self, waveform):
+        # At K=256, M=8 a chunk is 16 frames: 70 frames run four and a short one.
+        wp = WaveformParams(subcarriers=256, subsymbols=8, n_fft=2048)
+        cfg = ScenarioConfig(waveform=waveform, metric="psd", frames=70, seed=3, waveform_params=wp)
+        assert sim._chunk(cfg) == 16
+        got, want = run_psd(cfg), oracle.psd_oneshot(cfg)
+        np.testing.assert_array_equal(got.abscissa, want.abscissa)
+        np.testing.assert_array_equal(got.values, want.values)
+
     def test_default_active_allocation(self):
         active = psd_default_active(128)
         assert len(active) == 56
@@ -669,6 +679,75 @@ class TestRunPapr:
         adapter = build_adapter(cfg)
         assert adapter.support_len == 961
         assert adapter.frame_len == 962
+
+
+class TestChunkRule:
+    """A chunk holds clamp(32,768 // (K*M), 1, 64) frames, and the grid alone sets it."""
+
+    @staticmethod
+    def _chunk(k, m, waveform="gfdm", **kw):
+        wp = WaveformParams(subcarriers=k, subsymbols=m, n_fft=k * m)  # OFDM's grid: n_fft x 1
+        return sim._chunk(ScenarioConfig(waveform=waveform, waveform_params=wp, **kw))
+
+    def test_frames_per_chunk(self):
+        assert {self._chunk(n, 1) for n in range(1, 513)} == {64}
+        assert {self._chunk(k, m) for k, m in [(128, 4), (64, 8), (32, 16), (2, 256)]} == {64}
+        sizes = [(513, 1), (96, 6), (256, 8), (1024, 16), (2048, 8), (8192, 3)]
+        assert [self._chunk(k, m) for k, m in sizes] == [32_768 // (k * m) for k, m in sizes]
+        assert [self._chunk(k, m) for k, m in sizes] == [63, 56, 16, 2, 2, 1]
+        assert {self._chunk(k, m) for k, m in [(32_768, 1), (4096, 8), (2048, 16), (40_000, 3)]} == {1}
+
+    @pytest.mark.parametrize("k,m", [(128, 4), (256, 8), (4096, 8)])
+    def test_chunk_depends_on_the_grid_alone(self, k, m):
+        want = self._chunk(k, m)
+        others = [
+            dict(waveform=w, channel=c, metric=metric)
+            for w in WAVEFORMS for c in CHANNELS for metric in ("ber", "psd", "papr")
+        ] + [
+            dict(seed=7, frames=3, error_target=None, tvfs_corrected=True),
+            dict(ebn0_grid_db=(1.0,), min_bits=5),
+        ]
+        assert {self._chunk(k, m, **kw) for kw in others} == {want}
+        varied = [
+            dict(qam_order=64), dict(overlap=3), dict(prototype="rect"), dict(cp_len=0),
+            dict(active=(1, 2, 5)), dict(receiver="mmse"),
+        ]
+        for kw in varied:
+            wp = WaveformParams(subcarriers=k, subsymbols=m, n_fft=k * m, **kw)
+            assert sim._chunk(ScenarioConfig(waveform="linear_gfdm", waveform_params=wp)) == want
+
+    def test_large_grid_work_areas_stay_bounded(self, monkeypatch):
+        # At K=1024, M=16 a chunk is 2 frames, 32,768 symbols: what a run
+        # leaves on the free list stays within a fixed multiple of that.
+        # One 8-frame chunk, as a 64-frame cap alone gives, left 24 MB.
+        monkeypatch.setenv("WAVEMOD_THREADS", "1")
+        monkeypatch.setattr(_work, "_free", [])
+        wp = WaveformParams(subcarriers=1024, subsymbols=16)
+        run_ber(_ber_config(waveform="linear_gfdm", channel="tvfs", frames=8, waveform_params=wp))
+        kept = sum(buf.nbytes for area in _work._free for buf in area._flat.values())
+        assert 0 < kept < 16 * 32_768 * 16, kept
+
+    @pytest.mark.parametrize("error_target", [None, 25_000])
+    def test_large_grid_counts_across_thread_counts(self, monkeypatch, error_target):
+        # At K=256, M=8 a chunk is 16 frames (131,072 bits): 100 frames run
+        # seven chunks.  With a target, the 0 dB point stops after its
+        # second, the 4 dB point after its fourth and the 8 dB point never.
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        cfg = _ber_config(
+            waveform="linear_gfdm", ebn0_grid_db=(0.0, 4.0, 8.0), frames=100, error_target=error_target,
+            min_bits=1000, waveform_params=WaveformParams(subcarriers=256, subsymbols=8),
+        )
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("WAVEMOD_THREADS", threads)
+            curve = run_ber(cfg)
+            runs.append((curve.extra["errors"], curve.extra["bits"]))
+        if error_target is None:
+            assert list(runs[0][1]) == [100 * 2048 * 4] * 3
+        else:
+            assert list(runs[0][1]) == [2 * 16 * 2048 * 4, 4 * 16 * 2048 * 4, 100 * 2048 * 4]
+        np.testing.assert_array_equal(runs[1][0], runs[0][0])
+        np.testing.assert_array_equal(runs[1][1], runs[0][1])
 
 
 class TestReusedBuffers:
@@ -803,7 +882,7 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("# kind=BER")
         assert "subcarriers=512 subsymbols=1" in lines[0]  # OFDM's grid: n_fft x 1
-        assert "rng=chunk-v3" in lines[0].split()
+        assert "rng=chunk-v4" in lines[0].split()
         assert "abscissa,value" in lines[1]
         assert "8.0," in lines[2]
         assert "8\t" in capsys.readouterr().out

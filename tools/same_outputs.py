@@ -8,13 +8,15 @@ the seed-0 golden file: seeds 0 to 3; the five waveforms; default K = 128,
 M = 4, and M = 1, K = 96 / M = 3 and K = 64 / M = 2 / overlap 3; a sub-band
 allocation; 4- and 64-QAM; every channel at 4, 8 and 12 dB; the corrected
 TVFS gains; the plain GFDM MF and MMSE receivers; no cyclic prefix on the
-circular waveforms; frame counts that end on a short chunk.  Then one BER,
+circular waveforms; frame counts that end on a short chunk.  On seeds 0 and
+1 it also runs K = 256 / M = 8, whose K*M = 2,048 past 512 takes 16-frame
+chunks, with frame counts of its own that span three chunks.  Then one BER,
 two PAPR and one PSD run go through ``wavemod.cli.main`` with ``--out`` and
 ``--emit-plot-data``, and the two files' bytes are compared; one of them
 gives no ``--channel``, ``--frames`` or ``--seed``, so it runs on the
 defaults.  It prints how
-many outputs each tree gave and the first configuration, in grid order,
-whose outputs differ, or that none does.
+many outputs each tree gave and how many differ, with the first
+configuration, in grid order, whose outputs differ, or that none does.
 
     python3 tools/same_outputs.py TREE_A TREE_B
 
@@ -53,6 +55,11 @@ PARAMS = {
 BER_FRAMES = 100  # a 64-frame chunk and a 36-frame one
 PAPR_FRAMES = 300  # a 256-frame chunk and a 44-frame one
 PSD_FRAMES = (70, 200)
+# A grid past K*M = 512, where a chunk is 16 frames (64 for PAPR), on the
+# first seeds only: BER and PSD run 16 + 16 + 8 frames, PAPR 64 + 64 + 22.
+LARGE = {"subcarriers": 256, "subsymbols": 8}
+LARGE_SEEDS = (0, 1)
+LARGE_BER_FRAMES, LARGE_PAPR_FRAMES, LARGE_PSD_FRAMES = 40, 150, (40,)
 # CLI runs whose --out and --emit-plot-data files are compared byte for byte.
 CLI_RUNS = (
     "ber --waveform linear_gfdm --channel tvfs --ebn0 4 8 --frames 100",
@@ -76,17 +83,17 @@ def grid(sim):
     """Yield (label, config) over the grid, in comparison order."""
     for seed in SEEDS:
 
-        def ber(waveform, channel, wp, **extra):
+        def ber(waveform, channel, wp, frames=BER_FRAMES, **extra):
             return sim.ScenarioConfig(
                 waveform=waveform, channel=channel, metric="ber", ebn0_grid_db=(4.0, 8.0, 12.0),
-                frames=BER_FRAMES, seed=seed, error_target=None, waveform_params=wp, **extra,
+                frames=frames, seed=seed, error_target=None, waveform_params=wp, **extra,
             )
 
-        def papr_psd(waveform, label, wp):
+        def papr_psd(waveform, label, wp, papr_frames=PAPR_FRAMES, psd_frames=PSD_FRAMES):
             yield f"papr {waveform} {label} seed={seed}", sim.ScenarioConfig(
-                waveform=waveform, metric="papr", frames=PAPR_FRAMES, seed=seed, waveform_params=wp
+                waveform=waveform, metric="papr", frames=papr_frames, seed=seed, waveform_params=wp
             )
-            for frames in PSD_FRAMES:
+            for frames in psd_frames:
                 yield f"psd {waveform} {label} {frames} frames seed={seed}", sim.ScenarioConfig(
                     waveform=waveform, metric="psd", frames=frames, seed=seed, waveform_params=wp
                 )
@@ -111,6 +118,12 @@ def grid(sim):
                 wp = _params(sim, waveform, "default", cp_len=0)
                 yield f"ber {waveform} cp_len=0 awgn seed={seed}", ber(waveform, "awgn", wp)
                 yield from papr_psd(waveform, "cp_len=0", wp)
+            if seed in LARGE_SEEDS:
+                wp = _params(sim, waveform, "default", **LARGE)
+                for channel in CHANNELS:
+                    config = ber(waveform, channel, wp, frames=LARGE_BER_FRAMES)
+                    yield f"ber {waveform} K=256,M=8 {channel} seed={seed}", config
+                yield from papr_psd(waveform, "K=256,M=8", wp, LARGE_PAPR_FRAMES, LARGE_PSD_FRAMES)
 
 
 def cli_files(cli, argv) -> list:
@@ -162,10 +175,12 @@ def main(argv=None) -> int:
     kinds = {kind: sum(label.startswith(kind + " ") for label in a) for kind in ("ber", "papr", "psd", "cli")}
     print(f"A {args.trees[0]}: {len(a)} configurations; B {args.trees[1]}: {len(b)}")
     print("grid: " + ", ".join(f"{n} {kind}" for kind, n in kinds.items()))
-    for label in a:
-        if a[label] != b.get(label):
-            print(f"first difference: {label}\n  A {str(a[label])[:200]}\n  B {str(b.get(label))[:200]}")
-            return 1
+    differ = [label for label in a if a[label] != b.get(label)]
+    if differ:
+        first = differ[0]
+        print(f"{len(differ)} of {len(a)} configurations differ; first difference: {first}")
+        print(f"  A {str(a[first])[:200]}\n  B {str(b.get(first))[:200]}")
+        return 1
     if a.keys() != b.keys():
         print(f"B runs configurations A does not: {sorted(b.keys() - a.keys())[:3]}")
         return 1
