@@ -27,8 +27,8 @@ from wavemod import (
     oqam_demodulate,
     oqam_modulate,
     phydyas,
-    qam_map,
 )
+from wavemod.mapping import map_packed
 
 K, M = 128, 4
 p = phydyas(K, 4)
@@ -71,7 +71,7 @@ assert lin_i.shape == (962, 512) and edge_power < 1e-6
 # sample index and rotated by the OQAM quarter turn j^k.
 
 rng = np.random.default_rng(0)
-d = qam_map(rng.integers(0, 2, 4 * K * M), 16)
+d = map_packed(np.packbits(rng.integers(0, 2, 4 * K * M)), 16, K * M)
 
 
 def synthesis_pulse(k, m, part, length):

@@ -33,7 +33,6 @@ from .gfdm import (
     oqam_demodulate,
     oqam_modulate,
 )
-from .mapping import constellation, qam_demap, qam_map
 from .metrics import (
     MetricCurve,
     default_papr_thresholds,
@@ -77,7 +76,6 @@ __all__ = [
     "build_oqam_matrices",
     "build_receiver",
     "complex_awgn",
-    "constellation",
     "default_papr_thresholds",
     "draw_tvfs",
     "fd_zf_equalize",
@@ -90,8 +88,6 @@ __all__ = [
     "papr_batch",
     "papr_ccdf",
     "phydyas",
-    "qam_demap",
-    "qam_map",
     "rectangular",
     "run_ber",
     "run_papr",

@@ -264,10 +264,10 @@ def build_receiver(mats: GfdmMatrixSet, kind: str, noise_var: float = 0.0) -> np
     mean(K |Z|^2 / (noise_var + K |Z|^2)), and is divided out here.  ZF
     raises ``np.linalg.LinAlgError`` when a Zak bin falls below
     ``MIN_ZF_BIN`` relative to the largest: the matrix is then singular.
+    ``kind`` is one of :data:`RECEIVERS`, spelled as there.
     """
     z, k = mats.zak, mats.subcarriers
-    kind = kind.upper()
-    if kind == "ZF":
+    if kind == "zf":
         mags = np.abs(z)
         worst = np.unravel_index(int(np.argmin(mags)), mags.shape)
         if mags[worst] < MIN_ZF_BIN * mags.max():
@@ -276,15 +276,15 @@ def build_receiver(mats: GfdmMatrixSet, kind: str, noise_var: float = 0.0) -> np
                 f"{worst[1]}) is {mags[worst] / mags.max():.1e} of the largest"
             )
         return 1.0 / (k * z)
-    if kind == "MF":
+    if kind == "mf":
         return z.conj()
-    if kind == "MMSE":
+    if kind == "mmse":
         if noise_var is None or noise_var < 0:
             raise ValueError("MMSE requires noise_var >= 0")
         power = k * np.abs(z) ** 2
         bias = np.mean(power / (noise_var + power))
         return z.conj() / ((noise_var + power) * bias)
-    raise ValueError(f"unknown receiver kind {kind!r}")
+    raise ValueError(f"unknown receiver kind {kind!r}; one of {RECEIVERS}")
 
 
 def gfdm_demodulate(weights: np.ndarray, y, out=None) -> np.ndarray:

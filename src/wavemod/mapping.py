@@ -49,56 +49,24 @@ class _Tables:
         amp_by_label[labels] = amps
         label = np.arange(order)
         q_mask = (1 << nb) - 1
-        # (order,) complex points and (order, 2*nb) uint8 bits, MSB first, by label
-        self.points = amp_by_label[label >> nb] + 1j * amp_by_label[label & q_mask]
-        self.bits = ((label[:, None] >> np.arange(2 * nb - 1, -1, -1)) & 1).astype(np.uint8)
+        self.nb = nb  # bits per axis
+        # (order,) complex points, by label
+        points = amp_by_label[label >> nb] + 1j * amp_by_label[label & q_mask]
         # (2**width, width // bps) labels, then symbols, of every MSB-first group of packed bits
         bps, width = 2 * nb, 12 if order == 64 else 8
         groups = (np.arange(1 << width)[:, None] >> np.arange(width - bps, -1, -bps)) & (order - 1)
         self.packed_labels = groups.astype(np.uint8)
-        self.packed = self.points[groups]
+        self.packed = points[groups]
         self.scale = float(scale)
         # A tie lies within 1e-12*(1+|v|) in distance of a midpoint, where
         # |v| <= amps[0]; a distance difference is 4*scale per level unit.
         # Demapping re-decides samples within twice that band.
         self.tie_band = 2.0 * 1e-12 * (1.0 + amps[0]) / (4.0 * scale)
-        for table in (self.points, self.bits, self.packed, self.packed_labels):
+        for table in (self.packed, self.packed_labels):
             table.setflags(write=False)
 
 
 _tables = functools.cache(_Tables)
-
-
-def _binary_bits(bits) -> np.ndarray:
-    """``bits`` flattened to uint8; ValueError naming the first value not 0 or 1."""
-    b = np.asarray(bits).ravel()
-    if b.dtype == np.bool_:
-        return b.view(np.uint8)
-    if b.dtype == np.uint8:
-        bad = b > 1 if b.size and b.max() > 1 else None
-    else:
-        ok = (b == 0) | (b == 1)
-        bad = None if ok.all() else ~ok
-    if bad is not None:
-        i = int(np.flatnonzero(bad)[0])
-        raise ValueError(f"bits must be 0 or 1, got {b[i].item()!r} at index {i}")
-    return b.astype(np.uint8, copy=False)
-
-
-def qam_map(bits, order: int) -> np.ndarray:
-    """Map a bit sequence to Gray-labeled unit-average-energy QAM symbols.
-
-    Each symbol consumes log2(order) bits: the first half selects the
-    in-phase level, the second half the quadrature level, MSB first.  The
-    bits are packed MSB-first into bytes and mapped by :func:`map_packed`.
-    Raises ValueError on an unsupported order, a bit count not divisible by
-    log2(order), or any bit that is not 0 or 1.
-    """
-    bps = _tables(order).bits.shape[1]
-    b = _binary_bits(bits)
-    if len(b) % bps != 0:
-        raise ValueError(f"bit count {len(b)} not divisible by {bps}")
-    return map_packed(np.packbits(b), order, len(b) // bps)
 
 
 def _entries(packed: np.ndarray, order: int) -> np.ndarray:
@@ -120,7 +88,7 @@ def _entries(packed: np.ndarray, order: int) -> np.ndarray:
 
 
 def map_packed(packed, order: int, n_symbols: int, out=None) -> np.ndarray:
-    """The first ``n_symbols`` symbols carried by MSB-first packed bits, as :func:`qam_map` maps them.
+    """The first ``n_symbols`` Gray-mapped symbols carried by MSB-first packed bits.
 
     ``packed`` is a uint8 array of at least ceil(n_symbols * log2(order) /
     8) bytes; bits past the last symbol's are ignored.  Each group of bytes
@@ -180,10 +148,10 @@ def _demap_axis(values: np.ndarray, order: int) -> np.ndarray:
     halves to even, so samples within twice that band of a half-integer t
     are decided again by the distance rule: the two levels that bracket the
     amplitude, their distances and the tolerance.  A sample that is not
-    finite fails the same band test and raises ValueError.
+    finite fails the same band test and raises a bare ValueError.
     """
     tables = _tables(order)
-    top = (1 << (tables.bits.shape[1] // 2)) - 1
+    top = (1 << tables.nb) - 1
     t = values * (-0.5 / tables.scale)
     t += 0.5 * top
     level = np.rint(t)
@@ -192,11 +160,8 @@ def _demap_axis(values: np.ndarray, order: int) -> np.ndarray:
     # NaN fails every comparison, so a sample that is not finite is taken out too.
     decided = 0.5 - tables.tie_band
     again = None if t.max() < decided else np.flatnonzero(~(t < decided))
-    if again is not None:
-        finite = np.isfinite(values[again])
-        if not finite.all():
-            i = int(again[np.argmin(finite)])
-            raise ValueError(f"values must be finite, got {values[i].item()!r} at index {i}")
+    if again is not None and not np.isfinite(values[again]).all():
+        raise ValueError  # demap_labels names the symbol
     np.clip(level, 0, top, out=level)
     labels = level.astype(np.uint8)
     labels ^= labels >> 1
@@ -222,8 +187,10 @@ def _nearest_label(values: np.ndarray, order: int) -> np.ndarray:
 def demap_labels(symbols, order: int, out=None) -> np.ndarray:
     """Hard-decision uint8 labels of ``symbols``, (in-phase label << nb) | quadrature label.
 
-    Both axes are decided in one pass over the symbols' interleaved (re, im)
-    float view, :data:`BLOCK` values at a time.  The labels go to ``out``, of
+    Each axis takes the Gray label of its nearest level, and a tie between
+    two levels goes to the smaller label (:func:`_demap_axis`).  Both axes
+    are decided in one pass over the symbols' interleaved (re, im) float
+    view, :data:`BLOCK` values at a time.  The labels go to ``out``, of
     shape (n_symbols,), if given.  Raises ValueError on a symbol that is not
     finite.
     """
@@ -243,21 +210,6 @@ def demap_labels(symbols, order: int, out=None) -> np.ndarray:
                     f"symbols must be finite, got {block[i].item()!r} at index {lo // 2 + i}"
                 ) from None
             labels = out[lo // 2:(lo + BLOCK) // 2]
-            np.left_shift(axes[0::2], tables.bits.shape[1] // 2, out=labels)
+            np.left_shift(axes[0::2], tables.nb, out=labels)
             labels |= axes[1::2]
     return out
-
-
-def qam_demap(symbols, order: int) -> np.ndarray:
-    """Hard-decision demapping to uint8 bits; exact inverse of :func:`qam_map` on grid points.
-
-    Each symbol's :func:`demap_labels` label indexes the bit table, whose
-    row holds the symbol's bits.  Raises ValueError on a symbol that is not
-    finite.
-    """
-    return _tables(order).bits[demap_labels(symbols, order)].ravel()
-
-
-def constellation(order: int) -> np.ndarray:
-    """All constellation points, indexed by their bit label as an integer (a fresh copy)."""
-    return _tables(order).points.copy()

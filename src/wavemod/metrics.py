@@ -197,17 +197,17 @@ def _gray_qam_q_terms(order: int) -> list[tuple[float, int]]:
 def theoretical_ber(ebn0_db, order: int = 16, channel: str = "awgn"):
     """Closed-form Gray-QAM bit error probability per bit-energy SNR in dB.
 
-    ``channel`` selects pure AWGN or a flat Rayleigh fade applied per frame,
-    in which case each Q-function term is averaged over the exponential SNR
-    distribution in closed form: with h = c/2, (1 - sqrt(h / (1 + h))) / 2,
-    computed as 1 / (2 (1 + h)(1 + s)), s = 1 / sqrt(1 + 1/h), which neither
-    cancels at high SNR nor turns into inf/inf when Eb/N0 overflows.
+    ``channel`` selects pure AWGN (``"awgn"``) or a flat Rayleigh fade
+    applied per frame (``"rayleigh"``), in which case each Q-function term is
+    averaged over the exponential SNR distribution in closed form: with
+    h = c/2, (1 - sqrt(h / (1 + h))) / 2, computed as 1 / (2 (1 + h)(1 + s)),
+    s = 1 / sqrt(1 + 1/h), which neither cancels at high SNR nor turns into
+    inf/inf when Eb/N0 overflows.
     """
     with np.errstate(over="ignore"):
         ebn0 = 10.0 ** (np.asarray(ebn0_db, dtype=float) / 10.0)
     gamma_s = np.log2(order) * ebn0
     base = 3.0 * gamma_s / (order - 1.0)
-    channel = channel.lower()
     pb = np.zeros_like(ebn0)
     for weight, mult in _gray_qam_q_terms(order):
         c = mult ** 2 * base  # Q(sqrt(c)) argument squared

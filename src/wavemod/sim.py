@@ -16,10 +16,10 @@ the same draws.  One helper draws and maps a chunk for every instrument
 (``_draw_chunk``): the bits stay the packed bytes they are drawn as, map
 straight to symbols and give the BER count its sent labels.  The
 dataclasses below hold the only defaults (the CLI passes only the settings
-it is given), and ``validate`` takes the QAM orders from ``mapping`` and
-the receiver kinds from ``gfdm``.  A sub-band allocation
-is held as runs of consecutive active bins, so its scatter and gather are
-slice copies.  Zero forcing inverts the channel exactly on every
+it is given), and ``validate`` takes the QAM orders from ``mapping``, the
+receiver kinds from ``gfdm`` and the integer fields from the annotations.
+A sub-band allocation is held as runs of consecutive active bins, so its
+scatter and gather are slice copies.  Zero forcing inverts the channel exactly on every
 configuration ``ScenarioConfig.validate`` accepts (see ``channel``), and it
 is linear, so a BER chunk zero-forces its noise once for the whole grid
 and each point adds that noise, scaled, to the sent frames without
@@ -48,10 +48,11 @@ wavemod`` loads neither it nor numpy's RNG (``numpy.random``); the first
 run's first draw loads the RNG, once per process.
 """
 
+import operator
 import os
 import zlib
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -118,6 +119,14 @@ class ScenarioConfig:
     tvfs_corrected: bool = False
 
     def validate(self):
+        wp = self.waveform_params
+        ints = [(f.name, getattr(obj, f.name)) for obj in (self, wp) for f in fields(obj)
+                if f.type in (int, int | None) and getattr(obj, f.name) is not None]
+        for key, value in ints + [("active", i) for i in wp.active or ()]:
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ConfigError(f"{key}: must be an integer, got {value!r}") from None
         if self.waveform not in WAVEFORMS:
             raise ConfigError(f"waveform: {self.waveform!r} not in {WAVEFORMS}")
         if self.channel not in CHANNELS:
@@ -135,7 +144,6 @@ class ScenarioConfig:
             raise ConfigError(f"ebn0_grid_db: must be finite, got {self.ebn0_grid_db}")
         if self.metric == "ber" and np.any(np.diff(self.ebn0_grid_db) <= 0):
             raise ConfigError(f"ebn0_grid_db: must be strictly increasing, got {self.ebn0_grid_db}")
-        wp = self.waveform_params
         if wp.qam_order not in QAM_ORDERS:
             raise ConfigError(f"qam_order: {wp.qam_order} not in {QAM_ORDERS}")
         low = [e for e in self.ebn0_grid_db if not np.isfinite(noise_variance(e, wp.qam_order))]
@@ -578,7 +586,11 @@ def psd_default_active(subcarriers: int) -> tuple:
 
 
 def psd_band_edge(config: ScenarioConfig) -> float:
-    """Upper band edge (cycles/sample) of the default centered allocation."""
+    """Upper band edge (cycles/sample) of the run's allocation.
+
+    That is ``active`` when the config gives it, else the default centered
+    allocation (:func:`psd_default_active`).
+    """
     wp = config.waveform_params
     k = _grid(config)[0]
     active = wp.active if wp.active is not None else psd_default_active(k)

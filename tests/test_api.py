@@ -42,6 +42,14 @@ def test_public_names_resolve_once():
     assert [n for n in names if not hasattr(wavemod, n)] == []
 
 
+def test_mapping_offers_only_the_packed_bit_api():
+    # One bit format: the pipeline maps packed bytes and demaps to labels, so
+    # an unpacked-bit twin of either direction has no caller; the tests'
+    # arithmetic mapper is tests/oracle.py's.
+    public = {n for n, v in vars(wavemod.mapping).items() if callable(v) and not n.startswith("_")}
+    assert public == {"map_packed", "packed_labels", "demap_labels"}
+
+
 def test_cyclic_prefix_helpers_are_test_oracles():
     # The adapter writes each cyclic prefix in place; no production path
     # prefixes a frame by concatenation.
@@ -62,16 +70,19 @@ def test_work_areas_belong_to_the_pipeline_and_the_modem():
 
 def test_every_traced_stage_resolves():
     # A stage none of whose functions exists would vanish from traced runs.
-    # Three stages name only functions the pipeline never runs, and read
-    # zero until the benchmark's stage table drops them: channel_s the
-    # channel convolution (zero forcing inverts the channel, so the
+    # Five stages name only functions the pipeline never runs, and read
+    # zero until the benchmark's stage table drops them: map_s and demap_s
+    # the unpacked-bit qam_map and qam_demap (runs map packed bytes with
+    # map_packed and count errors on demap_labels' labels, so traced runs
+    # read both stages as zero before the two left the package), channel_s
+    # the channel convolution (zero forcing inverts the channel, so the
     # simulator equalizes the noise alone), count_s and welch_s the
     # one-call bit count and PSD, test helpers that left the package (BER
     # chunks count label bits in sim, PSD runs stream WelchAccumulator).
     tracing = _load_tracing()
     with tracing.Tracer() as tracer:
         pass
-    assert tracer.absent == ["channel_s", "count_s", "welch_s"]
+    assert tracer.absent == ["map_s", "demap_s", "channel_s", "count_s", "welch_s"]
 
 
 @pytest.mark.parametrize(
@@ -190,16 +201,24 @@ def test_seed_margins_runs_the_acceptance_ber_setup():
 
 
 def test_src_size_counts_code_lines_only(tmp_path):
-    # Docstring, blank, comment and string-continuation lines are not code.
+    # Docstring, blank, comment and string-continuation lines are not code;
+    # the last row counts __all__'s names, 0 in a tree without one.
     src_size = _load(_SRC_SIZE, "src_size")
     source = '"""Doc.\n\nMore."""\n\n# note\nx = (1,\n     2)  # why\ns = """a\nb"""\n'
     assert src_size.code_lines(source) == 3
     for tree, extra in (("a", ""), ("b", "y = x\n")):
         (tmp_path / tree / "src" / "wavemod").mkdir(parents=True)
         (tmp_path / tree / "src" / "wavemod" / "m.py").write_text(source + extra)
-    assert src_size.report([tmp_path / "a"])[-1].split() == ["total", "9", "3"]
+    # Never imported: the import would raise.
+    (tmp_path / "b" / "src" / "wavemod" / "__init__.py").write_text(
+        'raise ImportError\n__all__ = [\n    "x",\n    "y",\n]\n'
+    )
+    rows = src_size.report([tmp_path / "a"])
+    assert [row.split() for row in rows[-2:]] == [["total", "9", "3"], ["__all__", "0"]]
     rows = src_size.report([tmp_path / "a", tmp_path / "b"])
-    assert rows[-1].split() == ["total", "9", "10", "+1", "3", "4", "+1"]
+    assert rows[-2].split() == ["total", "9", "15", "+6", "3", "9", "+6"]
+    assert rows[-1].split() == ["__all__", "0", "2", "+2"]
+    assert src_size.public_names(_ROOT) == len(wavemod.__all__)
 
 
 def _scripts() -> dict[str, str]:

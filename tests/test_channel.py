@@ -3,7 +3,7 @@ import pytest
 from conftest import cp_channel
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import circulant_matrix, convolve_rows
+from oracle import circulant_matrix, convolve_rows, qam_map
 
 from wavemod import (
     EqualizationError,
@@ -17,7 +17,6 @@ from wavemod import (
     freq_response,
     oqam_modulate,
     phydyas,
-    qam_map,
 )
 from wavemod._work import BLOCK
 from wavemod.channel import MIN_ZF_BIN, PROFILE_MEMORY, draw_taps, tvfs_gains

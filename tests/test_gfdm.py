@@ -16,7 +16,6 @@ from wavemod import (
     oqam_demodulate,
     oqam_modulate,
     phydyas,
-    qam_map,
     rectangular,
 )
 from wavemod import gfdm as gfdm_mod
@@ -25,7 +24,7 @@ from wavemod.sim import ScenarioConfig, WaveformParams, build_adapter
 
 
 def _random_symbols(rng, n):
-    return qam_map(rng.integers(0, 2, 4 * n), 16)
+    return oracle.qam_map(rng.integers(0, 2, 4 * n), 16)
 
 
 def _matrix(mats):
@@ -177,10 +176,12 @@ class TestReceivers:
         build_receiver(mats, "mf")
         build_receiver(mats, "mmse", noise_var=0.1)
 
-    def test_rejects_unknown_kind(self):
+    @pytest.mark.parametrize("kind", ["dfe", "ZF", "Mmse"])
+    def test_rejects_unknown_kind(self, kind):
+        # The kinds are RECEIVERS, spelled as there.
         mats = build_gfdm_matrix(rectangular(4), 4, 1)
-        with pytest.raises(ValueError):
-            build_receiver(mats, "dfe")
+        with pytest.raises(ValueError, match="unknown receiver kind"):
+            build_receiver(mats, kind)
 
 
 class TestOqamMatrices:

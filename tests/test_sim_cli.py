@@ -91,6 +91,26 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="qam_order"):
             cfg.validate()
 
+    @pytest.mark.parametrize(
+        "run, field, settings",
+        [
+            (run_papr, "qam_order", {"waveform_params": WaveformParams(qam_order=16.0)}),
+            (run_papr, "frames", {"frames": 10.0}),
+            (run_papr, "seed", {"seed": 0.5}),
+            (run_papr, "active", {"waveform_params": WaveformParams(active=(1.5, 3.0))}),
+            (run_ber, "subcarriers", {"waveform_params": WaveformParams(subcarriers=64.0)}),
+            (run_ber, "error_target", {"error_target": 5.0}),
+            (run_ber, "min_bits", {"min_bits": "100"}),
+        ],
+    )
+    def test_run_refuses_a_non_integer(self, run, field, settings):
+        # Each would otherwise fail deep in the run (16.0 in a right shift,
+        # 10.0 in range) or run on truncated bins (1.5 as bin 1).
+        metric = "papr" if run is run_papr else "ber"
+        config = replace(_ber_config(metric=metric, frames=4), **settings)
+        with pytest.raises(ConfigError, match=f"^{field}: must be an integer, got "):
+            run(config)
+
     @pytest.mark.parametrize("run,metric", [(run_ber, "psd"), (run_psd, "papr"), (run_papr, "ber")])
     def test_run_refuses_another_metrics_config(self, run, metric):
         with pytest.raises(ConfigError, match="metric"):

@@ -2,17 +2,22 @@
 
 A code line is one on which a token other than a string or a comment
 starts; docstrings, comments and blank lines do not count, and neither do
-the lines a multi-line statement's string continues on.
+the lines a multi-line statement's string continues on.  A last row counts
+the names in the package's ``__all__``, read from ``__init__.py`` with
+``ast``, without importing it, so a trimmed public surface shows next to
+the lines.
 
     python3 tools/src_size.py                  # this checkout
     python3 tools/src_size.py TREE             # another checkout
     python3 tools/src_size.py TREE_A TREE_B    # both, and B - A
 
 With two trees each row shows A, B and their difference; a module in one
-tree only counts as 0 lines in the other.
+tree only counts as 0 lines in the other, and a tree without ``__all__``
+as 0 names.
 """
 
 import argparse
+import ast
 import io
 import sys
 import tokenize
@@ -48,8 +53,18 @@ def sizes(tree: Path) -> dict[str, tuple[int, int]]:
     return out
 
 
+def public_names(tree: Path) -> int:
+    """Length of the ``__all__`` list that ``tree``'s ``src/wavemod/__init__.py`` assigns, or 0."""
+    init = tree / "src" / "wavemod" / "__init__.py"
+    body = ast.parse(init.read_text()).body if init.exists() else []
+    for node in body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return len(ast.literal_eval(node.value))
+    return 0
+
+
 def report(trees: list[Path]) -> list[str]:
-    """The table's lines: one row per module, then the totals."""
+    """The table's lines: one row per module, the totals, then the ``__all__`` count."""
     tables = [sizes(tree) for tree in trees]
     if not any(tables):
         raise SystemExit(f"no src/wavemod modules under {', '.join(map(str, trees))}")
@@ -59,6 +74,7 @@ def report(trees: list[Path]) -> list[str]:
     if len(trees) == 1:
         lines = [f"{'module':<14}{'wc -l':>8}{'code':>8}"]
         lines += [f"{name:<14}{wc:>8}{code:>8}" for name, [(wc, code)] in rows]
+        lines.append(f"{'__all__':<14}{public_names(trees[0]):>16}")
         return lines
     lines = [f"A {trees[0]}", f"B {trees[1]}",
              f"{'module':<14}{'wc -l A':>9}{'B':>7}{'B - A':>7}{'code A':>9}{'B':>7}{'B - A':>7}"]
@@ -66,6 +82,8 @@ def report(trees: list[Path]) -> list[str]:
         lines.append(
             f"{name:<14}{wc_a:>9}{wc_b:>7}{wc_b - wc_a:>+7}{code_a:>9}{code_b:>7}{code_b - code_a:>+7}"
         )
+    all_a, all_b = map(public_names, trees)
+    lines.append(f"{'__all__':<14}{'':>23}{all_a:>9}{all_b:>7}{all_b - all_a:>+7}")
     return lines
 
 
